@@ -1,9 +1,10 @@
 """Command-line surface: synth, curate, train, eval, inflate.
 
-Every artifact-producing command writes its outputs under --out together
-with a run manifest (resolved config, seed, input hashes, artifact list,
-wall clock, version). Execution is always deterministic and sequential;
-FLORENCE_MINI_REFERENCE_MODE=1 pins that explicitly for launch scripts.
+Every command runs through `run_command`, which writes the command's outputs
+under --out together with a run manifest (resolved config, seed, input
+hashes, artifact list, wall clock, version). Execution is always
+deterministic and sequential; FLORENCE_MINI_REFERENCE_MODE=1 pins that
+explicitly for launch scripts.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .curation import (
 from .encoders import build_video_tower
 from .evaluation import (
     EvalReport,
-    FewShotConfig,
     ProbeConfig,
     append_report_jsonl,
     build_prompt_sets,
@@ -47,6 +47,7 @@ from .evaluation import (
     zero_shot_classify_batch,
 )
 from .encoders.vocab import tokenize_batch
+from .imaging import resize_bilinear
 from .numerics.container import save_checkpoint
 from .numerics.tensor import no_grad
 from .trainer import TrainConfig, load_model_checkpoint, run_two_stage_training
@@ -96,14 +97,30 @@ def parse_config(path: str | None, overrides: dict) -> TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each body does its own work under the created --out and
+# returns (inputs, artifacts, message); run_command supplies the rest
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
+def run_command(args) -> int:
+    """The frame every subcommand shares: time the body, hand it the created
+    --out directory, then write manifest.json and print the body's message.
+
+    `train` also returns its resolved config and seed, which its manifest
+    records in place of the parsed flags.
+    """
     t0 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    inputs, artifacts, message, *resolved = args.fn(args, out)
+    config, seed = resolved or (vars(args) | {"out": str(out)}, args.seed)
+    command = f"eval {args.eval_command}" if args.command == "eval" else args.command
+    write_run_manifest(out, command, config, seed, inputs, artifacts, time.perf_counter() - t0)
+    print(message)
+    return 0
+
+
+def cmd_synth(args, out):
     records, names = generate_synthetic_dataset(
         out,
         num_classes=args.classes,
@@ -115,23 +132,14 @@ def cmd_synth(args) -> int:
     )
     write_records_jsonl(out / "records.jsonl", records)
     (out / "classes.txt").write_text("\n".join(names) + "\n")
-    write_run_manifest(
-        out, "synth", vars(args) | {"out": str(out)}, args.seed, [],
-        [out / "records.jsonl", out / "classes.txt", out / "images"],
-        time.perf_counter() - t0,
-    )
-    print(f"synth: wrote {len(records)} records over {len(names)} classes to {out}")
-    return 0
+    artifacts = [out / "records.jsonl", out / "classes.txt", out / "images"]
+    return [], artifacts, f"synth: wrote {len(records)} records over {len(names)} classes to {out}"
 
 
-def cmd_curate(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_curate(args, out):
     records_path = Path(args.records)
-    records = read_records_jsonl(records_path)
     result = curate(
-        records,
+        read_records_jsonl(records_path),
         dedup_threshold=args.dedup_threshold,
         min_side=args.min_side,
         seed=args.seed,
@@ -141,136 +149,96 @@ def cmd_curate(args) -> int:
     write_removal_report_jsonl(out / "removals.jsonl", result.removal_reports)
     with open(out / "stats.json", "w") as fh:
         json.dump(result.stats(), fh, indent=1)
-    write_run_manifest(
-        out, "curate", vars(args) | {"out": str(out)}, args.seed, [records_path],
-        [out / "triplets.jsonl", out / "removals.jsonl", out / "stats.json"],
-        time.perf_counter() - t0,
-    )
-    print(f"curate: {result.stats()}")
-    return 0
+    artifacts = [out / "triplets.jsonl", out / "removals.jsonl", out / "stats.json"]
+    return [records_path], artifacts, f"curate: {result.stats()}"
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    overrides = {
-        "seed": args.seed,
-        "batch_size": args.batch_size,
-        "chunk_size": args.chunk_size,
-        "zero_workers": args.zero_workers,
-        "precision": args.precision,
-        "stage1_steps": args.stage1_steps,
-        "stage2_steps": args.stage2_steps,
-        "high_res_steps": args.high_res_steps,
-        "peak_lr": args.peak_lr,
-        "warmup_steps": args.warmup_steps,
-        "objective": args.objective,
-        "holdout_fraction": args.holdout_fraction,
-        "checkpoint_every": args.checkpoint_every,
-    }
-    config = parse_config(args.config, overrides)
+# `train` flags that override the --config file, keyed by TrainConfig field.
+TRAIN_FLAGS = {
+    "seed": {"type": int},
+    "batch_size": {"type": int},
+    "chunk_size": {"type": int},
+    "zero_workers": {"type": int},
+    "precision": {"choices": ["full", "half-emulated"]},
+    "stage1_steps": {"type": int},
+    "stage2_steps": {"type": int},
+    "high_res_steps": {"type": int},
+    "peak_lr": {"type": float},
+    "warmup_steps": {"type": int},
+    "objective": {"choices": ["unicl", "infonce"]},
+    "holdout_fraction": {"type": float},
+    "checkpoint_every": {"type": int},
+}
+
+
+def cmd_train(args, out):
+    config = parse_config(args.config, {name: getattr(args, name) for name in TRAIN_FLAGS})
     triplets_path = Path(args.triplets)
     triplets = read_triplets_jsonl(triplets_path)
     if config.holdout_fraction > 0:
         held = holdout_ids([t.id for t in triplets], config.holdout_fraction, config.seed)
-        pool = [t for t in triplets if t.id not in held]
-    else:
-        pool = triplets
-    result = run_two_stage_training(pool, config, out, resume_from=args.resume)
+        triplets = [t for t in triplets if t.id not in held]
+    result = run_two_stage_training(triplets, config, out, resume_from=args.resume)
     artifacts = [result["metrics_path"], *result["checkpoints"].values()]
-    write_run_manifest(
-        out, "train", config.to_dict(), config.seed, [triplets_path], artifacts,
-        time.perf_counter() - t0,
-    )
-    print(f"train: {result['steps_run']} steps, final checkpoint {result['checkpoints']['final']}")
-    return 0
+    message = f"train: {result['steps_run']} steps, final checkpoint {result['checkpoints']['final']}"
+    return [triplets_path], artifacts, message, config.to_dict(), config.seed
 
 
-def _load_eval_data(args):
-    data = Path(args.data)
-    records = read_records_jsonl(data / "records.jsonl")
-    class_names = (data / "classes.txt").read_text().splitlines()
-    return records, [c for c in class_names if c]
+def _class_names(args) -> list[str]:
+    return [c for c in (Path(args.data) / "classes.txt").read_text().splitlines() if c]
 
 
-def _holdout_records(records, fraction, seed):
-    held = holdout_ids([r.id for r in records], fraction, seed)
-    return [r for r in records if r.id in held]
-
-
-def _stack_images(records, side=None):
-    from .imaging import resize_bilinear
-
-    images = []
-    for r in records:
-        img = load_image(r.image_path)
-        if side is not None and img.shape[0] != side:
-            img = resize_bilinear(img, side, side)
-        images.append(img)
-    return np.stack(images)
-
-
-def cmd_eval_zero_shot(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _eval_inputs(args, holdout: bool):
+    """Model, class names, eval records (the held-out split when `holdout`),
+    their images at the model's input side, and their class labels."""
     model = load_model_checkpoint(args.checkpoint)
-    records, class_names = _load_eval_data(args)
-    eval_records = _holdout_records(records, args.holdout_fraction, args.seed)
-    images = _stack_images(eval_records, side=model.config.image_size)
-    labels = np.array([class_of_record(r) for r in eval_records])
-    prompt_sets = build_prompt_sets(model, class_names)
-    ranked = zero_shot_classify_batch(model, images, prompt_sets)
+    records = read_records_jsonl(Path(args.data) / "records.jsonl")
+    class_names = _class_names(args)
+    if holdout:
+        held = holdout_ids([r.id for r in records], args.holdout_fraction, args.seed)
+        records = [r for r in records if r.id in held]
+    images = np.stack([_load_at_side(r.image_path, model.config.image_size) for r in records])
+    labels = np.array([class_of_record(r) for r in records])
+    return model, class_names, records, images, labels
+
+
+def _load_at_side(path, side: int) -> np.ndarray:
+    img = load_image(path)
+    return img if img.shape[0] == side else resize_bilinear(img, side, side)
+
+
+def _eval_report(args, out, report: EvalReport, message: str):
+    """Append a record-based eval's report; returns its (inputs, artifacts, message)."""
+    append_report_jsonl(out / "reports.jsonl", report)
+    return [Path(args.data) / "records.jsonl"], [out / "reports.jsonl"], message
+
+
+def cmd_eval_zero_shot(args, out):
+    model, class_names, records, images, labels = _eval_inputs(args, holdout=True)
+    ranked = zero_shot_classify_batch(model, images, build_prompt_sets(model, class_names))
     metrics = {
         "top1_acc": evaluate_topk(ranked, labels, 1),
         "top5_acc": evaluate_topk(ranked, labels, min(5, len(class_names))),
     }
-    report = EvalReport(task="zero_shot", metrics=metrics, n=len(eval_records), seed=args.seed)
-    append_report_jsonl(out / "reports.jsonl", report)
-    write_run_manifest(
-        out, "eval zero-shot", vars(args) | {"out": str(out)}, args.seed,
-        [Path(args.data) / "records.jsonl"], [out / "reports.jsonl"],
-        time.perf_counter() - t0,
-    )
-    print(f"zero-shot: {metrics} over {len(eval_records)} held-out images")
-    return 0
+    report = EvalReport(task="zero_shot", metrics=metrics, n=len(records), seed=args.seed)
+    return _eval_report(args, out, report, f"zero-shot: {metrics} over {len(records)} held-out images")
 
 
-def cmd_eval_retrieval(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model = load_model_checkpoint(args.checkpoint)
-    records, _ = _load_eval_data(args)
-    eval_records = _holdout_records(records, args.holdout_fraction, args.seed)
-    images = _stack_images(eval_records, side=model.config.image_size)
-    ids = tokenize_batch([r.text for r in eval_records], model.vocab)
+def cmd_eval_retrieval(args, out):
+    model, _, records, images, _ = _eval_inputs(args, holdout=True)
+    ids = tokenize_batch([r.text for r in records], model.vocab)
     with no_grad():
         u = model.encode_image(images).data
         v = model.encode_text(ids).data
     ks = [int(k) for k in args.ks.split(",")]
     rec = retrieval_recall(u, v, ks)
     metrics = {f"r_at_{k}_{d}": rec[d][k] for d in ("i2t", "t2i") for k in ks}
-    report = EvalReport(task="retrieval", metrics=metrics, n=len(eval_records), seed=args.seed)
-    append_report_jsonl(out / "reports.jsonl", report)
-    write_run_manifest(
-        out, "eval retrieval", vars(args) | {"out": str(out)}, args.seed,
-        [Path(args.data) / "records.jsonl"], [out / "reports.jsonl"],
-        time.perf_counter() - t0,
-    )
-    print(f"retrieval: {metrics}")
-    return 0
+    report = EvalReport(task="retrieval", metrics=metrics, n=len(records), seed=args.seed)
+    return _eval_report(args, out, report, f"retrieval: {metrics}")
 
 
-def cmd_eval_linear_probe(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model = load_model_checkpoint(args.checkpoint)
-    records, _ = _load_eval_data(args)
-    images = _stack_images(records, side=model.config.image_size)
-    labels = np.array([class_of_record(r) for r in records])
+def cmd_eval_linear_probe(args, out):
+    model, _, records, images, labels = _eval_inputs(args, holdout=False)
     with no_grad():
         features = model.encode_image(images).data
     result = linear_probe(
@@ -279,54 +247,30 @@ def cmd_eval_linear_probe(args) -> int:
     )
     metrics = {"probe_acc": result.accuracy}
     report = EvalReport(task="linear_probe", metrics=metrics, n=len(records), seed=args.seed)
-    append_report_jsonl(out / "reports.jsonl", report)
-    write_run_manifest(
-        out, "eval linear-probe", vars(args) | {"out": str(out)}, args.seed,
-        [Path(args.data) / "records.jsonl"], [out / "reports.jsonl"],
-        time.perf_counter() - t0,
-    )
-    print(f"linear probe: {metrics}" + (" (degenerate)" if result.degenerate else ""))
-    return 0
+    message = f"linear probe: {metrics}" + (" (degenerate)" if result.degenerate else "")
+    return _eval_report(args, out, report, message)
 
 
-def cmd_eval_few_shot(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model = load_model_checkpoint(args.checkpoint)
-    records, _ = _load_eval_data(args)
-    images = _stack_images(records, side=model.config.image_size)
-    labels = np.array([class_of_record(r) for r in records])
+def cmd_eval_few_shot(args, out):
+    model, _, _, images, labels = _eval_inputs(args, holdout=False)
     with no_grad():
         features = model.encode_image(images).data
     result = few_shot_episode_eval(
-        features, labels, way=args.way, shot=args.shot, episodes=args.episodes,
-        seed=args.seed, config=FewShotConfig(way=args.way, episodes=args.episodes),
+        features, labels, way=args.way, shot=args.shot, episodes=args.episodes, seed=args.seed
     )
-    metrics = {"episode_acc": result.mean_accuracy}
     report = EvalReport(
-        task="few_shot", metrics=metrics, n=args.episodes, seed=args.seed, ci95=result.ci95
+        task="few_shot", metrics={"episode_acc": result.mean_accuracy}, n=args.episodes,
+        seed=args.seed, ci95=result.ci95,
     )
-    append_report_jsonl(out / "reports.jsonl", report)
-    write_run_manifest(
-        out, "eval few-shot", vars(args) | {"out": str(out)}, args.seed,
-        [Path(args.data) / "records.jsonl"], [out / "reports.jsonl"],
-        time.perf_counter() - t0,
-    )
-    print(f"few-shot {args.way}-way {args.shot}-shot: {result.mean_accuracy:.4f} +/- {result.ci95:.4f}")
-    return 0
+    message = f"few-shot {args.way}-way {args.shot}-shot: {result.mean_accuracy:.4f} +/- {result.ci95:.4f}"
+    return _eval_report(args, out, report, message)
 
 
-def cmd_eval_regions(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_eval_regions(args, out):
     model = load_model_checkpoint(args.checkpoint)
-    _, class_names = _load_eval_data(args)
-    prompt_sets = build_prompt_sets(model, class_names)
+    class_names = _class_names(args)
     boxes = read_boxes_jsonl(args.boxes)
-    image = load_image(args.image)
-    rankings = classify_regions(model, image, boxes, prompt_sets)
+    rankings = classify_regions(model, load_image(args.image), boxes, build_prompt_sets(model, class_names))
     with open(out / "region_labels.jsonl", "w") as fh:
         for box, ranked in zip(boxes, rankings):
             fh.write(
@@ -340,19 +284,10 @@ def cmd_eval_regions(args) -> int:
                 )
                 + "\n"
             )
-    write_run_manifest(
-        out, "eval regions", vars(args) | {"out": str(out)}, args.seed,
-        [args.boxes, args.image], [out / "region_labels.jsonl"],
-        time.perf_counter() - t0,
-    )
-    print(f"regions: labeled {len(boxes)} boxes")
-    return 0
+    return [args.boxes, args.image], [out / "region_labels.jsonl"], f"regions: labeled {len(boxes)} boxes"
 
 
-def cmd_inflate(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_inflate(args, out):
     model = load_model_checkpoint(args.checkpoint)
     tower = build_video_tower(model.param_arrays(), model.config, args.temporal_kernel, args.frames)
     ckpt_dir = out / "video-tower"  # keeps the container manifest clear of the run manifest
@@ -365,13 +300,8 @@ def cmd_inflate(args) -> int:
             "video": {"temporal_kernel": args.temporal_kernel, "frames": args.frames},
         },
     )
-    write_run_manifest(
-        out, "inflate", vars(args) | {"out": str(out)}, args.seed,
-        [Path(args.checkpoint) / "manifest.json"], [ckpt_dir],
-        time.perf_counter() - t0,
-    )
-    print(f"inflate: wrote video tower (kt={args.temporal_kernel}, T={args.frames}) to {ckpt_dir}")
-    return 0
+    message = f"inflate: wrote video tower (kt={args.temporal_kernel}, T={args.frames}) to {ckpt_dir}"
+    return [Path(args.checkpoint) / "manifest.json"], [ckpt_dir], message
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="two-stage contrastive training")
     p.add_argument("--triplets", required=True, help="curated triplets.jsonl")
     p.add_argument("--config", help="JSON config file (flags override)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--chunk-size", type=int)
-    p.add_argument("--zero-workers", type=int)
-    p.add_argument("--precision", choices=["full", "half-emulated"])
-    p.add_argument("--stage1-steps", type=int)
-    p.add_argument("--stage2-steps", type=int)
-    p.add_argument("--high-res-steps", type=int)
-    p.add_argument("--peak-lr", type=float)
-    p.add_argument("--warmup-steps", type=int)
-    p.add_argument("--objective", choices=["unicl", "infonce"])
-    p.add_argument("--holdout-fraction", type=float)
-    p.add_argument("--checkpoint-every", type=int)
+    for name, kwargs in TRAIN_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), **kwargs)
     p.add_argument("--resume", help="checkpoint directory to resume from")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
@@ -426,39 +345,26 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="transfer evaluation protocols")
     esub = pe.add_subparsers(dest="eval_command", required=True)
 
-    def eval_common(q):
+    def eval_parser(name, fn):
+        q = esub.add_parser(name)
         q.add_argument("--checkpoint", required=True)
         q.add_argument("--data", required=True, help="synth dir with records.jsonl + classes.txt")
         q.add_argument("--seed", type=int, default=0)
         q.add_argument("--holdout-fraction", type=float, default=0.2)
         q.add_argument("--out", required=True)
+        q.set_defaults(fn=fn)
+        return q
 
-    q = esub.add_parser("zero-shot")
-    eval_common(q)
-    q.set_defaults(fn=cmd_eval_zero_shot)
-
-    q = esub.add_parser("retrieval")
-    eval_common(q)
-    q.add_argument("--ks", default="1,5")
-    q.set_defaults(fn=cmd_eval_retrieval)
-
-    q = esub.add_parser("linear-probe")
-    eval_common(q)
-    q.add_argument("--probe-epochs", type=int, default=100)
-    q.set_defaults(fn=cmd_eval_linear_probe)
-
-    q = esub.add_parser("few-shot")
-    eval_common(q)
+    eval_parser("zero-shot", cmd_eval_zero_shot)
+    eval_parser("retrieval", cmd_eval_retrieval).add_argument("--ks", default="1,5")
+    eval_parser("linear-probe", cmd_eval_linear_probe).add_argument("--probe-epochs", type=int, default=100)
+    q = eval_parser("few-shot", cmd_eval_few_shot)
     q.add_argument("--way", type=int, default=5)
     q.add_argument("--shot", type=int, default=5)
     q.add_argument("--episodes", type=int, default=600)
-    q.set_defaults(fn=cmd_eval_few_shot)
-
-    q = esub.add_parser("regions")
-    eval_common(q)
+    q = eval_parser("regions", cmd_eval_regions)
     q.add_argument("--image", required=True, help="image container file")
     q.add_argument("--boxes", required=True, help="boxes.jsonl")
-    q.set_defaults(fn=cmd_eval_regions)
 
     p = sub.add_parser("inflate", help="2D -> 3D video tower inflation")
     p.add_argument("--checkpoint", required=True)
@@ -483,7 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return run_command(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

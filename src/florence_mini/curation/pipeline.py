@@ -4,7 +4,6 @@ stage-aware deterministic batch streams."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -148,14 +147,6 @@ class StageStream:
             for b in range(n_full)
         ]
 
-    def batches(self):
-        """Endless batch iterator cycling epochs with fresh deterministic shuffles."""
-        epoch = 0
-        while True:
-            for batch in self.epoch_batches(epoch):
-                yield batch
-            epoch += 1
-
 
 def make_stage_stream(triplets: list[Triplet], stage: int, seed: int, batch_size: int) -> StageStream:
     return StageStream(stage=stage, seed=seed, batch_size=batch_size, pool=list(triplets))
@@ -190,17 +181,14 @@ def curate(
     seed: int = 0,
     templates=DEFAULT_PROMPT_TEMPLATES,
     case_fold: bool = False,
-    relevance_predicate: Callable[[RawRecord], bool] | None = None,
 ) -> CurationResult:
-    """Full curation pass: dedup, size filter, relevance stand-in, labels,
-    prompt augmentation. Output order is a pure function of (input, seed)."""
+    """Full curation pass: dedup, size filter, labels, prompt augmentation.
+    Output order is a pure function of (input, seed)."""
     n_input = len(records)
     survivors, reports = dedup_near_duplicates(records, hamming_threshold=dedup_threshold)
     n_after_dedup = len(survivors)
     survivors = filter_small_images(survivors, min_side=min_side)
     n_after_size = len(survivors)
-    if relevance_predicate is not None:
-        survivors = [r for r in survivors if relevance_predicate(r)]
     table, triplets = build_text_hash_table(survivors, case_fold=case_fold)
     triplets = apply_prompt_augmentation(triplets, seed=seed, templates=templates)
     return CurationResult(

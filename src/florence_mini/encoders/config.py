@@ -53,12 +53,6 @@ class ModelConfig:
     def num_stages(self) -> int:
         return len(self.stage_depths)
 
-    def stage_side(self, stage: int, image_size: int | None = None) -> int:
-        side = (image_size or self.image_size) // self.patch_kernel
-        for _ in range(stage):
-            side //= self.merge_kernel
-        return side
-
     def to_dict(self) -> dict:
         return asdict(self)
 

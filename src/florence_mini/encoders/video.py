@@ -44,16 +44,6 @@ class VideoTowerParams:
     frames: int
     params: dict[str, np.ndarray]
 
-    def temporal_extents(self) -> list[int]:
-        """Temporal token extent entering each stage."""
-        extents = []
-        t = self.frames // self.kt
-        for s in range(self.config.num_stages):
-            extents.append(t)
-            if s + 1 < self.config.num_stages:
-                t = t - min(self.kt, t) + 1
-        return extents
-
 
 def build_video_tower(params: dict[str, np.ndarray], config: ModelConfig, kt: int, frames: int) -> VideoTowerParams:
     """Inflate tokenizer/merge kernels and positional tables; copy the rest."""

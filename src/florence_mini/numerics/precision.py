@@ -3,8 +3,9 @@
 Half precision is emulated by snapping values to the IEEE-754 binary16 grid
 while keeping the original storage dtype, so numerical behavior is testable
 without 16-bit storage. Operations named in the policy's stable set always
-run at full precision; layer normalization and softmax (whose denominator
-accumulation is the fragile part) are stable unconditionally.
+run at full precision; layer normalization, softmax (whose denominator
+accumulation is the fragile part) and L2 normalization (whose unit-norm
+output the contrastive loss checks) are stable unconditionally.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .tensor import Tensor
 
 HALF_MAX = 65504.0
 
-ALWAYS_STABLE_OPS = frozenset({"layer_norm", "softmax"})
+ALWAYS_STABLE_OPS = frozenset({"layer_norm", "softmax", "l2_normalize"})
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ FULL_PRECISION = PrecisionPolicy(mode="full")
 EMULATED_HALF = PrecisionPolicy(mode="emulated-half")
 
 _current_policy = FULL_PRECISION
-
-
-def current_policy() -> PrecisionPolicy:
-    return _current_policy
 
 
 @contextlib.contextmanager

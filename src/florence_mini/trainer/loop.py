@@ -307,9 +307,15 @@ def run_two_stage_training(
             epoch_cache[key] = stream.epoch_batches(epoch)
         return epoch_cache[key][idx]
 
+    # a resume into the run's own directory replays steps >= start_step, so
+    # only the records before it are kept
+    kept = []
+    if resume_from is not None and metrics_path.exists():
+        with open(metrics_path) as fh:
+            kept = [line for line in fh if json.loads(line)["step"] < start_step]
     checkpoints: dict[str, str] = {}
-    mode = "a" if resume_from is not None else "w"
-    with open(metrics_path, mode) as metrics_fh:
+    with open(metrics_path, "w") as metrics_fh:
+        metrics_fh.writelines(kept)
         for step in range(start_step, config.planned_steps):
             stage, local = _stage_for_step(step, config)
             batch = batch_for(stage, local)

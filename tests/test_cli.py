@@ -122,6 +122,32 @@ class TestPipelineCommands:
         labeled = json.loads((out / "region_labels.jsonl").read_text())
         assert len(labeled["ranked_classes"]) == 3
 
+    def test_eval_linear_probe_writes_report(self, pipeline):
+        out = pipeline / "probe"
+        code = dispatch(
+            "eval",
+            ["linear-probe", "--checkpoint", str(pipeline / "run/ckpt-final"),
+             "--data", str(pipeline / "data"), "--out", str(out), "--probe-epochs", "20", "--seed", "3"],
+        )
+        assert code == 0
+        rep = json.loads((out / "reports.jsonl").read_text())
+        assert rep["task"] == "linear_probe" and rep["n"] == 24
+        assert 0.0 <= rep["metrics"]["probe_acc"] <= 1.0
+
+    def test_eval_few_shot_writes_report_with_ci(self, pipeline):
+        out = pipeline / "fs"
+        code = dispatch(
+            "eval",
+            ["few-shot", "--checkpoint", str(pipeline / "run/ckpt-final"),
+             "--data", str(pipeline / "data"), "--out", str(out),
+             "--way", "3", "--shot", "2", "--episodes", "10", "--seed", "3"],
+        )
+        assert code == 0
+        rep = json.loads((out / "reports.jsonl").read_text())
+        assert rep["task"] == "few_shot" and rep["n"] == 10
+        assert 0.0 <= rep["metrics"]["episode_acc"] <= 1.0
+        assert rep["ci95"] >= 0.0
+
     def test_inflate_inherited_tensors_hash_match_source(self, pipeline):
         out = pipeline / "video"
         code = dispatch(
@@ -140,6 +166,55 @@ class TestPipelineCommands:
             if name.startswith("__opt_") or name in transformed:
                 continue
             assert dst[name].tobytes() == arr.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "command",
+        ["synth", "curate", "train", "eval zero-shot", "eval retrieval",
+         "eval linear-probe", "eval few-shot", "eval regions", "inflate"],
+    )
+    def test_manifest_records_command_seed_inputs_and_artifacts(self, pipeline, tmp_path, command):
+        data, ckpt, out = pipeline / "data", pipeline / "run/ckpt-final", tmp_path / "out"
+        first = json.loads((data / "records.jsonl").read_text().splitlines()[0])
+        boxes = tmp_path / "boxes.jsonl"
+        boxes.write_text(json.dumps({"image_id": first["id"], "x0": 0, "y0": 0, "x1": 16, "y1": 16}) + "\n")
+        image = data / first["image"]
+        eval_args = ["--checkpoint", str(ckpt), "--data", str(data), "--out", str(out), "--seed", "3"]
+        extra = {
+            "eval linear-probe": ["--probe-epochs", "5"],
+            "eval few-shot": ["--way", "3", "--shot", "2", "--episodes", "4"],
+            "eval regions": ["--image", str(image), "--boxes", str(boxes)],
+        }
+        report = (out, 3, [data / "records.jsonl"], [out / "reports.jsonl"])
+        expected = {  # command -> (out dir, seed, inputs, artifacts)
+            "synth": (data, 3, [], [data / "records.jsonl", data / "classes.txt", data / "images"]),
+            "curate": (
+                pipeline / "cur", 3, [data / "records.jsonl"],
+                [pipeline / "cur" / name for name in ("triplets.jsonl", "removals.jsonl", "stats.json")],
+            ),
+            "train": (
+                pipeline / "run", 3, [pipeline / "cur/triplets.jsonl"],
+                [pipeline / "run" / name for name in ("metrics.jsonl", "ckpt-stage1", "ckpt-stage2", "ckpt-final")],
+            ),
+            "eval zero-shot": report,
+            "eval retrieval": report,
+            "eval linear-probe": report,
+            "eval few-shot": report,
+            "eval regions": (out, 3, [boxes, image], [out / "region_labels.jsonl"]),
+            "inflate": (out, 0, [ckpt / "manifest.json"], [out / "video-tower"]),
+        }
+        # synth, curate and train already ran in the `pipeline` fixture
+        if command.startswith("eval"):
+            assert dispatch("eval", [command.split()[1], *eval_args, *extra.get(command, [])]) == 0
+        elif command == "inflate":
+            argv = ["--checkpoint", str(ckpt), "--temporal-kernel", "1", "--frames", "2", "--out", str(out)]
+            assert dispatch("inflate", argv) == 0
+        out_dir, seed, inputs, artifacts = expected[command]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["seed"] == seed
+        assert manifest["input_hashes"] == {str(p): _sha(p) for p in inputs}
+        assert manifest["artifacts"] == [str(a) for a in artifacts]
+        assert manifest["wall_clock_s"] > 0
 
     def test_commands_do_not_mutate_inputs(self, pipeline, tmp_path):
         before = _sha(pipeline / "data/records.jsonl")

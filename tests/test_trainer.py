@@ -218,6 +218,15 @@ class TestTrainStep:
         _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
+    def test_half_emulated_step_with_chunk_equal_to_batch(self, small_setup):
+        """The monolithic path keeps the embeddings unit-norm under emulation."""
+        model, images, ids, labels, rids = small_setup
+        fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
+        cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8, precision="half-emulated")
+        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
+        assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
+
     def test_nan_input_aborts_with_batch_ids(self, small_setup):
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
@@ -275,6 +284,20 @@ class TestTwoStageRun:
             triplets, cfg, tmp_path / "resumed", resume_from=full["checkpoints"]["step-2"]
         )
         pf = full["model"].param_arrays()
+        pr = resumed["model"].param_arrays()
+        for k in pf:
+            assert pf[k].tobytes() == pr[k].tobytes(), k
+
+    def test_resume_into_own_out_keeps_one_record_per_step(self, corpus, tmp_path):
+        triplets, _ = corpus
+        cfg = self._config(checkpoint_every=2)
+        full = run_two_stage_training(triplets, cfg, tmp_path / "full")
+        pf = {k: v.copy() for k, v in full["model"].param_arrays().items()}
+        resumed = run_two_stage_training(
+            triplets, cfg, tmp_path / "full", resume_from=full["checkpoints"]["step-2"]
+        )
+        steps = [json.loads(l)["step"] for l in open(resumed["metrics_path"])]
+        assert steps == list(range(cfg.planned_steps))
         pr = resumed["model"].param_arrays()
         for k in pf:
             assert pf[k].tobytes() == pr[k].tobytes(), k
