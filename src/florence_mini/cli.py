@@ -175,9 +175,8 @@ def cmd_train(args, out):
     config = parse_config(args.config, {name: getattr(args, name) for name in TRAIN_FLAGS})
     triplets_path = Path(args.triplets)
     triplets = read_triplets_jsonl(triplets_path)
-    if config.holdout_fraction > 0:
-        held = holdout_ids([t.id for t in triplets], config.holdout_fraction, config.seed)
-        triplets = [t for t in triplets if t.id not in held]
+    held = holdout_ids([t.id for t in triplets], config.holdout_fraction, config.seed)
+    triplets = [t for t in triplets if t.id not in held]
     result = run_two_stage_training(triplets, config, out, resume_from=args.resume)
     artifacts = [result["metrics_path"], *result["checkpoints"].values()]
     message = f"train: {result['steps_run']} steps, final checkpoint {result['checkpoints']['final']}"
@@ -197,6 +196,8 @@ def _eval_inputs(args, holdout: bool):
     if holdout:
         held = holdout_ids([r.id for r in records], args.holdout_fraction, args.seed)
         records = [r for r in records if r.id in held]
+        if not records:
+            raise ValueError(f"held-out split is empty (--holdout-fraction {args.holdout_fraction})")
     images = np.stack([_load_at_side(r.image_path, model.config.image_size) for r in records])
     labels = np.array([class_of_record(r) for r in records])
     return model, class_names, records, images, labels

@@ -2,9 +2,11 @@
 
 Image tower: strided-conv patch embed, stages of non-overlapping windowed
 self-attention with relative position bias and conv patch merging, final
-layer norm, global average pool. Text tower: token + learned position
-embeddings, pre-norm transformer blocks with PAD masking, masked mean pool.
-Both project into a shared space and L2-normalize.
+layer norm, global average pool. Video clips run through the same tower
+with inflated weights: the tube tokenizer and the merges mix time, while
+attention stays within each temporal slice. Text tower: token + learned
+position embeddings, pre-norm transformer blocks with PAD masking, masked
+mean pool. Both project into a shared space and L2-normalize.
 """
 
 from __future__ import annotations
@@ -91,27 +93,28 @@ def mlp_block(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
 
 
 def window_partition(x: Tensor, window: int) -> Tensor:
-    """(B, H, W, C) -> (B*nWin, window*window, C) for non-overlapping windows."""
-    b, h, w, c = x.shape
-    nh, nw = h // window, w // window
-    t = ops.reshape(x, (b, nh, window, nw, window, c))
+    """(..., H, W, C) -> (N*nWin, window*window, C) for non-overlapping
+    windows, N being the product of the leading axes."""
+    h, w, c = x.shape[-3:]
+    t = ops.reshape(x, (-1, h // window, window, w // window, window, c))
     t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
-    return ops.reshape(t, (b * nh * nw, window * window, c))
+    return ops.reshape(t, (-1, window * window, c))
 
 
-def window_merge(x: Tensor, window: int, b: int, h: int, w: int) -> Tensor:
-    nh, nw = h // window, w // window
-    c = x.shape[-1]
-    t = ops.reshape(x, (b, nh, nw, window, window, c))
+def window_merge(x: Tensor, window: int, shape: tuple[int, ...]) -> Tensor:
+    """Inverse of window_partition back to the map ``shape`` (..., H, W, C)."""
+    h, w, c = shape[-3:]
+    t = ops.reshape(x, (-1, h // window, w // window, window, window, c))
     t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
-    return ops.reshape(t, (b, h, w, c))
+    return ops.reshape(t, shape)
 
 
 def windowed_attention_block(
     x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, window: int
 ) -> Tensor:
-    """Pre-norm windowed MHSA + MLP with residuals on a (B, H, W, C) map."""
-    b, h, w, c = x.shape
+    """Pre-norm windowed MHSA + MLP with residuals on a (..., H, W, C) map;
+    leading axes hold independent maps."""
+    h, w = x.shape[-3:-1]
     eff = min(window, h)
     if h % eff or w % eff:
         raise ValueError(f"spatial extent {h}x{w} not divisible by window {eff}")
@@ -125,7 +128,7 @@ def windowed_attention_block(
         rel_bias=p[f"{prefix}.attn.rel_bias"],
         rel_index=relative_index(eff),
     )
-    x = ops.add(x, window_merge(attn, eff, b, h, w))
+    x = ops.add(x, window_merge(attn, eff, x.shape))
     t = ops.layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
     return ops.add(x, mlp_block(t, p, f"{prefix}.mlp"))
 
@@ -136,17 +139,22 @@ def image_tower(
     images: Tensor,
     block_wrapper: Callable | None = None,
 ) -> Tensor:
-    """Images (B, H, W, C) -> unit-norm embeddings (B, d).
+    """Images (B, H, W, C), or clips (B, T, H, W, C) under inflated weights,
+    -> unit-norm embeddings (B, d).
 
-    ``block_wrapper(fn, x) -> Tensor`` (activation checkpointing) wraps each
-    attention block when provided.
+    The patch embed strides by its own kernel, so a clip's temporal kernel
+    rides in the inflated weight; merges keep temporal stride 1 and pooling
+    averages every middle axis. ``block_wrapper(fn, x) -> Tensor``
+    (activation checkpointing) wraps each attention block when provided.
     """
-    b, h, w, c = images.shape
+    *_, h, w, c = images.shape
     if h % config.patch_kernel or w % config.patch_kernel:
         raise ValueError(f"spatial extent {h}x{w} not divisible by patch kernel")
     if c != config.channels:
         raise ValueError(f"expected {config.channels} channels, got {c}")
-    x = ops.conv2d(images, params["image.patch_embed.w"], params["image.patch_embed.b"], config.patch_kernel)
+    embed_w = params["image.patch_embed.w"]
+    x = ops.conv(images, embed_w, params["image.patch_embed.b"], embed_w.shape[:-2])
+    merge_stride = (1,) * (images.data.ndim - 4) + (config.merge_kernel,) * 2
     for s, (depth, _, heads) in enumerate(
         zip(config.stage_depths, config.stage_widths, config.stage_heads)
     ):
@@ -157,12 +165,12 @@ def image_tower(
             )
             x = block_wrapper(fn, x) if block_wrapper is not None else fn(x)
         if s + 1 < config.num_stages:
-            side = x.shape[1]
+            side = x.shape[-3]
             if side % config.merge_kernel:
                 raise ValueError(f"stage side {side} not divisible by merge kernel")
-            x = ops.conv2d(x, params[f"image.merge{s}.w"], params[f"image.merge{s}.b"], config.merge_kernel)
+            x = ops.conv(x, params[f"image.merge{s}.w"], params[f"image.merge{s}.b"], merge_stride)
     x = ops.layer_norm(x, params["image.ln_f.gamma"], params["image.ln_f.beta"])
-    pooled = ops.mean(x, axis=(1, 2))
+    pooled = ops.mean(x, axis=tuple(range(1, x.data.ndim - 1)))
     return ops.l2_normalize(ops.matmul(pooled, params["image.proj.w"]))
 
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics import ops
 from ..numerics.tensor import Tensor
 from .config import ModelConfig
-from .model import windowed_attention_block
+from .model import image_tower
 
 
 def inflate_conv_2d_to_3d(w2d: np.ndarray, kt: int) -> np.ndarray:
@@ -79,41 +78,20 @@ def build_video_tower(params: dict[str, np.ndarray], config: ModelConfig, kt: in
 def encode_video(tower: VideoTowerParams, clip: np.ndarray) -> Tensor:
     """Clip (B, T, H, W, C) or (T, H, W, C) -> unit-norm embedding (B, d).
 
-    Each temporal slice runs the inherited 2D attention stages (its
-    positional-table copy equals the 2D table by construction); tube
+    The clip runs through ``image_tower`` on the inflated weights. Attention
+    stays 2D within each temporal slice, so it reads the 2D slice of each
+    inflated positional table (equal to the 2D table by construction); tube
     tokenization and 3D merges do the temporal mixing.
     """
-    config = tower.config
-    arr = np.asarray(clip, dtype=config.dtype)
+    arr = np.asarray(clip, dtype=tower.config.dtype)
     if arr.ndim == 4:
         arr = arr[None]
-    b, t, h, w, c = arr.shape
-    if t != tower.frames:
-        raise ValueError(f"clip has {t} frames, tower built for {tower.frames}")
-
-    def P(name: str) -> Tensor:
-        return Tensor(tower.params[name])
-
-    # per-slice attention consumes the 2D slice of each inflated table
-    slice_params = {
-        name: Tensor(arr3d[0]) if name.endswith(".rel_bias") else Tensor(arr3d)
+    if arr.ndim != 5:
+        raise ValueError(f"clip must be (B, T, H, W, C) or (T, H, W, C), got shape {arr.shape}")
+    if arr.shape[1] != tower.frames:
+        raise ValueError(f"clip has {arr.shape[1]} frames, tower built for {tower.frames}")
+    params = {
+        name: Tensor(arr3d[0] if name.endswith(".rel_bias") else arr3d)
         for name, arr3d in tower.params.items()
     }
-
-    x = ops.conv3d(
-        Tensor(arr), P("image.patch_embed.w"), P("image.patch_embed.b"), (tower.kt, config.patch_kernel, config.patch_kernel)
-    )
-    for s, (depth, _, heads) in enumerate(
-        zip(config.stage_depths, config.stage_widths, config.stage_heads)
-    ):
-        bb, tt, hh, ww, cc = x.shape
-        x = ops.reshape(x, (bb * tt, hh, ww, cc))
-        for blk in range(depth):
-            x = windowed_attention_block(x, slice_params, f"image.s{s}.b{blk}", heads, config.window)
-        x = ops.reshape(x, (bb, tt, hh, ww, cc))
-        if s + 1 < config.num_stages:
-            # temporal kernel size rides in the inflated weight; temporal stride 1
-            x = ops.conv3d(x, P(f"image.merge{s}.w"), P(f"image.merge{s}.b"), (1, config.merge_kernel, config.merge_kernel))
-    x = ops.layer_norm(x, P("image.ln_f.gamma"), P("image.ln_f.beta"))
-    pooled = ops.mean(x, axis=(1, 2, 3))
-    return ops.l2_normalize(ops.matmul(pooled, P("image.proj.w")))
+    return image_tower(params, tower.config, Tensor(arr))

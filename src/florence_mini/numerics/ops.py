@@ -333,93 +333,46 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def unfold2d(x: Tensor, kh: int, kw: int, sh: int, sw: int) -> Tensor:
-    """Extract (kh, kw) patches from (B, H, W, C) into (B, Ho, Wo, kh*kw*C)."""
-    b, h, w, c = x.shape
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sw + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"kernel ({kh}x{kw}) larger than input ({h}x{w})")
-    cols = np.empty((b, ho, wo, kh * kw * c), dtype=x.data.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            slot = ki * kw + kj
-            cols[..., slot * c : (slot + 1) * c] = x.data[
-                :, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw, :
-            ]
+def unfold(x: Tensor, kernel, stride) -> Tensor:
+    """Extract patches from (B, *S, C) into (B, *So, prod(kernel)*C).
+
+    Patch slots run row-major over kernel offsets, channel innermost.
+    """
+    kernel, stride = tuple(kernel), tuple(stride)
+    extents = x.shape[1:-1]
+    if not len(kernel) == len(stride) == len(extents):
+        raise ValueError(
+            f"kernel {kernel} and stride {stride} must match the input's {len(extents)} middle axes"
+        )
+    out = tuple((n - k) // s + 1 for n, k, s in zip(extents, kernel, stride))
+    if min(out) < 1:
+        raise ValueError(f"kernel {kernel} larger than input {extents}")
+    c = x.shape[-1]
+    views = [
+        (slice(None),) + tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out))
+        for offset in np.ndindex(*kernel)
+    ]
+    cols = np.empty((x.shape[0], *out, len(views) * c), dtype=x.data.dtype)
+    for slot, view in enumerate(views):
+        cols[..., slot * c : (slot + 1) * c] = x.data[view]
     in_shape = x.shape
 
     def backward(g, saved):
         gx = np.zeros(in_shape, dtype=g.dtype)
-        for ki in range(kh):
-            for kj in range(kw):
-                slot = ki * kw + kj
-                gx[:, ki : ki + sh * ho : sh, kj : kj + sw * wo : sw, :] += g[
-                    ..., slot * c : (slot + 1) * c
-                ]
+        for slot, view in enumerate(views):
+            gx[view] += g[..., slot * c : (slot + 1) * c]
         return (gx,)
 
-    return _result("unfold2d", cols, (x,), (), backward)
+    return _result("unfold", cols, (x,), (), backward)
 
 
-def unfold3d(x: Tensor, kt: int, kh: int, kw: int, st: int, sh: int, sw: int) -> Tensor:
-    """3-D analogue of unfold2d over (B, T, H, W, C) tubes."""
-    b, t, h, w, c = x.shape
-    to = (t - kt) // st + 1
-    ho = (h - kh) // sh + 1
-    wo = (w - kw) // sw + 1
-    if to < 1 or ho < 1 or wo < 1:
-        raise ValueError(f"kernel ({kt}x{kh}x{kw}) larger than input ({t}x{h}x{w})")
-    cols = np.empty((b, to, ho, wo, kt * kh * kw * c), dtype=x.data.dtype)
-    for kti in range(kt):
-        for ki in range(kh):
-            for kj in range(kw):
-                slot = (kti * kh + ki) * kw + kj
-                cols[..., slot * c : (slot + 1) * c] = x.data[
-                    :,
-                    kti : kti + st * to : st,
-                    ki : ki + sh * ho : sh,
-                    kj : kj + sw * wo : sw,
-                    :,
-                ]
-    in_shape = x.shape
-
-    def backward(g, saved):
-        gx = np.zeros(in_shape, dtype=g.dtype)
-        for kti in range(kt):
-            for ki in range(kh):
-                for kj in range(kw):
-                    slot = (kti * kh + ki) * kw + kj
-                    gx[
-                        :,
-                        kti : kti + st * to : st,
-                        ki : ki + sh * ho : sh,
-                        kj : kj + sw * wo : sw,
-                        :,
-                    ] += g[..., slot * c : (slot + 1) * c]
-        return (gx,)
-
-    return _result("unfold3d", cols, (x,), (), backward)
-
-
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int) -> Tensor:
-    """Strided 2-D convolution; x (B,H,W,C), w (kh,kw,C,Cout), b (Cout,)."""
-    kh, kw, cin, cout = w.shape
+def conv(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
+    """Strided convolution over the middle axes of x (B, *S, C);
+    w (*kernel, C, Cout), b (Cout,)."""
+    *kernel, cin, cout = w.shape
     if x.shape[-1] != cin:
-        raise ValueError(f"conv2d channel mismatch: input {x.shape[-1]}, kernel {cin}")
-    cols = unfold2d(x, kh, kw, stride, stride)
-    bsz, ho, wo, k = cols.shape
-    flat = matmul(reshape(cols, (bsz * ho * wo, k)), reshape(w, (k, cout)))
-    return add(reshape(flat, (bsz, ho, wo, cout)), b)
-
-
-def conv3d(x: Tensor, w: Tensor, b: Tensor, stride: tuple[int, int, int]) -> Tensor:
-    """Strided 3-D convolution; x (B,T,H,W,C), w (kt,kh,kw,C,Cout), b (Cout,)."""
-    kt, kh, kw, cin, cout = w.shape
-    if x.shape[-1] != cin:
-        raise ValueError(f"conv3d channel mismatch: input {x.shape[-1]}, kernel {cin}")
-    st, sh, sw = stride
-    cols = unfold3d(x, kt, kh, kw, st, sh, sw)
-    bsz, to, ho, wo, k = cols.shape
-    flat = matmul(reshape(cols, (bsz * to * ho * wo, k)), reshape(w, (k, cout)))
-    return add(reshape(flat, (bsz, to, ho, wo, cout)), b)
+        raise ValueError(f"conv channel mismatch: input {x.shape[-1]}, kernel {cin}")
+    cols = unfold(x, kernel, stride)
+    k = cols.shape[-1]
+    flat = matmul(reshape(cols, (-1, k)), reshape(w, (k, cout)))
+    return add(reshape(flat, cols.shape[:-1] + (cout,)), b)

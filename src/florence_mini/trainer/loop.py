@@ -221,9 +221,32 @@ def save_train_checkpoint(
     )
 
 
+# TrainConfig fields a resume may change: they extend or reschedule the run
+# without changing what any already-taken step computed.
+RESUMABLE_KEYS = ("stage1_steps", "stage2_steps", "high_res_steps", "total_steps", "checkpoint_every")
+
+
+def _flat_config(config: TrainConfig) -> dict:
+    d = config.to_dict()
+    d.update({f"model.{k}": v for k, v in d.pop("model").items()})
+    return d
+
+
 def load_train_checkpoint(path, config: TrainConfig):
-    """Rebuild (model, optimizer state, step) from a checkpoint directory."""
+    """Rebuild (model, optimizer state, step) from a checkpoint directory.
+
+    Rejects a ``config`` that differs from the checkpoint's stored
+    ``train_config`` in any field outside RESUMABLE_KEYS.
+    """
     tensors, manifest = load_checkpoint(path)
+    stored, given = _flat_config(TrainConfig.from_dict(manifest["train_config"])), _flat_config(config)
+    drift = [
+        f"{k} (checkpoint {stored[k]!r}, run {given[k]!r})"
+        for k in given
+        if k not in RESUMABLE_KEYS and stored[k] != given[k]
+    ]
+    if drift:
+        raise ValueError(f"resume config differs from the checkpoint's train_config: {', '.join(drift)}")
     vocab = Vocabulary.from_list(manifest["vocab"], max_len=config.model.max_len)
     model = TwoTowerModel.create(config.model, vocab, seed=config.seed)
     params = {k: v for k, v in tensors.items() if not k.startswith("__opt_")}

@@ -154,7 +154,7 @@ def test_criterion_03_gradient_correctness():
     ).max_rel_error
     worst["conv"] = finite_difference_check(
         lambda w: ops.tensor_sum(
-            ops.conv2d(Tensor(rng.normal(size=(1, 6, 6, 2))), w, Tensor(rng.normal(size=3)), 2)
+            ops.conv(Tensor(rng.normal(size=(1, 6, 6, 2))), w, Tensor(rng.normal(size=3)), (2, 2))
         ),
         rng.normal(size=(2, 2, 2, 3)) * 0.5,
     ).max_rel_error

@@ -51,6 +51,14 @@ def test_dtype_mismatch_between_connected_nodes_rejected():
         ops.add(a, b)
 
 
+def test_unfold_kernel_rank_must_match_input():
+    x = Tensor(np.zeros((1, 4, 4, 2)))
+    with pytest.raises(ValueError, match="middle axes"):
+        ops.unfold(x, (2, 2, 2), (1, 1, 1))
+    with pytest.raises(ValueError, match="middle axes"):
+        ops.conv(x, Tensor(np.zeros((2, 2, 2, 2, 3))), Tensor(np.zeros(3)), (1, 1, 1))
+
+
 def test_gradient_bearing_tensor_must_be_float():
     with pytest.raises(TypeError, match="floating"):
         Tensor(np.ones(3, dtype=np.uint8), requires_grad=True)
@@ -86,10 +94,10 @@ class TestPrimitiveGradients:
         w0 = rng.normal(size=(2, 2, 2, 3)) * 0.5
         b0 = rng.normal(size=3)
         self._check(
-            lambda w: ops.tensor_sum(ops.conv2d(Tensor(x0), w, Tensor(b0), stride=2)), w0
+            lambda w: ops.tensor_sum(ops.conv(Tensor(x0), w, Tensor(b0), stride=(2, 2))), w0
         )
         self._check(
-            lambda x: ops.tensor_sum(ops.conv2d(x, Tensor(w0), Tensor(b0), stride=2)), x0
+            lambda x: ops.tensor_sum(ops.conv(x, Tensor(w0), Tensor(b0), stride=(2, 2))), x0
         )
 
     def test_conv3d_kernel(self):
@@ -97,8 +105,19 @@ class TestPrimitiveGradients:
         x0 = rng.normal(size=(1, 4, 4, 4, 2))
         b0 = rng.normal(size=2)
         self._check(
-            lambda w: ops.tensor_sum(ops.conv3d(Tensor(x0), w, Tensor(b0), stride=(2, 2, 2))),
+            lambda w: ops.tensor_sum(ops.conv(Tensor(x0), w, Tensor(b0), stride=(2, 2, 2))),
             rng.normal(size=(2, 2, 2, 2, 2)) * 0.5,
+        )
+        # stride (1, 2, 2) overlaps consecutive temporal windows, as the
+        # inflated patch merges do
+        w0 = rng.normal(size=(2, 2, 2, 2, 3)) * 0.5
+        b1 = rng.normal(size=3)
+        probe = Tensor(rng.normal(size=(1, 3, 2, 2, 3)))
+        self._check(
+            lambda x: ops.tensor_sum(
+                ops.mul(ops.conv(x, Tensor(w0), Tensor(b1), stride=(1, 2, 2)), probe)
+            ),
+            x0,
         )
 
     def test_layer_norm_all_arguments(self):
@@ -150,7 +169,7 @@ class TestPrimitiveGradients:
             rng.normal(size=(3, 4)),
         )
         self._check(
-            lambda x: ops.tensor_sum(ops.unfold2d(x, 2, 2, 1, 1)), rng.normal(size=(1, 4, 4, 2))
+            lambda x: ops.tensor_sum(ops.unfold(x, (2, 2), (1, 1))), rng.normal(size=(1, 4, 4, 2))
         )
 
 

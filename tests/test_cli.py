@@ -241,6 +241,26 @@ class TestPipelineCommands:
         img_name = ref["image"].split("/")[-1]
         assert _sha(tmp_path / f"a/images/{img_name}") == _sha(tmp_path / f"b/images/{img_name}")
 
+    @pytest.mark.parametrize("fraction", ["-0.5", "1.0"])
+    def test_train_rejects_holdout_fraction_outside_unit_interval(self, pipeline, tmp_path, capsys, fraction):
+        code = dispatch(
+            "train",
+            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+             "--stage1-steps", "1", "--stage2-steps", "0", "--batch-size", "8", "--chunk-size", "4",
+             "--holdout-fraction", fraction],
+        )
+        assert code == 2
+        assert "holdout fraction must be in [0, 1)" in capsys.readouterr().err
+
+    def test_eval_on_empty_holdout_names_the_split(self, pipeline, tmp_path, capsys):
+        code = dispatch(
+            "eval",
+            ["zero-shot", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
+             "--out", str(tmp_path / "zs"), "--holdout-fraction", "0"],
+        )
+        assert code == 2
+        assert "held-out split is empty" in capsys.readouterr().err
+
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

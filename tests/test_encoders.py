@@ -253,9 +253,9 @@ class TestInflation:
         kt = 3
         clip = np.repeat(img[None], kt, axis=0)
         with no_grad():
-            out2d = ops.conv2d(Tensor(img[None]), Tensor(w2d), b, cfg.patch_kernel)
+            out2d = ops.conv(Tensor(img[None]), Tensor(w2d), b, (cfg.patch_kernel,) * 2)
             w3d = inflate_conv_2d_to_3d(w2d, kt)
-            out3d = ops.conv3d(
+            out3d = ops.conv(
                 Tensor(clip[None]), Tensor(w3d), b, (kt, cfg.patch_kernel, cfg.patch_kernel)
             )
         np.testing.assert_allclose(out3d.data[0, 0], out2d.data[0], atol=1e-6)
@@ -295,6 +295,12 @@ class TestVideoTower:
             e_img = mini_model.encode_image(img)
             e_vid = encode_video(tower, clip)
         np.testing.assert_allclose(e_vid.data, e_img.data, atol=1e-6)
+
+    def test_clip_side_not_divisible_by_patch_kernel_rejected(self, mini_model):
+        tower = build_video_tower(mini_model.param_arrays(), mini_model.config, kt=2, frames=4)
+        with pytest.raises(ValueError, match="patch kernel"):
+            with no_grad():
+                encode_video(tower, np.zeros((4, 34, 34, 3)))
 
     def test_kt_exceeding_frames_rejected(self, mini_model):
         with pytest.raises(ValueError, match="exceeds"):

@@ -1,6 +1,7 @@
 """Training loop, gradient cache, activation checkpointing, ZeRO simulation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,6 +302,22 @@ class TestTwoStageRun:
         pr = resumed["model"].param_arrays()
         for k in pf:
             assert pf[k].tobytes() == pr[k].tobytes(), k
+
+    def test_resume_rejects_config_drift_but_allows_step_counts(self, corpus, tmp_path):
+        triplets, _ = corpus
+        cfg = self._config(checkpoint_every=2)
+        full = run_two_stage_training(triplets, cfg, tmp_path / "full")
+        ckpt = full["checkpoints"]["step-2"]
+        drifted = self._config(checkpoint_every=2, batch_size=16, peak_lr=1e-2)
+        with pytest.raises(ValueError) as err:
+            load_train_checkpoint(ckpt, drifted)
+        assert "batch_size (checkpoint 8, run 16)" in str(err.value)
+        assert "peak_lr (checkpoint 0.001, run 0.01)" in str(err.value)
+        with pytest.raises(ValueError, match=r"model\.dtype"):
+            load_train_checkpoint(ckpt, self._config(model=replace(SMALL_MODEL, dtype="float32")))
+        longer = self._config(stage1_steps=4, checkpoint_every=3, total_steps=10)
+        _, _, step = load_train_checkpoint(ckpt, longer)
+        assert step == 2
 
     def test_short_training_reduces_loss(self, corpus, tmp_path):
         triplets, _ = corpus
