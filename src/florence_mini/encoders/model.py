@@ -11,6 +11,7 @@ mean pool. Both project into a shared space and L2-normalize.
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -47,12 +48,18 @@ def init_two_tower(config: ModelConfig, vocab_size: int, seed: int) -> dict[str,
     return params
 
 
+@functools.lru_cache(maxsize=16)
 def relative_index(window: int) -> np.ndarray:
-    """(N, N) table row index for each query/key offset inside one window."""
+    """(N, N) table row index for each query/key offset inside one window.
+
+    Cached and read-only: every block with this window shares one table.
+    """
     coords = np.stack(np.meshgrid(np.arange(window), np.arange(window), indexing="ij"), axis=-1)
     flat = coords.reshape(-1, 2)
     rel = flat[:, None, :] - flat[None, :, :]  # (N, N, 2) in [-(w-1), w-1]
-    return (rel[..., 0] + window - 1) * (2 * window - 1) + (rel[..., 1] + window - 1)
+    index = (rel[..., 0] + window - 1) * (2 * window - 1) + (rel[..., 1] + window - 1)
+    index.flags.writeable = False
+    return index
 
 
 def multi_head_attention(
@@ -69,7 +76,7 @@ def multi_head_attention(
     dh = c // heads
 
     def project(m, b):
-        h = ops.add(ops.matmul(x, p[f"{prefix}.{m}"]), p[f"{prefix}.{b}"])
+        h = ops.linear(x, p[f"{prefix}.{m}"], p[f"{prefix}.{b}"])
         return ops.transpose(ops.reshape(h, (bsz, n, heads, dh)), (0, 2, 1, 3))
 
     q = project("wq", "bq")
@@ -84,12 +91,12 @@ def multi_head_attention(
     attn = ops.softmax(scores)
     out = ops.matmul(attn, v)  # (B, h, N, dh)
     out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (bsz, n, c))
-    return ops.add(ops.matmul(out, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    return ops.linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def mlp_block(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-    h = ops.gelu(ops.add(ops.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    return ops.add(ops.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    h = ops.gelu(ops.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    return ops.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def window_partition(x: Tensor, window: int) -> Tensor:
@@ -171,7 +178,7 @@ def image_tower(
             x = ops.conv(x, params[f"image.merge{s}.w"], params[f"image.merge{s}.b"], merge_stride)
     x = ops.layer_norm(x, params["image.ln_f.gamma"], params["image.ln_f.beta"])
     pooled = ops.mean(x, axis=tuple(range(1, x.data.ndim - 1)))
-    return ops.l2_normalize(ops.matmul(pooled, params["image.proj.w"]))
+    return ops.l2_normalize(ops.linear(pooled, params["image.proj.w"]))
 
 
 def text_tower(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray) -> Tensor:
@@ -203,7 +210,7 @@ def text_tower(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray) 
     x = ops.layer_norm(x, params["text.ln_f.gamma"], params["text.ln_f.beta"])
     pooled = ops.tensor_sum(ops.mul(x, Tensor(valid[:, :, None].astype(dtype))), axis=1)
     pooled = ops.mul(pooled, Tensor((1.0 / counts)[:, None].astype(dtype)))
-    return ops.l2_normalize(ops.matmul(pooled, params["text.proj.w"]))
+    return ops.l2_normalize(ops.linear(pooled, params["text.proj.w"]))
 
 
 @dataclass

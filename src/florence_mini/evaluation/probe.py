@@ -29,7 +29,7 @@ class ProbeResult:
 
 
 def _cross_entropy(x: Tensor, w: Tensor, b: Tensor, onehot: np.ndarray) -> Tensor:
-    logits = ops.add(ops.matmul(x, w), b)
+    logits = ops.linear(x, w, b)
     log_probs = ops.log(ops.softmax(logits))
     picked = ops.mul(log_probs, Tensor(onehot.astype(x.data.dtype)))
     return ops.scale(ops.tensor_sum(picked), -1.0 / onehot.shape[0])

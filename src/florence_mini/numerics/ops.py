@@ -42,7 +42,11 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def _result(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
-    out = apply_policy(op, out)
+    return _record(op, apply_policy(op, out), inputs, saved, backward_fn)
+
+
+def _record(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
+    """Wrap an already-quantized output, recording a node when needed."""
     if grad_enabled() and any(t.requires_grad or t.node is not None for t in inputs):
         node = TapeNode(op, tuple(inputs), tuple(saved), backward_fn)
         return Tensor(out, node=node)
@@ -117,13 +121,14 @@ def neg(a: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a Python scalar, preserving dtype."""
+    """Multiply by a Python scalar, preserving dtype in both directions."""
     _check_float(a, "scale")
+    c = a.data.dtype.type(c)
 
     def backward(g, saved):
         return (g * c,)
 
-    return _result("scale", a.data * a.data.dtype.type(c), (a,), (), backward)
+    return _result("scale", a.data * c, (a,), (), backward)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -225,7 +230,8 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's stacked-matmul semantics (ndim >= 2)."""
+    """Matrix product with numpy's stacked-matmul semantics (ndim >= 2);
+    dense layers use ``linear`` instead."""
     _check_same_dtype(a, b, "matmul")
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
@@ -238,6 +244,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _result("matmul", np.matmul(a.data, b.data), (a, b), (a.data, b.data), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Dense layer x (..., Cin) @ w (Cin, Cout), plus b (Cout,) when given.
+
+    The backward flattens x and the output gradient to (-1, C), so the
+    input and weight gradients are one GEMM each and the bias gradient one
+    column sum, at any rank of x. The forward keeps numpy's stacked matmul,
+    which runs faster than one flattened GEMM for these narrow layers. The
+    product quantizes as ``matmul`` and the bias sum as ``add``, as the
+    pair this op fuses did.
+    """
+    _check_same_dtype(x, w, "linear")
+    if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"linear needs w ({x.shape[-1]}, Cout) for x {x.shape}, got w {w.shape}")
+    cin, cout = w.shape
+    out = apply_policy("matmul", np.matmul(x.data, w.data))
+    inputs = (x, w)
+    if b is not None:
+        _check_same_dtype(x, b, "linear")
+        if b.shape != (cout,):
+            raise ValueError(f"linear bias must have shape ({cout},), got {b.shape}")
+        out = apply_policy("add", out + b.data)
+        inputs = (x, w, b)
+
+    def backward(g, saved):
+        xv, wv = saved
+        g2 = g.reshape(-1, cout)
+        grads = ((g2 @ wv.T).reshape(xv.shape), xv.reshape(-1, cin).T @ g2)
+        return grads if b is None else grads + (g2.sum(axis=0),)
+
+    return _record("linear", out, inputs, (x.data, w.data), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +411,4 @@ def conv(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
     if x.shape[-1] != cin:
         raise ValueError(f"conv channel mismatch: input {x.shape[-1]}, kernel {cin}")
     cols = unfold(x, kernel, stride)
-    k = cols.shape[-1]
-    flat = matmul(reshape(cols, (-1, k)), reshape(w, (k, cout)))
-    return add(reshape(flat, cols.shape[:-1] + (cout,)), b)
+    return linear(cols, reshape(w, (cols.shape[-1], cout)), b)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from florence_mini.numerics import (
+    EMULATED_HALF,
+    FULL_PRECISION,
+    PrecisionPolicy,
     Tensor,
     activation_meter,
     backward_from,
@@ -11,6 +14,7 @@ from florence_mini.numerics import (
     finite_difference_check,
     no_grad,
     ops,
+    precision_policy,
 )
 
 
@@ -59,6 +63,14 @@ def test_unfold_kernel_rank_must_match_input():
         ops.conv(x, Tensor(np.zeros((2, 2, 2, 2, 3))), Tensor(np.zeros(3)), (1, 1, 1))
 
 
+def test_scale_by_numpy_float64_keeps_float32_gradient():
+    """1 / sqrt(4) is a numpy float64; the float32 leaf's gradient stays float32."""
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True, name="x")
+    g = evaluate_and_backward(ops.tensor_sum(ops.scale(x, 1.0 / np.sqrt(4))))[x]
+    assert g.dtype == np.float32
+    np.testing.assert_array_equal(g, np.float32(0.5))
+
+
 def test_gradient_bearing_tensor_must_be_float():
     with pytest.raises(TypeError, match="floating"):
         Tensor(np.ones(3, dtype=np.uint8), requires_grad=True)
@@ -80,6 +92,23 @@ class TestPrimitiveGradients:
         b0 = rng.normal(size=(5, 2))
         self._check(lambda a: ops.tensor_sum(ops.matmul(a, Tensor(b0))), a0)
         self._check(lambda b: ops.tensor_sum(ops.matmul(Tensor(a0), b)), b0)
+
+    def test_linear_input_weight_and_bias(self):
+        """Inputs of rank 2, 3 and 4, with and without bias."""
+        rng = np.random.default_rng(13)
+        for lead in ((3,), (2, 3), (2, 2, 3)):
+            x0 = rng.normal(size=lead + (4,))
+            w0 = rng.normal(size=(4, 5))
+            b0 = rng.normal(size=5)
+            probe = Tensor(rng.normal(size=lead + (5,)))
+
+            def through(x, w, b):
+                return ops.tensor_sum(ops.mul(ops.linear(x, w, b), probe))
+
+            for b in (Tensor(b0), None):
+                self._check(lambda x: through(x, Tensor(w0), b), x0)
+                self._check(lambda w: through(Tensor(x0), w, b), w0)
+            self._check(lambda b: through(Tensor(x0), Tensor(w0), b), b0)
 
     def test_stacked_matmul(self):
         rng = np.random.default_rng(3)
@@ -171,6 +200,58 @@ class TestPrimitiveGradients:
         self._check(
             lambda x: ops.tensor_sum(ops.unfold(x, (2, 2), (1, 1))), rng.normal(size=(1, 4, 4, 2))
         )
+
+
+class TestLinear:
+    """``linear`` against the ``add(matmul(x, w), b)`` pair it replaces."""
+
+    POLICIES = (
+        FULL_PRECISION,
+        EMULATED_HALF,
+        PrecisionPolicy(mode="emulated-half", stable_ops=frozenset({"matmul"})),
+    )
+
+    @staticmethod
+    def _run(f, x0, w0, b0, seed):
+        x = Tensor(x0, requires_grad=True, name="x")
+        w = Tensor(w0, requires_grad=True, name="w")
+        b = Tensor(b0, requires_grad=True, name="b")
+        y = f(x, w, b)
+        g = backward_from([y], [seed])
+        return [y.data, g[x], g[w], g[b]]
+
+    def _both(self, lead):
+        rng = np.random.default_rng(14)
+        x0 = rng.normal(size=lead + (6,)) * 3.0
+        w0 = rng.normal(size=(6, 5))
+        b0 = rng.normal(size=5) * 3.0
+        seed = rng.normal(size=lead + (5,))
+        fused = self._run(ops.linear, x0, w0, b0, seed)
+        pair = self._run(lambda x, w, b: ops.add(ops.matmul(x, w), b), x0, w0, b0, seed)
+        return fused, pair
+
+    def test_rank2_byte_equal_to_matmul_add_under_each_policy(self):
+        for policy in self.POLICIES:
+            with precision_policy(policy):
+                fused, pair = self._both((7,))
+            for a, b in zip(fused, pair):
+                assert a.tobytes() == b.tobytes(), policy
+
+    def test_rank4_agrees_with_matmul_add(self):
+        fused, pair = self._both((2, 3, 4))
+        for a, b in zip(fused, pair):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_node_saves_input_and_weight_only(self):
+        activation_meter.reset()
+        x = Tensor(np.ones((2, 3, 4)), requires_grad=True, name="x")
+        w = Tensor(np.ones((4, 5)), requires_grad=True, name="w")
+        y = ops.linear(x, w, Tensor(np.ones(5), requires_grad=True, name="b"))
+        assert y.node.op == "linear"
+        assert activation_meter.current == x.size + w.size
+        backward_from([y], [np.ones(y.shape)])
+        assert activation_meter.current == 0
 
 
 class TestTapeSemantics:

@@ -23,7 +23,9 @@ from florence_mini.encoders import (
     tokenize_batch,
     windowed_attention_block,
 )
-from florence_mini.numerics import Tensor, finite_difference_check, no_grad, ops
+from florence_mini.numerics import Tensor, backward_from, finite_difference_check, no_grad, ops
+from florence_mini.numerics.tensor import _toposort
+from florence_mini.trainer import checkpointed
 
 TINY = ModelConfig(
     image_size=8,
@@ -183,6 +185,56 @@ class TestImageTower:
 
             glob = ops.add(res, mlp_block(t2, p, "image.s0.b0.mlp"))
         np.testing.assert_allclose(windowed.data, glob.data, atol=1e-12)
+
+    @pytest.fixture(scope="class")
+    def float32_grads(self, vocab):
+        """Image-tower gradients of a float32 model, plain and checkpointed."""
+        config = ModelConfig(dtype="float32")
+        imgs = np.random.default_rng(7).uniform(size=(4, 32, 32, 3)).astype(np.float32)
+        grads = []
+        for wrapper in (None, checkpointed):
+            model = TwoTowerModel.create(config, vocab, seed=7)
+            emb = model.encode_image(imgs, block_wrapper=wrapper)
+            seed = np.random.default_rng(8).normal(size=emb.shape).astype(np.float32)
+            grads.append(dict(backward_from([emb], [seed]).items()))
+        return grads
+
+    def test_float32_model_gets_float32_gradients(self, float32_grads):
+        """The attention scale 1/sqrt(dh) must not promote gradients to float64."""
+        dtypes = {g.dtype for grads in float32_grads for g in grads.values()}
+        assert dtypes == {np.dtype(np.float32)}
+
+    def test_float32_checkpointed_gradients_byte_equal_plain(self, float32_grads):
+        plain, ckpt = float32_grads
+        assert plain.keys() == ckpt.keys()
+        assert [k for k in plain if plain[k].tobytes() != ckpt[k].tobytes()] == []
+
+
+class TestDenseLayers:
+    @staticmethod
+    def _weight_matmuls(root):
+        """Names of 2-D parameters found as the right input of a matmul node."""
+        return [
+            t.node.inputs[1].name
+            for t in _toposort([root])
+            if t.node is not None
+            and t.node.op == "matmul"
+            and t.node.inputs[1].requires_grad
+            and t.node.inputs[1].data.ndim == 2
+        ]
+
+    def test_every_dense_layer_runs_through_linear(self, mini_model, vocab):
+        emb = mini_model.encode_image(np.random.default_rng(0).uniform(size=(2, 32, 32, 3)))
+        assert self._weight_matmuls(emb) == []
+        emb = mini_model.encode_text(tokenize_batch(["a photo of the heron", "maple"], vocab))
+        assert self._weight_matmuls(emb) == []
+
+    def test_relative_index_is_shared_and_read_only(self):
+        first = relative_index(4)
+        assert relative_index(4) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1
 
 
 class TestParameterAccounting:
