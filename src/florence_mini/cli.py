@@ -39,6 +39,7 @@ from .evaluation import (
     append_report_jsonl,
     build_prompt_sets,
     classify_regions,
+    embed_images,
     evaluate_topk,
     few_shot_episode_eval,
     linear_probe,
@@ -228,8 +229,8 @@ def cmd_eval_zero_shot(args, out):
 def cmd_eval_retrieval(args, out):
     model, _, records, images, _ = _eval_inputs(args, holdout=True)
     ids = tokenize_batch([r.text for r in records], model.vocab)
+    u = embed_images(model, images)
     with no_grad():
-        u = model.encode_image(images).data
         v = model.encode_text(ids).data
     ks = [int(k) for k in args.ks.split(",")]
     rec = retrieval_recall(u, v, ks)
@@ -240,10 +241,8 @@ def cmd_eval_retrieval(args, out):
 
 def cmd_eval_linear_probe(args, out):
     model, _, records, images, labels = _eval_inputs(args, holdout=False)
-    with no_grad():
-        features = model.encode_image(images).data
     result = linear_probe(
-        features, labels,
+        embed_images(model, images), labels,
         ProbeConfig(epochs=args.probe_epochs, holdout_fraction=args.holdout_fraction, seed=args.seed),
     )
     metrics = {"probe_acc": result.accuracy}
@@ -254,10 +253,8 @@ def cmd_eval_linear_probe(args, out):
 
 def cmd_eval_few_shot(args, out):
     model, _, _, images, labels = _eval_inputs(args, holdout=False)
-    with no_grad():
-        features = model.encode_image(images).data
     result = few_shot_episode_eval(
-        features, labels, way=args.way, shot=args.shot, episodes=args.episodes, seed=args.seed
+        embed_images(model, images), labels, way=args.way, shot=args.shot, episodes=args.episodes, seed=args.seed
     )
     report = EvalReport(
         task="few_shot", metrics={"episode_acc": result.mean_accuracy}, n=args.episodes,

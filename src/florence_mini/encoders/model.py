@@ -183,17 +183,19 @@ def image_tower(
 
 def text_tower(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray) -> Tensor:
     """Token id batch (B, L) -> unit-norm embeddings (B, d); PAD is masked
-    out of both attention and pooling."""
+    out of both attention and pooling, and trailing columns that are PAD in
+    every row are dropped first (attention cost is quadratic in length)."""
     ids = np.asarray(ids)
     if ids.ndim == 1:
         ids = ids[None, :]
-    bsz, length = ids.shape
-    if length > config.max_len:
-        raise ValueError(f"sequence length {length} exceeds max_len {config.max_len}")
+    if ids.shape[1] > config.max_len:
+        raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}")
     valid = ids != PAD
     counts = valid.sum(axis=1)
     if (counts == 0).any():
         raise ValueError("all-PAD sequence cannot be pooled")
+    length = int(np.flatnonzero(valid.any(axis=0))[-1]) + 1
+    ids, valid = ids[:, :length], valid[:, :length]
     dtype = np.dtype(config.dtype)
 
     x = ops.add(

@@ -1,5 +1,6 @@
 """Transfer-evaluation protocols at desk scale."""
 
+from .embed import embed_images
 from .fewshot import EpisodeEvalResult, FewShotConfig, few_shot_episode_eval
 from .probe import ProbeConfig, ProbeResult, linear_probe
 from .regions import Box, classify_regions, read_boxes_jsonl, write_boxes_jsonl
@@ -27,6 +28,7 @@ __all__ = [
     "append_report_jsonl",
     "build_prompt_sets",
     "classify_regions",
+    "embed_images",
     "evaluate_topk",
     "few_shot_episode_eval",
     "linear_probe",

@@ -1,0 +1,22 @@
+"""The one way eval protocols embed images with the frozen encoder."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..numerics.tensor import no_grad
+
+EVAL_CHUNK = 32  # images per no-grad forward
+
+
+def embed_images(model, images: np.ndarray) -> np.ndarray:
+    """Unit embeddings (N, d) of an image stack (N, H, W, C), from no-grad
+    forwards of at most EVAL_CHUNK images each.
+
+    Each row depends on its own image only, so the chunking bounds the
+    forward's working memory without changing any value.
+    """
+    with no_grad():
+        return np.concatenate(
+            [model.encode_image(images[s : s + EVAL_CHUNK]).data for s in range(0, len(images), EVAL_CHUNK)]
+        )

@@ -1,5 +1,5 @@
 """Decoupled region classification: externally supplied boxes, zero-shot
-classification per crop (proposal generation stays out of scope)."""
+classification of every crop (proposal generation stays out of scope)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..imaging import crop_box, resize_bilinear
-from .zero_shot import zero_shot_classify
+from .zero_shot import class_scores, rank_scores
 
 
 @dataclass(frozen=True)
@@ -40,14 +40,18 @@ def write_boxes_jsonl(path, boxes: list[Box]) -> None:
 
 
 def classify_regions(model, image: np.ndarray, boxes, prompt_sets) -> list[list[tuple[int, float]]]:
-    """Crop each box, bilinear-resize to the encoder input size, classify
-    each crop independently. Empty box list yields an empty result."""
+    """Crop each box and bilinear-resize it to the encoder input size, embed
+    all crops together, and rank each crop's (class index, cosine score)
+    pairs as zero_shot_classify would. Empty box list yields an empty result."""
     side = model.config.image_size
-    results = []
+    crops = []
     for box in boxes:
         coords = (box.x0, box.y0, box.x1, box.y1) if isinstance(box, Box) else tuple(box)
         crop = crop_box(image, *coords)
         if crop.shape[0] != side or crop.shape[1] != side:
             crop = resize_bilinear(crop, side, side)
-        results.append(zero_shot_classify(model, crop, prompt_sets))
-    return results
+        crops.append(crop)
+    if not crops:
+        return []
+    scores = class_scores(model, np.stack(crops), prompt_sets)
+    return [[(int(c), float(row[c])) for c in order] for row, order in zip(scores, rank_scores(scores))]

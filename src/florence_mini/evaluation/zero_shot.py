@@ -14,6 +14,7 @@ import numpy as np
 
 from ..encoders.vocab import tokenize_batch
 from ..numerics.tensor import no_grad
+from .embed import embed_images
 
 # Default ensembling templates; a deliberately small, documented stand-in
 # for the full CLIP prompt list, overridable wherever prompt sets are built.
@@ -77,17 +78,18 @@ def zero_shot_classify(model, image: np.ndarray, prompt_sets) -> list[tuple[int,
     return [(int(c), float(scores[c])) for c in order]
 
 
-def zero_shot_classify_batch(model, images: np.ndarray, prompt_sets, batch_size: int = 32) -> np.ndarray:
-    """Ranked class indices (N, num_classes) for an image stack."""
+def class_scores(model, images: np.ndarray, prompt_sets) -> np.ndarray:
+    """Cosine scores (N, num_classes) of an image stack against each class,
+    row by row the matrix-vector product zero_shot_classify takes (a GEMM
+    over all rows could differ from it in the last bit)."""
     if not prompt_sets:
         raise ValueError("class list is empty")
-    mat = _class_matrix(prompt_sets)
-    ranked = []
-    for start in range(0, images.shape[0], batch_size):
-        with no_grad():
-            u = model.encode_image(images[start : start + batch_size]).data
-        ranked.append(rank_scores(u @ mat.T))
-    return np.concatenate(ranked, axis=0)
+    return (_class_matrix(prompt_sets) @ embed_images(model, images)[:, :, None])[..., 0]
+
+
+def zero_shot_classify_batch(model, images: np.ndarray, prompt_sets) -> np.ndarray:
+    """Ranked class indices (N, num_classes) for an image stack."""
+    return rank_scores(class_scores(model, images, prompt_sets))
 
 
 def evaluate_topk(ranked: np.ndarray, labels: np.ndarray, k: int) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .curation import curate, generate_synthetic_dataset, holdout_ids, load_image
-from .evaluation import retrieval_recall
+from .evaluation import embed_images, retrieval_recall
 from .numerics.tensor import no_grad
 from .trainer import TrainConfig, run_two_stage_training
 from .encoders.vocab import tokenize_batch
@@ -18,9 +18,8 @@ def _encode_pairs(model, records) -> tuple[np.ndarray, np.ndarray]:
     images = np.stack([load_image(r.image_path) for r in records])
     ids = tokenize_batch([r.text for r in records], model.vocab)
     with no_grad():
-        u = model.encode_image(images).data
         v = model.encode_text(ids).data
-    return u, v
+    return embed_images(model, images), v
 
 
 def duplicate_caption_advantage(

@@ -1,10 +1,11 @@
 """Differentiable primitives over Tensor.
 
 Each op computes its forward value, optionally quantizes it per the active
-precision policy, and (when recording) attaches a TapeNode whose backward
-rule returns one gradient per input. Arrays needed by a backward rule are
-passed through the node's ``saved`` tuple, never captured in closures, so
-the activation meter sees every retained scalar.
+precision policy (the shape ops only move values and never quantize), and
+(when recording) attaches a TapeNode whose backward rule returns one
+gradient per input. Arrays needed by a backward rule are passed through the
+node's ``saved`` tuple, never captured in closures, so the activation meter
+sees every retained scalar.
 """
 
 from __future__ import annotations
@@ -18,17 +19,6 @@ from .tensor import FLOAT_DTYPES, TapeNode, Tensor, grad_enabled
 
 _GELU_K0 = math.sqrt(2.0 / math.pi)
 _GELU_K1 = 0.044715
-
-
-def constant(data, dtype=None) -> Tensor:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    return Tensor(arr)
-
-
-def parameter(data, name: str) -> Tensor:
-    return Tensor(np.asarray(data), requires_grad=True, name=name)
 
 
 def _check_float(t: Tensor, op: str) -> None:
@@ -81,16 +71,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result("add", a.data + b.data, (a, b), (), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "sub")
-    sa, sb = a.shape, b.shape
-
-    def backward(g, saved):
-        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
-
-    return _result("sub", a.data - b.data, (a, b), (), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "mul")
     sa, sb = a.shape, b.shape
@@ -100,24 +80,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * bv, sa), _unbroadcast(g * av, sb)
 
     return _result("mul", a.data * b.data, (a, b), (a.data, b.data), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "div")
-    sa, sb = a.shape, b.shape
-
-    def backward(g, saved):
-        av, bv = saved
-        return _unbroadcast(g / bv, sa), _unbroadcast(-g * av / (bv * bv), sb)
-
-    return _result("div", a.data / b.data, (a, b), (a.data, b.data), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g, saved):
-        return (-g,)
-
-    return _result("neg", -a.data, (a,), (), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -168,7 +130,8 @@ def gelu(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape
+# shape: these move values without producing any, so they record through
+# _record and no precision policy quantizes them
 # ---------------------------------------------------------------------------
 
 
@@ -178,7 +141,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g, saved):
         return (g.reshape(old),)
 
-    return _result("reshape", a.data.reshape(shape), (a,), (), backward)
+    return _record("reshape", a.data.reshape(shape), (a,), (), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -188,7 +151,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def backward(g, saved):
         return (g.transpose(inv),)
 
-    return _result("transpose", a.data.transpose(axes), (a,), (), backward)
+    return _record("transpose", a.data.transpose(axes), (a,), (), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +223,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"linear needs w ({x.shape[-1]}, Cout) for x {x.shape}, got w {w.shape}")
     cin, cout = w.shape
-    out = apply_policy("matmul", np.matmul(x.data, w.data))
+    if x.size == cin:
+        # numpy hands a one-row product to BLAS gemv, whose sums can differ
+        # from gemm's in the last bit; a duplicated row stays on gemm, so no
+        # row's output depends on how many rows share its forward
+        pair = np.repeat(x.data.reshape(1, cin), 2, axis=0)
+        out = np.matmul(pair, w.data)[0].reshape(x.shape[:-1] + (cout,))
+    else:
+        out = np.matmul(x.data, w.data)
+    out = apply_policy("matmul", out)
     inputs = (x, w)
     if b is not None:
         _check_same_dtype(x, b, "linear")

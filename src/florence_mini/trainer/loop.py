@@ -124,12 +124,6 @@ def prepare_batch(
         images.append(img)
     x = np.stack(images).astype(dtype)
     ids = tokenize_batch([t.text for t in batch], vocab)
-    # drop all-PAD columns: the towers are PAD-invariant, and attention cost
-    # is quadratic in sequence length
-    from ..encoders.vocab import PAD
-
-    used = int((ids != PAD).sum(axis=1).max())
-    ids = ids[:, :used]
     labels = np.array([t.label for t in batch], dtype=np.int64)
     return x, ids, labels, [t.id for t in batch]
 

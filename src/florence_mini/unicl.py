@@ -24,18 +24,17 @@ NORM_TOL = 1e-6
 
 @dataclass
 class PositiveSets:
-    """Per-index equality partitions of the batch by label."""
+    """Per-index equality partitions of the batch by label; label equality
+    is symmetric, so the text-to-image sets Q(j) equal P(j)."""
 
-    p: list[np.ndarray]  # image-to-text direction: P(i) = {k : y_k = y_i}
-    q: list[np.ndarray]  # text-to-image direction: Q(j) = {k : y_k = y_j}
+    p: list[np.ndarray]  # P(i) = {k : y_k = y_i}
 
 
 def positive_sets(y: np.ndarray) -> PositiveSets:
     y = np.asarray(y)
     if y.size < 2:
         raise ValueError("need at least two labels")
-    sets = [np.flatnonzero(y == y[i]) for i in range(y.size)]
-    return PositiveSets(p=sets, q=[s.copy() for s in sets])
+    return PositiveSets(p=[np.flatnonzero(y == y[i]) for i in range(y.size)])
 
 
 @dataclass

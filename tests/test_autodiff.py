@@ -237,6 +237,17 @@ class TestLinear:
             for a, b in zip(fused, pair):
                 assert a.tobytes() == b.tobytes(), policy
 
+    def test_one_row_byte_equal_to_its_row_in_a_batch(self):
+        """A lone row (rank 2 or rank 1) gets the bytes it gets inside a
+        stack of rows, so one image embeds as its row of a batch does."""
+        rng = np.random.default_rng(0)
+        x, w, b = rng.normal(size=(9, 64)), rng.normal(size=(64, 64)), rng.normal(size=64)
+        batch = ops.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        for row in (x[:1], x[0]):
+            one = ops.linear(Tensor(row), Tensor(w), Tensor(b)).data
+            assert one.shape == row.shape[:-1] + (64,)
+            assert one.tobytes() == batch[0].tobytes()
+
     def test_rank4_agrees_with_matmul_add(self):
         fused, pair = self._both((2, 3, 4))
         for a, b in zip(fused, pair):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from florence_mini.cli import dispatch, main, parse_config
+from florence_mini.encoders import TwoTowerModel
 from florence_mini.numerics import load_checkpoint
 
 
@@ -147,6 +148,33 @@ class TestPipelineCommands:
         assert rep["task"] == "few_shot" and rep["n"] == 10
         assert 0.0 <= rep["metrics"]["episode_acc"] <= 1.0
         assert rep["ci95"] >= 0.0
+
+    @pytest.mark.parametrize("command", ["zero-shot", "retrieval", "linear-probe", "few-shot"])
+    def test_eval_image_forwards_take_at_most_32_rows(self, pipeline, tmp_path, monkeypatch, command):
+        """Every eval embeds its images 32 per forward, however many it reads."""
+        data = tmp_path / "data"
+        assert dispatch("synth", ["--classes", "3", "--per-class", "16", "--out", str(data), "--seed", "3"]) == 0
+        rows = []
+        encode = TwoTowerModel.encode_image
+
+        def counted(self, images, *args, **kwargs):
+            rows.append(len(images))
+            return encode(self, images, *args, **kwargs)
+
+        monkeypatch.setattr(TwoTowerModel, "encode_image", counted)
+        extra = {
+            "zero-shot": ["--holdout-fraction", "0.8"],
+            "retrieval": ["--holdout-fraction", "0.8"],
+            "linear-probe": ["--probe-epochs", "2"],
+            "few-shot": ["--way", "3", "--shot", "2", "--episodes", "2"],
+        }[command]
+        code = dispatch(
+            "eval",
+            [command, "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(data),
+             "--out", str(tmp_path / "out"), "--seed", "3", *extra],
+        )
+        assert code == 0
+        assert sum(rows) > 32 and max(rows) <= 32, rows
 
     def test_inflate_inherited_tensors_hash_match_source(self, pipeline):
         out = pipeline / "video"

@@ -99,6 +99,17 @@ class TestTextTower:
             b = mini_model.encode_text(padded)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
+    def test_trailing_pad_columns_change_no_byte(self, mini_model, vocab):
+        """The tower drops the columns that are PAD in every row itself, so a
+        tokenizer's full-width batch embeds exactly as its trimmed copy."""
+        ids = tokenize_batch(["a photo of the heron", "maple pattern"], vocab)
+        used = int(np.flatnonzero((ids != PAD).any(axis=0))[-1]) + 1
+        assert used < ids.shape[1]
+        with no_grad():
+            full = mini_model.encode_text(ids).data
+            trimmed = mini_model.encode_text(ids[:, :used]).data
+        assert full.tobytes() == trimmed.tobytes()
+
     def test_all_pad_rejected(self, mini_model):
         with pytest.raises(ValueError, match="all-PAD"):
             mini_model.encode_text(np.full((1, 4), PAD))

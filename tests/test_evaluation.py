@@ -14,6 +14,7 @@ from florence_mini.evaluation import (
     ProbeConfig,
     build_prompt_sets,
     classify_regions,
+    embed_images,
     evaluate_topk,
     few_shot_episode_eval,
     linear_probe,
@@ -21,6 +22,7 @@ from florence_mini.evaluation import (
     retrieval_recall,
     zero_shot_classify,
 )
+from florence_mini.imaging import crop_box, resize_bilinear
 from florence_mini.numerics import Tensor, no_grad
 
 TINY = ModelConfig(
@@ -258,6 +260,17 @@ class TestFewShot:
             few_shot_episode_eval(feats, labels, way=3, shot=2, episodes=5, seed=0)
 
 
+class TestEmbedImages:
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_chunked_stack_byte_equal_to_one_forward(self, n):
+        """33 leaves a one-image last chunk; 40 an eight-image one."""
+        model = TwoTowerModel.create(TINY, build_vocabulary(["a heron"]), seed=3)
+        images = np.random.default_rng(n).uniform(size=(n, 8, 8, 3))
+        with no_grad():
+            whole = model.encode_image(images).data
+        assert embed_images(model, images).tobytes() == whole.tobytes()
+
+
 class TestRegions:
     def _model_and_sets(self):
         vocab = build_vocabulary(["a heron", "a maple"])
@@ -266,12 +279,30 @@ class TestRegions:
         return model, psets
 
     def test_full_image_box_matches_whole_image_ranking(self):
+        """Boxes embedded together rank exactly as zero_shot_classify ranks
+        each crop alone; the full-image box ranks as the whole image."""
         model, psets = self._model_and_sets()
         rng = np.random.default_rng(11)
         img = rng.uniform(size=(8, 8, 3))
-        whole = zero_shot_classify(model, img, psets)
-        per_box = classify_regions(model, img, [(0, 0, 8, 8)], psets)
-        assert per_box[0] == whole
+        boxes = [(0, 0, 8, 8), (0, 0, 4, 4), (2, 1, 8, 6), (4, 4, 8, 8), (1, 3, 7, 5)]
+        per_box = classify_regions(model, img, boxes, psets)
+        assert per_box[0] == zero_shot_classify(model, img, psets)
+        for box, got in zip(boxes[1:], per_box[1:]):
+            crop = resize_bilinear(crop_box(img, *box), 8, 8)
+            assert got == zero_shot_classify(model, crop, psets)
+
+    def test_one_image_forward_per_32_boxes(self, monkeypatch):
+        model, psets = self._model_and_sets()
+        rows = []
+        encode = TwoTowerModel.encode_image
+
+        def counted(self, images, *args, **kwargs):
+            rows.append(len(images))
+            return encode(self, images, *args, **kwargs)
+
+        monkeypatch.setattr(TwoTowerModel, "encode_image", counted)
+        ranked = classify_regions(model, np.zeros((8, 8, 3)), [(0, 0, 4, 4)] * 40, psets)
+        assert len(ranked) == 40 and rows == [32, 8]
 
     def test_empty_box_list(self):
         model, psets = self._model_and_sets()

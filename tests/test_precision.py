@@ -86,6 +86,20 @@ class TestPolicy:
         assert full.tobytes() != half.tobytes()
         np.testing.assert_array_equal(half, half.astype(np.float16).astype(np.float64))
 
+    def test_shape_ops_pass_layer_norm_output_through_unquantized(self):
+        """reshape and transpose move values without producing any, so under
+        EMULATED_HALF a full-precision layer_norm output leaves them
+        byte-unchanged (the windowed blocks reshape it before attention)."""
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.normal(size=(4, 8)))
+        with precision_policy(EMULATED_HALF):
+            y = ops.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
+            flat = ops.reshape(y, (2, 16))
+            swapped = ops.transpose(y, (1, 0))
+        assert not np.array_equal(y.data, y.data.astype(np.float16).astype(np.float64))
+        assert flat.data.tobytes() == y.data.reshape(2, 16).tobytes()
+        assert swapped.data.tobytes() == y.data.T.tobytes()
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             PrecisionPolicy(mode="quarter")
