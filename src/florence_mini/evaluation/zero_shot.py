@@ -47,12 +47,13 @@ def build_prompt_sets(model, class_names, templates=DEFAULT_EVAL_TEMPLATES) -> l
     templates = tuple(templates)
     if not templates:
         raise ValueError("template list is empty")
+    ids = tokenize_batch([t.format(name) for name in class_names for t in templates], model.vocab)
+    with no_grad():
+        v = model.encode_text(ids).data.reshape(len(class_names), len(templates), -1)
     sets = []
-    for name in class_names:
-        ids = tokenize_batch([t.format(name) for t in templates], model.vocab)
-        with no_grad():
-            v = model.encode_text(ids).data
-        mean = v.mean(axis=0)
+    for name, rows in zip(class_names, v):
+        # the same 2-D (templates, d) reduction a forward per class made
+        mean = rows.mean(axis=0)
         mean = mean / np.linalg.norm(mean)
         sets.append(ClassPromptSet(class_name=name, templates=templates, embedding=mean))
     return sets

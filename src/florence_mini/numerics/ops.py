@@ -1,11 +1,11 @@
 """Differentiable primitives over Tensor.
 
 Each op computes its forward value, optionally quantizes it per the active
-precision policy (the shape ops only move values and never quantize), and
-(when recording) attaches a TapeNode whose backward rule returns one
-gradient per input. Arrays needed by a backward rule are passed through the
-node's ``saved`` tuple, never captured in closures, so the activation meter
-sees every retained scalar.
+precision policy (the shape and gather ops only move values and never
+quantize), and (when recording) attaches a TapeNode whose backward rule
+returns one gradient per input. Arrays needed by a backward rule are passed
+through the node's ``saved`` tuple, never captured in closures, so the
+activation meter sees every retained scalar.
 """
 
 from __future__ import annotations
@@ -316,7 +316,8 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gather
+# gather: like the shape ops, embedding and unfold only move values, so they
+# record through _record and no precision policy quantizes them
 # ---------------------------------------------------------------------------
 
 
@@ -334,7 +335,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(gt, idx.reshape(-1), g.reshape(-1, tshape[-1]))
         return (gt,)
 
-    return _result("embedding", table.data[ids], (table,), (ids,), backward)
+    return _record("embedding", table.data[ids], (table,), (ids,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +373,7 @@ def unfold(x: Tensor, kernel, stride) -> Tensor:
             gx[view] += g[..., slot * c : (slot + 1) * c]
         return (gx,)
 
-    return _result("unfold", cols, (x,), (), backward)
+    return _record("unfold", cols, (x,), (), backward)
 
 
 def conv(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:

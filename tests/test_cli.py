@@ -289,6 +289,17 @@ class TestPipelineCommands:
         assert code == 2
         assert "held-out split is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--way", "--shot", "--episodes"])
+    def test_few_shot_rejects_argument_below_one_by_name(self, pipeline, tmp_path, capsys, flag):
+        args = {"--way": "3", "--shot": "2", "--episodes": "10"} | {flag: "0"}
+        code = dispatch(
+            "eval",
+            ["few-shot", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
+             "--out", str(tmp_path / "fs"), *[item for pair in args.items() for item in pair]],
+        )
+        assert code == 2
+        assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
+
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

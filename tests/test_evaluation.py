@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
+from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary, tokenize_batch
 from florence_mini.evaluation import (
     Box,
+    DEFAULT_EVAL_TEMPLATES,
     ClassPromptSet,
     EvalReport,
     FewShotConfig,
@@ -22,6 +23,7 @@ from florence_mini.evaluation import (
     retrieval_recall,
     zero_shot_classify,
 )
+from florence_mini.evaluation.fewshot import EPISODE_BLOCK, _train_linear_heads
 from florence_mini.imaging import crop_box, resize_bilinear
 from florence_mini.numerics import Tensor, no_grad
 
@@ -104,6 +106,32 @@ class TestZeroShot:
     def test_tie_broken_by_ascending_class_index(self):
         scores = np.array([1.0, 3.0, 3.0, 0.5])
         assert list(rank_scores(scores)) == [1, 2, 0, 3]
+
+    def test_prompt_sets_take_one_text_forward_byte_equal_to_per_class(self, monkeypatch):
+        """All classes x templates embed in one encode_text call; each class's
+        embedding is byte-equal to a forward of its own templates alone, even
+        where the classes' prompts tokenize to different widths."""
+        names = ["heron", "maple", "great blue heron"]
+        model = TwoTowerModel.create(TINY, build_vocabulary([f"a {n}" for n in names]), seed=4)
+        expected = []
+        for name in names:
+            ids = tokenize_batch([t.format(name) for t in DEFAULT_EVAL_TEMPLATES], model.vocab)
+            with no_grad():
+                v = model.encode_text(ids).data
+            mean = v.mean(axis=0)
+            expected.append(mean / np.linalg.norm(mean))
+        calls = []
+        encode = TwoTowerModel.encode_text
+
+        def counted(self, ids, *args, **kwargs):
+            calls.append(len(ids))
+            return encode(self, ids, *args, **kwargs)
+
+        monkeypatch.setattr(TwoTowerModel, "encode_text", counted)
+        psets = build_prompt_sets(model, names)
+        assert calls == [len(names) * len(DEFAULT_EVAL_TEMPLATES)]
+        for pset, want in zip(psets, expected):
+            assert pset.embedding.tobytes() == want.tobytes()
 
 
 class TestTopK:
@@ -258,6 +286,90 @@ class TestFewShot:
         labels = np.array([0, 0, 1, 1, 2, 2])
         with pytest.raises(ValueError, match="shot"):
             few_shot_episode_eval(feats, labels, way=3, shot=2, episodes=5, seed=0)
+
+    @pytest.mark.parametrize("name", ["way", "shot", "episodes"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_arguments_below_one_rejected_by_name(self, name, value):
+        feats = np.random.default_rng(5).normal(size=(30, 4))
+        labels = np.repeat(np.arange(3), 10)
+        kwargs = {"way": 3, "shot": 2, "episodes": 5} | {name: value}
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got {value}"):
+            few_shot_episode_eval(feats, labels, seed=0, **kwargs)
+
+
+def _train_linear_head(x, y, n_classes, epochs, lr, momentum):
+    """Reference: one episode's head, trained alone with 2-D arrays."""
+    n, d = x.shape
+    w = np.zeros((d, n_classes))
+    b = np.zeros(n_classes)
+    vw = np.zeros_like(w)
+    vb = np.zeros_like(b)
+    onehot = np.eye(n_classes)[y]
+    for _ in range(epochs):
+        logits = x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        g = (p - onehot) / n
+        gw = x.T @ g
+        gb = g.sum(axis=0)
+        vw = momentum * vw + gw
+        vb = momentum * vb + gb
+        w -= lr * vw
+        b -= lr * vb
+    return w, b
+
+
+def _lone_episode_accuracies(features, labels, way, shot, episodes, seed, config=FewShotConfig()):
+    """Reference: every episode drawn, trained and scored on its own."""
+    classes = np.unique(labels)
+    per_class = {int(c): np.flatnonzero(labels == c) for c in classes}
+    accs = []
+    for ep in range(episodes):
+        rng = np.random.default_rng([seed, ep, 0xFE75])
+        chosen = rng.choice(classes, size=way, replace=False)
+        xs, ys, xq, yq = [], [], [], []
+        for slot, c in enumerate(chosen):
+            idx = per_class[int(c)]
+            picked = rng.permutation(idx)
+            n_query = min(config.query_per_class, idx.size - shot)
+            xs.append(features[picked[:shot]])
+            ys.append(np.full(shot, slot))
+            xq.append(features[picked[shot : shot + n_query]])
+            yq.append(np.full(n_query, slot))
+        w, b = _train_linear_head(
+            np.concatenate(xs), np.concatenate(ys), way,
+            config.adapter_epochs, config.adapter_lr, config.adapter_momentum,
+        )
+        pred = (np.concatenate(xq) @ w + b).argmax(axis=1)
+        accs.append(float((pred == np.concatenate(yq)).mean()))
+    return np.array(accs)
+
+
+class TestStackedEpisodeHeads:
+    @pytest.mark.parametrize("way,shot", [(5, 5), (5, 20), (3, 1)])
+    def test_heads_byte_equal_to_lone_training(self, way, shot):
+        rng = np.random.default_rng(way * 100 + shot)
+        x = rng.normal(size=(7, way * shot, 16))
+        y = np.repeat(np.arange(way), shot)
+        w, b = _train_linear_heads(x, y, way, 100, 0.01, 0.99)
+        assert w.shape == (7, 16, way) and b.shape == (7, 1, way)
+        for i in range(7):
+            ref_w, ref_b = _train_linear_head(x[i], y, way, 100, 0.01, 0.99)
+            assert w[i].tobytes() == ref_w.tobytes()
+            assert b[i, 0].tobytes() == ref_b.tobytes()
+
+    def test_per_episode_equal_to_lone_runs_across_ragged_blocks(self):
+        """250 episodes train in blocks of 100, 100 and 50. Class 0 holds
+        shot + 6 samples, so its episodes score 6 queries, not 15."""
+        assert EPISODE_BLOCK == 100
+        rng = np.random.default_rng(13)
+        labels = np.concatenate([np.zeros(11, dtype=int), np.repeat(np.arange(1, 7), 25)])
+        feats = rng.normal(size=(labels.size, 12)) + 0.5 * np.eye(12)[labels]
+        res = few_shot_episode_eval(feats, labels, way=5, shot=5, episodes=250, seed=2)
+        expected = _lone_episode_accuracies(feats, labels, way=5, shot=5, episodes=250, seed=2)
+        assert res.per_episode.tobytes() == expected.tobytes()
+        assert res.mean_accuracy == float(expected.mean())
 
 
 class TestEmbedImages:

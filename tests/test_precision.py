@@ -100,6 +100,17 @@ class TestPolicy:
         assert flat.data.tobytes() == y.data.reshape(2, 16).tobytes()
         assert swapped.data.tobytes() == y.data.T.tobytes()
 
+    def test_gathers_return_their_values_unquantized(self):
+        """embedding and unfold only gather, so under EMULATED_HALF they hand
+        back exactly the table rows and input patches they read."""
+        values = np.array([[0.1, 1 / 3], [0.7, 0.9]])
+        with precision_policy(EMULATED_HALF):
+            rows = ops.embedding(Tensor(values), np.array([1, 0, 1]))
+            patches = ops.unfold(Tensor(values.reshape(1, 2, 1, 2)), (1, 1), (1, 1))
+        assert not np.array_equal(values, values.astype(np.float16).astype(np.float64))
+        assert rows.data.tobytes() == values[[1, 0, 1]].tobytes()
+        assert patches.data.tobytes() == values.reshape(1, 2, 1, 2).tobytes()
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             PrecisionPolicy(mode="quarter")
