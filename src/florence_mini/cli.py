@@ -1,4 +1,5 @@
-"""Command-line surface: synth, curate, train, eval, inflate.
+"""Command-line surface: synth, curate, train, eval, inflate, and the
+duplicate-captions and memory-report experiments.
 
 Every command runs through `run_command`, which writes the command's outputs
 under --out together with a run manifest (resolved config, seed, input
@@ -32,7 +33,7 @@ from .curation import (
     write_removal_report_jsonl,
     write_triplets_jsonl,
 )
-from .encoders import build_video_tower
+from .encoders import ModelConfig, TwoTowerModel, build_video_tower, build_vocabulary
 from .evaluation import (
     EvalReport,
     ProbeConfig,
@@ -48,10 +49,16 @@ from .evaluation import (
     zero_shot_classify_batch,
 )
 from .encoders.vocab import tokenize_batch
-from .imaging import resize_bilinear
+from .experiments import duplicate_caption_advantage
 from .numerics.container import save_checkpoint
 from .numerics.tensor import no_grad
-from .trainer import TrainConfig, load_model_checkpoint, run_two_stage_training
+from .trainer import (
+    TrainConfig,
+    activation_profile,
+    load_model_checkpoint,
+    prepare_batch,
+    run_two_stage_training,
+)
 
 
 def _sha256(path) -> str:
@@ -107,8 +114,8 @@ def run_command(args) -> int:
     """The frame every subcommand shares: time the body, hand it the created
     --out directory, then write manifest.json and print the body's message.
 
-    `train` also returns its resolved config and seed, which its manifest
-    records in place of the parsed flags.
+    `train` and `duplicate-captions` also return their resolved config and
+    seed, which their manifests record in place of the parsed flags.
     """
     t0 = time.perf_counter()
     out = Path(args.out)
@@ -199,14 +206,9 @@ def _eval_inputs(args, holdout: bool):
         records = [r for r in records if r.id in held]
         if not records:
             raise ValueError(f"held-out split is empty (--holdout-fraction {args.holdout_fraction})")
-    images = np.stack([_load_at_side(r.image_path, model.config.image_size) for r in records])
+    images = np.stack([load_image(r.image_path, model.config.image_size) for r in records])
     labels = np.array([class_of_record(r) for r in records])
     return model, class_names, records, images, labels
-
-
-def _load_at_side(path, side: int) -> np.ndarray:
-    img = load_image(path)
-    return img if img.shape[0] == side else resize_bilinear(img, side, side)
 
 
 def _eval_report(args, out, report: EvalReport, message: str):
@@ -302,6 +304,48 @@ def cmd_inflate(args, out):
     return [Path(args.checkpoint) / "manifest.json"], [ckpt_dir], message
 
 
+def cmd_duplicate_captions(args, out):
+    seeds = [int(s) for s in args.seeds.split(",")]
+    config = {
+        "seeds": seeds, "num_classes": args.classes, "per_class": args.per_class,
+        "stage1_steps": args.stage1_steps, "stage2_steps": args.stage2_steps,
+    }
+    res = duplicate_caption_advantage(out, **config)
+    message = "\n".join([
+        f"seeds   : {res['seeds']}",
+        f"unicl   : {[f'{v:.3f}' for v in res['unicl']]} mean {res['unicl_mean']:.3f}",
+        f"infonce : {[f'{v:.3f}' for v in res['infonce']]} mean {res['infonce_mean']:.3f}",
+        f"advantage (text->image R@1): {res['unicl_mean'] - res['infonce_mean']:+.3f}",
+    ])
+    return [], [out / "duplicate_caption_advantage.json"], message, config, seeds
+
+
+def cmd_memory_report(args, out):
+    """Peak activation scalars of one gradient step on the first --batch-size
+    triplets, per chunk size, with and without activation checkpointing."""
+    triplets_path = Path(args.triplets)
+    triplets = read_triplets_jsonl(triplets_path)
+    if not 2 <= args.batch_size <= len(triplets):
+        raise ValueError(f"--batch-size {args.batch_size} is not in [2, {len(triplets)}], the triplets in {triplets_path}")
+    config = ModelConfig()
+    vocab = build_vocabulary([t.text for t in triplets], max_len=config.max_len)
+    model = TwoTowerModel.create(config, vocab, seed=args.seed)
+    images, ids, labels, _ = prepare_batch(triplets[: args.batch_size], vocab, config.dtype)
+    rows = []
+    lines = [
+        f"batch {args.batch_size}, mini model, exact activation-scalar counts",
+        f"{'chunk':>6} {'plain':>12} {'checkpointed':>12} {'reduction':>10}",
+    ]
+    for chunk in (int(c) for c in args.chunks.split(",")):
+        report = activation_profile(model, [(images, ids, labels)], chunk_size=chunk)
+        plain, ckpt = report.peak_without_checkpointing[0], report.peak_with_checkpointing[0]
+        rows.append({"chunk": chunk, "plain": plain, "checkpointed": ckpt})
+        lines.append(f"{chunk:>6} {plain:>12} {ckpt:>12} {1 - ckpt / plain:>9.1%}")
+    with open(out / "memory_report.json", "w") as fh:
+        json.dump({"batch_size": args.batch_size, "peaks": rows}, fh, indent=1)
+    return [triplets_path], [out / "memory_report.json"], "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
@@ -371,6 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_inflate)
+
+    p = sub.add_parser("duplicate-captions", help="UniCL vs InfoNCE under 50%% shared captions")
+    p.add_argument("--seeds", default="0,1,2", help="comma-separated seeds")
+    p.add_argument("--classes", type=int, default=8)
+    p.add_argument("--per-class", type=int, default=48)
+    p.add_argument("--stage1-steps", type=int, default=90)
+    p.add_argument("--stage2-steps", type=int, default=30)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_duplicate_captions)
+
+    p = sub.add_parser("memory-report", help="peak activation scalars by chunk size and checkpointing")
+    p.add_argument("--triplets", required=True, help="curated triplets.jsonl")
+    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--chunks", default="16,8,4,2", help="comma-separated chunk sizes")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=cmd_memory_report)
 
     return parser
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..imaging import resize_bilinear
 from ..numerics.container import read_tensor_file, read_tensor_header
 
 
@@ -40,15 +41,17 @@ class Triplet:
             raise ValueError("label ids are non-negative")
 
 
-def load_image(path) -> np.ndarray:
-    """Read an H x W x C float32 image in [0, 1] from a tensor container."""
+def load_image(path, side: int | None = None) -> np.ndarray:
+    """Read an H x W x C float32 image in [0, 1] from a tensor container,
+    bilinearly resized to side x side when `side` is given and differs."""
     t = read_tensor_file(path)
     arr = t.data
     if arr.ndim != 3:
         raise ValueError(f"{path}: image tensor must be rank 3, got rank {arr.ndim}")
     if arr.shape[2] not in (1, 3):
         raise ValueError(f"{path}: channel count must be 1 or 3, got {arr.shape[2]}")
-    return arr.astype(np.float32, copy=False)
+    img = arr.astype(np.float32, copy=False)
+    return img if side is None or img.shape[0] == side else resize_bilinear(img, side, side)
 
 
 def image_size(path) -> tuple[int, int]:

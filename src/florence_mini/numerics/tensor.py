@@ -164,12 +164,6 @@ class Tensor:
     def uid(self) -> str:
         return self._uid
 
-    def is_leaf(self) -> bool:
-        return self.node is None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"

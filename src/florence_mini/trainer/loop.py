@@ -14,7 +14,6 @@ from ..curation.records import Triplet, load_image
 from ..encoders.config import ModelConfig
 from ..encoders.model import TwoTowerModel
 from ..encoders.vocab import Vocabulary, build_vocabulary, tokenize_batch
-from ..imaging import resize_bilinear
 from ..numerics.container import load_checkpoint, save_checkpoint
 from ..numerics.optim import OptimizerState, cosine_lr, init_optimizer_state
 from ..numerics.precision import EMULATED_HALF, FULL_PRECISION, precision_policy
@@ -64,7 +63,7 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.chunk_size < 1 or self.batch_size % self.chunk_size != 0:
-            raise ValueError("chunk_size must divide batch_size")
+            raise ValueError(f"chunk_size {self.chunk_size} must divide batch_size {self.batch_size}")
         if self.zero_workers < 1:
             raise ValueError("zero_workers must be >= 1")
         if min(self.stage1_steps, self.stage2_steps, self.high_res_steps) < 0:
@@ -116,9 +115,7 @@ def prepare_batch(
         if image_cache is not None and key in image_cache:
             img = image_cache[key]
         else:
-            img = load_image(t.image_path)
-            if image_size is not None and img.shape[0] != image_size:
-                img = resize_bilinear(img, image_size, image_size)
+            img = load_image(t.image_path, image_size)
             if image_cache is not None:
                 image_cache[key] = img
         images.append(img)
@@ -226,6 +223,13 @@ def _flat_config(config: TrainConfig) -> dict:
     return d
 
 
+def _init_optimizer(params, config: TrainConfig) -> OptimizerState:
+    return init_optimizer_state(
+        params, lr=config.peak_lr, beta1=config.beta1, beta2=config.beta2,
+        eps=config.eps, weight_decay=config.weight_decay,
+    )
+
+
 def load_train_checkpoint(path, config: TrainConfig):
     """Rebuild (model, optimizer state, step) from a checkpoint directory.
 
@@ -245,14 +249,7 @@ def load_train_checkpoint(path, config: TrainConfig):
     model = TwoTowerModel.create(config.model, vocab, seed=config.seed)
     params = {k: v for k, v in tensors.items() if not k.startswith("__opt_")}
     model.load_arrays(params)
-    state = init_optimizer_state(
-        params,
-        lr=config.peak_lr,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-        weight_decay=config.weight_decay,
-    )
+    state = _init_optimizer(params, config)
     state.step = manifest["optimizer_step"]
     for k in params:
         state.m[k] = tensors[f"__opt_m__.{k}"]
@@ -290,14 +287,7 @@ def run_two_stage_training(
         vocab = model.vocab
     else:
         model = TwoTowerModel.create(config.model, vocab, seed=config.seed)
-        state = init_optimizer_state(
-            model.param_arrays(),
-            lr=config.peak_lr,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-            weight_decay=config.weight_decay,
-        )
+        state = _init_optimizer(model.param_arrays(), config)
         start_step = 0
 
     opt_states: object = state
@@ -353,18 +343,15 @@ def run_two_stage_training(
             metrics_fh.write(json.dumps(record) + "\n")
 
             done = step + 1
-            if config.checkpoint_every and done % config.checkpoint_every == 0:
-                p = out / f"ckpt-step-{done}"
-                save_train_checkpoint(p, model, opt_states, config, done)
-                checkpoints[f"step-{done}"] = str(p)
-            if done == config.stage1_steps and config.stage1_steps > 0:
-                p = out / "ckpt-stage1"
-                save_train_checkpoint(p, model, opt_states, config, done)
-                checkpoints["stage1"] = str(p)
-            if done == config.stage1_steps + config.stage2_steps and config.stage2_steps > 0:
-                p = out / "ckpt-stage2"
-                save_train_checkpoint(p, model, opt_states, config, done)
-                checkpoints["stage2"] = str(p)
+            for name, due in (
+                (f"step-{done}", config.checkpoint_every and done % config.checkpoint_every == 0),
+                ("stage1", done == config.stage1_steps and config.stage1_steps > 0),
+                ("stage2", done == config.stage1_steps + config.stage2_steps and config.stage2_steps > 0),
+            ):
+                if due:
+                    p = out / f"ckpt-{name}"
+                    save_train_checkpoint(p, model, opt_states, config, done)
+                    checkpoints[name] = str(p)
 
     final = out / "ckpt-final"
     save_train_checkpoint(final, model, opt_states, config, config.planned_steps)

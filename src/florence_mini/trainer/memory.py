@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..numerics.tensor import activation_meter
-from .checkpointing import checkpointed
-from .grad_cache import gradient_cache_gradients, monolithic_gradients
+from .loop import TrainConfig, compute_gradients
 
 
 @dataclass
@@ -29,17 +28,19 @@ def activation_profile(
     model, batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]], chunk_size: int | None = None
 ) -> MemoryReport:
     """Peak live activation scalars per step, with and without activation
-    checkpointing, over (images, ids, labels) batches."""
+    checkpointing, over (images, ids, labels) batches. Each step runs the
+    trainer's own gradient dispatch, so a chunk below the batch size takes
+    the gradient cache exactly as `train` would."""
     with_c: list[int] = []
     without: list[int] = []
     for images, ids, labels in batches:
-        for wrapper, sink in ((None, without), (checkpointed, with_c)):
+        batch = images.shape[0]
+        for flag, sink in ((False, without), (True, with_c)):
+            config = TrainConfig(
+                model=model.config, batch_size=batch, chunk_size=batch if chunk_size is None else chunk_size,
+                activation_checkpointing=flag,
+            )
             activation_meter.reset()
-            if chunk_size is not None and chunk_size < images.shape[0]:
-                gradient_cache_gradients(
-                    model, images, ids, labels, chunk_size, block_wrapper=wrapper
-                )
-            else:
-                monolithic_gradients(model, images, ids, labels, block_wrapper=wrapper)
+            compute_gradients(model, images, ids, labels, config)
             sink.append(activation_meter.peak)
     return MemoryReport(peak_with_checkpointing=with_c, peak_without_checkpointing=without)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from florence_mini.cli import dispatch, main, parse_config
-from florence_mini.encoders import TwoTowerModel
+from florence_mini.curation import read_triplets_jsonl
+from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.numerics import load_checkpoint
+from florence_mini.trainer import activation_profile, prepare_batch
 
 
 def _sha(path):
@@ -198,7 +200,8 @@ class TestPipelineCommands:
     @pytest.mark.parametrize(
         "command",
         ["synth", "curate", "train", "eval zero-shot", "eval retrieval",
-         "eval linear-probe", "eval few-shot", "eval regions", "inflate"],
+         "eval linear-probe", "eval few-shot", "eval regions", "inflate", "memory-report",
+         "duplicate-captions"],
     )
     def test_manifest_records_command_seed_inputs_and_artifacts(self, pipeline, tmp_path, command):
         data, ckpt, out = pipeline / "data", pipeline / "run/ckpt-final", tmp_path / "out"
@@ -229,13 +232,26 @@ class TestPipelineCommands:
             "eval few-shot": report,
             "eval regions": (out, 3, [boxes, image], [out / "region_labels.jsonl"]),
             "inflate": (out, 0, [ckpt / "manifest.json"], [out / "video-tower"]),
+            "memory-report": (out, 3, [pipeline / "cur/triplets.jsonl"], [out / "memory_report.json"]),
+            "duplicate-captions": (out, [3], [], [out / "duplicate_caption_advantage.json"]),
+        }
+        argvs = {
+            "inflate": ["--checkpoint", str(ckpt), "--temporal-kernel", "1", "--frames", "2", "--out", str(out)],
+            "memory-report": [
+                "--triplets", str(pipeline / "cur/triplets.jsonl"), "--batch-size", "8", "--chunks", "8,4",
+                "--seed", "3", "--out", str(out),
+            ],
+            # one seed, and enough records per class for a stage-2 batch of 32
+            "duplicate-captions": [
+                "--seeds", "3", "--classes", "4", "--per-class", "32", "--stage1-steps", "8",
+                "--stage2-steps", "3", "--out", str(out),
+            ],
         }
         # synth, curate and train already ran in the `pipeline` fixture
         if command.startswith("eval"):
             assert dispatch("eval", [command.split()[1], *eval_args, *extra.get(command, [])]) == 0
-        elif command == "inflate":
-            argv = ["--checkpoint", str(ckpt), "--temporal-kernel", "1", "--frames", "2", "--out", str(out)]
-            assert dispatch("inflate", argv) == 0
+        elif command in argvs:
+            assert dispatch(command, argvs[command]) == 0
         out_dir, seed, inputs, artifacts = expected[command]
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == command
@@ -243,6 +259,31 @@ class TestPipelineCommands:
         assert manifest["input_hashes"] == {str(p): _sha(p) for p in inputs}
         assert manifest["artifacts"] == [str(a) for a in artifacts]
         assert manifest["wall_clock_s"] > 0
+
+    def test_memory_report_peaks_equal_activation_profile(self, pipeline, tmp_path):
+        out = tmp_path / "mem"
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--batch-size", "8", "--chunks", "8,4,2",
+                "--seed", "3", "--out", str(out)]
+        assert dispatch("memory-report", argv) == 0
+        triplets = read_triplets_jsonl(pipeline / "cur/triplets.jsonl")
+        vocab = build_vocabulary([t.text for t in triplets])
+        model = TwoTowerModel.create(ModelConfig(), vocab, seed=3)
+        images, ids, labels, _ = prepare_batch(triplets[:8], vocab, "float64")
+        peaks = json.loads((out / "memory_report.json").read_text())["peaks"]
+        assert [row["chunk"] for row in peaks] == [8, 4, 2]
+        for row in peaks:
+            report = activation_profile(model, [(images, ids, labels)], chunk_size=row["chunk"])
+            assert row["plain"] == report.peak_without_checkpointing[0], row
+            assert row["checkpointed"] == report.peak_with_checkpointing[0], row
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--batch-size", "8", "--chunks", "3"], "chunk_size 3"), (["--batch-size", "100000"], "--batch-size 100000")],
+    )
+    def test_memory_report_rejects_bad_batch_or_chunk_by_value(self, pipeline, tmp_path, capsys, flags, named):
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), *flags, "--out", str(tmp_path / "mem")]
+        assert dispatch("memory-report", argv) == 2
+        assert named in capsys.readouterr().err
 
     def test_commands_do_not_mutate_inputs(self, pipeline, tmp_path):
         before = _sha(pipeline / "data/records.jsonl")

@@ -20,6 +20,7 @@ from florence_mini.numerics import (
 from florence_mini.trainer import (
     TrainConfig,
     TrainingAborted,
+    activation_profile,
     checkpointed,
     gradient_cache_gradients,
     init_zero_states,
@@ -228,6 +229,18 @@ class TestTrainStep:
         _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
+    @pytest.mark.parametrize("chunk, ckpt", [(8, False), (4, False), (4, True)])
+    def test_step_peak_equals_activation_profile(self, small_setup, chunk, ckpt):
+        """The memory report measures the gradient step that `train` runs."""
+        model, images, ids, labels, rids = small_setup
+        fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
+        report = activation_profile(fresh, [(images, ids, labels)], chunk_size=chunk)
+        cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=chunk, activation_checkpointing=ckpt)
+        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
+        peaks = report.peak_with_checkpointing if ckpt else report.peak_without_checkpointing
+        assert metrics["peak_activation_scalars"] == peaks[0]
+
     def test_nan_input_aborts_with_batch_ids(self, small_setup):
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
@@ -346,8 +359,6 @@ class TestTwoStageRun:
             assert model.param_arrays()[k].tobytes() == v.tobytes()
 
     def test_memory_report_exact_integer_counts(self, small_setup):
-        from florence_mini.trainer import activation_profile
-
         model, images, ids, labels, _ = small_setup
         report = activation_profile(model, [(images, ids, labels)])
         assert all(isinstance(p, int) for p in report.peak_with_checkpointing)
