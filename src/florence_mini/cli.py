@@ -114,8 +114,9 @@ def run_command(args) -> int:
     """The frame every subcommand shares: time the body, hand it the created
     --out directory, then write manifest.json and print the body's message.
 
-    `train` and `duplicate-captions` also return their resolved config and
-    seed, which their manifests record in place of the parsed flags.
+    `train`, `duplicate-captions` and `memory-report` also return their
+    resolved config and seed, which their manifests record in place of the
+    parsed flags.
     """
     t0 = time.perf_counter()
     out = Path(args.out)
@@ -329,21 +330,24 @@ def cmd_memory_report(args, out):
         raise ValueError(f"--batch-size {args.batch_size} is not in [2, {len(triplets)}], the triplets in {triplets_path}")
     config = ModelConfig()
     vocab = build_vocabulary([t.text for t in triplets], max_len=config.max_len)
-    model = TwoTowerModel.create(config, vocab, seed=args.seed)
+    # the counts depend only on tensor shapes, so the weight-init seed is fixed
+    model = TwoTowerModel.create(config, vocab, seed=0)
     images, ids, labels, _ = prepare_batch(triplets[: args.batch_size], vocab, config.dtype)
+    chunks = [int(c) for c in args.chunks.split(",")]
     rows = []
     lines = [
         f"batch {args.batch_size}, mini model, exact activation-scalar counts",
         f"{'chunk':>6} {'plain':>12} {'checkpointed':>12} {'reduction':>10}",
     ]
-    for chunk in (int(c) for c in args.chunks.split(",")):
+    for chunk in chunks:
         report = activation_profile(model, [(images, ids, labels)], chunk_size=chunk)
         plain, ckpt = report.peak_without_checkpointing[0], report.peak_with_checkpointing[0]
         rows.append({"chunk": chunk, "plain": plain, "checkpointed": ckpt})
         lines.append(f"{chunk:>6} {plain:>12} {ckpt:>12} {1 - ckpt / plain:>9.1%}")
     with open(out / "memory_report.json", "w") as fh:
         json.dump({"batch_size": args.batch_size, "peaks": rows}, fh, indent=1)
-    return [triplets_path], [out / "memory_report.json"], "\n".join(lines)
+    resolved = {"batch_size": args.batch_size, "chunks": chunks, "model": config.to_dict()}
+    return [triplets_path], [out / "memory_report.json"], "\n".join(lines), resolved, None
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triplets", required=True, help="curated triplets.jsonl")
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--chunks", default="16,8,4,2", help="comma-separated chunk sizes")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_memory_report)
 

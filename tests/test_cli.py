@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from florence_mini.cli import dispatch, main, parse_config
-from florence_mini.curation import read_triplets_jsonl
-from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
+from florence_mini.encoders import TwoTowerModel
 from florence_mini.numerics import load_checkpoint
-from florence_mini.trainer import activation_profile, prepare_batch
 
 
 def _sha(path):
@@ -232,14 +230,14 @@ class TestPipelineCommands:
             "eval few-shot": report,
             "eval regions": (out, 3, [boxes, image], [out / "region_labels.jsonl"]),
             "inflate": (out, 0, [ckpt / "manifest.json"], [out / "video-tower"]),
-            "memory-report": (out, 3, [pipeline / "cur/triplets.jsonl"], [out / "memory_report.json"]),
+            "memory-report": (out, None, [pipeline / "cur/triplets.jsonl"], [out / "memory_report.json"]),
             "duplicate-captions": (out, [3], [], [out / "duplicate_caption_advantage.json"]),
         }
         argvs = {
             "inflate": ["--checkpoint", str(ckpt), "--temporal-kernel", "1", "--frames", "2", "--out", str(out)],
             "memory-report": [
-                "--triplets", str(pipeline / "cur/triplets.jsonl"), "--batch-size", "8", "--chunks", "8,4",
-                "--seed", "3", "--out", str(out),
+                "--triplets", str(pipeline / "cur/triplets.jsonl"), "--batch-size", "8", "--chunks", "8,4,2",
+                "--out", str(out),
             ],
             # one seed, and enough records per class for a stage-2 batch of 32
             "duplicate-captions": [
@@ -259,22 +257,15 @@ class TestPipelineCommands:
         assert manifest["input_hashes"] == {str(p): _sha(p) for p in inputs}
         assert manifest["artifacts"] == [str(a) for a in artifacts]
         assert manifest["wall_clock_s"] > 0
-
-    def test_memory_report_peaks_equal_activation_profile(self, pipeline, tmp_path):
-        out = tmp_path / "mem"
-        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--batch-size", "8", "--chunks", "8,4,2",
-                "--seed", "3", "--out", str(out)]
-        assert dispatch("memory-report", argv) == 0
-        triplets = read_triplets_jsonl(pipeline / "cur/triplets.jsonl")
-        vocab = build_vocabulary([t.text for t in triplets])
-        model = TwoTowerModel.create(ModelConfig(), vocab, seed=3)
-        images, ids, labels, _ = prepare_batch(triplets[:8], vocab, "float64")
-        peaks = json.loads((out / "memory_report.json").read_text())["peaks"]
-        assert [row["chunk"] for row in peaks] == [8, 4, 2]
-        for row in peaks:
-            report = activation_profile(model, [(images, ids, labels)], chunk_size=row["chunk"])
-            assert row["plain"] == report.peak_without_checkpointing[0], row
-            assert row["checkpointed"] == report.peak_with_checkpointing[0], row
+        if command == "memory-report":
+            # activation_profile's exact counts for the fixture's first 8 triplets
+            # when it still chose monolithic vs gradient cache on its own; the
+            # report must keep them now that it runs the trainer's dispatch
+            assert json.loads((out / "memory_report.json").read_text())["peaks"] == [
+                {"chunk": 8, "plain": 1309765, "checkpointed": 453829},
+                {"chunk": 4, "plain": 737960, "checkpointed": 268328},
+                {"chunk": 2, "plain": 452570, "checkpointed": 176090},
+            ]
 
     @pytest.mark.parametrize(
         "flags, named",
