@@ -61,7 +61,7 @@ def duplicate_caption_advantage(
                 batch_size=batch_size,
                 chunk_size=batch_size,
                 peak_lr=peak_lr,
-                warmup_steps=10,
+                warmup_steps=min(10, stage1_steps + stage2_steps - 1),
                 seed=seed,
                 objective=objective,
             )

@@ -115,16 +115,40 @@ def log(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-approximated GELU (smooth, finite-difference friendly)."""
+    """tanh-approximated GELU (smooth, finite-difference friendly).
+
+    Both directions update fresh temporaries in place; every product and
+    sum keeps the operands and order of the plain formula in the comment
+    below, so the bytes equal that formula's.
+    """
     _check_float(a, "gelu")
     x = a.data
-    t = np.tanh(_GELU_K0 * (x + _GELU_K1 * (x * x * x)))
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_K1
+    np.add(x, t, out=t)
+    t *= _GELU_K0
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
 
     def backward(g, saved):
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x * x))
         xv, tv = saved
-        inner = _GELU_K0 * (1.0 + 3.0 * _GELU_K1 * xv * xv)
-        return (g * (0.5 * (1.0 + tv) + 0.5 * xv * (1.0 - tv * tv) * inner),)
+        inner = xv * (3.0 * _GELU_K1)
+        inner *= xv
+        inner += 1.0
+        inner *= _GELU_K0
+        sech2 = tv * tv
+        np.subtract(1.0, sech2, out=sech2)
+        dx = xv * 0.5
+        dx *= sech2
+        dx *= inner
+        np.add(tv, 1.0, out=inner)
+        inner *= 0.5
+        dx += inner
+        dx *= g
+        return (dx,)
 
     return _result("gelu", out, (a,), (x, t), backward)
 
@@ -275,25 +299,33 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis; affine parameters broadcast from 1-D."""
+    """Normalize over the last axis; affine parameters broadcast from 1-D.
+
+    The centred input is computed once and scaled in place into ``xhat``,
+    and the backward reuses its own temporaries; no input, saved array or
+    incoming gradient is written.
+    """
     _check_same_dtype(x, gamma, "layer_norm")
     _check_same_dtype(x, beta, "layer_norm")
     xv = x.data
-    mu = xv.mean(axis=-1, keepdims=True)
-    var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv_std
-    out = gamma.data * xhat + beta.data
+    xhat = xv - xv.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
     lead = tuple(range(xv.ndim - 1))
 
     def backward(g, saved):
+        # dx = istd * (dxhat - mean(dxhat) - xh * mean(dxhat * xh)), dxhat = g * gamma
         xh, istd, gam = saved
-        dxhat = g * gam
-        dx = istd * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xh * (dxhat * xh).mean(axis=-1, keepdims=True)
-        )
+        dx = g * gam
+        t = dx * xh
+        m_xh = t.mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        np.multiply(xh, m_xh, out=t)
+        dx -= t
+        dx *= istd
         dgamma = (g * xh).sum(axis=lead)
         dbeta = g.sum(axis=lead)
         return dx, dgamma, dbeta

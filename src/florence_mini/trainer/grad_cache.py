@@ -1,8 +1,9 @@
 """Gradient cache: full-batch contrastive gradients from chunked re-forwards.
 
-Pass 1 runs a gradient-free forward over each chunk to assemble the full
-batch of embeddings; pass 2 takes the loss gradient at the embedding level;
-pass 3 re-forwards each chunk with recording enabled and injects the
+Pass 1 forwards each chunk to assemble the full batch of embeddings,
+recording only the last chunk's tape; pass 2 takes the loss gradient at the
+embedding level; pass 3 backpropagates the last chunk from its pass-1 tape,
+then re-forwards every other chunk with recording enabled, injecting the
 matching embedding-gradient rows as output gradients. Injection happens at
 the post-normalization embeddings, so the recorded chunk graph includes the
 normalization. Accumulated parameter gradients must equal the monolithic
@@ -11,6 +12,7 @@ full-batch backward; with a single chunk they are bit-identical.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Callable
 
 import numpy as np
@@ -51,32 +53,42 @@ def gradient_cache_gradients(
         raise ValueError(f"chunk_size {chunk_size} must divide batch size {batch}")
     n_chunks = batch // chunk_size
 
-    # pass 1: gradient-free chunk forwards assemble the full embedding batch
+    # pass 1: chunk forwards assemble the full embedding batch; only the
+    # last chunk records, so pass 3 need not re-run it
     u_parts, v_parts = [], []
-    with no_grad():
-        for c in range(n_chunks):
-            rows = slice(c * chunk_size, (c + 1) * chunk_size)
-            u_parts.append(model.encode_image(images[rows], block_wrapper=block_wrapper).data)
-            v_parts.append(model.encode_text(ids[rows]).data)
+    for c in range(n_chunks):
+        rows = slice(c * chunk_size, (c + 1) * chunk_size)
+        with no_grad() if c < n_chunks - 1 else nullcontext():
+            u_c = model.encode_image(images[rows], block_wrapper=block_wrapper)
+            v_c = model.encode_text(ids[rows])
+        u_parts.append(u_c.data)
+        v_parts.append(v_c.data)
     u_full = np.concatenate(u_parts, axis=0)
     v_full = np.concatenate(v_parts, axis=0)
 
     # pass 2: embedding-level loss gradient over the full batch
     res = unicl_loss_arrays(u_full, v_full, labels, float(model.tau_param.data), mean_reduction)
 
-    # pass 3: recorded chunk re-forwards with injected embedding gradients
+    # pass 3: the last chunk backpropagates from its pass-1 tape; the others
+    # re-forward with recording and the embedding gradients injected. The
+    # fold keeps chunk order, ((g0 + g1) + g2) + g3, whichever ran first.
+    last = backward_from([u_c, v_c], [res.grad_u[-chunk_size:], res.grad_v[-chunk_size:]])
+    del u_c, v_c
     grads: dict[str, np.ndarray] = {"tau_param": np.asarray(res.grad_tau_param)}
     for c in range(n_chunks):
         rows = slice(c * chunk_size, (c + 1) * chunk_size)
-        u_c = model.encode_image(images[rows], block_wrapper=block_wrapper)
-        v_c = model.encode_text(ids[rows])
-        if debug_guard:
-            if u_c.data.tobytes() != u_full[rows].tobytes() or v_c.data.tobytes() != v_full[rows].tobytes():
-                raise RuntimeError(
-                    f"embedding drift between pass 1 and pass 3 in chunk {c}; "
-                    "non-deterministic encoder forward"
-                )
-        chunk_grads = backward_from([u_c, v_c], [res.grad_u[rows], res.grad_v[rows]])
+        if c == n_chunks - 1:
+            chunk_grads = last
+        else:
+            u_c = model.encode_image(images[rows], block_wrapper=block_wrapper)
+            v_c = model.encode_text(ids[rows])
+            if debug_guard:
+                if u_c.data.tobytes() != u_full[rows].tobytes() or v_c.data.tobytes() != v_full[rows].tobytes():
+                    raise RuntimeError(
+                        f"embedding drift between pass 1 and pass 3 in chunk {c}; "
+                        "non-deterministic encoder forward"
+                    )
+            chunk_grads = backward_from([u_c, v_c], [res.grad_u[rows], res.grad_v[rows]])
         for name in model.params:
             g = chunk_grads.get(name)
             if g is None:

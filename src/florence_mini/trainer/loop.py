@@ -300,6 +300,17 @@ def run_two_stage_training(
     if config.stage2_steps > 0 or config.high_res_steps > 0:
         streams["stage2"] = make_stage_stream(triplets, 2, config.seed, config.batch_size)
         streams["high_res"] = streams["stage2"]
+    # StageStream drops each epoch's short batch, so a pool smaller than one
+    # batch would leave a stage nothing to draw
+    short = [
+        f"{stage} pool holds {len(streams[stage].pool)} triplets, fewer than batch_size {config.batch_size}"
+        for stage, steps in (
+            ("stage1", config.stage1_steps), ("stage2", config.stage2_steps), ("high_res", config.high_res_steps)
+        )
+        if steps > 0 and streams[stage].batches_per_epoch == 0
+    ]
+    if short:
+        raise ValueError("; ".join(short))
 
     metrics_path = out / "metrics.jsonl"
     image_cache: dict = {}

@@ -1,5 +1,7 @@
 """Tape engine: exactness of reverse-mode gradients and tape semantics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,101 @@ class TestLinear:
         assert activation_meter.current == x.size + w.size
         backward_from([y], [np.ones(y.shape)])
         assert activation_meter.current == 0
+
+
+def _plain_layer_norm(xv, gam, bet, g, eps=1e-5):
+    """layer_norm's forward and backward as plain whole-array formulas."""
+    mu = xv.mean(axis=-1, keepdims=True)
+    var = ((xv - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (xv - mu) * inv_std
+    out = gam * xhat + bet
+    lead = tuple(range(xv.ndim - 1))
+    dxhat = g * gam
+    dx = inv_std * (
+        dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return out, dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def _plain_gelu(x, g):
+    """gelu's forward and backward as plain whole-array formulas."""
+    k0, k1 = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(k0 * (x + k1 * (x * x * x)))
+    out = 0.5 * x * (1.0 + t)
+    inner = k0 * (1.0 + 3.0 * k1 * x * x)
+    return out, g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * inner)
+
+
+class TestNormAndGeluKernels:
+    """The in-place ``layer_norm`` and ``gelu`` kernels give the plain
+    formulas' bytes and write into none of the arrays they are handed."""
+
+    SHAPES = ((5,), (3, 5), (2, 3, 5), (2, 2, 3, 5), (4, 1), (2, 3, 1))
+
+    @staticmethod
+    def _arrays(shape, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = (rng.normal(size=shape) * 3.0 + 0.5).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        return x, g
+
+    @staticmethod
+    def _backward(y, g):
+        """Run y's backward rule on ``g`` directly (backward_from would copy
+        the seed), checking that neither ``g`` nor the saved arrays change."""
+        g_before = g.copy()
+        saved_before = [a.copy() for a in y.node.saved]
+        grads = y.node.backward_fn(g, y.node.saved)
+        assert g.tobytes() == g_before.tobytes()
+        for a, b in zip(y.node.saved, saved_before):
+            assert a.tobytes() == b.tobytes()
+        return grads
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_layer_norm_bytes_match_plain_formulas(self, shape, dtype):
+        x0, g = self._arrays(shape, dtype, 20)
+        rng = np.random.default_rng(21)
+        gam0 = rng.normal(size=shape[-1:]).astype(dtype)
+        bet0 = rng.normal(size=shape[-1:]).astype(dtype)
+        x = Tensor(x0.copy(), requires_grad=True)
+        y = ops.layer_norm(x, Tensor(gam0, requires_grad=True), Tensor(bet0, requires_grad=True))
+        assert x.data.tobytes() == x0.tobytes()
+        got = (y.data,) + tuple(self._backward(y, g))
+        want = _plain_layer_norm(x0, gam0, bet0, g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gelu_bytes_match_plain_formulas(self, shape, dtype):
+        x0, g = self._arrays(shape, dtype, 22)
+        x = Tensor(x0.copy(), requires_grad=True)
+        y = ops.gelu(x)
+        assert x.data.tobytes() == x0.tobytes()
+        got = (y.data,) + tuple(self._backward(y, g))
+        want = _plain_gelu(x0, g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_transposed_input_and_gradient(self):
+        """Strided views of the input and gradient, as a transpose's backward
+        hands on, still give the plain formulas' bytes."""
+        x0, g = self._arrays((5, 3, 4), np.float64, 23)
+        xt, gt = x0.transpose(2, 1, 0), g.transpose(2, 1, 0)
+        gam, bet = np.linspace(0.5, 1.5, 5), np.linspace(-1.0, 1.0, 5)
+        y = ops.layer_norm(Tensor(xt, requires_grad=True), Tensor(gam), Tensor(bet))
+        got = (y.data,) + tuple(self._backward(y, gt))
+        for a, b in zip(got, _plain_layer_norm(xt, gam, bet, gt)):
+            assert a.tobytes() == b.tobytes()
+        y = ops.gelu(Tensor(xt, requires_grad=True))
+        got = (y.data,) + tuple(self._backward(y, gt))
+        for a, b in zip(got, _plain_gelu(xt, gt)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestTapeSemantics:

@@ -332,6 +332,32 @@ class TestPipelineCommands:
         assert code == 2
         assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_train_names_a_stage_pool_smaller_than_the_batch(self, pipeline, tmp_path, capsys):
+        code = dispatch(
+            "train",
+            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+             "--stage1-steps", "2", "--stage2-steps", "0", "--batch-size", "64", "--chunk-size", "16"],
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stage1 pool holds" in err and "triplets, fewer than batch_size 64" in err
+
+    def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):
+        """Two classes of 32 leave stage 2 (augmented records excluded) short
+        of one batch of 32."""
+        code = dispatch(
+            "duplicate-captions",
+            ["--classes", "2", "--per-class", "32", "--stage1-steps", "8", "--stage2-steps", "3",
+             "--out", str(tmp_path / "dc")],
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stage2 pool holds" in err and "triplets, fewer than batch_size 32" in err
+
+    def test_duplicate_captions_runs_shorter_than_its_warmup(self, tmp_path):
+        argv = ["--seeds", "3", "--classes", "4", "--per-class", "32", "--stage1-steps", "1", "--stage2-steps", "1"]
+        assert dispatch("duplicate-captions", [*argv, "--out", str(tmp_path / "dc")]) == 0
+
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -9,13 +9,17 @@ import pytest
 from florence_mini.curation import curate, generate_synthetic_dataset
 from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.numerics import (
+    EMULATED_HALF,
+    FULL_PRECISION,
     Tensor,
     activation_meter,
     adamw_step,
     backward_from,
     evaluate_and_backward,
     init_optimizer_state,
+    no_grad,
     ops,
+    precision_policy,
 )
 from florence_mini.trainer import (
     TrainConfig,
@@ -32,6 +36,7 @@ from florence_mini.trainer import (
     train_step,
     zero_shard_update,
 )
+from florence_mini.unicl import unicl_loss_arrays
 
 SMALL_MODEL = ModelConfig(image_size=16, stage_depths=(1, 1), stage_widths=(16, 32), shared_dim=32, text_layers=1, text_width=32)
 
@@ -109,6 +114,83 @@ class TestGradientCache:
 
         with pytest.raises(RuntimeError, match="drift"):
             gradient_cache_gradients(DriftingModel(model), images, ids, labels, chunk_size=2)
+
+
+def three_pass_gradients(model, images, ids, labels, chunk_size, block_wrapper=None):
+    """The gradient cache as three plain passes: every chunk forwards without
+    a tape, the loss gradient is taken at the embeddings, then every chunk
+    re-forwards with a tape and backpropagates its rows, folded in order."""
+    n_chunks = images.shape[0] // chunk_size
+    chunks = [slice(c * chunk_size, (c + 1) * chunk_size) for c in range(n_chunks)]
+    with no_grad():
+        u_full = np.concatenate([model.encode_image(images[r], block_wrapper=block_wrapper).data for r in chunks])
+        v_full = np.concatenate([model.encode_text(ids[r]).data for r in chunks])
+    res = unicl_loss_arrays(u_full, v_full, labels, float(model.tau_param.data), False)
+    grads = {"tau_param": np.asarray(res.grad_tau_param)}
+    for r in chunks:
+        u_c = model.encode_image(images[r], block_wrapper=block_wrapper)
+        v_c = model.encode_text(ids[r])
+        chunk_grads = backward_from([u_c, v_c], [res.grad_u[r], res.grad_v[r]])
+        for name in model.params:
+            if name in chunk_grads:
+                grads[name] = grads[name] + chunk_grads[name] if name in grads else chunk_grads[name]
+    return float(res.loss), grads
+
+
+class CountingModel:
+    """Forwards to a model, counting encoder calls; ``drift_on`` names the
+    encode_image call (1-based) whose output is nudged by one part in 1e12."""
+
+    def __init__(self, inner, drift_on=None):
+        self.inner, self.drift_on = inner, drift_on
+        self.params, self.tau_param = inner.params, inner.tau_param
+        self.image_calls = self.text_calls = 0
+
+    def encode_image(self, x, block_wrapper=None):
+        self.image_calls += 1
+        out = self.inner.encode_image(x, block_wrapper=block_wrapper)
+        return ops.scale(out, 1.0 + 1e-12) if self.image_calls == self.drift_on else out
+
+    def encode_text(self, x):
+        self.text_calls += 1
+        return self.inner.encode_text(x)
+
+
+class TestGradientCacheLastChunkTape:
+    """Pass 1 keeps the last chunk's tape, so pass 3 re-forwards n - 1 chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 8])
+    def test_each_encoder_runs_2n_minus_1_times(self, small_setup, chunk):
+        model, images, ids, labels, _ = small_setup
+        counting = CountingModel(model)
+        gradient_cache_gradients(counting, images, ids, labels, chunk_size=chunk)
+        n = images.shape[0] // chunk
+        assert (counting.image_calls, counting.text_calls) == (2 * n - 1, 2 * n - 1)
+
+    @pytest.mark.parametrize("policy", [FULL_PRECISION, EMULATED_HALF], ids=["full", "half"])
+    @pytest.mark.parametrize("wrapper", [None, checkpointed], ids=["plain", "checkpointed"])
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 8])
+    def test_bytes_and_peak_equal_three_pass_oracle(self, small_setup, chunk, wrapper, policy):
+        model, images, ids, labels, _ = small_setup
+        runs = []
+        for fn in (three_pass_gradients, gradient_cache_gradients):
+            activation_meter.reset()
+            with precision_policy(policy):
+                loss, grads = fn(model, images, ids, labels, chunk_size=chunk, block_wrapper=wrapper)
+            runs.append((loss, grads, activation_meter.peak))
+        (l_ref, g_ref, peak_ref), (loss, grads, peak) = runs
+        assert loss == l_ref
+        assert peak == peak_ref
+        assert list(grads) == list(g_ref)
+        for k in g_ref:
+            assert grads[k].tobytes() == g_ref[k].tobytes(), k
+
+    def test_drift_in_chunk_n_minus_2_trips_guard(self, small_setup):
+        """Chunks 0..n-2 re-forward in order after pass 1's n calls, so with
+        n = 4 the seventh encode_image call is chunk 2's re-forward."""
+        model, images, ids, labels, _ = small_setup
+        with pytest.raises(RuntimeError, match="drift between pass 1 and pass 3 in chunk 2"):
+            gradient_cache_gradients(CountingModel(model, drift_on=7), images, ids, labels, chunk_size=2)
 
 
 class TestActivationCheckpointing:
