@@ -41,6 +41,7 @@ from .evaluation import (
     build_prompt_sets,
     classify_regions,
     embed_images,
+    embed_texts,
     evaluate_topk,
     few_shot_episode_eval,
     linear_probe,
@@ -48,10 +49,8 @@ from .evaluation import (
     retrieval_recall,
     zero_shot_classify_batch,
 )
-from .encoders.vocab import tokenize_batch
 from .experiments import duplicate_caption_advantage
 from .numerics.container import save_checkpoint
-from .numerics.tensor import no_grad
 from .trainer import (
     TrainConfig,
     activation_profile,
@@ -231,12 +230,8 @@ def cmd_eval_zero_shot(args, out):
 
 def cmd_eval_retrieval(args, out):
     model, _, records, images, _ = _eval_inputs(args, holdout=True)
-    ids = tokenize_batch([r.text for r in records], model.vocab)
-    u = embed_images(model, images)
-    with no_grad():
-        v = model.encode_text(ids).data
     ks = [int(k) for k in args.ks.split(",")]
-    rec = retrieval_recall(u, v, ks)
+    rec = retrieval_recall(embed_images(model, images), embed_texts(model, [r.text for r in records]), ks)
     metrics = {f"r_at_{k}_{d}": rec[d][k] for d in ("i2t", "t2i") for k in ks}
     report = EvalReport(task="retrieval", metrics=metrics, n=len(records), seed=args.seed)
     return _eval_report(args, out, report, f"retrieval: {metrics}")

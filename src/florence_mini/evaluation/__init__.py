@@ -1,6 +1,6 @@
 """Transfer-evaluation protocols at desk scale."""
 
-from .embed import embed_images
+from .embed import embed_images, embed_texts
 from .fewshot import EpisodeEvalResult, FewShotConfig, few_shot_episode_eval
 from .probe import ProbeConfig, ProbeResult, linear_probe
 from .regions import Box, classify_regions, read_boxes_jsonl, write_boxes_jsonl
@@ -29,6 +29,7 @@ __all__ = [
     "build_prompt_sets",
     "classify_regions",
     "embed_images",
+    "embed_texts",
     "evaluate_topk",
     "few_shot_episode_eval",
     "linear_probe",

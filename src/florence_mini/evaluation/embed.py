@@ -1,9 +1,10 @@
-"""The one way eval protocols embed images with the frozen encoder."""
+"""The one way eval protocols embed images and captions with the frozen encoder."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..encoders.vocab import tokenize_batch
 from ..numerics.tensor import no_grad
 
 EVAL_CHUNK = 32  # images per no-grad forward
@@ -20,3 +21,10 @@ def embed_images(model, images: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [model.encode_image(images[s : s + EVAL_CHUNK]).data for s in range(0, len(images), EVAL_CHUNK)]
         )
+
+
+def embed_texts(model, texts) -> np.ndarray:
+    """Unit embeddings (N, d) of N captions, from one no-grad text forward."""
+    ids = tokenize_batch(texts, model.vocab)
+    with no_grad():
+        return model.encode_text(ids).data

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..encoders.vocab import tokenize_batch
 from ..numerics.tensor import no_grad
-from .embed import embed_images
+from .embed import embed_images, embed_texts
 
 # Default ensembling templates; a deliberately small, documented stand-in
 # for the full CLIP prompt list, overridable wherever prompt sets are built.
@@ -47,9 +46,8 @@ def build_prompt_sets(model, class_names, templates=DEFAULT_EVAL_TEMPLATES) -> l
     templates = tuple(templates)
     if not templates:
         raise ValueError("template list is empty")
-    ids = tokenize_batch([t.format(name) for name in class_names for t in templates], model.vocab)
-    with no_grad():
-        v = model.encode_text(ids).data.reshape(len(class_names), len(templates), -1)
+    v = embed_texts(model, [t.format(name) for name in class_names for t in templates])
+    v = v.reshape(len(class_names), len(templates), -1)
     sets = []
     for name, rows in zip(class_names, v):
         # the same 2-D (templates, d) reduction a forward per class made

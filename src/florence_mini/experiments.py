@@ -8,18 +8,13 @@ from pathlib import Path
 import numpy as np
 
 from .curation import curate, generate_synthetic_dataset, holdout_ids, load_image
-from .evaluation import embed_images, retrieval_recall
-from .numerics.tensor import no_grad
+from .evaluation import embed_images, embed_texts, retrieval_recall
 from .trainer import TrainConfig, run_two_stage_training
-from .encoders.vocab import tokenize_batch
 
 
 def _encode_pairs(model, records) -> tuple[np.ndarray, np.ndarray]:
     images = np.stack([load_image(r.image_path) for r in records])
-    ids = tokenize_batch([r.text for r in records], model.vocab)
-    with no_grad():
-        v = model.encode_text(ids).data
-    return embed_images(model, images), v
+    return embed_images(model, images), embed_texts(model, [r.text for r in records])
 
 
 def duplicate_caption_advantage(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,17 +89,7 @@ def adamw_step(
         new_m[name] = m
         new_v[name] = v
 
-    next_state = OptimizerState(
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-        weight_decay=state.weight_decay,
-        step=t,
-        m=new_m,
-        v=new_v,
-    )
-    return new_params, next_state
+    return new_params, replace(state, step=t, m=new_m, v=new_v)
 
 
 def cosine_lr(step: int, total_steps: int, warmup_steps: int, peak_lr: float) -> float:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..curation.pipeline import StageStream, make_stage_stream
+from ..curation.pipeline import make_stage_stream
 from ..curation.records import Triplet, load_image
 from ..encoders.config import ModelConfig
 from ..encoders.model import TwoTowerModel
@@ -66,12 +66,20 @@ class TrainConfig:
             raise ValueError(f"chunk_size {self.chunk_size} must divide batch_size {self.batch_size}")
         if self.zero_workers < 1:
             raise ValueError("zero_workers must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if min(self.stage1_steps, self.stage2_steps, self.high_res_steps) < 0:
             raise ValueError("stage step counts must be >= 0")
         if self.precision not in ("full", "half-emulated"):
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.objective not in ("unicl", "infonce"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.high_res_steps > 0:
+            # the high-res phase runs the same towers at this input side
+            try:
+                replace(self.model, image_size=self.high_res_size)
+            except ValueError as err:
+                raise ValueError(f"high_res_size {self.high_res_size} does not fit the model: {err}") from None
 
     @property
     def planned_steps(self) -> int:
@@ -182,14 +190,6 @@ def train_step(
     return new_states, metrics
 
 
-def _stage_for_step(step: int, config: TrainConfig) -> tuple[str, int]:
-    if step < config.stage1_steps:
-        return "stage1", step
-    if step < config.stage1_steps + config.stage2_steps:
-        return "stage2", step - config.stage1_steps
-    return "high_res", step - config.stage1_steps - config.stage2_steps
-
-
 def save_train_checkpoint(
     path, model: TwoTowerModel, opt_states, config: TrainConfig, step: int
 ) -> None:
@@ -267,25 +267,17 @@ def load_model_checkpoint(path) -> TwoTowerModel:
     return model
 
 
-def run_two_stage_training(
-    triplets: list[Triplet],
-    config: TrainConfig,
-    out_dir,
-    vocab: Vocabulary | None = None,
-    resume_from=None,
-) -> dict:
+def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir, resume_from=None) -> dict:
     """Stage 1 on the full stream, stage 2 with augmented records excluded,
     optional high-resolution phase; deterministic for a fixed (corpus,
     config, seed)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if vocab is None:
-        vocab = build_vocabulary([t.text for t in triplets], max_len=config.model.max_len)
 
     if resume_from is not None:
         model, state, start_step = load_train_checkpoint(resume_from, config)
-        vocab = model.vocab
     else:
+        vocab = build_vocabulary([t.text for t in triplets], max_len=config.model.max_len)
         model = TwoTowerModel.create(config.model, vocab, seed=config.seed)
         state = _init_optimizer(model.param_arrays(), config)
         start_step = 0
@@ -294,37 +286,31 @@ def run_two_stage_training(
     if config.zero_workers > 1:
         opt_states = split_zero_state(state, model.param_arrays(), config.zero_workers)
 
-    streams: dict[str, StageStream] = {}
-    if config.stage1_steps > 0:
-        streams["stage1"] = make_stage_stream(triplets, 1, config.seed, config.batch_size)
-    if config.stage2_steps > 0 or config.high_res_steps > 0:
-        streams["stage2"] = make_stage_stream(triplets, 2, config.seed, config.batch_size)
-        streams["high_res"] = streams["stage2"]
+    # (stage, first step, end step, stream, image side) for each stage that
+    # runs; the high-res phase redraws the stage-2 pool from its first batch
+    plan = []
+    first = 0
+    for stage, steps, pool, size in (
+        ("stage1", config.stage1_steps, 1, None),
+        ("stage2", config.stage2_steps, 2, None),
+        ("high_res", config.high_res_steps, 2, config.high_res_size),
+    ):
+        if steps > 0:
+            stream = make_stage_stream(triplets, pool, config.seed, config.batch_size)
+            plan.append((stage, first, first + steps, stream, size))
+        first += steps
     # StageStream drops each epoch's short batch, so a pool smaller than one
     # batch would leave a stage nothing to draw
     short = [
-        f"{stage} pool holds {len(streams[stage].pool)} triplets, fewer than batch_size {config.batch_size}"
-        for stage, steps in (
-            ("stage1", config.stage1_steps), ("stage2", config.stage2_steps), ("high_res", config.high_res_steps)
-        )
-        if steps > 0 and streams[stage].batches_per_epoch == 0
+        f"{stage} pool holds {len(stream.pool)} triplets, fewer than batch_size {config.batch_size}"
+        for stage, _, _, stream, _ in plan
+        if stream.batches_per_epoch == 0
     ]
     if short:
         raise ValueError("; ".join(short))
 
     metrics_path = out / "metrics.jsonl"
     image_cache: dict = {}
-    epoch_cache: dict = {}
-
-    def batch_for(stage: str, local_step: int):
-        stream = streams[stage]
-        epoch, idx = divmod(local_step, stream.batches_per_epoch)
-        key = (stage, epoch)
-        if key not in epoch_cache:
-            epoch_cache.clear()
-            epoch_cache[key] = stream.epoch_batches(epoch)
-        return epoch_cache[key][idx]
-
     # a resume into the run's own directory replays steps >= start_step, so
     # only the records before it are kept
     kept = []
@@ -334,35 +320,36 @@ def run_two_stage_training(
     checkpoints: dict[str, str] = {}
     with open(metrics_path, "w") as metrics_fh:
         metrics_fh.writelines(kept)
-        for step in range(start_step, config.planned_steps):
-            stage, local = _stage_for_step(step, config)
-            batch = batch_for(stage, local)
-            size = config.high_res_size if stage == "high_res" else None
-            images, ids, labels, rec_ids = prepare_batch(
-                batch, vocab, config.model.dtype, image_cache, image_size=size
-            )
-            lr = cosine_lr(step, config.schedule_total, config.warmup_steps, config.peak_lr)
-            try:
-                opt_states, metrics = train_step(
-                    model, images, ids, labels, rec_ids, opt_states, config, lr
+        for stage, first, end, stream, size in plan:
+            epochs: dict = {}
+            for step in range(max(first, start_step), end):
+                epoch, idx = divmod(step - first, stream.batches_per_epoch)
+                if epoch not in epochs:
+                    epochs = {epoch: stream.epoch_batches(epoch)}
+                images, ids, labels, rec_ids = prepare_batch(
+                    epochs[epoch][idx], model.vocab, config.model.dtype, image_cache, image_size=size
                 )
-            except TrainingAborted:
-                with open(out / "abort_diagnostic.json", "w") as fh:
-                    json.dump({"step": step, "stage": stage, "batch_ids": rec_ids}, fh)
-                raise
-            record = {"step": step, "stage": stage, **metrics}
-            metrics_fh.write(json.dumps(record) + "\n")
+                lr = cosine_lr(step, config.schedule_total, config.warmup_steps, config.peak_lr)
+                try:
+                    opt_states, metrics = train_step(
+                        model, images, ids, labels, rec_ids, opt_states, config, lr
+                    )
+                except TrainingAborted:
+                    with open(out / "abort_diagnostic.json", "w") as fh:
+                        json.dump({"step": step, "stage": stage, "batch_ids": rec_ids}, fh)
+                    raise
+                record = {"step": step, "stage": stage, **metrics}
+                metrics_fh.write(json.dumps(record) + "\n")
 
-            done = step + 1
-            for name, due in (
-                (f"step-{done}", config.checkpoint_every and done % config.checkpoint_every == 0),
-                ("stage1", done == config.stage1_steps and config.stage1_steps > 0),
-                ("stage2", done == config.stage1_steps + config.stage2_steps and config.stage2_steps > 0),
-            ):
-                if due:
-                    p = out / f"ckpt-{name}"
-                    save_train_checkpoint(p, model, opt_states, config, done)
-                    checkpoints[name] = str(p)
+                done = step + 1
+                for name, due in (
+                    (f"step-{done}", config.checkpoint_every and done % config.checkpoint_every == 0),
+                    (stage, done == end and stage != "high_res"),
+                ):
+                    if due:
+                        p = out / f"ckpt-{name}"
+                        save_train_checkpoint(p, model, opt_states, config, done)
+                        checkpoints[name] = str(p)
 
     final = out / "ckpt-final"
     save_train_checkpoint(final, model, opt_states, config, config.planned_steps)

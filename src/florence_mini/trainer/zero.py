@@ -9,7 +9,7 @@ simulation is per-worker resident-state accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,10 +28,7 @@ def partition_parameters(names, workers: int) -> list[list[str]]:
 def init_zero_states(
     params: dict[str, np.ndarray], workers: int, lr: float, **hyper
 ) -> list[OptimizerState]:
-    shards = partition_parameters(params, workers)
-    return [
-        init_optimizer_state({k: params[k] for k in shard}, lr=lr, **hyper) for shard in shards
-    ]
+    return split_zero_state(init_optimizer_state(params, lr=lr, **hyper), params, workers)
 
 
 @dataclass
@@ -77,38 +74,18 @@ def zero_shard_update(
 
 def merge_zero_states(states: list[OptimizerState]) -> OptimizerState:
     """Collapse worker states into one unsharded state (for checkpointing)."""
-    first = states[0]
-    merged = OptimizerState(
-        lr=first.lr,
-        beta1=first.beta1,
-        beta2=first.beta2,
-        eps=first.eps,
-        weight_decay=first.weight_decay,
-        step=first.step,
+    if any(s.step != states[0].step for s in states):
+        raise ValueError("worker states out of sync")
+    return replace(
+        states[0],
+        m={k: a for s in states for k, a in s.m.items()},
+        v={k: a for s in states for k, a in s.v.items()},
     )
-    for s in states:
-        if s.step != first.step:
-            raise ValueError("worker states out of sync")
-        merged.m.update(s.m)
-        merged.v.update(s.v)
-    return merged
 
 
 def split_zero_state(state: OptimizerState, params: dict[str, np.ndarray], workers: int) -> list[OptimizerState]:
     """Inverse of merge_zero_states for resuming a sharded run."""
-    shards = partition_parameters(params, workers)
-    out = []
-    for shard in shards:
-        out.append(
-            OptimizerState(
-                lr=state.lr,
-                beta1=state.beta1,
-                beta2=state.beta2,
-                eps=state.eps,
-                weight_decay=state.weight_decay,
-                step=state.step,
-                m={k: state.m[k] for k in shard},
-                v={k: state.v[k] for k in shard},
-            )
-        )
-    return out
+    return [
+        replace(state, m={k: state.m[k] for k in shard}, v={k: state.v[k] for k in shard})
+        for shard in partition_parameters(params, workers)
+    ]

@@ -342,6 +342,20 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert "stage1 pool holds" in err and "triplets, fewer than batch_size 64" in err
 
+    @pytest.mark.parametrize("size", [30, 48])
+    def test_train_rejects_high_res_size_before_training(self, pipeline, tmp_path, capsys, size):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"high_res_steps": 1, "high_res_size": size}))
+        code = dispatch(
+            "train",
+            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+             "--config", str(cfg), "--stage1-steps", "1", "--stage2-steps", "1",
+             "--batch-size", "8", "--chunk-size", "4", "--warmup-steps", "1"],
+        )
+        assert code == 2
+        assert f"high_res_size {size}" in capsys.readouterr().err
+        assert not (tmp_path / "run/metrics.jsonl").exists()
+
     def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):
         """Two classes of 32 leave stage 2 (augmented records excluded) short
         of one batch of 32."""

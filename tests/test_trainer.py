@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from florence_mini.curation import curate, generate_synthetic_dataset
+from florence_mini.curation import curate, generate_synthetic_dataset, make_stage_stream
 from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.numerics import (
     EMULATED_HALF,
@@ -36,6 +36,7 @@ from florence_mini.trainer import (
     train_step,
     zero_shard_update,
 )
+from florence_mini.trainer import loop
 from florence_mini.unicl import unicl_loss_arrays
 
 SMALL_MODEL = ModelConfig(image_size=16, stage_depths=(1, 1), stage_widths=(16, 32), shared_dim=32, text_layers=1, text_width=32)
@@ -334,6 +335,18 @@ class TestTrainStep:
             train_step(fresh, bad, ids, labels, rids, state, cfg, 1e-3)
 
 
+class TestTrainConfigValidation:
+    @pytest.mark.parametrize("size, cause", [(30, "patch_kernel"), (48, "side 6 not divisible by window 4")])
+    def test_high_res_size_checked_against_the_model_at_load(self, size, cause):
+        with pytest.raises(ValueError, match=f"high_res_size {size}.*{cause}"):
+            TrainConfig(high_res_steps=1, high_res_size=size)
+        assert TrainConfig(high_res_steps=0, high_res_size=size).high_res_size == size
+
+    def test_negative_checkpoint_every_rejected_by_name(self):
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 0, got -2"):
+            TrainConfig(checkpoint_every=-2)
+
+
 class TestTwoStageRun:
     def _config(self, **kw):
         base = dict(
@@ -397,6 +410,41 @@ class TestTwoStageRun:
         pr = resumed["model"].param_arrays()
         for k in pf:
             assert pf[k].tobytes() == pr[k].tobytes(), k
+
+    def test_stage_checkpoints_interleave_with_step_checkpoints(self, corpus, tmp_path):
+        triplets, _ = corpus
+        cfg = self._config(high_res_steps=3, checkpoint_every=2)
+        out = run_two_stage_training(triplets, cfg, tmp_path / "run")
+        assert list(out["checkpoints"]) == ["step-2", "stage1", "step-4", "stage2", "step-6", "step-8", "final"]
+
+    @pytest.mark.parametrize("ckpt", ["stage1", "step-6"])
+    def test_resume_at_stage_boundary_and_inside_high_res_bit_exact(self, corpus, tmp_path, ckpt):
+        triplets, _ = corpus
+        cfg = self._config(high_res_steps=3, checkpoint_every=2)
+        full = run_two_stage_training(triplets, cfg, tmp_path / "full")
+        resumed = run_two_stage_training(triplets, cfg, tmp_path / "resumed", resume_from=full["checkpoints"][ckpt])
+        pf = full["model"].param_arrays()
+        pr = resumed["model"].param_arrays()
+        for k in pf:
+            assert pf[k].tobytes() == pr[k].tobytes(), k
+
+    def test_high_res_without_stage2_draws_the_stage2_stream_from_its_start(self, corpus, tmp_path, monkeypatch):
+        triplets, _ = corpus
+        drawn = []
+        original = loop.prepare_batch
+
+        def recording(batch, *args, image_size=None):
+            drawn.append(([t.id for t in batch], image_size))
+            return original(batch, *args, image_size=image_size)
+
+        monkeypatch.setattr(loop, "prepare_batch", recording)
+        cfg = self._config(stage2_steps=0, high_res_steps=4)
+        out = run_two_stage_training(triplets, cfg, tmp_path / "run")
+        assert "stage2" not in out["checkpoints"]
+        stream = make_stage_stream(triplets, 2, cfg.seed, cfg.batch_size)
+        assert stream.batches_per_epoch == 3  # so the fourth batch opens epoch 1
+        expected = [stream.epoch_batches(i // 3)[i % 3] for i in range(4)]
+        assert drawn[3:] == [([t.id for t in b], 32) for b in expected]
 
     def test_resume_rejects_config_drift_but_allows_step_counts(self, corpus, tmp_path):
         triplets, _ = corpus
