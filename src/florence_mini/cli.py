@@ -51,6 +51,7 @@ from .evaluation import (
 )
 from .experiments import duplicate_caption_advantage
 from .numerics.container import save_checkpoint
+from .numerics.precision import PRECISION_MODES
 from .trainer import (
     TrainConfig,
     activation_profile,
@@ -167,7 +168,7 @@ TRAIN_FLAGS = {
     "batch_size": {"type": int},
     "chunk_size": {"type": int},
     "zero_workers": {"type": int},
-    "precision": {"choices": ["full", "half-emulated"]},
+    "precision": {"choices": PRECISION_MODES},
     "stage1_steps": {"type": int},
     "stage2_steps": {"type": int},
     "high_res_steps": {"type": int},

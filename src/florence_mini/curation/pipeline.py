@@ -83,11 +83,7 @@ def augment_prompt(
     return templates[idx].format(word)
 
 
-def apply_prompt_augmentation(
-    triplets: list[Triplet],
-    seed: int,
-    templates=DEFAULT_PROMPT_TEMPLATES,
-) -> list[Triplet]:
+def apply_prompt_augmentation(triplets: list[Triplet], seed: int) -> list[Triplet]:
     """Template short descriptions (kept label, augmented flag set).
 
     Labels stay keyed to the original description, so images sharing one
@@ -101,7 +97,7 @@ def apply_prompt_augmentation(
                 Triplet(
                     id=t.id,
                     image_path=t.image_path,
-                    text=augment_prompt(t.text, rng, templates),
+                    text=augment_prompt(t.text, rng),
                     label=t.label,
                     augmented=True,
                 )
@@ -179,7 +175,6 @@ def curate(
     dedup_threshold: int = 5,
     min_side: int = 16,
     seed: int = 0,
-    templates=DEFAULT_PROMPT_TEMPLATES,
     case_fold: bool = False,
 ) -> CurationResult:
     """Full curation pass: dedup, size filter, labels, prompt augmentation.
@@ -190,7 +185,7 @@ def curate(
     survivors = filter_small_images(survivors, min_side=min_side)
     n_after_size = len(survivors)
     table, triplets = build_text_hash_table(survivors, case_fold=case_fold)
-    triplets = apply_prompt_augmentation(triplets, seed=seed, templates=templates)
+    triplets = apply_prompt_augmentation(triplets, seed=seed)
     return CurationResult(
         triplets=triplets,
         hash_table=table,

@@ -35,13 +35,13 @@ def class_names(num_classes: int) -> list[str]:
     return names
 
 
-def class_prototype(class_idx: int, image_side: int, seed: int, channels: int = 3) -> np.ndarray:
-    """Deterministic per-class texture prototype in [0.05, 0.95]."""
+def class_prototype(class_idx: int, image_side: int, seed: int) -> np.ndarray:
+    """Deterministic per-class RGB texture prototype in [0.05, 0.95]."""
     rng = np.random.default_rng([seed, class_idx, 0x9201])
     yy, xx = np.meshgrid(np.arange(image_side), np.arange(image_side), indexing="ij")
-    img = np.zeros((image_side, image_side, channels))
-    base = rng.uniform(0.25, 0.75, size=channels)
-    for c in range(channels):
+    img = np.zeros((image_side, image_side, 3))
+    base = rng.uniform(0.25, 0.75, size=3)
+    for c in range(3):
         fx, fy = rng.uniform(0.5, 3.0, size=2)
         phase = rng.uniform(0, 2 * np.pi)
         wave = np.sin(2 * np.pi * (fx * xx + fy * yy) / image_side + phase)
@@ -57,7 +57,6 @@ def generate_synthetic_dataset(
     seed: int = 0,
     noise_sigma: float = 0.05,
     word_caption_fraction: float = 0.5,
-    channels: int = 3,
 ) -> tuple[list[RawRecord], list[str]]:
     """Write container images under out_dir/images and return the records."""
     names = class_names(num_classes)
@@ -68,7 +67,7 @@ def generate_synthetic_dataset(
     records: list[RawRecord] = []
     n_word_captions = int(round(per_class * word_caption_fraction))
     for ci, word in enumerate(names):
-        proto = class_prototype(ci, image_side, seed, channels)
+        proto = class_prototype(ci, image_side, seed)
         for k in range(per_class):
             rng = np.random.default_rng([seed, ci, k, 0x5A11])
             img = proto
@@ -76,7 +75,7 @@ def generate_synthetic_dataset(
                 # white pixel noise plus a block-scale component; the latter
                 # survives 8x8 cell averaging so same-class samples do not
                 # collapse to one perceptual hash
-                blocks = rng.normal(size=(8, 8, channels)) * (2.0 * noise_sigma)
+                blocks = rng.normal(size=(8, 8, 3)) * (2.0 * noise_sigma)
                 up = (np.arange(image_side) * 8) // image_side
                 img = np.clip(
                     proto + blocks[up][:, up] + noise_sigma * rng.normal(size=proto.shape),

@@ -41,13 +41,13 @@ class Vocabulary:
         return Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens), max_len=max_len)
 
 
-def build_vocabulary(texts, max_len: int = 76, min_count: int = 1) -> Vocabulary:
+def build_vocabulary(texts, max_len: int = 76) -> Vocabulary:
     """Corpus vocabulary ordered by (count desc, token asc) after reserved ids."""
     counts: dict[str, int] = {}
     for text in texts:
         for tok in split_words(text):
             counts[tok] = counts.get(tok, 0) + 1
-    ordered = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
+    ordered = sorted(counts, key=lambda t: (-counts[t], t))
     id_to_token = list(RESERVED) + ordered
     return Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token, max_len=max_len)
 

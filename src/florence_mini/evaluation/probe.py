@@ -15,7 +15,6 @@ from ..numerics.tensor import Tensor, evaluate_and_backward
 class ProbeConfig:
     epochs: int = 100
     lr: float = 0.05
-    weight_decay: float = 0.0
     holdout_fraction: float = 0.25
     seed: int = 0
 
@@ -61,7 +60,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, config: ProbeConfig =
     w = Tensor(np.zeros((d, n_classes)), requires_grad=True, name="probe.w")
     b = Tensor(np.zeros(n_classes), requires_grad=True, name="probe.b")
     params = {"probe.w": w.data, "probe.b": b.data}
-    state = init_optimizer_state(params, lr=config.lr, weight_decay=config.weight_decay)
+    state = init_optimizer_state(params, lr=config.lr, weight_decay=0.0)
     xt = Tensor(x_train)
     for _ in range(config.epochs):
         loss = _cross_entropy(xt, w, b, onehot)

@@ -12,8 +12,8 @@ import numpy as np
 class OptimizerState:
     """Per-parameter moments and the shared hyperparameters.
 
-    Defaults for the betas, eps and decay follow common decoupled-decay
-    practice; every one of them is overridable through TrainConfig.
+    The betas, eps and decay are the common decoupled-decay defaults, and
+    training always uses them; only the linear probe sets its own decay (0).
     """
 
     lr: float
@@ -26,24 +26,16 @@ class OptimizerState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def init_optimizer_state(
-    params: dict[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    weight_decay: float = 0.05,
-) -> OptimizerState:
+def init_optimizer_state(params: dict[str, np.ndarray], lr: float, **hyper) -> OptimizerState:
+    """Zero moments for ``params``; ``hyper`` overrides OptimizerState's
+    beta1, beta2, eps or weight_decay."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     return OptimizerState(
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        weight_decay=weight_decay,
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
+        **hyper,
     )
 
 

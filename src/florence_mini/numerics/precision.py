@@ -21,23 +21,25 @@ HALF_MAX = 65504.0
 
 ALWAYS_STABLE_OPS = frozenset({"layer_norm", "softmax", "l2_normalize"})
 
+PRECISION_MODES = ("full", "half-emulated")
+
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    mode: str = "full"  # "full" | "emulated-half"
+    mode: str = "full"  # one of PRECISION_MODES
     stable_ops: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if self.mode not in ("full", "emulated-half"):
+        if self.mode not in PRECISION_MODES:
             raise ValueError(f"unknown precision mode {self.mode!r}")
         object.__setattr__(self, "stable_ops", frozenset(self.stable_ops) | ALWAYS_STABLE_OPS)
 
     def quantizes(self, op: str) -> bool:
-        return self.mode == "emulated-half" and op not in self.stable_ops
+        return self.mode == "half-emulated" and op not in self.stable_ops
 
 
 FULL_PRECISION = PrecisionPolicy(mode="full")
-EMULATED_HALF = PrecisionPolicy(mode="emulated-half")
+EMULATED_HALF = PrecisionPolicy(mode="half-emulated")
 
 _current_policy = FULL_PRECISION
 

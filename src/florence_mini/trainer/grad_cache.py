@@ -26,13 +26,12 @@ def monolithic_gradients(
     images: np.ndarray,
     ids: np.ndarray,
     labels: np.ndarray,
-    mean_reduction: bool = False,
     block_wrapper: Callable | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Single recorded forward over the whole batch, one backward sweep."""
     u = model.encode_image(images, block_wrapper=block_wrapper)
     v = model.encode_text(ids)
-    loss = unicl_loss_op(u, v, model.tau_param, labels, mean_reduction=mean_reduction)
+    loss = unicl_loss_op(u, v, model.tau_param, labels)
     g = evaluate_and_backward(loss)
     grads = {name: g[name] for name in model.params if name in g}
     return float(loss.data), grads
@@ -44,7 +43,6 @@ def gradient_cache_gradients(
     ids: np.ndarray,
     labels: np.ndarray,
     chunk_size: int,
-    mean_reduction: bool = False,
     block_wrapper: Callable | None = None,
     debug_guard: bool = True,
 ) -> tuple[float, dict[str, np.ndarray]]:
@@ -67,14 +65,15 @@ def gradient_cache_gradients(
     v_full = np.concatenate(v_parts, axis=0)
 
     # pass 2: embedding-level loss gradient over the full batch
-    res = unicl_loss_arrays(u_full, v_full, labels, float(model.tau_param.data), mean_reduction)
+    res = unicl_loss_arrays(u_full, v_full, labels, float(model.tau_param.data))
 
     # pass 3: the last chunk backpropagates from its pass-1 tape; the others
     # re-forward with recording and the embedding gradients injected. The
     # fold keeps chunk order, ((g0 + g1) + g2) + g3, whichever ran first.
     last = backward_from([u_c, v_c], [res.grad_u[-chunk_size:], res.grad_v[-chunk_size:]])
     del u_c, v_c
-    grads: dict[str, np.ndarray] = {"tau_param": np.asarray(res.grad_tau_param)}
+    # the closed form runs in float64; tau's gradient takes the model's dtype
+    grads: dict[str, np.ndarray] = {"tau_param": np.asarray(res.grad_tau_param, dtype=model.tau_param.data.dtype)}
     for c in range(n_chunks):
         rows = slice(c * chunk_size, (c + 1) * chunk_size)
         if c == n_chunks - 1:

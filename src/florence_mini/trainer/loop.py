@@ -16,7 +16,7 @@ from ..encoders.model import TwoTowerModel
 from ..encoders.vocab import Vocabulary, build_vocabulary, tokenize_batch
 from ..numerics.container import load_checkpoint, save_checkpoint
 from ..numerics.optim import OptimizerState, cosine_lr, init_optimizer_state
-from ..numerics.precision import EMULATED_HALF, FULL_PRECISION, precision_policy
+from ..numerics.precision import PRECISION_MODES, PrecisionPolicy, precision_policy
 from ..numerics.tensor import activation_meter
 from .checkpointing import checkpointed
 from .grad_cache import gradient_cache_gradients, monolithic_gradients
@@ -33,7 +33,8 @@ class TrainConfig:
 
     Defaults keep the web-scale stage shape (long mixed pretrain, shorter
     clean continuation, brief high-resolution finish) at desk-size step and
-    batch counts.
+    batch counts. The loss is summed over the batch and AdamW keeps
+    OptimizerState's betas, eps and weight decay; neither is a setting.
     """
 
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -46,16 +47,11 @@ class TrainConfig:
     peak_lr: float = 2e-3
     warmup_steps: int = 50
     total_steps: int | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.05
     seed: int = 0
     zero_workers: int = 1
     activation_checkpointing: bool = False
-    precision: str = "full"  # "full" | "half-emulated"
+    precision: str = "full"  # one of PRECISION_MODES
     objective: str = "unicl"  # "unicl" | "infonce"
-    mean_reduction: bool = False
     holdout_fraction: float = 0.2
     checkpoint_every: int = 0
 
@@ -70,7 +66,7 @@ class TrainConfig:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if min(self.stage1_steps, self.stage2_steps, self.high_res_steps) < 0:
             raise ValueError("stage step counts must be >= 0")
-        if self.precision not in ("full", "half-emulated"):
+        if self.precision not in PRECISION_MODES:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.objective not in ("unicl", "infonce"):
             raise ValueError(f"unknown objective {self.objective!r}")
@@ -104,9 +100,6 @@ class TrainConfig:
         if "model" in d and isinstance(d["model"], dict):
             d["model"] = ModelConfig.from_dict(d["model"])
         return TrainConfig(**d)
-
-    def precision_policy(self):
-        return EMULATED_HALF if self.precision == "half-emulated" else FULL_PRECISION
 
 
 def prepare_batch(
@@ -143,16 +136,10 @@ def effective_labels(labels: np.ndarray, objective: str) -> np.ndarray:
 
 def compute_gradients(model: TwoTowerModel, images, ids, labels, config: TrainConfig):
     wrapper = checkpointed if config.activation_checkpointing else None
-    with precision_policy(config.precision_policy()):
+    with precision_policy(PrecisionPolicy(mode=config.precision)):
         if config.chunk_size < images.shape[0]:
-            return gradient_cache_gradients(
-                model, images, ids, labels, config.chunk_size,
-                mean_reduction=config.mean_reduction, block_wrapper=wrapper,
-            )
-        return monolithic_gradients(
-            model, images, ids, labels,
-            mean_reduction=config.mean_reduction, block_wrapper=wrapper,
-        )
+            return gradient_cache_gradients(model, images, ids, labels, config.chunk_size, block_wrapper=wrapper)
+        return monolithic_gradients(model, images, ids, labels, block_wrapper=wrapper)
 
 
 def train_step(
@@ -223,18 +210,12 @@ def _flat_config(config: TrainConfig) -> dict:
     return d
 
 
-def _init_optimizer(params, config: TrainConfig) -> OptimizerState:
-    return init_optimizer_state(
-        params, lr=config.peak_lr, beta1=config.beta1, beta2=config.beta2,
-        eps=config.eps, weight_decay=config.weight_decay,
-    )
-
-
 def load_train_checkpoint(path, config: TrainConfig):
     """Rebuild (model, optimizer state, step) from a checkpoint directory.
 
     Rejects a ``config`` that differs from the checkpoint's stored
-    ``train_config`` in any field outside RESUMABLE_KEYS.
+    ``train_config`` in any field outside RESUMABLE_KEYS, and one whose
+    planned steps end before the checkpoint's step.
     """
     tensors, manifest = load_checkpoint(path)
     stored, given = _flat_config(TrainConfig.from_dict(manifest["train_config"])), _flat_config(config)
@@ -245,15 +226,18 @@ def load_train_checkpoint(path, config: TrainConfig):
     ]
     if drift:
         raise ValueError(f"resume config differs from the checkpoint's train_config: {', '.join(drift)}")
+    if manifest["step"] > config.planned_steps:
+        raise ValueError(f"checkpoint step {manifest['step']} is past the run's planned_steps {config.planned_steps}")
     vocab = Vocabulary.from_list(manifest["vocab"], max_len=config.model.max_len)
     model = TwoTowerModel.create(config.model, vocab, seed=config.seed)
     params = {k: v for k, v in tensors.items() if not k.startswith("__opt_")}
     model.load_arrays(params)
-    state = _init_optimizer(params, config)
-    state.step = manifest["optimizer_step"]
-    for k in params:
-        state.m[k] = tensors[f"__opt_m__.{k}"]
-        state.v[k] = tensors[f"__opt_v__.{k}"]
+    state = OptimizerState(
+        lr=config.peak_lr,
+        step=manifest["optimizer_step"],
+        m={k: tensors[f"__opt_m__.{k}"] for k in params},
+        v={k: tensors[f"__opt_v__.{k}"] for k in params},
+    )
     return model, state, manifest["step"]
 
 
@@ -279,7 +263,7 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
     else:
         vocab = build_vocabulary([t.text for t in triplets], max_len=config.model.max_len)
         model = TwoTowerModel.create(config.model, vocab, seed=config.seed)
-        state = _init_optimizer(model.param_arrays(), config)
+        state = init_optimizer_state(model.param_arrays(), lr=config.peak_lr)
         start_step = 0
 
     opt_states: object = state

@@ -25,10 +25,8 @@ def partition_parameters(names, workers: int) -> list[list[str]]:
     return shards
 
 
-def init_zero_states(
-    params: dict[str, np.ndarray], workers: int, lr: float, **hyper
-) -> list[OptimizerState]:
-    return split_zero_state(init_optimizer_state(params, lr=lr, **hyper), params, workers)
+def init_zero_states(params: dict[str, np.ndarray], workers: int, lr: float) -> list[OptimizerState]:
+    return split_zero_state(init_optimizer_state(params, lr=lr), params, workers)
 
 
 @dataclass

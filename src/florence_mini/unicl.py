@@ -3,7 +3,9 @@
 Every pair sharing a label is treated as positive in both directions
 (image-to-text and text-to-image); denominators run over the whole batch
 including self. Temperature enters only through the similarity products and
-is parametrized as tau = exp(s) so it stays positive by construction.
+is parametrized as tau = exp(s) so it stays positive by construction. The
+loss is the plain sum of both directions over the batch, with no mean
+reduction.
 
 The loss and its gradients with respect to the embeddings and the
 temperature parameter are closed-form; ``unicl_loss_op`` adapts them onto
@@ -83,29 +85,19 @@ def _log_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
 
 
-def unicl_loss(batch: EmbeddingBatch, mean_reduction: bool = False) -> UniCLLossResult:
-    """Bidirectional supervised contrastive loss and its gradients.
-
-    Reduction is the plain sum over the batch; ``mean_reduction`` divides
-    loss and gradients by the batch size for schedule-friendly magnitudes
-    (off by default).
-    """
-    return unicl_loss_arrays(batch.u, batch.v, batch.y, batch.tau_param, mean_reduction)
+def unicl_loss(batch: EmbeddingBatch) -> UniCLLossResult:
+    """Bidirectional supervised contrastive loss and its gradients, summed
+    over the batch."""
+    return unicl_loss_arrays(batch.u, batch.v, batch.y, batch.tau_param)
 
 
-def unicl_loss_arrays(
-    u: np.ndarray,
-    v: np.ndarray,
-    y: np.ndarray,
-    tau_param: float,
-    mean_reduction: bool = False,
-) -> UniCLLossResult:
-    """Core loss math on raw arrays; callers own the unit-norm contract."""
+def unicl_loss_arrays(u: np.ndarray, v: np.ndarray, y: np.ndarray, tau_param: float) -> UniCLLossResult:
+    """Core loss math on raw arrays, summed over the batch; callers own the
+    unit-norm contract."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     y = np.asarray(y)
-    n = u.shape[0]
-    if n < 2:
+    if u.shape[0] < 2:
         raise ValueError("contrastive batch needs at least 2 items")
     tau = float(np.exp(tau_param))
     scores = tau * (u @ v.T)
@@ -126,25 +118,19 @@ def unicl_loss_arrays(
     grad_u = tau * (d_scores @ v)
     grad_v = tau * (d_scores.T @ u)
     grad_tau_param = float((d_scores * scores).sum())  # d scores / d s = scores
-
-    if mean_reduction:
-        loss /= n
-        grad_u = grad_u / n
-        grad_v = grad_v / n
-        grad_tau_param /= n
     return UniCLLossResult(float(loss), grad_u, grad_v, grad_tau_param)
 
 
 OP_NORM_TOL = 1e-4  # looser than the batch contract so eps-scale FD probes pass
 
 
-def unicl_loss_op(u: Tensor, v: Tensor, tau_param: Tensor, y: np.ndarray, mean_reduction: bool = False) -> Tensor:
+def unicl_loss_op(u: Tensor, v: Tensor, tau_param: Tensor, y: np.ndarray) -> Tensor:
     """Tape-integrated UniCL loss: one scalar node backed by the closed form."""
     for name, m in (("u", u.data), ("v", v.data)):
         norms = np.linalg.norm(m, axis=-1)
         if np.abs(norms - 1.0).max() > OP_NORM_TOL:
             raise ValueError(f"{name} rows must be unit-norm within {OP_NORM_TOL}")
-    res = unicl_loss_arrays(u.data, v.data, y, float(tau_param.data), mean_reduction=mean_reduction)
+    res = unicl_loss_arrays(u.data, v.data, y, float(tau_param.data))
     out = np.array(res.loss)
     if grad_enabled() and any(t.requires_grad or t.node is not None for t in (u, v, tau_param)):
 

@@ -210,7 +210,7 @@ class TestLinear:
     POLICIES = (
         FULL_PRECISION,
         EMULATED_HALF,
-        PrecisionPolicy(mode="emulated-half", stable_ops=frozenset({"matmul"})),
+        PrecisionPolicy(mode="half-emulated", stable_ops=frozenset({"matmul"})),
     )
 
     @staticmethod

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ import pytest
 from florence_mini.cli import dispatch, main, parse_config
 from florence_mini.encoders import TwoTowerModel
 from florence_mini.numerics import load_checkpoint
+from florence_mini.trainer import TrainConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _sha(path):
@@ -40,16 +45,23 @@ class TestParseConfig:
             parse_config(None, {"batch_size": 8, "chunk_size": 3})
 
     def test_unknown_keys_rejected_with_names(self, tmp_path):
+        """A typo, and each setting TrainConfig no longer has, is named."""
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"learning_rate_typo": 1.0}))
-        with pytest.raises(ValueError, match="learning_rate_typo"):
-            parse_config(str(p), {})
+        for key in ("learning_rate_typo", "mean_reduction", "beta1", "beta2", "eps", "weight_decay"):
+            p.write_text(json.dumps({key: 1.0}))
+            with pytest.raises(ValueError, match=f"unknown train config keys: \\['{key}'\\]"):
+                parse_config(str(p), {})
 
     def test_unknown_nested_model_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": {"n_heads": 4}}))
         with pytest.raises(ValueError, match="n_heads"):
             parse_config(str(p), {})
+
+    def test_readme_train_config_block_is_the_defaults(self):
+        section = README.read_text().split("## Train config", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert json.loads(block) == json.loads(json.dumps(TrainConfig().to_dict()))
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +367,23 @@ class TestPipelineCommands:
         assert code == 2
         assert f"high_res_size {size}" in capsys.readouterr().err
         assert not (tmp_path / "run/metrics.jsonl").exists()
+
+    def test_train_rejects_a_resume_past_its_planned_steps(self, pipeline, tmp_path, capsys):
+        """Resuming a 3/2/3-step run from ckpt-step-6 with no high-res phase
+        (5 planned steps) exits 2 and leaves the run's files as they were."""
+        run = tmp_path / "run"
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(run),
+                "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
+                "--warmup-steps", "1", "--checkpoint-every", "2", "--seed", "3"]
+        assert dispatch("train", [*argv, "--high-res-steps", "3"]) == 0
+        kept = [run / "metrics.jsonl", *sorted((run / "ckpt-final").iterdir())]
+        before = [p.read_bytes() for p in kept]
+        capsys.readouterr()
+        code = dispatch("train", [*argv, "--high-res-steps", "0", "--resume", str(run / "ckpt-step-6")])
+        assert code == 2
+        assert "checkpoint step 6 is past the run's planned_steps 5" in capsys.readouterr().err
+        assert [p.read_bytes() for p in kept] == before
+        assert sorted((run / "ckpt-final").iterdir()) == kept[1:]
 
     def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):
         """Two classes of 32 leave stage 2 (augmented records excluded) short

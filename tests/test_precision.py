@@ -57,7 +57,7 @@ def test_dtype_preserved():
 
 class TestPolicy:
     def test_stable_ops_always_include_normalizations(self):
-        p = PrecisionPolicy(mode="emulated-half", stable_ops=frozenset({"matmul"}))
+        p = PrecisionPolicy(mode="half-emulated", stable_ops=frozenset({"matmul"}))
         assert "layer_norm" in p.stable_ops
         assert "softmax" in p.stable_ops
 

@@ -92,6 +92,22 @@ class TestGradientCache:
         with pytest.raises(ValueError, match="divide"):
             gradient_cache_gradients(model, images, ids, labels, chunk_size=3)
 
+    def test_float32_model_gets_float32_gradients(self, corpus):
+        """Chunked, every gradient of a float32 model is float32, tau's too;
+        at chunk = batch the gradient cache equals the monolithic bytes."""
+        triplets, _ = corpus
+        vocab = build_vocabulary([t.text for t in triplets])
+        model = TwoTowerModel.create(replace(SMALL_MODEL, dtype="float32"), vocab, seed=1)
+        images, ids, labels, _ = prepare_batch(triplets[:4], vocab, "float32")
+        _, chunked = gradient_cache_gradients(model, images, ids, labels, chunk_size=2)
+        assert {k: g.dtype.name for k, g in chunked.items()} == {k: "float32" for k in model.params}
+        loss, ref = monolithic_gradients(model, images, ids, labels)
+        loss_gc, grads = gradient_cache_gradients(model, images, ids, labels, chunk_size=4)
+        assert loss_gc == loss
+        assert set(grads) == set(ref)
+        for k in ref:
+            assert grads[k].tobytes() == ref[k].tobytes(), k
+
     def test_embedding_drift_guard(self, small_setup):
         """A non-deterministic encoder must trip the pass-1/pass-3 equality check."""
         model, images, ids, labels, _ = small_setup
@@ -126,7 +142,7 @@ def three_pass_gradients(model, images, ids, labels, chunk_size, block_wrapper=N
     with no_grad():
         u_full = np.concatenate([model.encode_image(images[r], block_wrapper=block_wrapper).data for r in chunks])
         v_full = np.concatenate([model.encode_text(ids[r]).data for r in chunks])
-    res = unicl_loss_arrays(u_full, v_full, labels, float(model.tau_param.data), False)
+    res = unicl_loss_arrays(u_full, v_full, labels, float(model.tau_param.data))
     grads = {"tau_param": np.asarray(res.grad_tau_param)}
     for r in chunks:
         u_c = model.encode_image(images[r], block_wrapper=block_wrapper)

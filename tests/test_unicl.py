@@ -157,16 +157,6 @@ class TestProperties:
         after = unicl_loss(EmbeddingBatch(u2, v, y, 0.0)).loss
         assert after < before
 
-    def test_mean_reduction_scales_by_batch(self):
-        rng = np.random.default_rng(6)
-        u = random_unit_rows(rng, 4, 3)
-        v = random_unit_rows(rng, 4, 3)
-        y = np.array([0, 0, 1, 1])
-        b = EmbeddingBatch(u, v, y, 0.0)
-        assert unicl_loss(b, mean_reduction=True).loss == pytest.approx(
-            unicl_loss(b).loss / 4, rel=1e-15
-        )
-
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             EmbeddingBatch(np.array([[1.0]]), np.array([[1.0]]), np.array([0]), 0.0)
