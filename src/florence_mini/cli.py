@@ -50,6 +50,7 @@ from .evaluation import (
     zero_shot_classify_batch,
 )
 from .experiments import duplicate_caption_advantage
+from .jsonl import write_jsonl
 from .numerics.container import save_checkpoint
 from .numerics.precision import PRECISION_MODES
 from .trainer import (
@@ -120,8 +121,18 @@ def run_command(args) -> int:
     """
     t0 = time.perf_counter()
     out = Path(args.out)
+    created = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     out.mkdir(parents=True, exist_ok=True)
-    inputs, artifacts, message, *resolved = args.fn(args, out)
+    try:
+        inputs, artifacts, message, *resolved = args.fn(args, out)
+    except BaseException:
+        # a refused command removes the directories it made for --out while
+        # they are empty, and never one that was there before it ran
+        for d in created:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     config, seed = resolved or (vars(args) | {"out": str(out)}, args.seed)
     command = f"eval {args.eval_command}" if args.command == "eval" else args.command
     write_run_manifest(out, command, config, seed, inputs, artifacts, time.perf_counter() - t0)
@@ -268,19 +279,18 @@ def cmd_eval_regions(args, out):
     class_names = _class_names(args)
     boxes = read_boxes_jsonl(args.boxes)
     rankings = classify_regions(model, load_image(args.image), boxes, build_prompt_sets(model, class_names))
-    with open(out / "region_labels.jsonl", "w") as fh:
-        for box, ranked in zip(boxes, rankings):
-            fh.write(
-                json.dumps(
-                    {
-                        "image_id": box.image_id,
-                        "box": [box.x0, box.y0, box.x1, box.y1],
-                        "ranked_classes": [class_names[c] for c, _ in ranked],
-                        "scores": [s for _, s in ranked],
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(
+        out / "region_labels.jsonl",
+        (
+            {
+                "image_id": box.image_id,
+                "box": [box.x0, box.y0, box.x1, box.y1],
+                "ranked_classes": [class_names[c] for c, _ in ranked],
+                "scores": [s for _, s in ranked],
+            }
+            for box, ranked in zip(boxes, rankings)
+        ),
+    )
     return [args.boxes, args.image], [out / "region_labels.jsonl"], f"regions: labeled {len(boxes)} boxes"
 
 

@@ -8,11 +8,11 @@ occurrence in input order always survives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..jsonl import write_jsonl
 from .records import RawRecord, load_image
 
 HASH_BITS = 64
@@ -56,9 +56,7 @@ class RemovalReport:
 
 
 def dedup_near_duplicates(
-    records: list[RawRecord],
-    hamming_threshold: int = 5,
-    loader: Callable[[str], np.ndarray] = load_image,
+    records: list[RawRecord], hamming_threshold: int = 5
 ) -> tuple[list[RawRecord], list[RemovalReport]]:
     """Greedy first-keeps-win dedup by average-hash Hamming distance."""
     if not 0 <= hamming_threshold <= HASH_BITS:
@@ -67,7 +65,7 @@ def dedup_near_duplicates(
     kept_hashes: list[int] = []
     reports: list[RemovalReport] = []
     for rec in records:
-        h = average_hash(loader(rec.image_path))
+        h = average_hash(load_image(rec.image_path))
         duplicate_of = None
         for prev, ph in zip(kept, kept_hashes):
             d = hamming_distance(h, ph)
@@ -84,13 +82,4 @@ def dedup_near_duplicates(
 
 
 def write_removal_report_jsonl(path, reports: list[RemovalReport]) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        for r in reports:
-            fh.write(
-                json.dumps(
-                    {"removed_id": r.removed_id, "kept_id": r.kept_id, "hamming_distance": r.hamming_distance}
-                )
-                + "\n"
-            )
+    write_jsonl(path, map(asdict, reports))

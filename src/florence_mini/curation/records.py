@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..imaging import resize_bilinear
+from ..jsonl import read_jsonl, write_jsonl
 from ..numerics.container import read_tensor_file, read_tensor_header
 
 
@@ -76,65 +76,49 @@ def _resolve_image(image: str, jsonl_path) -> str:
 
 
 def write_records_jsonl(path, records: list[RawRecord]) -> None:
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(
-                json.dumps(
-                    {"id": r.id, "image": _relative_image(r.image_path, path), "text": r.text, "source": r.source}
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {"id": r.id, "image": _relative_image(r.image_path, path), "text": r.text, "source": r.source}
+            for r in records
+        ),
+    )
 
 
 def read_records_jsonl(path) -> list[RawRecord]:
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            records.append(
-                RawRecord(
-                    id=d["id"], image_path=_resolve_image(d["image"], path), text=d["text"], source=d.get("source", "")
-                )
-            )
-    return records
+    return [
+        RawRecord(id=d["id"], image_path=_resolve_image(d["image"], path), text=d["text"], source=d.get("source", ""))
+        for d in read_jsonl(path)
+    ]
 
 
 def write_triplets_jsonl(path, triplets: list[Triplet]) -> None:
-    with open(path, "w") as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": t.id,
-                        "image": _relative_image(t.image_path, path),
-                        "text": t.text,
-                        "label": t.label,
-                        "augmented": t.augmented,
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(
+        path,
+        (
+            {
+                "id": t.id,
+                "image": _relative_image(t.image_path, path),
+                "text": t.text,
+                "label": t.label,
+                "augmented": t.augmented,
+            }
+            for t in triplets
+        ),
+    )
 
 
 def read_triplets_jsonl(path) -> list[Triplet]:
-    triplets = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            triplets.append(
-                Triplet(
-                    id=d["id"],
-                    image_path=_resolve_image(d["image"], path),
-                    text=d["text"],
-                    label=d["label"],
-                    augmented=d["augmented"],
-                )
-            )
-    return triplets
+    return [
+        Triplet(
+            id=d["id"],
+            image_path=_resolve_image(d["image"], path),
+            text=d["text"],
+            label=d["label"],
+            augmented=d["augmented"],
+        )
+        for d in read_jsonl(path)
+    ]
 
 
 def class_of_record(record: RawRecord) -> int | None:

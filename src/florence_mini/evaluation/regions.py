@@ -3,12 +3,12 @@ classification of every crop (proposal generation stays out of scope)."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..imaging import crop_box, resize_bilinear
+from ..jsonl import read_jsonl, write_jsonl
 from .zero_shot import class_scores, rank_scores
 
 
@@ -22,21 +22,11 @@ class Box:
 
 
 def read_boxes_jsonl(path) -> list[Box]:
-    boxes = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                d = json.loads(line)
-                boxes.append(Box(d["image_id"], d["x0"], d["y0"], d["x1"], d["y1"]))
-    return boxes
+    return [Box(d["image_id"], d["x0"], d["y0"], d["x1"], d["y1"]) for d in read_jsonl(path)]
 
 
 def write_boxes_jsonl(path, boxes: list[Box]) -> None:
-    with open(path, "w") as fh:
-        for b in boxes:
-            fh.write(
-                json.dumps({"image_id": b.image_id, "x0": b.x0, "y0": b.y0, "x1": b.x1, "y1": b.y1}) + "\n"
-            )
+    write_jsonl(path, map(asdict, boxes))
 
 
 def classify_regions(model, image: np.ndarray, boxes, prompt_sets) -> list[list[tuple[int, float]]]:

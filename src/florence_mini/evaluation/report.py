@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
+
+from ..jsonl import read_jsonl, write_jsonl
 
 
 @dataclass
@@ -21,14 +22,8 @@ class EvalReport:
 
 
 def append_report_jsonl(path, report: EvalReport) -> None:
-    with open(path, "a") as fh:
-        fh.write(json.dumps(asdict(report)) + "\n")
+    write_jsonl(path, [asdict(report)], mode="a")
 
 
 def read_reports_jsonl(path) -> list[EvalReport]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                out.append(EvalReport(**json.loads(line)))
-    return out
+    return [EvalReport(**d) for d in read_jsonl(path)]

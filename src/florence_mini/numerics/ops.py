@@ -183,7 +183,7 @@ def transpose(a: Tensor, axes) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a: Tensor, axis=None) -> Tensor:
     _check_float(a, "sum")
     shape = a.shape
     norm_axis = axis if axis is None else (tuple(axis) if isinstance(axis, (tuple, list)) else (axis,))
@@ -191,15 +191,12 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g, saved):
         if norm_axis is None:
             return (np.broadcast_to(g, shape).copy(),)
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(g, norm_axis)
-        return (np.broadcast_to(gg, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, norm_axis), shape).copy(),)
 
-    return _result("sum", a.data.sum(axis=norm_axis, keepdims=keepdims), (a,), (), backward)
+    return _result("sum", a.data.sum(axis=norm_axis), (a,), (), backward)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a: Tensor, axis=None) -> Tensor:
     shape = a.shape
     if axis is None:
         n = a.size
@@ -208,7 +205,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         n = 1
         for ax in axes:
             n *= shape[ax]
-    return scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return scale(tensor_sum(a, axis=axis), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------

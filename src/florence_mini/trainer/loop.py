@@ -218,7 +218,11 @@ def load_train_checkpoint(path, config: TrainConfig):
     planned steps end before the checkpoint's step.
     """
     tensors, manifest = load_checkpoint(path)
-    stored, given = _flat_config(TrainConfig.from_dict(manifest["train_config"])), _flat_config(config)
+    try:
+        stored = _flat_config(TrainConfig.from_dict(manifest["train_config"]))
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: its stored train_config cannot be resumed: {exc}") from exc
+    given = _flat_config(config)
     drift = [
         f"{k} (checkpoint {stored[k]!r}, run {given[k]!r})"
         for k in given

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,25 @@ class TestPipelineCommands:
         assert "checkpoint step 6 is past the run's planned_steps 5" in capsys.readouterr().err
         assert [p.read_bytes() for p in kept] == before
         assert sorted((run / "ckpt-final").iterdir()) == kept[1:]
+
+    def test_refused_command_removes_only_the_out_it_created(self, pipeline, tmp_path):
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(tmp_path / "no-such-ckpt")]
+        assert dispatch("train", [*argv, "--out", str(tmp_path / "new/sub")]) == 2
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "old").mkdir()
+        assert dispatch("train", [*argv, "--out", str(tmp_path / "old")]) == 2
+        assert (tmp_path / "old").is_dir()
+
+    def test_resume_names_the_checkpoint_whose_train_config_is_stale(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline / "run/ckpt-final", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["train_config"]["beta1"] = 0.9
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(ckpt), "--out", str(tmp_path / "o")]
+        assert dispatch("train", argv) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {ckpt}: its stored train_config" in err and "['beta1']" in err
 
     def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):
         """Two classes of 32 leave stage 2 (augmented records excluded) short

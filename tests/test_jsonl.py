@@ -1,0 +1,153 @@
+"""JSONL artifacts: every reader skips blank lines, reports append, and each
+writer's bytes are `json.dumps(row) + "\\n"` per row, which pins key order."""
+
+import json
+
+import pytest
+
+from florence_mini.cli import dispatch
+from florence_mini.curation import (
+    RemovalReport,
+    generate_synthetic_dataset,
+    read_records_jsonl,
+    read_triplets_jsonl,
+    write_records_jsonl,
+    write_removal_report_jsonl,
+    write_triplets_jsonl,
+)
+from florence_mini.curation.records import Triplet
+from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
+from florence_mini.evaluation import (
+    Box,
+    EvalReport,
+    append_report_jsonl,
+    read_boxes_jsonl,
+    read_reports_jsonl,
+    write_boxes_jsonl,
+)
+from florence_mini.jsonl import read_jsonl
+from florence_mini.numerics.container import save_checkpoint
+
+
+def _lines(rows) -> str:
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    """Four synthetic records; their images sit under tmp_path/images."""
+    records, names = generate_synthetic_dataset(tmp_path, num_classes=2, per_class=2, seed=1)
+    triplets = [
+        Triplet(id=r.id, image_path=r.image_path, text=r.text, label=i % 2, augmented=i == 3)
+        for i, r in enumerate(records)
+    ]
+    return records, names, triplets
+
+
+REPORTS = [
+    EvalReport(task="zero_shot", metrics={"top1_acc": 0.5, "top5_acc": 1.0}, n=10, seed=3),
+    EvalReport(task="few_shot", metrics={"episode_acc": 0.25}, n=4, seed=0, ci95=0.125),
+]
+BOXES = [Box("img0", 0, 0, 4, 4), Box("img1", 2, 1, 8, 6)]
+
+
+class TestWriterBytes:
+    def test_records(self, tmp_path, corpus):
+        records, _, _ = corpus
+        write_records_jsonl(tmp_path / "records.jsonl", records)
+        rows = [
+            {"id": r.id, "image": f"images/{r.id}.bin", "text": r.text, "source": r.source} for r in records
+        ]
+        assert (tmp_path / "records.jsonl").read_text() == _lines(rows)
+
+    def test_triplets(self, tmp_path, corpus):
+        _, _, triplets = corpus
+        write_triplets_jsonl(tmp_path / "triplets.jsonl", triplets)
+        rows = [
+            {"id": t.id, "image": f"images/{t.id}.bin", "text": t.text, "label": t.label, "augmented": t.augmented}
+            for t in triplets
+        ]
+        assert (tmp_path / "triplets.jsonl").read_text() == _lines(rows)
+
+    def test_removals(self, tmp_path):
+        reports = [RemovalReport("b", "a", 3), RemovalReport("c", "a", 0)]
+        write_removal_report_jsonl(tmp_path / "removals.jsonl", reports)
+        rows = [
+            {"removed_id": "b", "kept_id": "a", "hamming_distance": 3},
+            {"removed_id": "c", "kept_id": "a", "hamming_distance": 0},
+        ]
+        assert (tmp_path / "removals.jsonl").read_text() == _lines(rows)
+
+    def test_boxes(self, tmp_path):
+        write_boxes_jsonl(tmp_path / "boxes.jsonl", BOXES)
+        rows = [
+            {"image_id": "img0", "x0": 0, "y0": 0, "x1": 4, "y1": 4},
+            {"image_id": "img1", "x0": 2, "y0": 1, "x1": 8, "y1": 6},
+        ]
+        assert (tmp_path / "boxes.jsonl").read_text() == _lines(rows)
+
+    def test_reports_append_to_an_existing_file(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        append_report_jsonl(path, REPORTS[0])
+        first = path.read_text()
+        append_report_jsonl(path, REPORTS[1])
+        rows = [
+            {"task": "zero_shot", "metrics": {"top1_acc": 0.5, "top5_acc": 1.0}, "n": 10, "seed": 3, "ci95": None},
+            {"task": "few_shot", "metrics": {"episode_acc": 0.25}, "n": 4, "seed": 0, "ci95": 0.125},
+        ]
+        assert first == _lines(rows[:1])
+        assert path.read_text() == _lines(rows)
+        assert read_reports_jsonl(path) == REPORTS
+
+    def test_region_labels(self, tmp_path, corpus):
+        records, names, _ = corpus
+        (tmp_path / "classes.txt").write_text("\n".join(names) + "\n")
+        write_records_jsonl(tmp_path / "records.jsonl", records)
+        config = ModelConfig()
+        model = TwoTowerModel.create(config, build_vocabulary([r.text for r in records]), seed=0)
+        metadata = {"model_config": config.to_dict(), "vocab": model.vocab.to_list()}
+        save_checkpoint(tmp_path / "ckpt", model.param_arrays(), metadata=metadata)
+        boxes = [Box(records[0].id, 0, 0, 32, 32), Box(records[0].id, 4, 8, 20, 16)]
+        write_boxes_jsonl(tmp_path / "boxes.jsonl", boxes)
+        out = tmp_path / "reg"
+        argv = ["regions", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
+                "--image", records[0].image_path, "--boxes", str(tmp_path / "boxes.jsonl"), "--out", str(out)]
+        assert dispatch("eval", argv) == 0
+        text = (out / "region_labels.jsonl").read_text()
+        rows = [json.loads(line) for line in text.splitlines()]
+        assert [row["box"] for row in rows] == [[0, 0, 32, 32], [4, 8, 20, 16]]
+        assert all(sorted(row["ranked_classes"]) == sorted(names) and len(row["scores"]) == 2 for row in rows)
+        keyed = [
+            {"image_id": r["image_id"], "box": r["box"], "ranked_classes": r["ranked_classes"], "scores": r["scores"]}
+            for r in rows
+        ]
+        assert text == _lines(keyed)
+
+
+class TestReadersSkipBlankLines:
+    @staticmethod
+    def _with_blanks(path):
+        """Copy of `path` with empty and whitespace-only lines between and after its rows."""
+        lines = path.read_text().splitlines(keepends=True)
+        padded = path.with_name("padded-" + path.name)
+        padded.write_text("\n" + "  \n".join(lines) + "\t\n\n")
+        return padded
+
+    def test_read_jsonl(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(_lines([{"a": 1}, {"b": [2]}]))
+        assert read_jsonl(self._with_blanks(path)) == [{"a": 1}, {"b": [2]}]
+
+    def test_records_and_triplets(self, tmp_path, corpus):
+        records, _, triplets = corpus
+        write_records_jsonl(tmp_path / "records.jsonl", records)
+        write_triplets_jsonl(tmp_path / "triplets.jsonl", triplets)
+        assert read_records_jsonl(self._with_blanks(tmp_path / "records.jsonl")) == records
+        assert read_triplets_jsonl(self._with_blanks(tmp_path / "triplets.jsonl")) == triplets
+
+    def test_boxes_and_reports(self, tmp_path):
+        write_boxes_jsonl(tmp_path / "boxes.jsonl", BOXES)
+        for report in REPORTS:
+            append_report_jsonl(tmp_path / "reports.jsonl", report)
+        assert read_boxes_jsonl(self._with_blanks(tmp_path / "boxes.jsonl")) == BOXES
+        assert read_reports_jsonl(self._with_blanks(tmp_path / "reports.jsonl")) == REPORTS
