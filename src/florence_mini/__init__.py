@@ -1,8 +1,3 @@
-"""Desk-scale unified image-text contrastive pretraining ecosystem.
-
-Set FLORENCE_MINI_REFERENCE_MODE=1 to force deterministic sequential
-execution (the default; the variable exists so launch scripts can pin it
-explicitly).
-"""
+"""Desk-scale unified image-text contrastive pretraining ecosystem."""
 
 __version__ = "0.1.0"

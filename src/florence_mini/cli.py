@@ -4,8 +4,7 @@ duplicate-captions and memory-report experiments.
 Every command runs through `run_command`, which writes the command's outputs
 under --out together with a run manifest (resolved config, seed, input
 hashes, artifact list, wall clock, version). Execution is always
-deterministic and sequential; FLORENCE_MINI_REFERENCE_MODE=1 pins that
-explicitly for launch scripts.
+deterministic and sequential.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -451,9 +449,6 @@ def dispatch(command: str, args: list[str]) -> int:
 
 
 def main(argv=None) -> int:
-    # Reference mode (deterministic, sequential) is the only execution mode;
-    # the environment variable exists so launchers can pin it explicitly.
-    os.environ.setdefault("FLORENCE_MINI_REFERENCE_MODE", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

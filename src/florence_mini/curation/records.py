@@ -88,7 +88,7 @@ def write_records_jsonl(path, records: list[RawRecord]) -> None:
 def read_records_jsonl(path) -> list[RawRecord]:
     return [
         RawRecord(id=d["id"], image_path=_resolve_image(d["image"], path), text=d["text"], source=d.get("source", ""))
-        for d in read_jsonl(path)
+        for d in read_jsonl(path, keys=("id", "image", "text"))
     ]
 
 
@@ -117,7 +117,7 @@ def read_triplets_jsonl(path) -> list[Triplet]:
             label=d["label"],
             augmented=d["augmented"],
         )
-        for d in read_jsonl(path)
+        for d in read_jsonl(path, keys=("id", "image", "text", "label", "augmented"))
     ]
 
 

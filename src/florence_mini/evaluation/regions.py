@@ -22,7 +22,8 @@ class Box:
 
 
 def read_boxes_jsonl(path) -> list[Box]:
-    return [Box(d["image_id"], d["x0"], d["y0"], d["x1"], d["y1"]) for d in read_jsonl(path)]
+    keys = ("image_id", "x0", "y0", "x1", "y1")
+    return [Box(*(d[k] for k in keys)) for d in read_jsonl(path, keys=keys)]
 
 
 def write_boxes_jsonl(path, boxes: list[Box]) -> None:

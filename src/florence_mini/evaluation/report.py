@@ -26,4 +26,4 @@ def append_report_jsonl(path, report: EvalReport) -> None:
 
 
 def read_reports_jsonl(path) -> list[EvalReport]:
-    return [EvalReport(**d) for d in read_jsonl(path)]
+    return [EvalReport(**d) for d in read_jsonl(path, keys=("task", "metrics", "n"))]

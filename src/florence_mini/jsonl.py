@@ -6,9 +6,28 @@ from __future__ import annotations
 import json
 
 
-def read_jsonl(path) -> list[dict]:
+def read_jsonl(path, keys=()) -> list[dict]:
+    """Parse each non-blank line as a JSON object holding every name in ``keys``.
+
+    A malformed line raises ValueError naming ``<path> line <n>``, with
+    blank lines counted in ``n``.
+    """
+    rows = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {n}: invalid JSON: {exc.msg} at column {exc.pos + 1}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{path} line {n}: expected a JSON object, got {type(row).__name__}")
+            missing = [k for k in keys if k not in row]
+            if missing:
+                raise ValueError(f"{path} line {n}: missing key {missing[0]!r}")
+            rows.append(row)
+    return rows
 
 
 def write_jsonl(path, rows, mode: str = "w") -> None:

@@ -10,15 +10,7 @@ from .container import (
 )
 from .fdcheck import FiniteDifferenceReport, finite_difference_check
 from .optim import OptimizerState, adamw_step, cosine_lr, init_optimizer_state
-from .precision import (
-    EMULATED_HALF,
-    FULL_PRECISION,
-    HalfQuantization,
-    PrecisionPolicy,
-    half_grid,
-    precision_policy,
-    quantize_to_half,
-)
+from .precision import half_grid, precision_policy
 from .tensor import (
     ActivationMeter,
     Gradients,
@@ -35,13 +27,9 @@ from . import ops
 
 __all__ = [
     "ActivationMeter",
-    "EMULATED_HALF",
-    "FULL_PRECISION",
     "FiniteDifferenceReport",
     "Gradients",
-    "HalfQuantization",
     "OptimizerState",
-    "PrecisionPolicy",
     "TapeNode",
     "Tensor",
     "TensorFormatError",
@@ -59,7 +47,6 @@ __all__ = [
     "no_grad",
     "ops",
     "precision_policy",
-    "quantize_to_half",
     "read_tensor_file",
     "read_tensor_header",
     "save_checkpoint",

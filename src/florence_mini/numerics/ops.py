@@ -1,11 +1,14 @@
 """Differentiable primitives over Tensor.
 
-Each op computes its forward value, optionally quantizes it per the active
-precision policy (the shape and gather ops only move values and never
-quantize), and (when recording) attaches a TapeNode whose backward rule
-returns one gradient per input. Arrays needed by a backward rule are passed
-through the node's ``saved`` tuple, never captured in closures, so the
-activation meter sees every retained scalar.
+Each op computes its forward value and wraps it through one of two
+helpers: ``_result`` snaps the value to the binary16 grid in half-emulated
+mode, ``_record`` never does. Ops that compute values use ``_result``; ops
+that only move values (shape and gather) and the three numerically fragile
+normalizations (layer norm, softmax, L2 normalization) use ``_record``.
+When recording, a TapeNode is attached whose backward rule returns one
+gradient per input. Arrays needed by a backward rule are passed through
+the node's ``saved`` tuple, never captured in closures, so the activation
+meter sees every retained scalar.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import math
 import numpy as np
 
 from .precision import apply_policy
-from .tensor import FLOAT_DTYPES, TapeNode, Tensor, grad_enabled
+from .tensor import FLOAT_DTYPES, Tensor
+from .tensor import record as _record
 
 _GELU_K0 = math.sqrt(2.0 / math.pi)
 _GELU_K1 = 0.044715
@@ -32,15 +36,8 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def _result(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
-    return _record(op, apply_policy(op, out), inputs, saved, backward_fn)
-
-
-def _record(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
-    """Wrap an already-quantized output, recording a node when needed."""
-    if grad_enabled() and any(t.requires_grad or t.node is not None for t in inputs):
-        node = TapeNode(op, tuple(inputs), tuple(saved), backward_fn)
-        return Tensor(out, node=node)
-    return Tensor(out)
+    """Record an output that snaps to the binary16 grid in half-emulated mode."""
+    return _record(op, apply_policy(out), inputs, saved, backward_fn)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -154,8 +151,7 @@ def gelu(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape: these move values without producing any, so they record through
-# _record and no precision policy quantizes them
+# shape: these move values without producing any, so they never snap
 # ---------------------------------------------------------------------------
 
 
@@ -237,8 +233,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     input and weight gradients are one GEMM each and the bias gradient one
     column sum, at any rank of x. The forward keeps numpy's stacked matmul,
     which runs faster than one flattened GEMM for these narrow layers. The
-    product quantizes as ``matmul`` and the bias sum as ``add``, as the
-    pair this op fuses did.
+    product and the bias sum each snap, as the matmul and add this op fuses
+    did.
     """
     _check_same_dtype(x, w, "linear")
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -252,13 +248,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out = np.matmul(pair, w.data)[0].reshape(x.shape[:-1] + (cout,))
     else:
         out = np.matmul(x.data, w.data)
-    out = apply_policy("matmul", out)
+    out = apply_policy(out)
     inputs = (x, w)
     if b is not None:
         _check_same_dtype(x, b, "linear")
         if b.shape != (cout,):
             raise ValueError(f"linear bias must have shape ({cout},), got {b.shape}")
-        out = apply_policy("add", out + b.data)
+        out = apply_policy(out + b.data)
         inputs = (x, w, b)
 
     def backward(g, saved):
@@ -271,7 +267,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization / softmax
+# normalization / softmax: numerically fragile, so they never snap
 # ---------------------------------------------------------------------------
 
 
@@ -279,8 +275,8 @@ def softmax(a: Tensor) -> Tensor:
     """Row-stabilized softmax over the last axis.
 
     The max subtraction and denominator accumulation run at the tensor's
-    full storage precision; the op is a permanent member of the stable set,
-    so its output is never half-quantized.
+    full storage precision, and the output never snaps to the binary16
+    grid.
     """
     _check_float(a, "softmax")
     x = a.data
@@ -292,7 +288,7 @@ def softmax(a: Tensor) -> Tensor:
         (y,) = saved
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
-    return _result("softmax", out, (a,), (out,), backward)
+    return _record("softmax", out, (a,), (out,), backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -327,7 +323,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dbeta = g.sum(axis=lead)
         return dx, dgamma, dbeta
 
-    return _result("layer_norm", out, (x, gamma, beta), (xhat, inv_std, gamma.data), backward)
+    return _record("layer_norm", out, (x, gamma, beta), (xhat, inv_std, gamma.data), backward)
 
 
 def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -341,12 +337,12 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
         y, nv = saved
         return ((g - y * (g * y).sum(axis=-1, keepdims=True)) / nv,)
 
-    return _result("l2_normalize", out, (a,), (out, n), backward)
+    return _record("l2_normalize", out, (a,), (out, n), backward)
 
 
 # ---------------------------------------------------------------------------
 # gather: like the shape ops, embedding and unfold only move values, so they
-# record through _record and no precision policy quantizes them
+# never snap
 # ---------------------------------------------------------------------------
 
 

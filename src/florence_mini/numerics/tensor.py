@@ -169,6 +169,14 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
 
 
+def record(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
+    """Wrap an op's output, attaching a TapeNode when grad is enabled and
+    some input is on the tape (a requires-grad leaf or a recorded result)."""
+    if grad_enabled() and any(t.requires_grad or t.node is not None for t in inputs):
+        return Tensor(out, node=TapeNode(op, tuple(inputs), tuple(saved), backward_fn))
+    return Tensor(out)
+
+
 class Gradients:
     """Gradient map keyed by leaf tensor (or its uid string)."""
 

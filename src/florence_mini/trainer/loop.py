@@ -16,7 +16,7 @@ from ..encoders.model import TwoTowerModel
 from ..encoders.vocab import Vocabulary, build_vocabulary, tokenize_batch
 from ..numerics.container import load_checkpoint, save_checkpoint
 from ..numerics.optim import OptimizerState, cosine_lr, init_optimizer_state
-from ..numerics.precision import PRECISION_MODES, PrecisionPolicy, precision_policy
+from ..numerics.precision import PRECISION_MODES, precision_policy
 from ..numerics.tensor import activation_meter
 from .checkpointing import checkpointed
 from .grad_cache import gradient_cache_gradients, monolithic_gradients
@@ -136,7 +136,7 @@ def effective_labels(labels: np.ndarray, objective: str) -> np.ndarray:
 
 def compute_gradients(model: TwoTowerModel, images, ids, labels, config: TrainConfig):
     wrapper = checkpointed if config.activation_checkpointing else None
-    with precision_policy(PrecisionPolicy(mode=config.precision)):
+    with precision_policy(config.precision):
         if config.chunk_size < images.shape[0]:
             return gradient_cache_gradients(model, images, ids, labels, config.chunk_size, block_wrapper=wrapper)
         return monolithic_gradients(model, images, ids, labels, block_wrapper=wrapper)

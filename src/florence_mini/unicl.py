@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics.tensor import TapeNode, Tensor, grad_enabled
+from .numerics.tensor import Tensor, record
 
 NORM_TOL = 1e-6
 
@@ -131,26 +131,18 @@ def unicl_loss_op(u: Tensor, v: Tensor, tau_param: Tensor, y: np.ndarray) -> Ten
         if np.abs(norms - 1.0).max() > OP_NORM_TOL:
             raise ValueError(f"{name} rows must be unit-norm within {OP_NORM_TOL}")
     res = unicl_loss_arrays(u.data, v.data, y, float(tau_param.data))
-    out = np.array(res.loss)
-    if grad_enabled() and any(t.requires_grad or t.node is not None for t in (u, v, tau_param)):
 
-        def backward(g, saved):
-            gu, gv, gs = saved
-            gval = float(g)
-            return (
-                (gval * gu).astype(u.data.dtype),
-                (gval * gv).astype(v.data.dtype),
-                np.asarray(gval * gs, dtype=tau_param.data.dtype).reshape(tau_param.data.shape),
-            )
-
-        node = TapeNode(
-            "unicl_loss",
-            (u, v, tau_param),
-            (res.grad_u, res.grad_v, np.array(res.grad_tau_param)),
-            backward,
+    def backward(g, saved):
+        gu, gv, gs = saved
+        gval = float(g)
+        return (
+            (gval * gu).astype(u.data.dtype),
+            (gval * gv).astype(v.data.dtype),
+            np.asarray(gval * gs, dtype=tau_param.data.dtype).reshape(tau_param.data.shape),
         )
-        return Tensor(out, node=node)
-    return Tensor(out)
+
+    saved = (res.grad_u, res.grad_v, np.array(res.grad_tau_param))
+    return record("unicl_loss", np.array(res.loss), (u, v, tau_param), saved, backward)
 
 
 def infonce_reference(u: np.ndarray, v: np.ndarray, tau: float) -> float:

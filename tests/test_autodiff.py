@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from florence_mini.numerics import (
-    EMULATED_HALF,
-    FULL_PRECISION,
-    PrecisionPolicy,
     Tensor,
     activation_meter,
     backward_from,
@@ -18,6 +15,7 @@ from florence_mini.numerics import (
     ops,
     precision_policy,
 )
+from florence_mini.numerics.precision import PRECISION_MODES
 
 
 def test_square_gradient_at_three():
@@ -207,12 +205,6 @@ class TestPrimitiveGradients:
 class TestLinear:
     """``linear`` against the ``add(matmul(x, w), b)`` pair it replaces."""
 
-    POLICIES = (
-        FULL_PRECISION,
-        EMULATED_HALF,
-        PrecisionPolicy(mode="half-emulated", stable_ops=frozenset({"matmul"})),
-    )
-
     @staticmethod
     def _run(f, x0, w0, b0, seed):
         x = Tensor(x0, requires_grad=True, name="x")
@@ -233,11 +225,11 @@ class TestLinear:
         return fused, pair
 
     def test_rank2_byte_equal_to_matmul_add_under_each_policy(self):
-        for policy in self.POLICIES:
-            with precision_policy(policy):
+        for mode in PRECISION_MODES:
+            with precision_policy(mode):
                 fused, pair = self._both((7,))
             for a, b in zip(fused, pair):
-                assert a.tobytes() == b.tobytes(), policy
+                assert a.tobytes() == b.tobytes(), mode
 
     def test_one_row_byte_equal_to_its_row_in_a_batch(self):
         """A lone row (rank 2 or rank 1) gets the bytes it gets inside a

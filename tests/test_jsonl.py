@@ -2,6 +2,7 @@
 writer's bytes are `json.dumps(row) + "\\n"` per row, which pins key order."""
 
 import json
+import re
 
 import pytest
 
@@ -151,3 +152,61 @@ class TestReadersSkipBlankLines:
             append_report_jsonl(tmp_path / "reports.jsonl", report)
         assert read_boxes_jsonl(self._with_blanks(tmp_path / "boxes.jsonl")) == BOXES
         assert read_reports_jsonl(self._with_blanks(tmp_path / "reports.jsonl")) == REPORTS
+
+
+class TestMalformedLines:
+    """A bad line is a ValueError naming the file and its line (blank lines
+    counted), and a missing key is named too; the CLI exits 2 on each."""
+
+    def test_invalid_json_names_path_and_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n{"b": 2\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: invalid JSON: ")):
+            read_jsonl(path)
+
+    def test_non_object_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n[1, 2]\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 2: expected a JSON object, got list") + "$"):
+            read_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "reader,row,key",
+        [
+            (read_records_jsonl, {"id": "a", "image": "a.bin", "text": "a cat"}, "image"),
+            (
+                read_triplets_jsonl,
+                {"id": "a", "image": "a.bin", "text": "a cat", "label": 0, "augmented": False},
+                "label",
+            ),
+            (read_boxes_jsonl, {"image_id": "a", "x0": 0, "y0": 0, "x1": 4, "y1": 4}, "x1"),
+            (read_reports_jsonl, {"task": "zero_shot", "metrics": {"top1_acc": 0.5}, "n": 2}, "n"),
+        ],
+        ids=["records", "triplets", "boxes", "reports"],
+    )
+    def test_each_reader_names_a_missing_key(self, tmp_path, reader, row, key):
+        path = tmp_path / "rows.jsonl"
+        broken = {k: v for k, v in row.items() if k != key}
+        path.write_text(_lines([row]) + "\n" + _lines([broken]))
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: missing key '{key}'") + "$"):
+            reader(path)
+
+    @pytest.mark.parametrize(
+        "bad_line,message",
+        [
+            (lambda line: line[:-1], "line 2: invalid JSON: "),
+            (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "image"}),
+             "line 2: missing key 'image'"),
+            (lambda line: "[1, 2]", "line 2: expected a JSON object, got list"),
+        ],
+        ids=["unclosed", "no-image", "list"],
+    )
+    def test_curate_exits_2_naming_the_line(self, tmp_path, corpus, capsys, bad_line, message):
+        records, _, _ = corpus
+        path = tmp_path / "records.jsonl"
+        write_records_jsonl(path, records)
+        lines = path.read_text().splitlines()
+        lines[1] = bad_line(lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        assert dispatch("curate", ["--records", str(path), "--out", str(tmp_path / "cur")]) == 2
+        assert f"error: {path} {message}" in capsys.readouterr().err

@@ -9,8 +9,6 @@ import pytest
 from florence_mini.curation import curate, generate_synthetic_dataset, make_stage_stream
 from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.numerics import (
-    EMULATED_HALF,
-    FULL_PRECISION,
     Tensor,
     activation_meter,
     adamw_step,
@@ -184,15 +182,15 @@ class TestGradientCacheLastChunkTape:
         n = images.shape[0] // chunk
         assert (counting.image_calls, counting.text_calls) == (2 * n - 1, 2 * n - 1)
 
-    @pytest.mark.parametrize("policy", [FULL_PRECISION, EMULATED_HALF], ids=["full", "half"])
+    @pytest.mark.parametrize("mode", ["full", "half-emulated"], ids=["full", "half"])
     @pytest.mark.parametrize("wrapper", [None, checkpointed], ids=["plain", "checkpointed"])
     @pytest.mark.parametrize("chunk", [1, 2, 4, 8])
-    def test_bytes_and_peak_equal_three_pass_oracle(self, small_setup, chunk, wrapper, policy):
+    def test_bytes_and_peak_equal_three_pass_oracle(self, small_setup, chunk, wrapper, mode):
         model, images, ids, labels, _ = small_setup
         runs = []
         for fn in (three_pass_gradients, gradient_cache_gradients):
             activation_meter.reset()
-            with precision_policy(policy):
+            with precision_policy(mode):
                 loss, grads = fn(model, images, ids, labels, chunk_size=chunk, block_wrapper=wrapper)
             runs.append((loss, grads, activation_meter.peak))
         (l_ref, g_ref, peak_ref), (loss, grads, peak) = runs
