@@ -344,8 +344,7 @@ def cmd_memory_report(args, out):
         f"{'chunk':>6} {'plain':>12} {'checkpointed':>12} {'reduction':>10}",
     ]
     for chunk in chunks:
-        report = activation_profile(model, [(images, ids, labels)], chunk_size=chunk)
-        plain, ckpt = report.peak_without_checkpointing[0], report.peak_with_checkpointing[0]
+        plain, ckpt = activation_profile(model, images, ids, labels, chunk)
         rows.append({"chunk": chunk, "plain": plain, "checkpointed": ckpt})
         lines.append(f"{chunk:>6} {plain:>12} {ckpt:>12} {1 - ckpt / plain:>9.1%}")
     with open(out / "memory_report.json", "w") as fh:

@@ -43,9 +43,6 @@ class HashTable:
     def num_unique(self) -> int:
         return len(self.description_of)
 
-    def lookup(self, label: int) -> str:
-        return self.description_of[label]
-
 
 def normalize_description(text: str, case_fold: bool = False) -> str:
     """Whitespace trim only by default; identical strings share a label."""
@@ -126,8 +123,8 @@ class StageStream:
             raise ValueError("stage must be 1 or 2")
         if self.batch_size < 2:
             raise ValueError("contrastive batches need batch_size >= 2")
-        if self.stage == 2:
-            self.pool = [t for t in self.pool if not t.augmented]
+        # a stream owns its pool: later edits to the caller's list change nothing
+        self.pool = [t for t in self.pool if self.stage == 1 or not t.augmented]
         if not self.pool:
             raise ValueError(f"stage-{self.stage} pool is empty")
 
@@ -142,10 +139,6 @@ class StageStream:
             [self.pool[perm[i]] for i in range(b * self.batch_size, (b + 1) * self.batch_size)]
             for b in range(n_full)
         ]
-
-
-def make_stage_stream(triplets: list[Triplet], stage: int, seed: int, batch_size: int) -> StageStream:
-    return StageStream(stage=stage, seed=seed, batch_size=batch_size, pool=list(triplets))
 
 
 @dataclass

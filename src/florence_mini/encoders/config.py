@@ -69,6 +69,27 @@ class ModelConfig:
         return ModelConfig(**d)
 
 
+def _block_shapes(
+    shapes: dict[str, tuple[int, ...]], p: str, width: int, mlp_ratio: int, rel_bias: tuple[int, int] | None = None
+) -> None:
+    """One pre-norm attention + MLP block; image blocks add their
+    relative-position bias table after the attention biases."""
+    shapes[f"{p}.ln1.gamma"] = (width,)
+    shapes[f"{p}.ln1.beta"] = (width,)
+    for m in ("wq", "wk", "wv", "wo"):
+        shapes[f"{p}.attn.{m}"] = (width, width)
+    for m in ("bq", "bk", "bv", "bo"):
+        shapes[f"{p}.attn.{m}"] = (width,)
+    if rel_bias is not None:
+        shapes[f"{p}.attn.rel_bias"] = rel_bias
+    shapes[f"{p}.ln2.gamma"] = (width,)
+    shapes[f"{p}.ln2.beta"] = (width,)
+    shapes[f"{p}.mlp.w1"] = (width, width * mlp_ratio)
+    shapes[f"{p}.mlp.b1"] = (width * mlp_ratio,)
+    shapes[f"{p}.mlp.w2"] = (width * mlp_ratio, width)
+    shapes[f"{p}.mlp.b2"] = (width,)
+
+
 def parameter_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape map; a pure function of config, never allocating."""
     shapes: dict[str, tuple[int, ...]] = {}
@@ -81,20 +102,7 @@ def parameter_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[in
         zip(config.stage_depths, config.stage_widths, config.stage_heads)
     ):
         for b in range(depth):
-            p = f"image.s{s}.b{b}"
-            shapes[f"{p}.ln1.gamma"] = (width,)
-            shapes[f"{p}.ln1.beta"] = (width,)
-            for m in ("wq", "wk", "wv", "wo"):
-                shapes[f"{p}.attn.{m}"] = (width, width)
-            for m in ("bq", "bk", "bv", "bo"):
-                shapes[f"{p}.attn.{m}"] = (width,)
-            shapes[f"{p}.attn.rel_bias"] = (rel_rows, heads)
-            shapes[f"{p}.ln2.gamma"] = (width,)
-            shapes[f"{p}.ln2.beta"] = (width,)
-            shapes[f"{p}.mlp.w1"] = (width, width * config.mlp_ratio)
-            shapes[f"{p}.mlp.b1"] = (width * config.mlp_ratio,)
-            shapes[f"{p}.mlp.w2"] = (width * config.mlp_ratio, width)
-            shapes[f"{p}.mlp.b2"] = (width,)
+            _block_shapes(shapes, f"image.s{s}.b{b}", width, config.mlp_ratio, rel_bias=(rel_rows, heads))
         if s + 1 < config.num_stages:
             nxt = config.stage_widths[s + 1]
             shapes[f"image.merge{s}.w"] = (config.merge_kernel, config.merge_kernel, width, nxt)
@@ -108,19 +116,7 @@ def parameter_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[in
     shapes["text.tok_embed"] = (vocab_size, tw)
     shapes["text.pos_embed"] = (config.max_len, tw)
     for l in range(config.text_layers):
-        p = f"text.b{l}"
-        shapes[f"{p}.ln1.gamma"] = (tw,)
-        shapes[f"{p}.ln1.beta"] = (tw,)
-        for m in ("wq", "wk", "wv", "wo"):
-            shapes[f"{p}.attn.{m}"] = (tw, tw)
-        for m in ("bq", "bk", "bv", "bo"):
-            shapes[f"{p}.attn.{m}"] = (tw,)
-        shapes[f"{p}.ln2.gamma"] = (tw,)
-        shapes[f"{p}.ln2.beta"] = (tw,)
-        shapes[f"{p}.mlp.w1"] = (tw, tw * config.mlp_ratio)
-        shapes[f"{p}.mlp.b1"] = (tw * config.mlp_ratio,)
-        shapes[f"{p}.mlp.w2"] = (tw * config.mlp_ratio, tw)
-        shapes[f"{p}.mlp.b2"] = (tw,)
+        _block_shapes(shapes, f"text.b{l}", tw, config.mlp_ratio)
     shapes["text.ln_f.gamma"] = (tw,)
     shapes["text.ln_f.beta"] = (tw,)
     shapes["text.proj.w"] = (tw, config.shared_dim)

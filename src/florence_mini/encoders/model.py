@@ -62,16 +62,9 @@ def relative_index(window: int) -> np.ndarray:
     return index
 
 
-def multi_head_attention(
-    x: Tensor,
-    p: dict[str, Tensor],
-    prefix: str,
-    heads: int,
-    rel_bias: Tensor | None = None,
-    rel_index: np.ndarray | None = None,
-    mask_bias: Tensor | None = None,
-) -> Tensor:
-    """Self-attention over (B, N, C) token stacks."""
+def multi_head_attention(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, bias: Tensor) -> Tensor:
+    """Self-attention over (B, N, C) token stacks; ``bias`` broadcasts onto
+    the (B, heads, N, N) scores before the softmax."""
     bsz, n, c = x.shape
     dh = c // heads
 
@@ -83,12 +76,7 @@ def multi_head_attention(
     k = project("wk", "bk")
     v = project("wv", "bv")
     scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    if rel_bias is not None:
-        bias = ops.transpose(ops.embedding(rel_bias, rel_index), (2, 0, 1))  # (h, N, N)
-        scores = ops.add(scores, bias)
-    if mask_bias is not None:
-        scores = ops.add(scores, mask_bias)
-    attn = ops.softmax(scores)
+    attn = ops.softmax(ops.add(scores, bias))
     out = ops.matmul(attn, v)  # (B, h, N, dh)
     out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (bsz, n, c))
     return ops.linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
@@ -126,15 +114,9 @@ def windowed_attention_block(
     if h % eff or w % eff:
         raise ValueError(f"spatial extent {h}x{w} not divisible by window {eff}")
     t = ops.layer_norm(x, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
-    windows = window_partition(t, eff)
-    attn = multi_head_attention(
-        windows,
-        p,
-        f"{prefix}.attn",
-        heads,
-        rel_bias=p[f"{prefix}.attn.rel_bias"],
-        rel_index=relative_index(eff),
-    )
+    table = ops.embedding(p[f"{prefix}.attn.rel_bias"], relative_index(eff))  # (N, N, h)
+    rel_bias = ops.transpose(table, (2, 0, 1))
+    attn = multi_head_attention(window_partition(t, eff), p, f"{prefix}.attn", heads, rel_bias)
     x = ops.add(x, window_merge(attn, eff, x.shape))
     t = ops.layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
     return ops.add(x, mlp_block(t, p, f"{prefix}.mlp"))
@@ -206,7 +188,7 @@ def text_tower(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray) 
     for l in range(config.text_layers):
         prefix = f"text.b{l}"
         t = ops.layer_norm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-        x = ops.add(x, multi_head_attention(t, params, f"{prefix}.attn", config.text_heads, mask_bias=mask_bias))
+        x = ops.add(x, multi_head_attention(t, params, f"{prefix}.attn", config.text_heads, mask_bias))
         t = ops.layer_norm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
         x = ops.add(x, mlp_block(t, params, f"{prefix}.mlp"))
     x = ops.layer_norm(x, params["text.ln_f.gamma"], params["text.ln_f.beta"])

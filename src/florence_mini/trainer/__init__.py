@@ -2,7 +2,7 @@
 
 from .checkpointing import checkpointed
 from .grad_cache import gradient_cache_gradients, monolithic_gradients
-from .memory import MemoryReport, activation_profile
+from .memory import activation_profile
 from .loop import (
     TrainConfig,
     TrainingAborted,
@@ -16,7 +16,6 @@ from .loop import (
 )
 from .zero import (
     ShardReport,
-    init_zero_states,
     merge_zero_states,
     partition_parameters,
     shard_report,
@@ -25,7 +24,6 @@ from .zero import (
 )
 
 __all__ = [
-    "MemoryReport",
     "ShardReport",
     "TrainConfig",
     "TrainingAborted",
@@ -33,7 +31,6 @@ __all__ = [
     "checkpointed",
     "effective_labels",
     "gradient_cache_gradients",
-    "init_zero_states",
     "load_model_checkpoint",
     "load_train_checkpoint",
     "merge_zero_states",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..curation.pipeline import make_stage_stream
+from ..curation.pipeline import StageStream
 from ..curation.records import Triplet, load_image
 from ..encoders.config import ModelConfig
 from ..encoders.model import TwoTowerModel
@@ -70,6 +70,11 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.objective not in ("unicl", "infonce"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.planned_steps > 0 and self.warmup_steps >= self.schedule_total:
+            # cosine_lr's own condition, refused here before a run opens anything
+            raise ValueError(
+                f"warmup_steps {self.warmup_steps} must be smaller than total_steps {self.schedule_total}"
+            )
         if self.high_res_steps > 0:
             # the high-res phase runs the same towers at this input side
             try:
@@ -159,6 +164,10 @@ def train_step(
     loss, grads = compute_gradients(model, images, ids, labels_eff, config)
     if not np.isfinite(loss):
         raise TrainingAborted(f"non-finite loss {loss}; batch ids: {record_ids}")
+    # checked before any update: one inf reaching AdamW turns its parameter to NaN
+    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+    if bad:
+        raise TrainingAborted(f"non-finite gradient for {bad}; batch ids: {record_ids}")
     params = model.param_arrays()
     if isinstance(opt_states, list):
         new_params, new_states = zero_shard_update(params, grads, opt_states, lr=lr)
@@ -278,13 +287,13 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
     # runs; the high-res phase redraws the stage-2 pool from its first batch
     plan = []
     first = 0
-    for stage, steps, pool, size in (
+    for stage, steps, stream_stage, size in (
         ("stage1", config.stage1_steps, 1, None),
         ("stage2", config.stage2_steps, 2, None),
         ("high_res", config.high_res_steps, 2, config.high_res_size),
     ):
         if steps > 0:
-            stream = make_stage_stream(triplets, pool, config.seed, config.batch_size)
+            stream = StageStream(stream_stage, config.seed, config.batch_size, triplets)
             plan.append((stage, first, first + steps, stream, size))
         first += steps
     # StageStream drops each epoch's short batch, so a pool smaller than one
@@ -322,9 +331,9 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
                     opt_states, metrics = train_step(
                         model, images, ids, labels, rec_ids, opt_states, config, lr
                     )
-                except TrainingAborted:
+                except TrainingAborted as exc:
                     with open(out / "abort_diagnostic.json", "w") as fh:
-                        json.dump({"step": step, "stage": stage, "batch_ids": rec_ids}, fh)
+                        json.dump({"step": step, "stage": stage, "batch_ids": rec_ids, "error": str(exc)}, fh)
                     raise
                 record = {"step": step, "stage": stage, **metrics}
                 metrics_fh.write(json.dumps(record) + "\n")

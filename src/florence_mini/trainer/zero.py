@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..numerics.optim import OptimizerState, adamw_step, init_optimizer_state
+from ..numerics.optim import OptimizerState, adamw_step
 
 
 def partition_parameters(names, workers: int) -> list[list[str]]:
@@ -23,10 +23,6 @@ def partition_parameters(names, workers: int) -> list[list[str]]:
     for i, name in enumerate(sorted(names)):
         shards[i % workers].append(name)
     return shards
-
-
-def init_zero_states(params: dict[str, np.ndarray], workers: int, lr: float) -> list[OptimizerState]:
-    return split_zero_state(init_optimizer_state(params, lr=lr), params, workers)
 
 
 @dataclass

@@ -21,51 +21,6 @@ import numpy as np
 
 from .numerics.tensor import Tensor, record
 
-NORM_TOL = 1e-6
-
-
-@dataclass
-class PositiveSets:
-    """Per-index equality partitions of the batch by label; label equality
-    is symmetric, so the text-to-image sets Q(j) equal P(j)."""
-
-    p: list[np.ndarray]  # P(i) = {k : y_k = y_i}
-
-
-def positive_sets(y: np.ndarray) -> PositiveSets:
-    y = np.asarray(y)
-    if y.size < 2:
-        raise ValueError("need at least two labels")
-    return PositiveSets(p=[np.flatnonzero(y == y[i]) for i in range(y.size)])
-
-
-@dataclass
-class EmbeddingBatch:
-    """Row-aligned unit embeddings with labels and log-temperature."""
-
-    u: np.ndarray  # (n, d) image embeddings, unit rows
-    v: np.ndarray  # (n, d) text embeddings, unit rows
-    y: np.ndarray  # (n,) label ids
-    tau_param: float  # s with tau = exp(s)
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float64)
-        self.v = np.asarray(self.v, dtype=np.float64)
-        self.y = np.asarray(self.y)
-        n = self.u.shape[0]
-        if n < 2:
-            raise ValueError("contrastive batch needs at least 2 items")
-        if self.v.shape != self.u.shape or self.y.shape != (n,):
-            raise ValueError("u, v, y must be row-aligned")
-        for name, m in (("u", self.u), ("v", self.v)):
-            norms = np.linalg.norm(m, axis=1)
-            if np.abs(norms - 1.0).max() > NORM_TOL:
-                raise ValueError(f"{name} rows must be unit-norm within {NORM_TOL}")
-
-    @property
-    def tau(self) -> float:
-        return float(np.exp(self.tau_param))
-
 
 @dataclass
 class UniCLLossResult:
@@ -83,12 +38,6 @@ def _log_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
     m = scores.max(axis=axis, keepdims=True)
     z = scores - m
     return z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-
-
-def unicl_loss(batch: EmbeddingBatch) -> UniCLLossResult:
-    """Bidirectional supervised contrastive loss and its gradients, summed
-    over the batch."""
-    return unicl_loss_arrays(batch.u, batch.v, batch.y, batch.tau_param)
 
 
 def unicl_loss_arrays(u: np.ndarray, v: np.ndarray, y: np.ndarray, tau_param: float) -> UniCLLossResult:
@@ -121,7 +70,7 @@ def unicl_loss_arrays(u: np.ndarray, v: np.ndarray, y: np.ndarray, tau_param: fl
     return UniCLLossResult(float(loss), grad_u, grad_v, grad_tau_param)
 
 
-OP_NORM_TOL = 1e-4  # looser than the batch contract so eps-scale FD probes pass
+OP_NORM_TOL = 1e-4  # loose enough that eps-scale FD probes of unit rows pass
 
 
 def unicl_loss_op(u: Tensor, v: Tensor, tau_param: Tensor, y: np.ndarray) -> Tensor:
@@ -148,8 +97,8 @@ def unicl_loss_op(u: Tensor, v: Tensor, tau_param: Tensor, y: np.ndarray) -> Ten
 def infonce_reference(u: np.ndarray, v: np.ndarray, tau: float) -> float:
     """Symmetric InfoNCE oracle: each diagonal pair is the unique positive.
 
-    Kept independent of unicl_loss so the all-distinct-labels reduction can
-    be cross-checked between two separately written routes.
+    Kept independent of unicl_loss_arrays so the all-distinct-labels
+    reduction can be cross-checked between two separately written routes.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -13,11 +13,11 @@ import pytest
 
 from florence_mini.cli import dispatch
 from florence_mini.curation import (
+    StageStream,
     class_prototype,
     curate,
     dedup_near_duplicates,
     generate_synthetic_dataset,
-    make_stage_stream,
     read_triplets_jsonl,
 )
 from florence_mini.encoders import (
@@ -50,13 +50,13 @@ from florence_mini.trainer import (
     TrainConfig,
     checkpointed,
     gradient_cache_gradients,
-    init_zero_states,
     load_model_checkpoint,
     monolithic_gradients,
     prepare_batch,
+    split_zero_state,
     train_step,
 )
-from florence_mini.unicl import EmbeddingBatch, infonce_reference, unicl_loss, unicl_loss_op
+from florence_mini.unicl import infonce_reference, unicl_loss_arrays, unicl_loss_op
 
 
 def _pass(n: int, detail: str) -> None:
@@ -104,7 +104,7 @@ def test_criterion_01_unicl_infonce_reduction():
         u = _unit_rows(rng, n, 8)
         v = _unit_rows(rng, n, 8)
         s = float(rng.uniform(-1.0, 1.5))
-        val = unicl_loss(EmbeddingBatch(u, v, np.arange(n), s)).loss
+        val = unicl_loss_arrays(u, v, np.arange(n), s).loss
         ref = infonce_reference(u, v, math.exp(s))
         worst = max(worst, abs(val - ref))
     elapsed = time.perf_counter() - t0
@@ -115,12 +115,12 @@ def test_criterion_01_unicl_infonce_reduction():
 
 def test_criterion_02_hand_values():
     u = np.array([[1.0, 0.0], [0.0, 1.0]])
-    orthogonal = unicl_loss(EmbeddingBatch(u, u.copy(), np.array([0, 1]), 0.0)).loss
+    orthogonal = unicl_loss_arrays(u, u.copy(), np.array([0, 1]), 0.0).loss
     expected_orth = 4.0 * math.log(1.0 + math.exp(-1.0))
     assert abs(orthogonal - expected_orth) < 1e-9
 
     e = np.array([[1.0, 0.0], [1.0, 0.0]])
-    identical = unicl_loss(EmbeddingBatch(e, e.copy(), np.array([7, 7]), 0.42)).loss
+    identical = unicl_loss_arrays(e, e.copy(), np.array([7, 7]), 0.42).loss
     assert abs(identical - 4.0 * math.log(2.0)) < 1e-9
     _pass(2, f"orthogonal batch {orthogonal:.6f} ~ 4*log(1+1/e), identical batch ~ 4*log2")
 
@@ -237,11 +237,9 @@ def test_criterion_05_zero_sim_equivalence(grad_cache_setup, tmp_path):
     def run(workers):
         model = TwoTowerModel.create(ModelConfig(), vocab, seed=3)
         params = model.param_arrays()
-        states = (
-            init_optimizer_state(params, lr=1e-3)
-            if workers == 0
-            else init_zero_states(params, workers, lr=1e-3)
-        )
+        states = init_optimizer_state(params, lr=1e-3)
+        if workers:
+            states = split_zero_state(states, params, workers)
         for step in range(10):
             states, _ = train_step(model, images, ids, labels, ["r"] * 16, states, config, 1e-3)
         return model.param_arrays()
@@ -318,7 +316,7 @@ def test_criterion_08_end_to_end_toy_run(toy_run):
 
     # stage-2 stream purity over a full epoch
     triplets = read_triplets_jsonl(root / "cur/triplets.jsonl")
-    stream = make_stage_stream(triplets, stage=2, seed=0, batch_size=64)
+    stream = StageStream(stage=2, seed=0, batch_size=64, pool=triplets)
     assert all(not t.augmented for batch in stream.epoch_batches(0) for t in batch)
 
     out = root / "zs"

@@ -320,7 +320,7 @@ class TestPipelineCommands:
             "train",
             ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
              "--stage1-steps", "1", "--stage2-steps", "0", "--batch-size", "8", "--chunk-size", "4",
-             "--holdout-fraction", fraction],
+             "--warmup-steps", "0", "--holdout-fraction", fraction],
         )
         assert code == 2
         assert "holdout fraction must be in [0, 1)" in capsys.readouterr().err
@@ -349,7 +349,8 @@ class TestPipelineCommands:
         code = dispatch(
             "train",
             ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
-             "--stage1-steps", "2", "--stage2-steps", "0", "--batch-size", "64", "--chunk-size", "16"],
+             "--stage1-steps", "2", "--stage2-steps", "0", "--batch-size", "64", "--chunk-size", "16",
+             "--warmup-steps", "1"],
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -385,6 +386,34 @@ class TestPipelineCommands:
         assert "checkpoint step 6 is past the run's planned_steps 5" in capsys.readouterr().err
         assert [p.read_bytes() for p in kept] == before
         assert sorted((run / "ckpt-final").iterdir()) == kept[1:]
+
+    def test_train_refuses_a_warmup_as_long_as_the_run_before_opening_out(self, pipeline, tmp_path, capsys):
+        """The default 50 warm-up steps over a 5-step run: nothing is left behind."""
+        code = dispatch(
+            "train",
+            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+             "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4"],
+        )
+        assert code == 2
+        assert "warmup_steps 50 must be smaller than total_steps 5" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_refused_in_place_resume_keeps_every_metrics_record(self, pipeline, tmp_path, capsys):
+        """A resume whose --config shortens the schedule below its warm-up
+        exits 2 before metrics.jsonl is reopened."""
+        run = tmp_path / "run"
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(run),
+                "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
+                "--warmup-steps", "1", "--checkpoint-every", "2", "--seed", "3"]
+        assert dispatch("train", argv) == 0
+        before = (run / "metrics.jsonl").read_bytes()
+        assert len(before.splitlines()) == 5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"total_steps": 1}))
+        capsys.readouterr()
+        assert dispatch("train", [*argv, "--config", str(cfg), "--resume", str(run / "ckpt-step-2")]) == 2
+        assert "warmup_steps 1 must be smaller than total_steps 1" in capsys.readouterr().err
+        assert (run / "metrics.jsonl").read_bytes() == before
 
     def test_refused_command_removes_only_the_out_it_created(self, pipeline, tmp_path):
         argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(tmp_path / "no-such-ckpt")]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from florence_mini.curation import (
     RawRecord,
+    StageStream,
     average_hash,
     augment_prompt,
     build_text_hash_table,
@@ -17,7 +18,6 @@ from florence_mini.curation import (
     generate_synthetic_dataset,
     hamming_distance,
     holdout_ids,
-    make_stage_stream,
     read_records_jsonl,
     write_records_jsonl,
 )
@@ -129,7 +129,7 @@ class TestTextHashTable:
         texts = ["  padded  ", "two words", "padded", "unique one"]
         table, triplets = build_text_hash_table(self._recs(tmp_path, texts))
         for t in triplets:
-            assert table.lookup(t.label) == t.text
+            assert table.description_of[t.label] == t.text
 
     def test_case_sensitivity_default_and_flag(self, tmp_path):
         recs = self._recs(tmp_path, ["Dog", "dog"])
@@ -186,33 +186,42 @@ class TestStageStreams:
         return [mk(i, i < 4) for i in range(10)]  # 4 augmented, 6 clean
 
     def test_stage2_filters_augmented_and_batch_count(self):
-        stream = make_stage_stream(self._pool(), stage=2, seed=0, batch_size=2)
+        stream = StageStream(stage=2, seed=0, batch_size=2, pool=self._pool())
         batches = stream.epoch_batches(0)
         assert len(batches) == 3
         assert all(not t.augmented for b in batches for t in b)
 
     def test_same_seed_same_order(self):
-        s1 = make_stage_stream(self._pool(), stage=1, seed=7, batch_size=2)
-        s2 = make_stage_stream(self._pool(), stage=1, seed=7, batch_size=2)
+        s1 = StageStream(stage=1, seed=7, batch_size=2, pool=self._pool())
+        s2 = StageStream(stage=1, seed=7, batch_size=2, pool=self._pool())
         ids1 = [[t.id for t in b] for b in s1.epoch_batches(3)]
         ids2 = [[t.id for t in b] for b in s2.epoch_batches(3)]
         assert ids1 == ids2
 
     def test_stage1_epoch_covers_pool_once(self):
-        stream = make_stage_stream(self._pool(), stage=1, seed=0, batch_size=2)
+        stream = StageStream(stage=1, seed=0, batch_size=2, pool=self._pool())
         batches = stream.epoch_batches(0)
         assert len(batches) == 5
         seen = [t.id for b in batches for t in b]
         assert sorted(seen) == sorted(t.id for t in self._pool())
 
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_stream_owns_a_copy_of_its_pool(self, stage):
+        pool = self._pool()
+        stream = StageStream(stage=stage, seed=0, batch_size=2, pool=pool)
+        before = stream.epoch_batches(0)
+        pool.reverse()
+        del pool[:5]
+        assert stream.epoch_batches(0) == before
+
     def test_all_augmented_pool_fails_stage2(self):
         pool = [Triplet(id="a", image_path="x", text="w", label=0, augmented=True)] * 4
         with pytest.raises(ValueError, match="stage-2"):
-            make_stage_stream(pool, stage=2, seed=0, batch_size=2)
+            StageStream(stage=2, seed=0, batch_size=2, pool=pool)
 
     def test_batch_size_one_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
-            make_stage_stream(self._pool(), stage=1, seed=0, batch_size=1)
+            StageStream(stage=1, seed=0, batch_size=1, pool=self._pool())
 
 
 class TestSyntheticCorpus:

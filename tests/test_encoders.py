@@ -182,14 +182,8 @@ class TestImageTower:
             p = model.params
             t = ops.layer_norm(x, p["image.s0.b0.ln1.gamma"], p["image.s0.b0.ln1.beta"])
             tokens = ops.reshape(t, (1, 4, 4))
-            attn = multi_head_attention(
-                tokens,
-                p,
-                "image.s0.b0.attn",
-                heads=2,
-                rel_bias=p["image.s0.b0.attn.rel_bias"],
-                rel_index=relative_index(2),
-            )
+            table = ops.embedding(p["image.s0.b0.attn.rel_bias"], relative_index(2))
+            attn = multi_head_attention(tokens, p, "image.s0.b0.attn", 2, ops.transpose(table, (2, 0, 1)))
             res = ops.add(x, ops.reshape(attn, (1, 2, 2, 4)))
             t2 = ops.layer_norm(res, p["image.s0.b0.ln2.gamma"], p["image.s0.b0.ln2.beta"])
             from florence_mini.encoders.model import mlp_block

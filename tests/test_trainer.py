@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from florence_mini.curation import curate, generate_synthetic_dataset, make_stage_stream
+from florence_mini.curation import StageStream, curate, generate_synthetic_dataset
 from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.numerics import (
     Tensor,
@@ -25,12 +25,12 @@ from florence_mini.trainer import (
     activation_profile,
     checkpointed,
     gradient_cache_gradients,
-    init_zero_states,
     load_train_checkpoint,
     monolithic_gradients,
     prepare_batch,
     run_two_stage_training,
     shard_report,
+    split_zero_state,
     train_step,
     zero_shard_update,
 )
@@ -279,7 +279,7 @@ class TestZeroSharding:
         params = self._params()
         grads = {k: np.ones_like(v) for k, v in params.items()}
         pu, _ = adamw_step(params, grads, init_optimizer_state(params, lr=0.01))
-        pz, _ = zero_shard_update(params, grads, init_zero_states(params, 1, lr=0.01))
+        pz, _ = zero_shard_update(params, grads, split_zero_state(init_optimizer_state(params, lr=0.01), params, 1))
         for k in params:
             assert pu[k].tobytes() == pz[k].tobytes()
 
@@ -289,7 +289,7 @@ class TestZeroSharding:
         pu = {k: v.copy() for k, v in params.items()}
         pz = {k: v.copy() for k, v in params.items()}
         su = init_optimizer_state(params, lr=1e-3)
-        sz = init_zero_states(params, 4, lr=1e-3)
+        sz = split_zero_state(init_optimizer_state(params, lr=1e-3), params, 4)
         rng = np.random.default_rng(3)
         for _ in range(10):
             grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
@@ -331,12 +331,11 @@ class TestTrainStep:
         """The memory report measures the gradient step that `train` runs."""
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
-        report = activation_profile(fresh, [(images, ids, labels)], chunk_size=chunk)
+        peaks = activation_profile(fresh, images, ids, labels, chunk)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=chunk, activation_checkpointing=ckpt)
         state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
         _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
-        peaks = report.peak_with_checkpointing if ckpt else report.peak_without_checkpointing
-        assert metrics["peak_activation_scalars"] == peaks[0]
+        assert metrics["peak_activation_scalars"] == peaks[ckpt]
 
     def test_nan_input_aborts_with_batch_ids(self, small_setup):
         model, images, ids, labels, rids = small_setup
@@ -355,6 +354,13 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match=f"high_res_size {size}.*{cause}"):
             TrainConfig(high_res_steps=1, high_res_size=size)
         assert TrainConfig(high_res_steps=0, high_res_size=size).high_res_size == size
+
+    def test_warmup_must_end_before_the_schedule_when_steps_run(self):
+        with pytest.raises(ValueError, match="warmup_steps 5 must be smaller than total_steps 5"):
+            TrainConfig(stage1_steps=3, stage2_steps=2, warmup_steps=5)
+        with pytest.raises(ValueError, match="warmup_steps 4 must be smaller than total_steps 4"):
+            TrainConfig(stage1_steps=30, stage2_steps=2, warmup_steps=4, total_steps=4)
+        assert TrainConfig(stage1_steps=0, stage2_steps=0, warmup_steps=5).planned_steps == 0
 
     def test_negative_checkpoint_every_rejected_by_name(self):
         with pytest.raises(ValueError, match="checkpoint_every must be >= 0, got -2"):
@@ -455,7 +461,7 @@ class TestTwoStageRun:
         cfg = self._config(stage2_steps=0, high_res_steps=4)
         out = run_two_stage_training(triplets, cfg, tmp_path / "run")
         assert "stage2" not in out["checkpoints"]
-        stream = make_stage_stream(triplets, 2, cfg.seed, cfg.batch_size)
+        stream = StageStream(stage=2, seed=cfg.seed, batch_size=cfg.batch_size, pool=triplets)
         assert stream.batches_per_epoch == 3  # so the fourth batch opens epoch 1
         expected = [stream.epoch_batches(i // 3)[i % 3] for i in range(4)]
         assert drawn[3:] == [([t.id for t in b], 32) for b in expected]
@@ -502,12 +508,30 @@ class TestTwoStageRun:
         for k, v in out["model"].param_arrays().items():
             assert model.param_arrays()[k].tobytes() == v.tobytes()
 
+    def test_non_finite_gradient_aborts_before_the_update(self, corpus, tmp_path, monkeypatch):
+        """A finite loss with one inf gradient stops the run at step 0 and
+        names the parameter, in the error and in abort_diagnostic.json."""
+        triplets, _ = corpus
+        real = loop.compute_gradients
+
+        def inf_gradient(*args):
+            loss, grads = real(*args)
+            grads["text.proj.w"] = np.full_like(grads["text.proj.w"], np.inf)
+            return loss, grads
+
+        monkeypatch.setattr(loop, "compute_gradients", inf_gradient)
+        with pytest.raises(TrainingAborted, match=r"non-finite gradient for \['text.proj.w'\]"):
+            run_two_stage_training(triplets, self._config(), tmp_path / "run")
+        diagnostic = json.loads((tmp_path / "run/abort_diagnostic.json").read_text())
+        assert diagnostic["step"] == 0
+        assert "non-finite gradient for ['text.proj.w']" in diagnostic["error"]
+        assert (tmp_path / "run/metrics.jsonl").read_text() == ""
+
     def test_memory_report_exact_integer_counts(self, small_setup):
         model, images, ids, labels, _ = small_setup
-        report = activation_profile(model, [(images, ids, labels)])
-        assert all(isinstance(p, int) for p in report.peak_with_checkpointing)
-        assert all(isinstance(p, int) for p in report.peak_without_checkpointing)
-        assert report.reduction() > 0
+        plain, ckpt = activation_profile(model, images, ids, labels, images.shape[0])
+        assert isinstance(plain, int) and isinstance(ckpt, int)
+        assert ckpt < plain
 
     def test_precision_policy_toy_run_soft_bound(self, corpus, tmp_path):
         """End-of-run loss gap between full and half-emulated stays < 5e-2."""

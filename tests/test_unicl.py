@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from florence_mini.numerics import Tensor, finite_difference_check
-from florence_mini.unicl import (
-    EmbeddingBatch,
-    infonce_reference,
-    positive_sets,
-    unicl_loss,
-    unicl_loss_op,
-)
+from florence_mini.unicl import infonce_reference, unicl_loss_arrays, unicl_loss_op
 
 
 def brute_force_unicl(u, v, y, tau):
@@ -39,45 +33,19 @@ def random_unit_rows(rng, n, d):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-class TestPositiveSets:
-    def test_mixed_labels(self):
-        ps = positive_sets(np.array([0, 1, 0]))
-        assert list(ps.p[0]) == [0, 2]
-        assert list(ps.p[1]) == [1]
-        assert list(ps.p[2]) == [0, 2]
-
-    def test_all_distinct(self):
-        ps = positive_sets(np.array([3, 1, 2]))
-        assert all(list(ps.p[i]) == [i] for i in range(3))
-
-    def test_all_equal(self):
-        ps = positive_sets(np.array([7, 7, 7, 7]))
-        assert all(list(s) == [0, 1, 2, 3] for s in ps.p)
-
-    def test_self_membership_and_pq_agreement(self):
-        y = np.array([0, 0, 1, 2, 1])
-        ps = positive_sets(y)
-        for i in range(5):
-            assert i in ps.p[i]
-            # Q(j) = P(j): membership is symmetric, so one set list serves
-            # both loss directions
-            assert all((k in ps.p[i]) == (i in ps.p[k]) for k in range(5))
-
-
 class TestHandValues:
     def test_orthogonal_identity_batch(self):
         """Two orthogonal pairs with distinct labels: loss = 4*log(1+e^-1)."""
         u = np.array([[1.0, 0.0], [0.0, 1.0]])
-        batch = EmbeddingBatch(u, u.copy(), np.array([0, 1]), tau_param=0.0)
         expected = 4.0 * math.log(1.0 + math.exp(-1.0))
-        assert unicl_loss(batch).loss == pytest.approx(expected, abs=1e-12)
+        assert unicl_loss_arrays(u, u.copy(), np.array([0, 1]), 0.0).loss == pytest.approx(expected, abs=1e-12)
 
     def test_all_identical_batch(self):
         """Identical embeddings and labels force uniform softmax: 4*log 2."""
         e = np.array([[1.0, 0.0], [1.0, 0.0]])
         for s in (0.0, 1.3, -0.7):
-            batch = EmbeddingBatch(e, e.copy(), np.array([5, 5]), tau_param=s)
-            assert unicl_loss(batch).loss == pytest.approx(4.0 * math.log(2.0), abs=1e-12)
+            loss = unicl_loss_arrays(e, e.copy(), np.array([5, 5]), s).loss
+            assert loss == pytest.approx(4.0 * math.log(2.0), abs=1e-12)
 
 
 class TestOracleAgreement:
@@ -87,7 +55,7 @@ class TestOracleAgreement:
         v = random_unit_rows(rng, 4, 6)
         y = np.array([0, 0, 1, 2])
         s = 0.4
-        res = unicl_loss(EmbeddingBatch(u, v, y, s))
+        res = unicl_loss_arrays(u, v, y, s)
         assert res.loss == pytest.approx(brute_force_unicl(u, v, y, math.exp(s)), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -97,7 +65,7 @@ class TestOracleAgreement:
         u = random_unit_rows(rng, n, 5)
         v = random_unit_rows(rng, n, 5)
         y = rng.integers(0, max(1, n // 2), size=n)
-        res = unicl_loss(EmbeddingBatch(u, v, y, 0.2))
+        res = unicl_loss_arrays(u, v, y, 0.2)
         oracle = brute_force_unicl(u, v, y, math.exp(0.2))
         assert res.loss == pytest.approx(oracle, abs=1e-11)
 
@@ -108,7 +76,7 @@ class TestInfoNCEReduction:
         for n in (2, 5, 9):
             u = random_unit_rows(rng, n, 8)
             v = random_unit_rows(rng, n, 8)
-            res = unicl_loss(EmbeddingBatch(u, v, np.arange(n), 0.5))
+            res = unicl_loss_arrays(u, v, np.arange(n), 0.5)
             assert abs(res.loss - infonce_reference(u, v, math.exp(0.5))) < 1e-12
 
     def test_orthogonal_identity_same_hand_value(self):
@@ -120,7 +88,7 @@ class TestInfoNCEReduction:
         rng = np.random.default_rng(2)
         u = random_unit_rows(rng, 2, 4)
         v = random_unit_rows(rng, 2, 4)
-        res = unicl_loss(EmbeddingBatch(u, v, np.array([0, 0]), 0.0))
+        res = unicl_loss_arrays(u, v, np.array([0, 0]), 0.0)
         assert res.loss != infonce_reference(u, v, 1.0)
 
 
@@ -130,9 +98,9 @@ class TestProperties:
         u = random_unit_rows(rng, 6, 5)
         v = random_unit_rows(rng, 6, 5)
         y = np.array([0, 1, 0, 2, 1, 1])
-        base = unicl_loss(EmbeddingBatch(u, v, y, 0.1)).loss
+        base = unicl_loss_arrays(u, v, y, 0.1).loss
         perm = rng.permutation(6)
-        permuted = unicl_loss(EmbeddingBatch(u[perm], v[perm], y[perm], 0.1)).loss
+        permuted = unicl_loss_arrays(u[perm], v[perm], y[perm], 0.1).loss
         assert permuted == pytest.approx(base, rel=1e-14)
 
     def test_positive_loss(self):
@@ -142,7 +110,7 @@ class TestProperties:
             u = random_unit_rows(rng, n, 4)
             v = random_unit_rows(rng, n, 4)
             y = rng.integers(0, 3, size=n)
-            assert unicl_loss(EmbeddingBatch(u, v, y, 0.3)).loss > 0
+            assert unicl_loss_arrays(u, v, y, 0.3).loss > 0
 
     def test_raising_positive_similarity_lowers_loss(self):
         """Directional probe: move u_0 toward its positive v_0."""
@@ -150,21 +118,21 @@ class TestProperties:
         u = random_unit_rows(rng, 4, 6)
         v = random_unit_rows(rng, 4, 6)
         y = np.array([0, 1, 2, 3])
-        before = unicl_loss(EmbeddingBatch(u, v, y, 0.0)).loss
+        before = unicl_loss_arrays(u, v, y, 0.0).loss
         u2 = u.copy()
         u2[0] = u2[0] + 0.2 * v[0]
         u2[0] /= np.linalg.norm(u2[0])
-        after = unicl_loss(EmbeddingBatch(u2, v, y, 0.0)).loss
+        after = unicl_loss_arrays(u2, v, y, 0.0).loss
         assert after < before
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            EmbeddingBatch(np.array([[1.0]]), np.array([[1.0]]), np.array([0]), 0.0)
+            unicl_loss_arrays(np.array([[1.0]]), np.array([[1.0]]), np.array([0]), 0.0)
 
     def test_denormalized_rows_rejected(self):
         u = np.array([[2.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="unit-norm"):
-            EmbeddingBatch(u, u, np.array([0, 1]), 0.0)
+            unicl_loss_op(Tensor(u), Tensor(u), Tensor(np.array(0.0)), np.array([0, 1]))
 
 
 class TestGradients:
