@@ -442,11 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(command: str, args: list[str]) -> int:
-    """Run one subcommand; returns the process exit status."""
-    return main([command, *args])
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

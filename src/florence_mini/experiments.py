@@ -24,8 +24,6 @@ def duplicate_caption_advantage(
     per_class: int = 48,
     stage1_steps: int = 90,
     stage2_steps: int = 30,
-    batch_size: int = 32,
-    peak_lr: float = 2e-3,
 ) -> dict:
     """Train UniCL vs an InfoNCE baseline on a corpus where half of all
     captions are shared across images; compare held-out text-to-image R@1.
@@ -53,9 +51,9 @@ def duplicate_caption_advantage(
             config = TrainConfig(
                 stage1_steps=stage1_steps,
                 stage2_steps=stage2_steps,
-                batch_size=batch_size,
-                chunk_size=batch_size,
-                peak_lr=peak_lr,
+                batch_size=32,
+                chunk_size=32,
+                peak_lr=2e-3,
                 warmup_steps=min(10, stage1_steps + stage2_steps - 1),
                 seed=seed,
                 objective=objective,

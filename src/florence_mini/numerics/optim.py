@@ -70,8 +70,9 @@ def adamw_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
-        if np.isnan(g).any():
-            raise ValueError(f"NaN gradient for parameter {name!r}; step aborted")
+        if not np.isfinite(g).all():
+            # one inf makes m_hat / sqrt(v_hat) inf / inf, a NaN parameter
+            raise ValueError(f"non-finite gradient for parameter {name!r}; step aborted")
         m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
         m_hat = m / bc1

@@ -153,11 +153,12 @@ def train_step(
     ids: np.ndarray,
     labels: np.ndarray,
     record_ids: list[str],
-    opt_states,  # OptimizerState or list[OptimizerState] when sharded
+    opt_states: list[OptimizerState],
     config: TrainConfig,
     lr: float,
-) -> tuple[object, dict]:
-    """One optimizer step; returns (new optimizer state(s), metrics record)."""
+) -> tuple[list[OptimizerState], dict]:
+    """One optimizer step over the ZeRO shards, one state per worker;
+    returns (new worker states, metrics record)."""
     t0 = time.perf_counter()
     activation_meter.reset()
     labels_eff = effective_labels(labels, config.objective)
@@ -169,12 +170,7 @@ def train_step(
     if bad:
         raise TrainingAborted(f"non-finite gradient for {bad}; batch ids: {record_ids}")
     params = model.param_arrays()
-    if isinstance(opt_states, list):
-        new_params, new_states = zero_shard_update(params, grads, opt_states, lr=lr)
-    else:
-        from ..numerics.optim import adamw_step
-
-        new_params, new_states = adamw_step(params, grads, opt_states, lr=lr)
+    new_params, new_states = zero_shard_update(params, grads, opt_states, lr=lr)
     model.load_arrays(new_params)
     metrics = {
         "loss": loss,
@@ -186,10 +182,7 @@ def train_step(
     return new_states, metrics
 
 
-def save_train_checkpoint(
-    path, model: TwoTowerModel, opt_states, config: TrainConfig, step: int
-) -> None:
-    state = merge_zero_states(opt_states) if isinstance(opt_states, list) else opt_states
+def save_train_checkpoint(path, model: TwoTowerModel, state: OptimizerState, config: TrainConfig, step: int) -> None:
     tensors = dict(model.param_arrays())
     for k, m in state.m.items():
         tensors[f"__opt_m__.{k}"] = m
@@ -241,25 +234,27 @@ def load_train_checkpoint(path, config: TrainConfig):
         raise ValueError(f"resume config differs from the checkpoint's train_config: {', '.join(drift)}")
     if manifest["step"] > config.planned_steps:
         raise ValueError(f"checkpoint step {manifest['step']} is past the run's planned_steps {config.planned_steps}")
-    vocab = Vocabulary.from_list(manifest["vocab"], max_len=config.model.max_len)
-    model = TwoTowerModel.create(config.model, vocab, seed=config.seed)
-    params = {k: v for k, v in tensors.items() if not k.startswith("__opt_")}
-    model.load_arrays(params)
+    model = _checkpoint_model(tensors, manifest)
     state = OptimizerState(
         lr=config.peak_lr,
         step=manifest["optimizer_step"],
-        m={k: tensors[f"__opt_m__.{k}"] for k in params},
-        v={k: tensors[f"__opt_v__.{k}"] for k in params},
+        m={k: tensors[f"__opt_m__.{k}"] for k in model.params},
+        v={k: tensors[f"__opt_v__.{k}"] for k in model.params},
     )
     return model, state, manifest["step"]
 
 
 def load_model_checkpoint(path) -> TwoTowerModel:
     """Parameters + embedded config/vocab, for evaluation and inflation."""
-    tensors, manifest = load_checkpoint(path)
+    return _checkpoint_model(*load_checkpoint(path))
+
+
+def _checkpoint_model(tensors: dict[str, np.ndarray], manifest: dict) -> TwoTowerModel:
+    """The model a checkpoint holds: config and vocab from its manifest,
+    weights from every tensor but the optimizer moments."""
     config = ModelConfig.from_dict(manifest["model_config"])
     vocab = Vocabulary.from_list(manifest["vocab"], max_len=config.max_len)
-    model = TwoTowerModel.create(config, vocab, seed=0)
+    model = TwoTowerModel.create(config, vocab, seed=0)  # every initial weight is overwritten
     model.load_arrays({k: v for k, v in tensors.items() if not k.startswith("__opt_")})
     return model
 
@@ -279,9 +274,7 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
         state = init_optimizer_state(model.param_arrays(), lr=config.peak_lr)
         start_step = 0
 
-    opt_states: object = state
-    if config.zero_workers > 1:
-        opt_states = split_zero_state(state, model.param_arrays(), config.zero_workers)
+    opt_states = split_zero_state(state, model.param_arrays(), config.zero_workers)
 
     # (stage, first step, end step, stream, image side) for each stage that
     # runs; the high-res phase redraws the stage-2 pool from its first batch
@@ -345,11 +338,11 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
                 ):
                     if due:
                         p = out / f"ckpt-{name}"
-                        save_train_checkpoint(p, model, opt_states, config, done)
+                        save_train_checkpoint(p, model, merge_zero_states(opt_states), config, done)
                         checkpoints[name] = str(p)
 
     final = out / "ckpt-final"
-    save_train_checkpoint(final, model, opt_states, config, config.planned_steps)
+    save_train_checkpoint(final, model, merge_zero_states(opt_states), config, config.planned_steps)
     checkpoints["final"] = str(final)
     return {
         "model": model,

@@ -4,7 +4,8 @@ Parameters are partitioned round-robin over sorted names; each simulated
 worker owns only its shard's moments and updates those parameters locally;
 the final "all-gather" is a dict merge. AdamW is elementwise per parameter,
 so the result must be bit-equal to the unsharded update; the point of the
-simulation is per-worker resident-state accounting.
+simulation is per-worker resident-state accounting. The trainer always
+steps through it; one worker is one shard holding every parameter.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def merge_zero_states(states: list[OptimizerState]) -> OptimizerState:
 
 
 def split_zero_state(state: OptimizerState, params: dict[str, np.ndarray], workers: int) -> list[OptimizerState]:
-    """Inverse of merge_zero_states for resuming a sharded run."""
+    """Inverse of merge_zero_states: the per-worker states every run steps,
+    from a fresh or a resumed state."""
     return [
         replace(state, m={k: state.m[k] for k in shard}, v={k: state.v[k] for k in shard})
         for shard in partition_parameters(params, workers)

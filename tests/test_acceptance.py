@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from florence_mini.cli import dispatch
+from florence_mini.cli import main
 from florence_mini.curation import (
     StageStream,
     class_prototype,
@@ -40,6 +40,7 @@ from florence_mini.experiments import duplicate_caption_advantage
 from florence_mini.numerics import (
     Tensor,
     activation_meter,
+    adamw_step,
     backward_from,
     finite_difference_check,
     init_optimizer_state,
@@ -56,6 +57,7 @@ from florence_mini.trainer import (
     split_zero_state,
     train_step,
 )
+from florence_mini.trainer import loop
 from florence_mini.unicl import infonce_reference, unicl_loss_arrays, unicl_loss_op
 
 
@@ -74,13 +76,13 @@ def toy_run(tmp_path_factory):
     """synth(8x128) -> curate -> two-stage train + high-res phase via the CLI,
     stage shape 300/60/20."""
     root = tmp_path_factory.mktemp("toy")
-    assert dispatch("synth", ["--classes", "8", "--per-class", "128", "--seed", "0", "--out", str(root / "data")]) == 0
-    assert dispatch("curate", ["--records", str(root / "data/records.jsonl"), "--seed", "0", "--out", str(root / "cur")]) == 0
+    assert main(["synth", "--classes", "8", "--per-class", "128", "--seed", "0", "--out", str(root / "data")]) == 0
+    assert main(["curate", "--records", str(root / "data/records.jsonl"), "--seed", "0", "--out", str(root / "cur")]) == 0
     t0 = time.perf_counter()
     assert (
-        dispatch(
-            "train",
+        main(
             [
+                "train",
                 "--triplets", str(root / "cur/triplets.jsonl"),
                 "--out", str(root / "run"),
                 "--stage1-steps", "300", "--stage2-steps", "60", "--high-res-steps", "20",
@@ -237,14 +239,22 @@ def test_criterion_05_zero_sim_equivalence(grad_cache_setup, tmp_path):
     def run(workers):
         model = TwoTowerModel.create(ModelConfig(), vocab, seed=3)
         params = model.param_arrays()
-        states = init_optimizer_state(params, lr=1e-3)
-        if workers:
-            states = split_zero_state(states, params, workers)
+        states = split_zero_state(init_optimizer_state(params, lr=1e-3), params, workers)
         for step in range(10):
             states, _ = train_step(model, images, ids, labels, ["r"] * 16, states, config, 1e-3)
         return model.param_arrays()
 
-    baseline = run(0)
+    def unsharded():
+        # plain AdamW over the trainer's own gradients
+        model = TwoTowerModel.create(ModelConfig(), vocab, seed=3)
+        state = init_optimizer_state(model.param_arrays(), lr=1e-3)
+        for step in range(10):
+            _, grads = loop.compute_gradients(model, images, ids, labels, config)
+            params, state = adamw_step(model.param_arrays(), grads, state, lr=1e-3)
+            model.load_arrays(params)
+        return model.param_arrays()
+
+    baseline = unsharded()
     for workers in (1, 2, 4):
         sharded = run(workers)
         for k in baseline:
@@ -321,9 +331,8 @@ def test_criterion_08_end_to_end_toy_run(toy_run):
 
     out = root / "zs"
     assert (
-        dispatch(
-            "eval",
-            ["zero-shot", "--checkpoint", str(root / "run/ckpt-final"),
+        main(
+            ["eval", "zero-shot", "--checkpoint", str(root / "run/ckpt-final"),
              "--data", str(root / "data"), "--out", str(out), "--seed", "0"],
         )
         == 0

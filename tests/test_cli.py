@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from florence_mini.cli import dispatch, main, parse_config
+from florence_mini.cli import main, parse_config
 from florence_mini.encoders import TwoTowerModel
 from florence_mini.numerics import load_checkpoint
 from florence_mini.trainer import TrainConfig
@@ -69,12 +69,12 @@ class TestParseConfig:
 def pipeline(tmp_path_factory):
     """synth -> curate -> short train, shared by the command tests."""
     root = tmp_path_factory.mktemp("cli")
-    assert dispatch("synth", ["--classes", "3", "--per-class", "8", "--out", str(root / "data"), "--seed", "3"]) == 0
-    assert dispatch("curate", ["--records", str(root / "data/records.jsonl"), "--out", str(root / "cur"), "--seed", "3"]) == 0
+    assert main(["synth", "--classes", "3", "--per-class", "8", "--out", str(root / "data"), "--seed", "3"]) == 0
+    assert main(["curate", "--records", str(root / "data/records.jsonl"), "--out", str(root / "cur"), "--seed", "3"]) == 0
     assert (
-        dispatch(
-            "train",
+        main(
             [
+                "train",
                 "--triplets", str(root / "cur/triplets.jsonl"),
                 "--out", str(root / "run"),
                 "--stage1-steps", "3", "--stage2-steps", "2",
@@ -98,9 +98,8 @@ class TestPipelineCommands:
 
     def test_eval_zero_shot_writes_report(self, pipeline):
         out = pipeline / "zs"
-        code = dispatch(
-            "eval",
-            ["zero-shot", "--checkpoint", str(pipeline / "run/ckpt-final"),
+        code = main(
+            ["eval", "zero-shot", "--checkpoint", str(pipeline / "run/ckpt-final"),
              "--data", str(pipeline / "data"), "--out", str(out), "--seed", "3"],
         )
         assert code == 0
@@ -109,9 +108,8 @@ class TestPipelineCommands:
 
     def test_eval_retrieval_emits_both_directions(self, pipeline):
         out = pipeline / "ret"
-        code = dispatch(
-            "eval",
-            ["retrieval", "--checkpoint", str(pipeline / "run/ckpt-final"),
+        code = main(
+            ["eval", "retrieval", "--checkpoint", str(pipeline / "run/ckpt-final"),
              "--data", str(pipeline / "data"), "--out", str(out), "--ks", "1,5", "--seed", "3"],
         )
         assert code == 0
@@ -125,9 +123,8 @@ class TestPipelineCommands:
             json.dumps({"image_id": records[0]["id"], "x0": 0, "y0": 0, "x1": 32, "y1": 32}) + "\n"
         )
         out = pipeline / "reg"
-        code = dispatch(
-            "eval",
-            ["regions", "--checkpoint", str(pipeline / "run/ckpt-final"),
+        code = main(
+            ["eval", "regions", "--checkpoint", str(pipeline / "run/ckpt-final"),
              "--data", str(pipeline / "data"), "--out", str(out),
              "--image", str(pipeline / "data" / records[0]["image"]),
              "--boxes", str(boxes_path), "--seed", "3"],
@@ -138,9 +135,8 @@ class TestPipelineCommands:
 
     def test_eval_linear_probe_writes_report(self, pipeline):
         out = pipeline / "probe"
-        code = dispatch(
-            "eval",
-            ["linear-probe", "--checkpoint", str(pipeline / "run/ckpt-final"),
+        code = main(
+            ["eval", "linear-probe", "--checkpoint", str(pipeline / "run/ckpt-final"),
              "--data", str(pipeline / "data"), "--out", str(out), "--probe-epochs", "20", "--seed", "3"],
         )
         assert code == 0
@@ -150,9 +146,8 @@ class TestPipelineCommands:
 
     def test_eval_few_shot_writes_report_with_ci(self, pipeline):
         out = pipeline / "fs"
-        code = dispatch(
-            "eval",
-            ["few-shot", "--checkpoint", str(pipeline / "run/ckpt-final"),
+        code = main(
+            ["eval", "few-shot", "--checkpoint", str(pipeline / "run/ckpt-final"),
              "--data", str(pipeline / "data"), "--out", str(out),
              "--way", "3", "--shot", "2", "--episodes", "10", "--seed", "3"],
         )
@@ -166,7 +161,7 @@ class TestPipelineCommands:
     def test_eval_image_forwards_take_at_most_32_rows(self, pipeline, tmp_path, monkeypatch, command):
         """Every eval embeds its images 32 per forward, however many it reads."""
         data = tmp_path / "data"
-        assert dispatch("synth", ["--classes", "3", "--per-class", "16", "--out", str(data), "--seed", "3"]) == 0
+        assert main(["synth", "--classes", "3", "--per-class", "16", "--out", str(data), "--seed", "3"]) == 0
         rows = []
         encode = TwoTowerModel.encode_image
 
@@ -181,9 +176,8 @@ class TestPipelineCommands:
             "linear-probe": ["--probe-epochs", "2"],
             "few-shot": ["--way", "3", "--shot", "2", "--episodes", "2"],
         }[command]
-        code = dispatch(
-            "eval",
-            [command, "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(data),
+        code = main(
+            ["eval", command, "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(data),
              "--out", str(tmp_path / "out"), "--seed", "3", *extra],
         )
         assert code == 0
@@ -191,9 +185,8 @@ class TestPipelineCommands:
 
     def test_inflate_inherited_tensors_hash_match_source(self, pipeline):
         out = pipeline / "video"
-        code = dispatch(
-            "inflate",
-            ["--checkpoint", str(pipeline / "run/ckpt-final"),
+        code = main(
+            ["inflate", "--checkpoint", str(pipeline / "run/ckpt-final"),
              "--temporal-kernel", "2", "--frames", "4", "--out", str(out)],
         )
         assert code == 0
@@ -260,9 +253,9 @@ class TestPipelineCommands:
         }
         # synth, curate and train already ran in the `pipeline` fixture
         if command.startswith("eval"):
-            assert dispatch("eval", [command.split()[1], *eval_args, *extra.get(command, [])]) == 0
+            assert main(["eval", command.split()[1], *eval_args, *extra.get(command, [])]) == 0
         elif command in argvs:
-            assert dispatch(command, argvs[command]) == 0
+            assert main([command, *argvs[command]]) == 0
         out_dir, seed, inputs, artifacts = expected[command]
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == command
@@ -286,26 +279,20 @@ class TestPipelineCommands:
     )
     def test_memory_report_rejects_bad_batch_or_chunk_by_value(self, pipeline, tmp_path, capsys, flags, named):
         argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), *flags, "--out", str(tmp_path / "mem")]
-        assert dispatch("memory-report", argv) == 2
+        assert main(["memory-report", *argv]) == 2
         assert named in capsys.readouterr().err
 
     def test_commands_do_not_mutate_inputs(self, pipeline, tmp_path):
         before = _sha(pipeline / "data/records.jsonl")
-        dispatch(
-            "curate",
-            ["--records", str(pipeline / "data/records.jsonl"), "--out", str(tmp_path / "cur2"), "--seed", "9"],
-        )
+        main(["curate", "--records", str(pipeline / "data/records.jsonl"),
+              "--out", str(tmp_path / "cur2"), "--seed", "9"])
         assert _sha(pipeline / "data/records.jsonl") == before
 
     def test_rerun_gives_identical_artifact_hashes(self, pipeline, tmp_path):
         for target in ("a", "b"):
-            dispatch(
-                "synth",
-                ["--classes", "3", "--per-class", "8", "--out", str(tmp_path / target), "--seed", "3"],
-            )
-            dispatch(
-                "curate",
-                ["--records", str(tmp_path / target / "records.jsonl"),
+            main(["synth", "--classes", "3", "--per-class", "8", "--out", str(tmp_path / target), "--seed", "3"])
+            main(
+                ["curate", "--records", str(tmp_path / target / "records.jsonl"),
                  "--out", str(tmp_path / target / "cur"), "--seed", "3"],
             )
         assert _sha(tmp_path / "a/records.jsonl") == _sha(tmp_path / "b/records.jsonl")
@@ -316,9 +303,8 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("fraction", ["-0.5", "1.0"])
     def test_train_rejects_holdout_fraction_outside_unit_interval(self, pipeline, tmp_path, capsys, fraction):
-        code = dispatch(
-            "train",
-            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
              "--stage1-steps", "1", "--stage2-steps", "0", "--batch-size", "8", "--chunk-size", "4",
              "--warmup-steps", "0", "--holdout-fraction", fraction],
         )
@@ -326,9 +312,8 @@ class TestPipelineCommands:
         assert "holdout fraction must be in [0, 1)" in capsys.readouterr().err
 
     def test_eval_on_empty_holdout_names_the_split(self, pipeline, tmp_path, capsys):
-        code = dispatch(
-            "eval",
-            ["zero-shot", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
+        code = main(
+            ["eval", "zero-shot", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
              "--out", str(tmp_path / "zs"), "--holdout-fraction", "0"],
         )
         assert code == 2
@@ -337,18 +322,16 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("flag", ["--way", "--shot", "--episodes"])
     def test_few_shot_rejects_argument_below_one_by_name(self, pipeline, tmp_path, capsys, flag):
         args = {"--way": "3", "--shot": "2", "--episodes": "10"} | {flag: "0"}
-        code = dispatch(
-            "eval",
-            ["few-shot", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
+        code = main(
+            ["eval", "few-shot", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
              "--out", str(tmp_path / "fs"), *[item for pair in args.items() for item in pair]],
         )
         assert code == 2
         assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
 
     def test_train_names_a_stage_pool_smaller_than_the_batch(self, pipeline, tmp_path, capsys):
-        code = dispatch(
-            "train",
-            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
              "--stage1-steps", "2", "--stage2-steps", "0", "--batch-size", "64", "--chunk-size", "16",
              "--warmup-steps", "1"],
         )
@@ -360,9 +343,8 @@ class TestPipelineCommands:
     def test_train_rejects_high_res_size_before_training(self, pipeline, tmp_path, capsys, size):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"high_res_steps": 1, "high_res_size": size}))
-        code = dispatch(
-            "train",
-            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
              "--config", str(cfg), "--stage1-steps", "1", "--stage2-steps", "1",
              "--batch-size", "8", "--chunk-size", "4", "--warmup-steps", "1"],
         )
@@ -377,11 +359,11 @@ class TestPipelineCommands:
         argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(run),
                 "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
                 "--warmup-steps", "1", "--checkpoint-every", "2", "--seed", "3"]
-        assert dispatch("train", [*argv, "--high-res-steps", "3"]) == 0
+        assert main(["train", *argv, "--high-res-steps", "3"]) == 0
         kept = [run / "metrics.jsonl", *sorted((run / "ckpt-final").iterdir())]
         before = [p.read_bytes() for p in kept]
         capsys.readouterr()
-        code = dispatch("train", [*argv, "--high-res-steps", "0", "--resume", str(run / "ckpt-step-6")])
+        code = main(["train", *argv, "--high-res-steps", "0", "--resume", str(run / "ckpt-step-6")])
         assert code == 2
         assert "checkpoint step 6 is past the run's planned_steps 5" in capsys.readouterr().err
         assert [p.read_bytes() for p in kept] == before
@@ -389,9 +371,8 @@ class TestPipelineCommands:
 
     def test_train_refuses_a_warmup_as_long_as_the_run_before_opening_out(self, pipeline, tmp_path, capsys):
         """The default 50 warm-up steps over a 5-step run: nothing is left behind."""
-        code = dispatch(
-            "train",
-            ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(tmp_path / "run"),
              "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4"],
         )
         assert code == 2
@@ -405,22 +386,22 @@ class TestPipelineCommands:
         argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(run),
                 "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
                 "--warmup-steps", "1", "--checkpoint-every", "2", "--seed", "3"]
-        assert dispatch("train", argv) == 0
+        assert main(["train", *argv]) == 0
         before = (run / "metrics.jsonl").read_bytes()
         assert len(before.splitlines()) == 5
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"total_steps": 1}))
         capsys.readouterr()
-        assert dispatch("train", [*argv, "--config", str(cfg), "--resume", str(run / "ckpt-step-2")]) == 2
+        assert main(["train", *argv, "--config", str(cfg), "--resume", str(run / "ckpt-step-2")]) == 2
         assert "warmup_steps 1 must be smaller than total_steps 1" in capsys.readouterr().err
         assert (run / "metrics.jsonl").read_bytes() == before
 
     def test_refused_command_removes_only_the_out_it_created(self, pipeline, tmp_path):
         argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(tmp_path / "no-such-ckpt")]
-        assert dispatch("train", [*argv, "--out", str(tmp_path / "new/sub")]) == 2
+        assert main(["train", *argv, "--out", str(tmp_path / "new/sub")]) == 2
         assert not (tmp_path / "new").exists()
         (tmp_path / "old").mkdir()
-        assert dispatch("train", [*argv, "--out", str(tmp_path / "old")]) == 2
+        assert main(["train", *argv, "--out", str(tmp_path / "old")]) == 2
         assert (tmp_path / "old").is_dir()
 
     def test_resume_names_the_checkpoint_whose_train_config_is_stale(self, pipeline, tmp_path, capsys):
@@ -430,16 +411,15 @@ class TestPipelineCommands:
         manifest["train_config"]["beta1"] = 0.9
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(ckpt), "--out", str(tmp_path / "o")]
-        assert dispatch("train", argv) == 2
+        assert main(["train", *argv]) == 2
         err = capsys.readouterr().err
         assert f"checkpoint {ckpt}: its stored train_config" in err and "['beta1']" in err
 
     def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):
         """Two classes of 32 leave stage 2 (augmented records excluded) short
         of one batch of 32."""
-        code = dispatch(
-            "duplicate-captions",
-            ["--classes", "2", "--per-class", "32", "--stage1-steps", "8", "--stage2-steps", "3",
+        code = main(
+            ["duplicate-captions", "--classes", "2", "--per-class", "32", "--stage1-steps", "8", "--stage2-steps", "3",
              "--out", str(tmp_path / "dc")],
         )
         assert code == 2
@@ -448,14 +428,12 @@ class TestPipelineCommands:
 
     def test_duplicate_captions_runs_shorter_than_its_warmup(self, tmp_path):
         argv = ["--seeds", "3", "--classes", "4", "--per-class", "32", "--stage1-steps", "1", "--stage2-steps", "1"]
-        assert dispatch("duplicate-captions", [*argv, "--out", str(tmp_path / "dc")]) == 0
+        assert main(["duplicate-captions", *argv, "--out", str(tmp_path / "dc")]) == 0
 
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
     def test_missing_input_reports_error(self, tmp_path):
-        code = dispatch(
-            "curate", ["--records", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")]
-        )
+        code = main(["curate", "--records", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")])
         assert code == 2

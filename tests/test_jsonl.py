@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from florence_mini.cli import dispatch
+from florence_mini.cli import main
 from florence_mini.curation import (
     RemovalReport,
     generate_synthetic_dataset,
@@ -113,7 +113,7 @@ class TestWriterBytes:
         out = tmp_path / "reg"
         argv = ["regions", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path),
                 "--image", records[0].image_path, "--boxes", str(tmp_path / "boxes.jsonl"), "--out", str(out)]
-        assert dispatch("eval", argv) == 0
+        assert main(["eval", *argv]) == 0
         text = (out / "region_labels.jsonl").read_text()
         rows = [json.loads(line) for line in text.splitlines()]
         assert [row["box"] for row in rows] == [[0, 0, 32, 32], [4, 8, 20, 16]]
@@ -208,5 +208,5 @@ class TestMalformedLines:
         lines = path.read_text().splitlines()
         lines[1] = bad_line(lines[1])
         path.write_text("\n".join(lines) + "\n")
-        assert dispatch("curate", ["--records", str(path), "--out", str(tmp_path / "cur")]) == 2
+        assert main(["curate", "--records", str(path), "--out", str(tmp_path / "cur")]) == 2
         assert f"error: {path} {message}" in capsys.readouterr().err

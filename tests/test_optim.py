@@ -63,11 +63,12 @@ def test_zero_decay_matches_classic_adam():
         np.testing.assert_array_equal(params["p"], ref)
 
 
-def test_nan_gradient_reports_parameter_id():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nan_gradient_reports_parameter_id(bad):
     params = {"tower.weight": np.ones(2)}
     state = _state(params)
     with pytest.raises(ValueError, match="tower.weight"):
-        adamw_step(params, {"tower.weight": np.array([np.nan, 1.0])}, state)
+        adamw_step(params, {"tower.weight": np.array([bad, 1.0])}, state)
 
 
 def test_inputs_left_untouched():

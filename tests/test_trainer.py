@@ -314,7 +314,7 @@ class TestTrainStep:
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8)
         state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
-        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, [state], cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
     def test_half_emulated_step_with_chunk_equal_to_batch(self, small_setup):
@@ -323,7 +323,7 @@ class TestTrainStep:
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8, precision="half-emulated")
         state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
-        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, [state], cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
     @pytest.mark.parametrize("chunk, ckpt", [(8, False), (4, False), (4, True)])
@@ -334,7 +334,7 @@ class TestTrainStep:
         peaks = activation_profile(fresh, images, ids, labels, chunk)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=chunk, activation_checkpointing=ckpt)
         state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
-        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, [state], cfg, 1e-3)
         assert metrics["peak_activation_scalars"] == peaks[ckpt]
 
     def test_nan_input_aborts_with_batch_ids(self, small_setup):
@@ -345,7 +345,7 @@ class TestTrainStep:
         bad = images.copy()
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(TrainingAborted, match=rids[0]):
-            train_step(fresh, bad, ids, labels, rids, state, cfg, 1e-3)
+            train_step(fresh, bad, ids, labels, rids, [state], cfg, 1e-3)
 
 
 class TestTrainConfigValidation:
@@ -497,6 +497,15 @@ class TestTwoStageRun:
         ps = sharded["model"].param_arrays()
         for k in pb:
             assert pb[k].tobytes() == ps[k].tobytes(), k
+        # the merged worker states reach the checkpoint byte for byte
+        final_b, final_s = tmp_path / "w1/ckpt-final", tmp_path / "w4/ckpt-final"
+        mb, ms = (json.loads((d / "manifest.json").read_text()) for d in (final_b, final_s))
+        assert (mb["step"], mb["optimizer_step"]) == (ms["step"], ms["optimizer_step"]) == (6, 6)
+        assert mb["tensors"] == ms["tensors"]
+        files = [e["file"] for e in mb["tensors"].values()]
+        assert {f.split(".")[0] for f in files} >= {"__opt_m__", "__opt_v__"}
+        for f in files:
+            assert (final_b / f).read_bytes() == (final_s / f).read_bytes(), f
 
     def test_checkpoint_roundtrip_restores_step_and_params(self, corpus, tmp_path):
         triplets, _ = corpus
