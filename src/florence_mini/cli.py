@@ -394,19 +394,21 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="transfer evaluation protocols")
     esub = pe.add_subparsers(dest="eval_command", required=True)
 
-    def eval_parser(name, fn):
+    def eval_parser(name, fn, holdout=False):
         q = esub.add_parser(name)
         q.add_argument("--checkpoint", required=True)
         q.add_argument("--data", required=True, help="synth dir with records.jsonl + classes.txt")
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--holdout-fraction", type=float, default=0.2)
+        if holdout:
+            q.add_argument("--holdout-fraction", type=float, default=0.2)
         q.add_argument("--out", required=True)
         q.set_defaults(fn=fn)
         return q
 
-    eval_parser("zero-shot", cmd_eval_zero_shot)
-    eval_parser("retrieval", cmd_eval_retrieval).add_argument("--ks", default="1,5")
-    eval_parser("linear-probe", cmd_eval_linear_probe).add_argument("--probe-epochs", type=int, default=100)
+    eval_parser("zero-shot", cmd_eval_zero_shot, holdout=True)
+    eval_parser("retrieval", cmd_eval_retrieval, holdout=True).add_argument("--ks", default="1,5")
+    q = eval_parser("linear-probe", cmd_eval_linear_probe, holdout=True)
+    q.add_argument("--probe-epochs", type=int, default=100)
     q = eval_parser("few-shot", cmd_eval_few_shot)
     q.add_argument("--way", type=int, default=5)
     q.add_argument("--shot", type=int, default=5)

@@ -17,7 +17,6 @@ from .video import (
     build_video_tower,
     encode_video,
     inflate_conv_2d_to_3d,
-    inflate_positional_table,
 )
 from .vocab import BOS, EOS, PAD, UNK, Vocabulary, build_vocabulary, split_words, tokenize, tokenize_batch
 
@@ -35,7 +34,6 @@ __all__ = [
     "encode_video",
     "image_tower",
     "inflate_conv_2d_to_3d",
-    "inflate_positional_table",
     "init_two_tower",
     "multi_head_attention",
     "parameter_count",

@@ -4,9 +4,9 @@ The tokenizer becomes a tube convolution (temporal kernel = stride = kt);
 its 2D weights are duplicated along time and divided by kt so temporally
 constant input produces the 2D response. Patch merges inflate the same way
 with temporal stride 1, capping the temporal kernel at the extent still
-available. Relative-position tables are duplicated per temporal slice;
-attention itself stays 2D per slice (3D shifted windows are out of scope),
-so all other weights are inherited byte-identically.
+available. Attention stays 2D per temporal slice (3D shifted windows are
+out of scope), so the relative-position tables and all other weights are
+inherited byte-identically.
 """
 
 from __future__ import annotations
@@ -29,13 +29,6 @@ def inflate_conv_2d_to_3d(w2d: np.ndarray, kt: int) -> np.ndarray:
     return np.repeat(w2d[None] / kt, kt, axis=0)
 
 
-def inflate_positional_table(p2d: np.ndarray, t_extent: int) -> np.ndarray:
-    """Duplicate a 2D positional table so every temporal shift shares it."""
-    if t_extent < 1:
-        raise ValueError("temporal extent must be >= 1")
-    return np.repeat(p2d[None], t_extent, axis=0)
-
-
 @dataclass
 class VideoTowerParams:
     config: ModelConfig
@@ -45,7 +38,7 @@ class VideoTowerParams:
 
 
 def build_video_tower(params: dict[str, np.ndarray], config: ModelConfig, kt: int, frames: int) -> VideoTowerParams:
-    """Inflate tokenizer/merge kernels and positional tables; copy the rest."""
+    """Inflate tokenizer/merge kernels; copy the rest."""
     if kt < 1:
         raise ValueError("temporal kernel size must be >= 1")
     if kt > frames:
@@ -67,9 +60,6 @@ def build_video_tower(params: dict[str, np.ndarray], config: ModelConfig, kt: in
         elif name.startswith("image.merge") and name.endswith(".w"):
             s = int(name[len("image.merge") : -2])
             out[name] = inflate_conv_2d_to_3d(arr, min(kt, stage_extent[s]))
-        elif name.endswith(".rel_bias"):
-            s = int(name.split(".")[1][1:])  # "image.s{S}.b{B}.attn.rel_bias"
-            out[name] = inflate_positional_table(arr, stage_extent[s])
         else:
             out[name] = arr.copy()
     return VideoTowerParams(config=config, kt=kt, frames=frames, params=out)
@@ -79,9 +69,8 @@ def encode_video(tower: VideoTowerParams, clip: np.ndarray) -> Tensor:
     """Clip (B, T, H, W, C) or (T, H, W, C) -> unit-norm embedding (B, d).
 
     The clip runs through ``image_tower`` on the inflated weights. Attention
-    stays 2D within each temporal slice, so it reads the 2D slice of each
-    inflated positional table (equal to the 2D table by construction); tube
-    tokenization and 3D merges do the temporal mixing.
+    stays 2D within each temporal slice, with the image tower's positional
+    tables; tube tokenization and 3D merges do the temporal mixing.
     """
     arr = np.asarray(clip, dtype=tower.config.dtype)
     if arr.ndim == 4:
@@ -90,8 +79,4 @@ def encode_video(tower: VideoTowerParams, clip: np.ndarray) -> Tensor:
         raise ValueError(f"clip must be (B, T, H, W, C) or (T, H, W, C), got shape {arr.shape}")
     if arr.shape[1] != tower.frames:
         raise ValueError(f"clip has {arr.shape[1]} frames, tower built for {tower.frames}")
-    params = {
-        name: Tensor(arr3d[0] if name.endswith(".rel_bias") else arr3d)
-        for name, arr3d in tower.params.items()
-    }
-    return image_tower(params, tower.config, Tensor(arr))
+    return image_tower({name: Tensor(w) for name, w in tower.params.items()}, tower.config, Tensor(arr))

@@ -1,14 +1,13 @@
 """Transfer-evaluation protocols at desk scale."""
 
 from .embed import embed_images, embed_texts
-from .fewshot import EpisodeEvalResult, FewShotConfig, few_shot_episode_eval
+from .fewshot import EpisodeEvalResult, few_shot_episode_eval
 from .probe import ProbeConfig, ProbeResult, linear_probe
 from .regions import Box, classify_regions, read_boxes_jsonl, write_boxes_jsonl
 from .report import EvalReport, append_report_jsonl, read_reports_jsonl
 from .retrieval import retrieval_recall
 from .zero_shot import (
     DEFAULT_EVAL_TEMPLATES,
-    ClassPromptSet,
     build_prompt_sets,
     evaluate_topk,
     rank_scores,
@@ -18,11 +17,9 @@ from .zero_shot import (
 
 __all__ = [
     "Box",
-    "ClassPromptSet",
     "DEFAULT_EVAL_TEMPLATES",
     "EpisodeEvalResult",
     "EvalReport",
-    "FewShotConfig",
     "ProbeConfig",
     "ProbeResult",
     "append_report_jsonl",

@@ -1,11 +1,11 @@
 """Episodic few-shot evaluation with a linear adapter head.
 
-Per episode: sample ``way`` classes and ``shot`` supports per class, train
-a linear head on frozen features with momentum-SGD for a fixed epoch
-budget, score the query split. The heads of a block of episodes train
-together in one stacked run. The benchmark protocol (5-way,
-{5, 20, 50}-shot, 600 episodes) is expressible directly in the config;
-interpretation of the head optimizer constants: momentum 0.99, lr 0.01.
+Per episode: sample ``way`` classes, ``shot`` supports and up to
+QUERY_PER_CLASS queries per class, train a linear head on frozen features
+with momentum-SGD for ADAPTER_EPOCHS, score the queries. The heads of a
+block of episodes train together in one stacked run. The benchmark protocol
+(5-way, {5, 20, 50}-shot, 600 episodes) is the ``way``, ``shot`` and
+``episodes`` arguments.
 """
 
 from __future__ import annotations
@@ -19,16 +19,12 @@ import numpy as np
 # protocol episodes raised the eval's peak memory by 11% and ran no faster.
 EPISODE_BLOCK = 100
 
-
-@dataclass
-class FewShotConfig:
-    way: int = 5
-    shots: tuple[int, ...] = (5, 20, 50)
-    episodes: int = 600
-    query_per_class: int = 15
-    adapter_epochs: int = 100
-    adapter_lr: float = 0.01
-    adapter_momentum: float = 0.99
+# Queries scored per class (fewer when a class runs short) and the adapter
+# head's momentum-SGD budget.
+QUERY_PER_CLASS = 15
+ADAPTER_EPOCHS = 100
+ADAPTER_LR = 0.01
+ADAPTER_MOMENTUM = 0.99
 
 
 @dataclass
@@ -91,7 +87,6 @@ def few_shot_episode_eval(
     shot: int,
     episodes: int,
     seed: int,
-    config: FewShotConfig = FewShotConfig(),
 ) -> EpisodeEvalResult:
     """Mean accuracy over episodes with a normal-approximation 95% CI.
 
@@ -113,9 +108,7 @@ def few_shot_episode_eval(
         raise ValueError(f"every class needs at least shot+1={shot + 1} samples, smallest has {smallest}")
 
     draws = [
-        _draw_episode(
-            np.random.default_rng([seed, ep, 0xFE75]), classes, per_class, way, shot, config.query_per_class
-        )
+        _draw_episode(np.random.default_rng([seed, ep, 0xFE75]), classes, per_class, way, shot, QUERY_PER_CLASS)
         for ep in range(episodes)
     ]
     # supports are class-major, `shot` rows per slot, in every episode
@@ -124,9 +117,7 @@ def few_shot_episode_eval(
     for start in range(0, episodes, EPISODE_BLOCK):
         block = draws[start : start + EPISODE_BLOCK]
         x_support = features[np.stack([support for support, _, _ in block])]
-        w, b = _train_linear_heads(
-            x_support, y_support, way, config.adapter_epochs, config.adapter_lr, config.adapter_momentum
-        )
+        w, b = _train_linear_heads(x_support, y_support, way, ADAPTER_EPOCHS, ADAPTER_LR, ADAPTER_MOMENTUM)
         for i, (_, query, y_query) in enumerate(block):
             pred = (features[query] @ w[i] + b[i]).argmax(axis=1)
             accs[start + i] = float((pred == y_query).mean())

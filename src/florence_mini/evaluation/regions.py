@@ -30,7 +30,7 @@ def write_boxes_jsonl(path, boxes: list[Box]) -> None:
     write_jsonl(path, map(asdict, boxes))
 
 
-def classify_regions(model, image: np.ndarray, boxes, prompt_sets) -> list[list[tuple[int, float]]]:
+def classify_regions(model, image: np.ndarray, boxes, class_embeddings: np.ndarray) -> list[list[tuple[int, float]]]:
     """Crop each box and bilinear-resize it to the encoder input size, embed
     all crops together, and rank each crop's (class index, cosine score)
     pairs as zero_shot_classify would. Empty box list yields an empty result."""
@@ -44,5 +44,5 @@ def classify_regions(model, image: np.ndarray, boxes, prompt_sets) -> list[list[
         crops.append(crop)
     if not crops:
         return []
-    scores = class_scores(model, np.stack(crops), prompt_sets)
+    scores = class_scores(model, np.stack(crops), class_embeddings)
     return [[(int(c), float(row[c])) for c in order] for row, order in zip(scores, rank_scores(scores))]

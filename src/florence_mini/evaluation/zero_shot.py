@@ -8,8 +8,6 @@ class index; any positive rescaling of the scores leaves it unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..numerics.tensor import no_grad
@@ -28,37 +26,19 @@ DEFAULT_EVAL_TEMPLATES = (
 )
 
 
-@dataclass
-class ClassPromptSet:
-    class_name: str
-    templates: tuple[str, ...]
-    embedding: np.ndarray  # unit-norm ensembled text embedding
-
-    def __post_init__(self):
-        norm = float(np.linalg.norm(self.embedding))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"ensembled embedding must be unit norm, got {norm}")
-
-
-def build_prompt_sets(model, class_names, templates=DEFAULT_EVAL_TEMPLATES) -> list[ClassPromptSet]:
+def build_prompt_sets(model, class_names, templates=DEFAULT_EVAL_TEMPLATES) -> np.ndarray:
+    """Class-embedding matrix (num_classes, d): row c is the mean of class c's
+    per-template text embeddings, re-normalized to unit length."""
     if not class_names:
         raise ValueError("class list is empty")
     templates = tuple(templates)
     if not templates:
         raise ValueError("template list is empty")
     v = embed_texts(model, [t.format(name) for name in class_names for t in templates])
-    v = v.reshape(len(class_names), len(templates), -1)
-    sets = []
-    for name, rows in zip(class_names, v):
-        # the same 2-D (templates, d) reduction a forward per class made
-        mean = rows.mean(axis=0)
-        mean = mean / np.linalg.norm(mean)
-        sets.append(ClassPromptSet(class_name=name, templates=templates, embedding=mean))
-    return sets
-
-
-def _class_matrix(prompt_sets: list[ClassPromptSet]) -> np.ndarray:
-    return np.stack([p.embedding for p in prompt_sets])
+    # the same 2-D (templates, d) reduction a forward per class made, and a
+    # per-row norm: norm(axis=1) over the stack can differ in the last bit
+    means = [rows.mean(axis=0) for rows in v.reshape(len(class_names), len(templates), -1)]
+    return np.stack([m / np.linalg.norm(m) for m in means])
 
 
 def rank_scores(scores: np.ndarray) -> np.ndarray:
@@ -66,29 +46,29 @@ def rank_scores(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")
 
 
-def zero_shot_classify(model, image: np.ndarray, prompt_sets) -> list[tuple[int, float]]:
+def zero_shot_classify(model, image: np.ndarray, class_embeddings: np.ndarray) -> list[tuple[int, float]]:
     """Ranked (class index, cosine score) for one image."""
-    if not prompt_sets:
+    if len(class_embeddings) == 0:
         raise ValueError("class list is empty")
     with no_grad():
         u = model.encode_image(image).data[0]
-    scores = _class_matrix(prompt_sets) @ u
+    scores = class_embeddings @ u
     order = rank_scores(scores)
     return [(int(c), float(scores[c])) for c in order]
 
 
-def class_scores(model, images: np.ndarray, prompt_sets) -> np.ndarray:
+def class_scores(model, images: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
     """Cosine scores (N, num_classes) of an image stack against each class,
     row by row the matrix-vector product zero_shot_classify takes (a GEMM
     over all rows could differ from it in the last bit)."""
-    if not prompt_sets:
+    if len(class_embeddings) == 0:
         raise ValueError("class list is empty")
-    return (_class_matrix(prompt_sets) @ embed_images(model, images)[:, :, None])[..., 0]
+    return (class_embeddings @ embed_images(model, images)[:, :, None])[..., 0]
 
 
-def zero_shot_classify_batch(model, images: np.ndarray, prompt_sets) -> np.ndarray:
+def zero_shot_classify_batch(model, images: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
     """Ranked class indices (N, num_classes) for an image stack."""
-    return rank_scores(class_scores(model, images, prompt_sets))
+    return rank_scores(class_scores(model, images, class_embeddings))
 
 
 def evaluate_topk(ranked: np.ndarray, labels: np.ndarray, k: int) -> float:

@@ -14,6 +14,7 @@ from ..curation.records import Triplet, load_image
 from ..encoders.config import ModelConfig
 from ..encoders.model import TwoTowerModel
 from ..encoders.vocab import Vocabulary, build_vocabulary, tokenize_batch
+from ..jsonl import read_jsonl
 from ..numerics.container import load_checkpoint, save_checkpoint
 from ..numerics.optim import OptimizerState, cosine_lr, init_optimizer_state
 from ..numerics.precision import PRECISION_MODES, precision_policy
@@ -201,9 +202,10 @@ def save_train_checkpoint(path, model: TwoTowerModel, state: OptimizerState, con
     )
 
 
-# TrainConfig fields a resume may change: they extend or reschedule the run
-# without changing what any already-taken step computed.
-RESUMABLE_KEYS = ("stage1_steps", "stage2_steps", "high_res_steps", "total_steps", "checkpoint_every")
+# TrainConfig fields a resume may change: they extend or reschedule the run,
+# or reshard its merged optimizer state, without changing what any
+# already-taken step computed.
+RESUMABLE_KEYS = ("stage1_steps", "stage2_steps", "high_res_steps", "total_steps", "checkpoint_every", "zero_workers")
 
 
 def _flat_config(config: TrainConfig) -> dict:
@@ -305,11 +307,10 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
     # only the records before it are kept
     kept = []
     if resume_from is not None and metrics_path.exists():
-        with open(metrics_path) as fh:
-            kept = [line for line in fh if json.loads(line)["step"] < start_step]
+        kept = [row for row in read_jsonl(metrics_path, keys=("step",)) if row["step"] < start_step]
     checkpoints: dict[str, str] = {}
     with open(metrics_path, "w") as metrics_fh:
-        metrics_fh.writelines(kept)
+        metrics_fh.writelines(json.dumps(row) + "\n" for row in kept)
         for stage, first, end, stream, size in plan:
             epochs: dict = {}
             for step in range(max(first, start_step), end):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from florence_mini.cli import main
+from florence_mini.cli import build_parser, main
 from florence_mini.curation import (
     StageStream,
     class_prototype,
@@ -30,7 +30,6 @@ from florence_mini.encoders import (
     windowed_attention_block,
 )
 from florence_mini.evaluation import (
-    FewShotConfig,
     build_prompt_sets,
     classify_regions,
     few_shot_episode_eval,
@@ -297,11 +296,9 @@ def test_criterion_07_inflation_fidelity():
     model = TwoTowerModel.create(config, build_vocabulary(["a heron"]), seed=5)
     tower = build_video_tower(model.param_arrays(), config, kt=2, frames=4)
     for name, arr in model.param_arrays().items():
-        if name == "image.patch_embed.w" or name.endswith(".rel_bias") or (
-            name.startswith("image.merge") and name.endswith(".w")
-        ):
+        if name == "image.patch_embed.w" or (name.startswith("image.merge") and name.endswith(".w")):
             continue
-        assert tower.params[name].tobytes() == arr.tobytes(), name
+        assert tower.params[name].shape == arr.shape and tower.params[name].tobytes() == arr.tobytes(), name
 
     img = rng.uniform(size=(32, 32, 3)).astype(np.float32)
     clip = np.repeat(img[None], 4, axis=0)
@@ -423,8 +420,12 @@ def test_criterion_12_few_shot_protocol(toy_run):
     sigma = res.per_episode.std(ddof=1) / np.sqrt(200)
     assert abs(res.mean_accuracy - 0.2) <= 3 * sigma, (res.mean_accuracy, sigma)
 
-    protocol = FewShotConfig(way=5, shots=(5, 20, 50), episodes=600)
-    assert (protocol.way, protocol.shots, protocol.episodes) == (5, (5, 20, 50), 600)
+    for shot in (5, 20, 50):
+        protocol = build_parser().parse_args(
+            ["eval", "few-shot", "--checkpoint", "ckpt", "--data", "data", "--out", "out",
+             "--way", "5", "--shot", str(shot), "--episodes", "600"]
+        )
+        assert (protocol.way, protocol.shot, protocol.episodes) == (5, shot, 600)
     _pass(
         12,
         f"1-way = 1.0; random encoder 5-way {res.mean_accuracy:.3f} within 3 sigma of 0.2; "

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from florence_mini.cli import main, parse_config
+from florence_mini.cli import build_parser, main, parse_config
 from florence_mini.encoders import TwoTowerModel
 from florence_mini.numerics import load_checkpoint
 from florence_mini.trainer import TrainConfig
@@ -193,13 +193,11 @@ class TestPipelineCommands:
         src, _ = load_checkpoint(pipeline / "run/ckpt-final")
         dst, manifest = load_checkpoint(out / "video-tower")
         assert manifest["video"] == {"temporal_kernel": 2, "frames": 4}
-        transformed = {"image.patch_embed.w"} | {
-            k for k in src if (k.startswith("image.merge") and k.endswith(".w")) or k.endswith(".rel_bias")
-        }
+        transformed = {"image.patch_embed.w"} | {k for k in src if k.startswith("image.merge") and k.endswith(".w")}
         for name, arr in src.items():
             if name.startswith("__opt_") or name in transformed:
                 continue
-            assert dst[name].tobytes() == arr.tobytes(), name
+            assert dst[name].shape == arr.shape and dst[name].tobytes() == arr.tobytes(), name
 
     @pytest.mark.parametrize(
         "command",
@@ -396,6 +394,49 @@ class TestPipelineCommands:
         assert "warmup_steps 1 must be smaller than total_steps 1" in capsys.readouterr().err
         assert (run / "metrics.jsonl").read_bytes() == before
 
+    def test_in_place_resume_names_a_torn_metrics_line_and_keeps_the_file(self, pipeline, tmp_path, capsys):
+        """A run cut while writing step 3's record: resuming from ckpt-step-2
+        exits 2 naming the torn line before metrics.jsonl is reopened."""
+        run = tmp_path / "run"
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(run),
+                "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
+                "--warmup-steps", "1", "--checkpoint-every", "2", "--seed", "3"]
+        assert main(["train", *argv]) == 0
+        lines = (run / "metrics.jsonl").read_bytes().splitlines(keepends=True)
+        torn = b"".join(lines[:3]) + lines[3][:25]
+        (run / "metrics.jsonl").write_bytes(torn)
+        capsys.readouterr()
+        assert main(["train", *argv, "--resume", str(run / "ckpt-step-2")]) == 2
+        assert "metrics.jsonl line 4: invalid JSON" in capsys.readouterr().err
+        assert (run / "metrics.jsonl").read_bytes() == torn
+
+    def test_resume_on_another_zero_worker_count_matches_an_uninterrupted_run(self, pipeline, tmp_path):
+        """A checkpoint holds the merged optimizer state, so a 1-worker run
+        resumed in place on 3 workers ends byte-equal to a 3-worker run."""
+        argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"),
+                "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
+                "--warmup-steps", "1", "--checkpoint-every", "2", "--seed", "3"]
+        resumed, direct = tmp_path / "w1", tmp_path / "w3"
+        assert main(["train", *argv, "--out", str(resumed), "--zero-workers", "1"]) == 0
+        kept = (resumed / "metrics.jsonl").read_bytes().splitlines(keepends=True)[:2]
+        code = main(
+            ["train", *argv, "--out", str(resumed), "--zero-workers", "3", "--resume", str(resumed / "ckpt-step-2")]
+        )
+        assert code == 0
+        # the records before the checkpoint's step are written back byte for byte
+        assert (resumed / "metrics.jsonl").read_bytes().splitlines(keepends=True)[:2] == kept
+        assert main(["train", *argv, "--out", str(direct), "--zero-workers", "3"]) == 0
+        bins = sorted(p.name for p in (direct / "ckpt-final").glob("*.bin"))
+        assert bins and bins == sorted(p.name for p in (resumed / "ckpt-final").glob("*.bin"))
+        for name in bins:
+            assert (resumed / "ckpt-final" / name).read_bytes() == (direct / "ckpt-final" / name).read_bytes(), name
+
+        def masked(run):
+            return [{**json.loads(line), "step_time_s": None} for line in open(run / "metrics.jsonl")]
+
+        assert masked(resumed) == masked(direct)
+        assert [row["step"] for row in masked(resumed)] == list(range(5))
+
     def test_refused_command_removes_only_the_out_it_created(self, pipeline, tmp_path):
         argv = ["--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(tmp_path / "no-such-ckpt")]
         assert main(["train", *argv, "--out", str(tmp_path / "new/sub")]) == 2
@@ -429,6 +470,24 @@ class TestPipelineCommands:
     def test_duplicate_captions_runs_shorter_than_its_warmup(self, tmp_path):
         argv = ["--seeds", "3", "--classes", "4", "--per-class", "32", "--stage1-steps", "1", "--stage2-steps", "1"]
         assert main(["duplicate-captions", *argv, "--out", str(tmp_path / "dc")]) == 0
+
+    def test_holdout_fraction_only_on_evals_that_hold_out(self, capsys):
+        """zero-shot and retrieval score a held-out split and linear-probe
+        splits its fit; few-shot and regions take no such flag."""
+        accepted = []
+        for command, extra in (
+            ("zero-shot", []), ("retrieval", []), ("linear-probe", []), ("few-shot", []),
+            ("regions", ["--image", "image.bin", "--boxes", "boxes.jsonl"]),
+        ):
+            argv = ["eval", command, "--checkpoint", "ckpt", "--data", "data", "--out", "out", *extra]
+            try:
+                args = build_parser().parse_args([*argv, "--holdout-fraction", "0.3"])
+            except SystemExit:
+                assert "unrecognized arguments: --holdout-fraction" in capsys.readouterr().err
+                continue
+            assert args.holdout_fraction == 0.3
+            accepted.append(command)
+        assert accepted == ["zero-shot", "retrieval", "linear-probe"]
 
     def test_unknown_command_fails(self):
         with pytest.raises(SystemExit):

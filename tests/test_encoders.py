@@ -14,7 +14,6 @@ from florence_mini.encoders import (
     build_vocabulary,
     encode_video,
     inflate_conv_2d_to_3d,
-    inflate_positional_table,
     multi_head_attention,
     parameter_count,
     parameter_shapes,
@@ -287,19 +286,6 @@ class TestInflation:
         with pytest.raises(ValueError):
             inflate_conv_2d_to_3d(np.ones((1, 1, 1, 1)), kt=0)
 
-    def test_positional_table_duplication(self):
-        rng = np.random.default_rng(8)
-        p2d = rng.normal(size=(9, 2))
-        p3d = inflate_positional_table(p2d, 4)
-        assert p3d.shape == (4, 9, 2)
-        for t in range(4):
-            assert p3d[t].tobytes() == p2d.tobytes()
-        assert p3d.size == 4 * p2d.size
-
-    def test_t1_identity(self):
-        p2d = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_array_equal(inflate_positional_table(p2d, 1)[0], p2d)
-
     def test_constant_video_through_inflated_tokenizer(self, mini_model):
         """Tube conv on a temporally constant clip equals the 2D tokenizer."""
         cfg = mini_model.config
@@ -328,11 +314,10 @@ class TestVideoTower:
         tower = build_video_tower(arrays, mini_model.config, kt=2, frames=4)
         transformed = {"image.patch_embed.w"}
         transformed |= {k for k in arrays if k.startswith("image.merge") and k.endswith(".w")}
-        transformed |= {k for k in arrays if k.endswith(".rel_bias")}
         for name, arr in arrays.items():
             if name in transformed:
                 continue
-            assert tower.params[name].tobytes() == arr.tobytes(), name
+            assert tower.params[name].shape == arr.shape and tower.params[name].tobytes() == arr.tobytes(), name
 
     def test_kt1_t1_video_path_equals_image_path_exactly(self, mini_model):
         rng = np.random.default_rng(10)
