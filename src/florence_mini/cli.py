@@ -10,6 +10,7 @@ deterministic and sequential.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -444,7 +445,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt (parameter, value) pairs from malloc.h: M_MMAP_THRESHOLD at
+# 32 MiB, the largest value glibc accepts on 64-bit, and M_TRIM_THRESHOLD at 256 MiB
+_MALLOPT_SETTINGS = ((-3, 32 << 20), (-1, 256 << 20))
+
+
+def _keep_freed_memory() -> bool:
+    """Keep freed heap memory in the process instead of returning it to the
+    kernel; returns whether the allocator took every setting.
+
+    Under glibc's dynamic thresholds, each multi-MiB buffer a backward frees
+    is unmapped and the heap top is trimmed, so the next chunk, block
+    recompute or step faults every page back in (about 32,000 minor faults
+    per 64 px, batch-16 checkpointed step). No arithmetic changes. Where
+    there is no glibc `mallopt`, it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _MALLOPT_SETTINGS])
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

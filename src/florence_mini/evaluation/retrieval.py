@@ -16,6 +16,8 @@ def retrieval_recall(u: np.ndarray, v: np.ndarray, ks) -> dict[str, dict[int, fl
     ks = sorted(int(k) for k in ks)
     if not ks:
         raise ValueError("ks must be non-empty")
+    if ks[0] < 1:
+        raise ValueError(f"k must be >= 1, got k={ks[0]}")
     if u.shape != v.shape:
         raise ValueError("u and v must be row-aligned")
     n = u.shape[0]

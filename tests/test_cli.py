@@ -2,19 +2,25 @@
 
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from florence_mini import cli
 from florence_mini.cli import build_parser, main, parse_config
 from florence_mini.encoders import TwoTowerModel
 from florence_mini.numerics import load_checkpoint
 from florence_mini.trainer import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def _sha(path):
@@ -115,6 +121,16 @@ class TestPipelineCommands:
         assert code == 0
         rep = json.loads((out / "reports.jsonl").read_text())
         assert set(rep["metrics"]) == {"r_at_1_i2t", "r_at_5_i2t", "r_at_1_t2i", "r_at_5_t2i"}
+
+    def test_eval_retrieval_rejects_k_below_one_and_leaves_no_out(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "ret"
+        code = main(
+            ["eval", "retrieval", "--checkpoint", str(pipeline / "run/ckpt-final"),
+             "--data", str(pipeline / "data"), "--out", str(out), "--ks", "0,5"],
+        )
+        assert code == 2
+        assert "k must be >= 1, got k=0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_regions_full_image_box(self, pipeline):
         records = [json.loads(l) for l in open(pipeline / "data/records.jsonl")]
@@ -496,3 +512,77 @@ class TestPipelineCommands:
     def test_missing_input_reports_error(self, tmp_path):
         code = main(["curate", "--records", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+def _python(*argv, threads="1"):
+    """Start `python *argv` on this checkout's src with the given BLAS thread count."""
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": threads}
+    return subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def test_pipeline_writes_the_same_bytes_across_out_roots_and_blas_threads(tmp_path):
+    """tests/digest.py's ten-command pipeline, run in two processes with
+    different --out roots and BLAS thread counts, gives the same per-file
+    sha256 table once wall times and the root prefix are masked."""
+    digest = str(Path(__file__).with_name("digest.py"))
+    procs = [_python(digest, str(tmp_path / "a"), threads="1"), _python(digest, str(tmp_path / "bb"), threads="2")]
+    outs = [p.communicate(timeout=300) for p in procs]
+    for p, (_, err) in zip(procs, outs):
+        assert p.returncode == 0, err
+    tables = [stdout.splitlines() for stdout, _ in outs]
+    assert tables[0][-1].endswith("  <root>")
+    assert any(line.endswith("  gcache/ckpt-final/manifest.json") for line in tables[0])
+    assert tables[0] == tables[1]
+
+
+_FAULT_PROBE = """
+import sys
+from florence_mini import cli
+if not cli._keep_freed_memory():
+    print("no mallopt")
+    sys.exit(0)
+import resource
+import numpy as np
+from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary, tokenize_batch
+from florence_mini.trainer import TrainConfig
+from florence_mini.trainer.loop import compute_gradients
+
+texts = [f"a photo of class {i % 4}" for i in range(16)]
+model_config = ModelConfig(image_size=64)
+model = TwoTowerModel.create(model_config, build_vocabulary(texts, max_len=model_config.max_len), seed=0)
+images = np.random.default_rng(0).random((16, 64, 64, 3))
+ids, labels = tokenize_batch(texts, model.vocab), np.arange(16) % 4
+config = TrainConfig(model=model_config, batch_size=16, chunk_size=16, activation_checkpointing=True)
+compute_gradients(model, images, ids, labels, config)  # warm-up: the heap grows to its working size
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(2):
+    compute_gradients(model, images, ids, labels, config)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 2)
+"""
+
+
+class TestAllocator:
+    def test_freed_tape_memory_is_reused_without_page_faults(self):
+        """With glibc's dynamic thresholds a 64 px, batch-16 checkpointed
+        step faults about 32,000 pages back in; with the fixed thresholds
+        the buffers a backward frees are reused."""
+        proc = _python("-c", _FAULT_PROBE)
+        stdout, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+        if stdout.strip() == "no mallopt":
+            pytest.skip("the C library has no mallopt")
+        assert float(stdout) < 1000
+
+    @pytest.mark.parametrize("error", [None, OSError, TypeError], ids=["no-mallopt", "cdll-oserror", "cdll-typeerror"])
+    def test_without_mallopt_the_helper_does_nothing_and_commands_run(self, monkeypatch, tmp_path, error):
+        """A C library without mallopt (macOS), or a CDLL(None) that raises
+        (Windows gives TypeError), leaves the allocator as it is."""
+
+        def cdll(name):
+            if error:
+                raise error("no C library")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._keep_freed_memory() is False
+        assert main(["synth", "--classes", "2", "--per-class", "2", "--out", str(tmp_path / "data")]) == 0

@@ -214,6 +214,12 @@ class TestRetrieval:
         assert rec["i2t"][k1] <= rec["i2t"][k2]
         assert rec["t2i"][k1] <= rec["t2i"][k2]
 
+    @pytest.mark.parametrize("ks, k", [([0, 1], 0), ([-3], -3)])
+    def test_k_below_one_rejected_by_name(self, ks, k):
+        u = np.eye(3)
+        with pytest.raises(ValueError, match=f"k must be >= 1, got k={k}"):
+            retrieval_recall(u, u, ks=ks)
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="2 rows"):
             retrieval_recall(np.ones((1, 3)), np.ones((1, 3)), ks=[1])
