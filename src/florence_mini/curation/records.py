@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,14 +66,33 @@ def image_size(path) -> tuple[int, int]:
 def _relative_image(image_path: str, jsonl_path) -> str:
     # store images relative to the JSONL so reruns in different roots hash
     # identically and datasets stay relocatable
-    import os
-
     return os.path.relpath(image_path, start=Path(jsonl_path).parent)
 
 
-def _resolve_image(image: str, jsonl_path) -> str:
-    p = Path(image)
-    return image if p.is_absolute() else str((Path(jsonl_path).parent / p).resolve())
+def _image_resolver(jsonl_path):
+    """Map a JSONL's image field to the path one ``Path.resolve()`` of it
+    against the JSONL's directory gives; absolute paths pass through.
+
+    Each image directory resolves once per file, not once per image. A
+    resolved directory joined with a file name is already resolved, unless
+    the file itself is a symlink or the name is empty, ``.`` or ``..``;
+    those take the full walk.
+    """
+    base = Path(jsonl_path).parent
+    dirs: dict[str, str] = {}
+
+    def resolve(image: str) -> str:
+        if os.path.isabs(image):
+            return image
+        head, name = os.path.split(image)
+        if head not in dirs:
+            dirs[head] = str((base / head).resolve())
+        full = os.path.join(dirs[head], name)
+        if name in ("", ".", "..") or os.path.islink(full):
+            return str((base / image).resolve())
+        return full
+
+    return resolve
 
 
 def write_records_jsonl(path, records: list[RawRecord]) -> None:
@@ -86,8 +106,9 @@ def write_records_jsonl(path, records: list[RawRecord]) -> None:
 
 
 def read_records_jsonl(path) -> list[RawRecord]:
+    resolve = _image_resolver(path)
     return [
-        RawRecord(id=d["id"], image_path=_resolve_image(d["image"], path), text=d["text"], source=d.get("source", ""))
+        RawRecord(id=d["id"], image_path=resolve(d["image"]), text=d["text"], source=d.get("source", ""))
         for d in read_jsonl(path, keys=("id", "image", "text"))
     ]
 
@@ -109,10 +130,11 @@ def write_triplets_jsonl(path, triplets: list[Triplet]) -> None:
 
 
 def read_triplets_jsonl(path) -> list[Triplet]:
+    resolve = _image_resolver(path)
     return [
         Triplet(
             id=d["id"],
-            image_path=_resolve_image(d["image"], path),
+            image_path=resolve(d["image"]),
             text=d["text"],
             label=d["label"],
             augmented=d["augmented"],

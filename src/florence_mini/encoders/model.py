@@ -65,21 +65,8 @@ def relative_index(window: int) -> np.ndarray:
 def multi_head_attention(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, bias: Tensor) -> Tensor:
     """Self-attention over (B, N, C) token stacks; ``bias`` broadcasts onto
     the (B, heads, N, N) scores before the softmax."""
-    bsz, n, c = x.shape
-    dh = c // heads
-
-    def project(m, b):
-        h = ops.linear(x, p[f"{prefix}.{m}"], p[f"{prefix}.{b}"])
-        return ops.transpose(ops.reshape(h, (bsz, n, heads, dh)), (0, 2, 1, 3))
-
-    q = project("wq", "bq")
-    k = project("wk", "bk")
-    v = project("wv", "bv")
-    scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = ops.softmax(ops.add(scores, bias))
-    out = ops.matmul(attn, v)  # (B, h, N, dh)
-    out = ops.reshape(ops.transpose(out, (0, 2, 1, 3)), (bsz, n, c))
-    return ops.linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+    weights = (p[f"{prefix}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
+    return ops.attention(x, *weights, bias, heads)
 
 
 def mlp_block(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..numerics.ops import _row_max
+
 
 # Episodes whose heads train together in one stack. One stack of all 600
 # protocol episodes raised the eval's peak memory by 11% and ran no faster.
@@ -53,7 +55,7 @@ def _train_linear_heads(
     xt = x.transpose(0, 2, 1)
     for _ in range(epochs):
         logits = x @ w + b
-        logits -= logits.max(axis=2, keepdims=True)
+        logits -= _row_max(logits)
         p = np.exp(logits)
         p /= p.sum(axis=2, keepdims=True)
         g = (p - onehot) / n

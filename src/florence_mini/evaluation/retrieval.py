@@ -23,6 +23,9 @@ def retrieval_recall(u: np.ndarray, v: np.ndarray, ks) -> dict[str, dict[int, fl
     n = u.shape[0]
     if n < 2:
         raise ValueError("need at least 2 rows")
+    if ks[-1] > n:
+        # past the candidate count every truth is inside the top k
+        raise ValueError(f"k={ks[-1]} exceeds the {n} candidates")
     scores = u @ v.T  # scores[i, j]: image i vs text j
 
     def ranks(score_rows: np.ndarray) -> np.ndarray:

@@ -210,8 +210,13 @@ def mean(a: Tensor, axis=None) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's stacked-matmul semantics (ndim >= 2);
-    dense layers use ``linear`` instead."""
+    """Matrix product with numpy's stacked-matmul semantics (ndim >= 2).
+
+    No model code calls it: dense layers use ``linear`` and attention its
+    own op. It stays as the primitive the oracles compose, criterion 03's
+    finite-difference check and the composed attention that ``attention``
+    must equal byte for byte.
+    """
     _check_same_dtype(a, b, "matmul")
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors of rank >= 2")
@@ -224,6 +229,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _result("matmul", np.matmul(a.data, b.data), (a, b), (a.data, b.data), backward)
+
+
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray | None) -> np.ndarray:
+    """``linear``'s value: the product snaps, then the bias sum, added in place."""
+    cin, cout = w.shape
+    if x.size == cin:
+        # numpy hands a one-row product to BLAS gemv, whose sums can differ
+        # from gemm's in the last bit; a duplicated row stays on gemm, so no
+        # row's output depends on how many rows share its forward
+        pair = np.repeat(x.reshape(1, cin), 2, axis=0)
+        out = np.matmul(pair, w)[0].reshape(x.shape[:-1] + (cout,))
+    else:
+        out = np.matmul(x, w)
+    out = apply_policy(out)
+    if b is not None:
+        out += b
+        out = apply_policy(out)
+    return out
+
+
+def _dense_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, bias: bool) -> tuple[np.ndarray, ...]:
+    """``linear``'s input, weight and (when ``bias``) bias gradients."""
+    cin, cout = w.shape
+    g2 = g.reshape(-1, cout)
+    grads = ((g2 @ w.T).reshape(x.shape), x.reshape(-1, cin).T @ g2)
+    return grads + (g2.sum(axis=0),) if bias else grads
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -239,36 +270,119 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     _check_same_dtype(x, w, "linear")
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise ValueError(f"linear needs w ({x.shape[-1]}, Cout) for x {x.shape}, got w {w.shape}")
-    cin, cout = w.shape
-    if x.size == cin:
-        # numpy hands a one-row product to BLAS gemv, whose sums can differ
-        # from gemm's in the last bit; a duplicated row stays on gemm, so no
-        # row's output depends on how many rows share its forward
-        pair = np.repeat(x.data.reshape(1, cin), 2, axis=0)
-        out = np.matmul(pair, w.data)[0].reshape(x.shape[:-1] + (cout,))
-    else:
-        out = np.matmul(x.data, w.data)
-    out = apply_policy(out)
     inputs = (x, w)
     if b is not None:
         _check_same_dtype(x, b, "linear")
-        if b.shape != (cout,):
-            raise ValueError(f"linear bias must have shape ({cout},), got {b.shape}")
-        out = apply_policy(out + b.data)
+        if b.shape != (w.shape[1],):
+            raise ValueError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
         inputs = (x, w, b)
 
     def backward(g, saved):
-        xv, wv = saved
-        g2 = g.reshape(-1, cout)
-        grads = ((g2 @ wv.T).reshape(xv.shape), xv.reshape(-1, cin).T @ g2)
-        return grads if b is None else grads + (g2.sum(axis=0),)
+        return _dense_grads(g, *saved, b is not None)
 
+    out = _dense(x.data, w.data, None if b is None else b.data)
     return _record("linear", out, inputs, (x.data, w.data), backward)
+
+
+def attention(
+    x: Tensor,
+    wq: Tensor,
+    bq: Tensor,
+    wk: Tensor,
+    bk: Tensor,
+    wv: Tensor,
+    bv: Tensor,
+    wo: Tensor,
+    bo: Tensor,
+    bias: Tensor,
+    heads: int,
+) -> Tensor:
+    """Multi-head self-attention over (B, N, C) token stacks, one tape node.
+
+    ``bias`` broadcasts onto the (B, heads, N, N) scores before the
+    softmax. The forward runs the composition this op replaces, in its
+    order: ``linear`` q, k and v, a head split, ``matmul(q, kᵀ)``, a scale
+    by 1/√dh, the bias sum, ``softmax``, ``matmul`` with v, a head merge and
+    ``linear`` o. It snaps where those ops snapped (never the softmax), and
+    its backward replays their backward rules in the order the tape ran
+    them, so values and gradients are byte-equal to the composition. It
+    saves x and the probabilities once each, where the composition saved
+    them three times and twice. A bias off the tape (the text PAD mask)
+    gets no gradient. Nothing it is given or has saved is written.
+    """
+    for t in (wq, bq, wk, bk, wv, bv, wo, bo, bias):
+        _check_same_dtype(x, t, "attention")
+    bsz, n, c = x.shape
+    if c % heads:
+        raise ValueError(f"attention width {c} not divisible by {heads} heads")
+    split = (bsz, n, heads, c // heads)
+    c_scale = x.data.dtype.type(1.0 / np.sqrt(c // heads))
+    q, k, v = (_dense(x.data, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
+    scores = apply_policy(np.matmul(q4, k4.transpose(0, 1, 3, 2)))
+    scores *= c_scale
+    scores = apply_policy(scores)
+    scores += bias.data
+    probs = _softmax_rows(apply_policy(scores))
+    ctx = apply_policy(np.matmul(probs, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
+    out = _dense(ctx, wo.data, bo.data)
+    bias_shape, bias_live = bias.shape, bias.requires_grad or bias.node is not None
+
+    def backward(g, saved):
+        xv, wqv, wkv, wvv, wov, qv, kv, vv, p, ctx_v = saved
+        q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (qv, kv, vv))
+        d_ctx, dwo, dbo = _dense_grads(g, ctx_v, wov, True)
+        d_ctx = d_ctx.reshape(split).transpose(0, 2, 1, 3)
+        d_p = np.matmul(d_ctx, v4.swapaxes(-1, -2))
+        dv4 = np.matmul(p.swapaxes(-1, -2), d_ctx)
+        d_scores = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
+        d_bias = _unbroadcast(d_scores, bias_shape) if bias_live else None
+        d_scores = d_scores * c_scale
+        dq4 = np.matmul(d_scores, k4)
+        dk4 = np.matmul(q4.swapaxes(-1, -2), d_scores).transpose(0, 1, 3, 2)
+        dxv, dwv, dbv = _dense_grads(dv4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wvv, True)
+        dxk, dwk, dbk = _dense_grads(dk4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wkv, True)
+        dxq, dwq, dbq = _dense_grads(dq4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wqv, True)
+        # the tape ran v's linear first, then k's, then q's
+        dx = (dxv + dxk) + dxq
+        return dx, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo, d_bias
+
+    saved = (x.data, wq.data, wk.data, wv.data, wo.data, q, k, v, probs, ctx)
+    return _record("attention", out, (x, wq, bq, wk, bk, wv, bv, wo, bo, bias), saved, backward)
 
 
 # ---------------------------------------------------------------------------
 # normalization / softmax: numerically fragile, so they never snap
 # ---------------------------------------------------------------------------
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` from elementwise ``np.maximum``
+    halvings of the last axis (an odd row folds its last entry into the
+    first).
+
+    numpy's reduce costs more per element over short rows than the whole
+    rest of a softmax. A maximum is exact in any order, so the values are
+    the reduce's, with NaN in the same places; only the sign of a zero tied
+    with a zero of the other sign can differ, and ``x - m`` followed by
+    ``exp`` cannot see it. Rows of length 1 return ``x`` itself.
+    """
+    m, n = x, x.shape[-1]
+    while n > 1:
+        h = n // 2
+        half = np.maximum(m[..., :h], m[..., h : 2 * h])
+        if n % 2:
+            np.maximum(half[..., :1], m[..., 2 * h :], out=half[..., :1])
+        m, n = half, h
+    return m
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """exp(x - max) / sum over the last axis, in one fresh array."""
+    e = x - _row_max(x)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -279,10 +393,7 @@ def softmax(a: Tensor) -> Tensor:
     grid.
     """
     _check_float(a, "softmax")
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_rows(a.data)
 
     def backward(g, saved):
         (y,) = saved

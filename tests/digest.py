@@ -1,16 +1,21 @@
-"""Byte-identity digest of a short CLI pipeline.
+"""Byte-identity digest of a short CLI pipeline and of one gradient step.
 
 `pipeline(root)` runs synth, curate, two `train` runs, the four record evals,
 `inflate` and `memory-report` under `root`. `digest_table(root)` gives the
 sha256 of every file under `root`, with two kinds of bytes masked: the values
 of the wall-time fields, and the absolute `root` wherever it starts a path.
-Everything else a fixed (corpus, config, seed) writes must repeat exactly.
+`gradient_table(root)` gives the sha256 of `compute_gradients`' loss, of every
+gradient and of the peak activation-scalar count, for the pipeline's first 8
+curated triplets at 32 px under each dtype, precision mode, checkpointing
+setting and chunk size of a small grid. Everything else a fixed (corpus,
+config, seed) writes or computes must repeat exactly.
 
     python tests/digest.py OUT
 
 runs the pipeline into the fresh directory OUT and prints the per-file table,
-then the root digest. Two trees write the same bytes when their tables are
-equal (`diff` of the two printouts is empty).
+the gradient rows, then the root digest. Two trees write the same bytes and
+compute the same gradients when their printouts are equal (`diff` of the two
+is empty).
 """
 
 from __future__ import annotations
@@ -70,6 +75,46 @@ def digest_table(root) -> dict[str, str]:
     }
 
 
+def gradient_table(root) -> dict[str, str]:
+    """`gradients/<dtype>/<precision>/<plain|checkpointed>/chunk<k>/<name>` ->
+    sha256 of the loss, each gradient and the peak activation scalars of one
+    `compute_gradients` call on a batch of 8 from `root`'s curated triplets."""
+    import numpy as np
+
+    from florence_mini.curation import read_triplets_jsonl
+    from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
+    from florence_mini.numerics.precision import PRECISION_MODES
+    from florence_mini.numerics.tensor import activation_meter
+    from florence_mini.trainer import TrainConfig, prepare_batch
+    from florence_mini.trainer.loop import compute_gradients
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    triplets = read_triplets_jsonl(Path(root) / "cur" / "triplets.jsonl")[:8]
+    vocab = build_vocabulary([t.text for t in triplets])
+    table = {}
+    for dtype in ("float64", "float32"):
+        model_config = ModelConfig(dtype=dtype)
+        images, ids, labels, _ = prepare_batch(triplets, vocab, dtype)
+        for precision in PRECISION_MODES:
+            for checkpointing in (False, True):
+                for chunk in (4, 8):
+                    config = TrainConfig(
+                        model=model_config, batch_size=8, chunk_size=chunk, precision=precision,
+                        activation_checkpointing=checkpointing,
+                    )
+                    activation_meter.reset()
+                    loss, grads = compute_gradients(
+                        TwoTowerModel.create(model_config, vocab, seed=1), images, ids, labels, config
+                    )
+                    tag = f"gradients/{dtype}/{precision}/{'checkpointed' if checkpointing else 'plain'}/chunk{chunk}"
+                    table[f"{tag}/loss"] = sha(np.float64(loss).tobytes())
+                    table[f"{tag}/peak_activation_scalars"] = sha(str(activation_meter.peak).encode())
+                    table.update({f"{tag}/{name}": sha(g.tobytes()) for name, g in grads.items()})
+    return table
+
+
 def root_digest(table: dict[str, str]) -> str:
     return hashlib.sha256("".join(f"{name}\t{h}\n" for name, h in sorted(table.items())).encode()).hexdigest()
 
@@ -80,7 +125,7 @@ if __name__ == "__main__":
         sys.exit(f"{out} exists; give a fresh directory")
     with contextlib.redirect_stdout(sys.stderr):  # keep the commands' messages out of the table
         pipeline(out)
-    table = digest_table(out)
+        table = {**digest_table(out), **gradient_table(out)}
     for name, h in table.items():
         print(f"{h}  {name}")
     print(f"{root_digest(table)}  <root>")

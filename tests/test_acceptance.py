@@ -166,15 +166,25 @@ def test_criterion_03_gradient_correctness():
     xmap = Tensor(rng.normal(size=(1, 4, 4, 4)))
     probe_map = Tensor(rng.normal(size=(1, 4, 4, 4)))
 
-    def through_attention(wq):
-        params = dict(model.params)
-        params["image.s0.b0.attn.wq"] = wq
-        out = windowed_attention_block(xmap, params, "image.s0.b0", heads=2, window=2)
-        return ops.tensor_sum(ops.mul(out, probe_map))
+    def through_attention(name):
+        """The block's probed output as a function of x or of one attention tensor."""
 
-    worst["windowed_attention"] = finite_difference_check(
-        through_attention, model.params["image.s0.b0.attn.wq"].data.copy()
-    ).max_rel_error
+        def f(t):
+            params = dict(model.params)
+            if name != "x":
+                params[f"image.s0.b0.attn.{name}"] = t
+            out = windowed_attention_block(t if name == "x" else xmap, params, "image.s0.b0", heads=2, window=2)
+            return ops.tensor_sum(ops.mul(out, probe_map))
+
+        return f
+
+    worst["windowed_attention"] = max(
+        finite_difference_check(
+            through_attention(name),
+            (xmap if name == "x" else model.params[f"image.s0.b0.attn.{name}"]).data.copy(),
+        ).max_rel_error
+        for name in ("x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "rel_bias")
+    )
 
     gam = rng.normal(size=6)
     bet = rng.normal(size=6)

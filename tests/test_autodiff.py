@@ -259,6 +259,186 @@ class TestLinear:
         assert activation_meter.current == 0
 
 
+def _reduce_max_softmax(x):
+    """``softmax``'s forward as it was written before ``_row_max``."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _rows_with_specials(n, dtype, seed):
+    """(3, 12, n) rows: random, with signed-zero ties, infinities and NaN."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(3, 12, n)) * 3.0
+    rows = x.reshape(-1, n)
+    at = rng.integers(0, n, size=8)
+    rows[0] = 0.0
+    rows[1] = -0.0
+    rows[2, ::2] = -0.0
+    rows[2, 1::2] = 0.0
+    rows[3, at[0]] = np.inf
+    rows[4, at[1]] = -np.inf
+    rows[5] = -np.inf
+    rows[6, at[2]] = np.nan
+    rows[7, at[3]] = np.nan
+    rows[7, at[4]] = np.inf
+    rows[8] = rows[8, at[5]]
+    rows[9, at[6]] = -0.0
+    rows[9, at[7]] = 0.0
+    rows[9] = np.minimum(rows[9], 0.0)
+    return x.astype(dtype)
+
+
+class TestRowMax:
+    """``_row_max`` against numpy's reduce, and ``softmax`` against the
+    formula it had before, over every row length the models use."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_equals_the_reduce_max(self, n, dtype):
+        x = _rows_with_specials(n, dtype, seed=n)
+        before = x.copy()
+        m = ops._row_max(x)
+        assert m.shape == x.shape[:-1] + (1,) and m.dtype == dtype
+        # values and NaN positions; a tie of +0 and -0 may keep either sign
+        np.testing.assert_array_equal(m, x.max(axis=-1, keepdims=True))
+        assert x.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_softmax_bytes_equal_the_reduce_max_formula(self, n, dtype):
+        x = _rows_with_specials(n, dtype, seed=100 + n)
+        with np.errstate(invalid="ignore"):
+            ref = _reduce_max_softmax(x)
+            out = ops.softmax(Tensor(x)).data
+        assert out.dtype == dtype
+        assert out.tobytes() == ref.tobytes()
+
+
+def _composed_attention(x, p, heads, bias):
+    """Multi-head attention from the primitive ops, as the model composed
+    it before ``ops.attention``: the oracle that op must equal."""
+    bsz, n, c = x.shape
+    dh = c // heads
+
+    def project(m, b):
+        h = ops.linear(x, p[m], p[b])
+        return ops.transpose(ops.reshape(h, (bsz, n, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = project("wq", "bq"), project("wk", "bk"), project("wv", "bv")
+    scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = ops.softmax(ops.add(scores, bias))
+    out = ops.reshape(ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (bsz, n, c))
+    return ops.linear(out, p["wo"], p["bo"])
+
+
+_ATTN_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def _fused_attention(x, p, heads, bias):
+    return ops.attention(x, *(p[name] for name in _ATTN_WEIGHTS), bias, heads)
+
+
+class TestAttention:
+    """``ops.attention`` against the composition it replaces, which stays
+    in this file as its oracle. Width 6 over 2 heads makes the score scale
+    1/sqrt(3), which a snap can round, unlike a power of two."""
+
+    HEADS = 2
+    WIDTH = 6
+
+    def _weights(self, rng, dtype):
+        c = self.WIDTH
+        return {
+            name: Tensor((rng.normal(size=(c, c) if name.startswith("w") else c) * 0.4).astype(dtype),
+                         requires_grad=True, name=name)
+            for name in _ATTN_WEIGHTS
+        }
+
+    def _case(self, seed, shape, dtype):
+        rng = np.random.default_rng(seed)
+        x = Tensor((rng.normal(size=shape + (self.WIDTH,)) * 2.0).astype(dtype), requires_grad=True, name="x")
+        grad_out = rng.normal(size=x.shape).astype(dtype)
+        return rng, x, dict(self._weights(rng, dtype), x=x), grad_out
+
+    def _window_case(self, dtype):
+        """Two images' 2x2 windows of a 4x4 map, rel-bias table on the tape."""
+        from florence_mini.encoders.model import relative_index
+
+        rng, x, leaves, grad_out = self._case(21, (8, 4), dtype)
+        table = leaves["table"] = Tensor(rng.normal(size=(9, self.HEADS)).astype(dtype), requires_grad=True)
+        return x, leaves, lambda: ops.transpose(ops.embedding(table, relative_index(2)), (2, 0, 1)), grad_out
+
+    def _text_case(self, dtype):
+        """Three captions of width 5 with trailing PAD, a constant mask."""
+        _, x, leaves, grad_out = self._case(22, (3, 5), dtype)
+        valid = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=bool)
+        mask = Tensor((~valid[:, None, None, :]).astype(dtype) * -1e9)
+        return x, leaves, lambda: mask, grad_out
+
+    def _full_case(self, dtype):
+        """A bias leaf of the scores' own shape, whose gradient is the score
+        gradient itself, before the scale."""
+        rng, x, leaves, grad_out = self._case(23, (2, 4), dtype)
+        bias = leaves["bias"] = Tensor(rng.normal(size=(2, self.HEADS, 4, 4)).astype(dtype), requires_grad=True)
+        return x, leaves, lambda: bias, grad_out
+
+    def _run(self, attend, case):
+        x, leaves, bias, grad_out = case
+        y = attend(x, leaves, self.HEADS, bias())
+        g = backward_from([y], [grad_out])
+        return y.data, {name: g.get(t) for name, t in leaves.items()}
+
+    @pytest.mark.parametrize("mode", PRECISION_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("case", ["window", "text", "full"])
+    def test_bytes_equal_the_composed_ops(self, case, dtype, mode):
+        make = getattr(self, f"_{case}_case")
+        with precision_policy(mode):
+            fused_y, fused_g = self._run(_fused_attention, make(dtype))
+            ref_y, ref_g = self._run(_composed_attention, make(dtype))
+        assert fused_y.dtype == dtype
+        assert fused_y.tobytes() == ref_y.tobytes()
+        assert set(fused_g) == set(ref_g)
+        for name, grad in ref_g.items():
+            assert grad is not None, name
+            assert fused_g[name].dtype == dtype, name
+            assert fused_g[name].tobytes() == grad.tobytes(), name
+
+    def test_node_saves_input_and_probabilities_once(self):
+        x, leaves, bias, grad_out = self._text_case(np.float64)
+        activation_meter.reset()
+        y = _fused_attention(x, leaves, self.HEADS, bias())
+        assert y.node.op == "attention"
+        b, n, c = x.shape
+        # x, q, k, v and the merged heads; four weights; the probabilities
+        assert activation_meter.current == 5 * x.size + 4 * c * c + b * self.HEADS * n * n
+        backward_from([y], [grad_out])
+        assert activation_meter.current == 0
+
+    def test_mask_off_the_tape_gets_no_gradient(self):
+        x, leaves, bias, grad_out = self._text_case(np.float64)
+        y = _fused_attention(x, leaves, self.HEADS, bias())
+        grads = y.node.backward_fn(grad_out, y.node.saved)
+        assert len(grads) == 10 and grads[-1] is None
+
+    def test_backward_writes_nothing_it_is_given_and_returns_no_aliases(self):
+        """With a full-shape bias, ``add``'s backward handed one array to
+        both the scores and the bias."""
+        x, leaves, bias, g = self._full_case(np.float64)
+        y = _fused_attention(x, leaves, self.HEADS, bias())
+        g_before = g.copy()
+        saved_before = [a.copy() for a in y.node.saved]
+        grads = y.node.backward_fn(g, y.node.saved)
+        assert [gr.shape for gr in grads] == [t.shape for t in y.node.inputs]
+        assert g.tobytes() == g_before.tobytes()
+        for a, before in zip(y.node.saved, saved_before):
+            assert a.tobytes() == before.tobytes()
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in (g, *y.node.saved)), i
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1 :]), i
+
+
 def _plain_layer_norm(xv, gam, bet, g, eps=1e-5):
     """layer_norm's forward and backward as plain whole-array formulas."""
     mu = xv.mean(axis=-1, keepdims=True)

@@ -132,6 +132,17 @@ class TestPipelineCommands:
         assert "k must be >= 1, got k=0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_retrieval_rejects_k_past_the_held_out_count_and_leaves_no_out(self, pipeline, tmp_path, capsys):
+        """The fixture holds out 5 images, so R@10 would be 1.0 by construction."""
+        out = tmp_path / "ret"
+        code = main(
+            ["eval", "retrieval", "--checkpoint", str(pipeline / "run/ckpt-final"),
+             "--data", str(pipeline / "data"), "--out", str(out), "--ks", "1,5,10"],
+        )
+        assert code == 2
+        assert "k=10 exceeds the 5 candidates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_regions_full_image_box(self, pipeline):
         records = [json.loads(l) for l in open(pipeline / "data/records.jsonl")]
         boxes_path = pipeline / "boxes.jsonl"
@@ -278,13 +289,13 @@ class TestPipelineCommands:
         assert manifest["artifacts"] == [str(a) for a in artifacts]
         assert manifest["wall_clock_s"] > 0
         if command == "memory-report":
-            # activation_profile's exact counts for the fixture's first 8 triplets
-            # when it still chose monolithic vs gradient cache on its own; the
-            # report must keep them now that it runs the trainer's dispatch
+            # exact counts for the fixture's first 8 triplets through the
+            # trainer's dispatch, with attention one tape op that saves its
+            # input and its probabilities once each
             assert json.loads((out / "memory_report.json").read_text())["peaks"] == [
-                {"chunk": 8, "plain": 1309765, "checkpointed": 453829},
-                {"chunk": 4, "plain": 737960, "checkpointed": 268328},
-                {"chunk": 2, "plain": 452570, "checkpointed": 176090},
+                {"chunk": 8, "plain": 1141317, "checkpointed": 424645},
+                {"chunk": 4, "plain": 653736, "checkpointed": 253736},
+                {"chunk": 2, "plain": 410458, "checkpointed": 168794},
             ]
 
     @pytest.mark.parametrize(
@@ -521,9 +532,9 @@ def _python(*argv, threads="1"):
 
 
 def test_pipeline_writes_the_same_bytes_across_out_roots_and_blas_threads(tmp_path):
-    """tests/digest.py's ten-command pipeline, run in two processes with
-    different --out roots and BLAS thread counts, gives the same per-file
-    sha256 table once wall times and the root prefix are masked."""
+    """tests/digest.py's ten-command pipeline and gradient grid, run in two
+    processes with different --out roots and BLAS thread counts, give the
+    same sha256 table once wall times and the root prefix are masked."""
     digest = str(Path(__file__).with_name("digest.py"))
     procs = [_python(digest, str(tmp_path / "a"), threads="1"), _python(digest, str(tmp_path / "bb"), threads="2")]
     outs = [p.communicate(timeout=300) for p in procs]
@@ -532,6 +543,7 @@ def test_pipeline_writes_the_same_bytes_across_out_roots_and_blas_threads(tmp_pa
     tables = [stdout.splitlines() for stdout, _ in outs]
     assert tables[0][-1].endswith("  <root>")
     assert any(line.endswith("  gcache/ckpt-final/manifest.json") for line in tables[0])
+    assert sum("  gradients/" in line and line.endswith("/loss") for line in tables[0]) == 16
     assert tables[0] == tables[1]
 
 

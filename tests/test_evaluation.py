@@ -220,6 +220,13 @@ class TestRetrieval:
         with pytest.raises(ValueError, match=f"k must be >= 1, got k={k}"):
             retrieval_recall(u, u, ks=ks)
 
+    def test_k_past_the_candidate_count_rejected_by_name(self):
+        """Over 3 candidates R@5 would be 1.0 for any embeddings."""
+        u = np.eye(3)
+        with pytest.raises(ValueError, match="k=5 exceeds the 3 candidates"):
+            retrieval_recall(u[::-1].copy(), u, ks=[1, 5])
+        assert retrieval_recall(u[::-1].copy(), u, ks=[1, 3])["i2t"] == {1: 1 / 3, 3: 1.0}
+
     def test_too_few_rows_rejected(self):
         with pytest.raises(ValueError, match="2 rows"):
             retrieval_recall(np.ones((1, 3)), np.ones((1, 3)), ks=[1])
@@ -323,6 +330,31 @@ def _train_linear_head(x, y, n_classes, epochs, lr, momentum):
     return w, b
 
 
+def _reduce_max_heads(x, y, n_classes, epochs, lr, momentum):
+    """Reference: ``_train_linear_heads`` as it was before ``_row_max``,
+    with numpy's reduce for the logits' row max."""
+    e, n, d = x.shape
+    w = np.zeros((e, d, n_classes))
+    b = np.zeros((e, 1, n_classes))
+    vw = np.zeros_like(w)
+    vb = np.zeros_like(b)
+    onehot = np.eye(n_classes)[y]
+    xt = x.transpose(0, 2, 1)
+    for _ in range(epochs):
+        logits = x @ w + b
+        logits -= logits.max(axis=2, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=2, keepdims=True)
+        g = (p - onehot) / n
+        gw = xt @ g
+        gb = g.sum(axis=1, keepdims=True)
+        vw = momentum * vw + gw
+        vb = momentum * vb + gb
+        w -= lr * vw
+        b -= lr * vb
+    return w, b
+
+
 def _lone_episode_accuracies(features, labels, way, shot, episodes, seed):
     """Reference: every episode drawn, trained and scored on its own."""
     classes = np.unique(labels)
@@ -361,6 +393,21 @@ class TestStackedEpisodeHeads:
             ref_w, ref_b = _train_linear_head(x[i], y, way, 100, 0.01, 0.99)
             assert w[i].tobytes() == ref_w.tobytes()
             assert b[i, 0].tobytes() == ref_b.tobytes()
+
+    @pytest.mark.parametrize("way", range(1, 8))
+    def test_heads_byte_equal_to_the_reduce_max_loop(self, way):
+        """Every head width, with a NaN feature in one episode; that
+        episode's head turns NaN exactly as the reference's does."""
+        rng = np.random.default_rng(40 + way)
+        x = rng.normal(size=(4, way * 3, 6))
+        x[2, 1, 4] = np.nan
+        y = np.repeat(np.arange(way), 3)
+        with np.errstate(invalid="ignore"):
+            w, b = _train_linear_heads(x, y, way, 30, 0.01, 0.99)
+            ref_w, ref_b = _reduce_max_heads(x, y, way, 30, 0.01, 0.99)
+        assert np.isnan(w[2]).any() and not np.isnan(w[[0, 1, 3]]).any()
+        assert w.tobytes() == ref_w.tobytes()
+        assert b.tobytes() == ref_b.tobytes()
 
     def test_per_episode_equal_to_lone_runs_across_ragged_blocks(self):
         """250 episodes train in blocks of 100, 100 and 50. Class 0 holds

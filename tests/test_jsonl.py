@@ -3,6 +3,7 @@ writer's bytes are `json.dumps(row) + "\\n"` per row, which pins key order."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +153,67 @@ class TestReadersSkipBlankLines:
             append_report_jsonl(tmp_path / "reports.jsonl", report)
         assert read_boxes_jsonl(self._with_blanks(tmp_path / "boxes.jsonl")) == BOXES
         assert read_reports_jsonl(self._with_blanks(tmp_path / "reports.jsonl")) == REPORTS
+
+
+class TestImagePaths:
+    """Readers resolve each image directory once per file; every image_path
+    must still be what one `Path.resolve()` per record gives."""
+
+    @staticmethod
+    def _one_resolve_per_record(path):
+        """Oracle: the readers' image field, resolved image by image."""
+        out = []
+        for row in read_jsonl(path):
+            image = Path(row["image"])
+            out.append(str(image) if image.is_absolute() else str((Path(path).parent / image).resolve()))
+        return out
+
+    def _check(self, path, reader=read_records_jsonl):
+        expected = self._one_resolve_per_record(path)
+        assert [r.image_path for r in reader(path)] == expected
+        return expected
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        """data/records.jsonl with images/ beside it, cur/triplets.jsonl
+        pointing at ../data/images/..., and a symlink `link` -> data."""
+        records, _ = generate_synthetic_dataset(tmp_path / "data", num_classes=2, per_class=3, seed=1)
+        write_records_jsonl(tmp_path / "data" / "records.jsonl", records)
+        (tmp_path / "cur").mkdir()
+        triplets = [Triplet(id=r.id, image_path=r.image_path, text=r.text, label=0) for r in records]
+        write_triplets_jsonl(tmp_path / "cur" / "triplets.jsonl", triplets)
+        (tmp_path / "link").symlink_to(tmp_path / "data", target_is_directory=True)
+        return tmp_path
+
+    def test_relative_records_path(self, tree, monkeypatch):
+        monkeypatch.chdir(tree)
+        assert all(Path(p).is_absolute() for p in self._check(Path("data") / "records.jsonl"))
+
+    def test_triplets_reaching_up_a_directory(self, tree):
+        assert read_jsonl(tree / "cur" / "triplets.jsonl")[0]["image"].startswith("../data/images/")
+        expected = self._check(tree / "cur" / "triplets.jsonl", read_triplets_jsonl)
+        assert all(".." not in Path(p).parts for p in expected)
+
+    def test_symlinked_data_directory(self, tree):
+        expected = self._check(tree / "link" / "records.jsonl")
+        assert all(p.startswith(str((tree / "data").resolve())) for p in expected)
+
+    def test_absolute_image_paths_pass_through(self, tree):
+        rows = read_jsonl(tree / "data" / "records.jsonl")
+        for row in rows:
+            row["image"] = str(tree / "link" / row["image"])
+        (tree / "abs.jsonl").write_text(_lines(rows))
+        assert self._check(tree / "abs.jsonl") == [row["image"] for row in rows]
+
+    def test_symlinked_image_file_and_dot_segments(self, tree):
+        """A symlinked image resolves to its target, as `resolve()` does."""
+        rows = read_jsonl(tree / "data" / "records.jsonl")
+        target = (tree / "data" / rows[0]["image"]).resolve()
+        (tree / "data" / "alias.bin").symlink_to(target)
+        rows[0]["image"] = "alias.bin"
+        rows[1]["image"] = "./images/../" + rows[1]["image"]
+        (tree / "data" / "odd.jsonl").write_text(_lines(rows))
+        assert self._check(tree / "data" / "odd.jsonl")[0] == str(target)
 
 
 class TestMalformedLines:

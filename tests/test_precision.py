@@ -47,6 +47,8 @@ _W = _RNG.normal(size=(4, 5))
 _B = _RNG.normal(size=5)
 _IMG = _RNG.normal(size=(1, 4, 4, 2))
 _KERNEL = _RNG.normal(size=(2, 2, 2, 3))
+_TOKENS = _RNG.normal(size=(1, 3, 4))
+_ATTN = [Tensor(_RNG.normal(size=(4, 4) if i % 2 == 0 else 4)) for i in range(8)]
 
 # Every public op of `ops`, called on inputs off the binary16 grid, with
 # whether its output snaps under "half-emulated". Ops that compute values
@@ -65,6 +67,7 @@ OP_CASES = {
         (True, lambda: ops.linear(Tensor(_X), Tensor(_W))),
         (True, lambda: ops.linear(Tensor(_X), Tensor(_W), Tensor(_B))),
     ],
+    "attention": [(True, lambda: ops.attention(Tensor(_TOKENS), *_ATTN, Tensor(np.zeros((3, 3))), 2))],
     "conv": [(True, lambda: ops.conv(Tensor(_IMG), Tensor(_KERNEL), Tensor(_B[:3]), (2, 2)))],
     "reshape": [(False, lambda: ops.reshape(Tensor(_X), (2, 6)))],
     "transpose": [(False, lambda: ops.transpose(Tensor(_X), (1, 0)))],
