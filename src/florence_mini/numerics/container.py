@@ -1,19 +1,23 @@
-"""Bit-exact binary tensor container and checkpoint directories.
+"""Bit-exact binary tensor container, flat layouts and checkpoint directories.
 
 Container layout (little-endian):
     magic "FMT1" | dtype code u8 (0=f32, 1=f64, 2=u8) | rank u32 |
     rank x u32 extents | raw row-major payload
 
-A checkpoint is a directory holding one container file per named parameter
-plus ``manifest.json`` mapping name -> {file, shape, dtype}; arbitrary
-JSON-serializable metadata (model config, vocabulary, optimizer scalars)
-rides along in the manifest.
+``flatten`` lays named tensors of one dtype out in one buffer, in sorted-name
+order; ZeRO shards and checkpoints both use it. A checkpoint is a directory
+of one rank-1 container per dtype, named by it (``float64.bin``), plus
+``manifest.json``: name -> {dtype, offset, shape} and, at its top level, any
+JSON-serializable metadata (model config, vocabulary, optimizer scalars).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +26,11 @@ from .tensor import Tensor
 
 MAGIC = b"FMT1"
 MAX_RANK = 5
+CHECKPOINT_FORMAT = "florence-mini-checkpoint-v2"
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+_DTYPE_NAMES = {str(dt): dt for dt in _DTYPE_CODES}
 
 
 class TensorFormatError(ValueError):
@@ -35,11 +41,24 @@ def _as_array(t) -> np.ndarray:
     return t.data if isinstance(t, Tensor) else np.asarray(t)
 
 
+def flatten(tensors) -> tuple[np.ndarray, dict[str, tuple[int, tuple[int, ...]]]]:
+    """One rank-1 buffer holding every tensor in sorted-name order, and the
+    layout name -> (offset, shape) that ``unflatten`` reads it back with."""
+    names = sorted(tensors)
+    arrays = [_as_array(tensors[name]) for name in names]
+    if len({a.dtype for a in arrays}) != 1:
+        raise ValueError(f"flatten needs tensors of one dtype, got {sorted({str(a.dtype) for a in arrays})}")
+    offsets = accumulate((a.size for a in arrays), initial=0)
+    return np.concatenate([a.ravel() for a in arrays]), {n: (o, a.shape) for n, a, o in zip(names, arrays, offsets)}
+
+
+def unflatten(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
+    """Name -> view of ``flat`` for each entry of ``layout``."""
+    return {name: flat[offset : offset + math.prod(shape)].reshape(shape) for name, (offset, shape) in layout.items()}
+
+
 def write_tensor_file(path, t) -> None:
     arr = _as_array(t)
-    if not arr.flags["C_CONTIGUOUS"]:
-        # ascontiguousarray would promote rank-0 to rank-1; 0-d is always contiguous
-        arr = np.ascontiguousarray(arr)
     if arr.dtype not in _DTYPE_CODES:
         raise TensorFormatError(f"unsupported dtype {arr.dtype}")
     if arr.ndim > MAX_RANK:
@@ -53,9 +72,7 @@ def write_tensor_file(path, t) -> None:
         fh.write(struct.pack("<I", arr.ndim))
         for ext in arr.shape:
             fh.write(struct.pack("<I", ext))
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
-        fh.write(arr.tobytes(order="C"))
+        fh.write(np.ascontiguousarray(arr).data)  # no payload copy when arr is C-contiguous
 
 
 def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
@@ -86,43 +103,60 @@ def read_tensor_header(path) -> tuple[tuple[int, ...], np.dtype]:
 def read_tensor_file(path) -> Tensor:
     with open(path, "rb") as fh:
         shape, dtype = _read_header(fh, path)
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        payload = fh.read(count * dtype.itemsize + 1)
-        if len(payload) < count * dtype.itemsize:
-            raise TensorFormatError(f"{path}: truncated payload")
-        if len(payload) > count * dtype.itemsize:
-            raise TensorFormatError(f"{path}: trailing bytes after payload")
-    arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<"), count=count)
-    return Tensor(arr.astype(dtype, copy=True).reshape(shape))
+        # Python ints: a corrupt header can neither wrap the size nor make the reader allocate it
+        count = math.prod(shape)
+        declared, held = count * dtype.itemsize, os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != declared:
+            problem = "truncated payload" if held < declared else "trailing bytes after payload"
+            raise TensorFormatError(f"{path}: {problem}: header declares {declared} bytes, file holds {held}")
+        arr = np.empty(count, dtype=dtype.newbyteorder("<"))
+        fh.readinto(arr)
+    return Tensor(arr.astype(dtype, copy=False).reshape(shape))
 
 
 def save_checkpoint(dirpath, tensors: dict[str, np.ndarray], metadata: dict | None = None) -> Path:
-    """Write one container file per tensor plus a manifest."""
+    """Write one flat container per dtype plus a manifest locating each tensor."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     entries = {}
-    for name in sorted(tensors):
-        arr = _as_array(tensors[name])
-        fname = name + ".bin"
-        write_tensor_file(d / fname, arr)
-        entries[name] = {"file": fname, "shape": list(arr.shape), "dtype": str(arr.dtype)}
-    manifest = {"format": "florence-mini-checkpoint-v1", "tensors": entries}
-    if metadata:
-        manifest.update(metadata)
+    for dtype in sorted({str(_as_array(t).dtype) for t in tensors.values()}):
+        flat, layout = flatten({name: t for name, t in tensors.items() if str(_as_array(t).dtype) == dtype})
+        write_tensor_file(d / f"{dtype}.bin", flat)
+        entries.update({name: {"dtype": dtype, "offset": o, "shape": list(s)} for name, (o, s) in layout.items()})
+    manifest = {"format": CHECKPOINT_FORMAT, "tensors": entries, **(metadata or {})}
     with open(d / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     return d
 
 
 def load_checkpoint(dirpath) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of save_checkpoint; verifies shapes and dtypes per manifest."""
+    """Inverse of save_checkpoint: name -> view into its dtype's container.
+    Each container is read once, from the file named by its (known) dtype;
+    its entries must tile it exactly: in range, with no gap and no overlap."""
     d = Path(dirpath)
     with open(d / "manifest.json") as fh:
         manifest = json.load(fh)
-    tensors: dict[str, np.ndarray] = {}
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise TensorFormatError(f"{d}: checkpoint format {manifest.get('format')!r} is not {CHECKPOINT_FORMAT!r}")
+    layouts: dict[str, dict] = {}
     for name, entry in manifest["tensors"].items():
-        t = read_tensor_file(d / entry["file"])
-        if list(t.shape) != entry["shape"] or str(t.dtype) != entry["dtype"]:
-            raise TensorFormatError(f"{name}: manifest/file disagreement")
-        tensors[name] = t.data
+        dtype, offset, shape = entry["dtype"], entry["offset"], entry["shape"]
+        valid = isinstance(shape, list) and all(isinstance(v, int) and v >= 0 for v in (offset, *shape))
+        if dtype not in _DTYPE_NAMES or not valid:
+            raise TensorFormatError(f"{d}: {name}: bad manifest entry {entry}")
+        layouts.setdefault(dtype, {})[name] = (offset, tuple(shape))
+    tensors: dict[str, np.ndarray] = {}
+    for dtype, layout in sorted(layouts.items()):
+        path = d / f"{dtype}.bin"
+        flat = read_tensor_file(path).data
+        if flat.ndim != 1 or flat.dtype != _DTYPE_NAMES[dtype]:
+            raise TensorFormatError(f"{path}: holds a rank-{flat.ndim} {flat.dtype} tensor, not a flat {dtype} one")
+        end = 0
+        for offset, count, name in sorted((o, math.prod(s), n) for n, (o, s) in layout.items()):
+            if offset != end or offset + count > flat.size:
+                raise TensorFormatError(f"{path}: {name} spans [{offset}, {offset + count}) of {flat.size}, after {end}")
+            end = offset + count
+        if end != flat.size:
+            raise TensorFormatError(f"{path}: the entries cover {end} of its {flat.size} scalars")
+        tensors.update(unflatten(flat, layout))
     return tensors, manifest

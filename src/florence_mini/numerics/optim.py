@@ -49,8 +49,7 @@ def adamw_step(
 
     Pure function of (params, grads, state): returns fresh arrays, leaving
     the inputs untouched, so sharded and unsharded executions can be
-    compared bit-for-bit. Parameters absent from ``grads`` are carried
-    through unchanged (their moments do not advance).
+    compared bit-for-bit. Every parameter needs a gradient.
     """
     step_lr = state.lr if lr is None else lr
     if step_lr < 0:
@@ -63,11 +62,7 @@ def adamw_step(
     new_m = dict(state.m)
     new_v = dict(state.v)
     for name in params:
-        p = params[name]
-        if name not in grads:
-            new_params[name] = p.copy()
-            continue
-        g = grads[name]
+        p, g = params[name], grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name!r}")
         if not np.isfinite(g).all():
@@ -75,9 +70,7 @@ def adamw_step(
             raise ValueError(f"non-finite gradient for parameter {name!r}; step aborted")
         m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
         v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        update = m_hat / (np.sqrt(v_hat) + state.eps)
+        update = (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         new_params[name] = p - step_lr * update - step_lr * state.weight_decay * p
         new_m[name] = m
         new_v[name] = v

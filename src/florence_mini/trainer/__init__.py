@@ -14,17 +14,9 @@ from .loop import (
     save_train_checkpoint,
     train_step,
 )
-from .zero import (
-    ShardReport,
-    merge_zero_states,
-    partition_parameters,
-    shard_report,
-    split_zero_state,
-    zero_shard_update,
-)
+from .zero import merge_zero_states, split_zero_state, zero_shard_update
 
 __all__ = [
-    "ShardReport",
     "TrainConfig",
     "TrainingAborted",
     "activation_profile",
@@ -35,11 +27,9 @@ __all__ = [
     "load_train_checkpoint",
     "merge_zero_states",
     "monolithic_gradients",
-    "partition_parameters",
     "prepare_batch",
     "run_two_stage_training",
     "save_train_checkpoint",
-    "shard_report",
     "split_zero_state",
     "train_step",
     "zero_shard_update",

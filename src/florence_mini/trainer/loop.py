@@ -11,14 +11,14 @@ import numpy as np
 
 from ..curation.pipeline import StageStream
 from ..curation.records import Triplet, load_image
-from ..encoders.config import ModelConfig
+from ..encoders.config import ModelConfig, parameter_shapes
 from ..encoders.model import TwoTowerModel
 from ..encoders.vocab import Vocabulary, build_vocabulary, tokenize_batch
 from ..jsonl import read_jsonl
 from ..numerics.container import load_checkpoint, save_checkpoint
 from ..numerics.optim import OptimizerState, cosine_lr, init_optimizer_state
 from ..numerics.precision import PRECISION_MODES, precision_policy
-from ..numerics.tensor import activation_meter
+from ..numerics.tensor import Tensor, activation_meter
 from .checkpointing import checkpointed
 from .grad_cache import gradient_cache_gradients, monolithic_gradients
 from .zero import merge_zero_states, split_zero_state, zero_shard_update
@@ -184,14 +184,10 @@ def train_step(
 
 
 def save_train_checkpoint(path, model: TwoTowerModel, state: OptimizerState, config: TrainConfig, step: int) -> None:
-    tensors = dict(model.param_arrays())
-    for k, m in state.m.items():
-        tensors[f"__opt_m__.{k}"] = m
-    for k, v in state.v.items():
-        tensors[f"__opt_v__.{k}"] = v
+    moments = {f"__opt_{kind}__.{k}": a for kind in "mv" for k, a in getattr(state, kind).items()}
     save_checkpoint(
         path,
-        tensors,
+        {**model.param_arrays(), **moments},
         metadata={
             "step": step,
             "optimizer_step": state.step,
@@ -253,11 +249,13 @@ def load_model_checkpoint(path) -> TwoTowerModel:
 
 def _checkpoint_model(tensors: dict[str, np.ndarray], manifest: dict) -> TwoTowerModel:
     """The model a checkpoint holds: config and vocab from its manifest,
-    weights from every tensor but the optimizer moments."""
+    weights from its tensors of the config's parameter names and shapes."""
     config = ModelConfig.from_dict(manifest["model_config"])
     vocab = Vocabulary.from_list(manifest["vocab"], max_len=config.max_len)
-    model = TwoTowerModel.create(config, vocab, seed=0)  # every initial weight is overwritten
-    model.load_arrays({k: v for k, v in tensors.items() if not k.startswith("__opt_")})
+    shapes = parameter_shapes(config, len(vocab))
+    placeholders = {k: Tensor(np.empty(s, config.dtype), requires_grad=True, name=k) for k, s in shapes.items()}
+    model = TwoTowerModel(config, vocab, placeholders)
+    model.load_arrays(tensors)  # refuses a missing name or another shape, by name
     return model
 
 
@@ -339,11 +337,11 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
                 ):
                     if due:
                         p = out / f"ckpt-{name}"
-                        save_train_checkpoint(p, model, merge_zero_states(opt_states), config, done)
+                        save_train_checkpoint(p, model, merge_zero_states(opt_states, model.param_arrays()), config, done)
                         checkpoints[name] = str(p)
 
     final = out / "ckpt-final"
-    save_train_checkpoint(final, model, merge_zero_states(opt_states), config, config.planned_steps)
+    save_train_checkpoint(final, model, merge_zero_states(opt_states, model.param_arrays()), config, config.planned_steps)
     checkpoints["final"] = str(final)
     return {
         "model": model,

@@ -1,50 +1,41 @@
 """Single-process simulation of optimizer-state sharding.
 
-Parameters are partitioned round-robin over sorted names; each simulated
-worker owns only its shard's moments and updates those parameters locally;
-the final "all-gather" is a dict merge. AdamW is elementwise per parameter,
-so the result must be bit-equal to the unsharded update; the point of the
-simulation is per-worker resident-state accounting. The trainer always
-steps through it; one worker is one shard holding every parameter.
+As in ZeRO, the flattened optimizer state (``container.flatten``) is cut into
+one contiguous slice per worker, 1/N of it to within one scalar. A worker
+keeps its slice as the parts of each tensor inside it, keyed (name, start,
+stop), and steps AdamW once over the same parts of the parameters and
+gradients: views, so a step makes no flat copies or full-length temporaries.
+AdamW is elementwise, so the gathered result must be bit-equal to the
+unsharded update. Every run steps through it; one worker holds everything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
+from ..numerics.container import flatten, unflatten
 from ..numerics.optim import OptimizerState, adamw_step
 
 
-def partition_parameters(names, workers: int) -> list[list[str]]:
-    if workers < 1:
-        raise ValueError("need at least one worker")
-    shards: list[list[str]] = [[] for _ in range(workers)]
-    for i, name in enumerate(sorted(names)):
-        shards[i % workers].append(name)
-    return shards
-
-
-@dataclass
-class ShardReport:
-    shards: list[list[str]]
-    resident_state_scalars: list[int]  # per worker: first + second moments
-    largest_tensor_scalars: int
-    imbalance_flagged: bool
-
-
-def shard_report(params: dict[str, np.ndarray], workers: int) -> ShardReport:
-    shards = partition_parameters(params, workers)
-    resident = [2 * sum(params[k].size for k in shard) for shard in shards]
-    largest = max(p.size for p in params.values())
-    flagged = (max(resident) - min(resident)) > 2 * largest
-    return ShardReport(
-        shards=shards,
-        resident_state_scalars=resident,
-        largest_tensor_scalars=largest,
-        imbalance_flagged=flagged,
-    )
+def split_zero_state(state: OptimizerState, params: dict[str, np.ndarray], workers: int) -> list[OptimizerState]:
+    """Inverse of merge_zero_states: the per-worker states every run steps.
+    Worker w holds scalars [n*w//W, n*(w+1)//W) of the flattened moments."""
+    shapes = {k: p.shape for k, p in params.items()}
+    if any({k: a.shape for k, a in moments.items()} != shapes for moments in (state.m, state.v)):
+        raise ValueError("optimizer moments must match the parameters name for name and shape for shape")
+    (m, layout), (v, _) = flatten(state.m), flatten(state.v)
+    states = []
+    for w in range(workers):
+        lo, hi = m.size * w // workers, m.size * (w + 1) // workers
+        parts = {}
+        for name, (offset, _) in layout.items():
+            start, stop = max(lo, offset), min(hi, offset + state.m[name].size)
+            if start < stop:
+                parts[name, start - offset, stop - offset] = slice(start, stop)
+        states.append(replace(state, m={k: m[s] for k, s in parts.items()}, v={k: v[s] for k, s in parts.items()}))
+    return states
 
 
 def zero_shard_update(
@@ -53,35 +44,27 @@ def zero_shard_update(
     states: list[OptimizerState],
     lr: float | None = None,
 ) -> tuple[dict[str, np.ndarray], list[OptimizerState]]:
-    """Each worker updates its shard locally; merged result must equal the
+    """Each worker updates its slice locally; merged result must equal the
     unsharded adamw_step output exactly."""
-    shards = partition_parameters(params, len(states))
-    gathered: dict[str, np.ndarray] = {}
+    if any(grads[k].shape != p.shape for k, p in params.items()):
+        raise ValueError("gradients must match the parameters name for name and shape for shape")
+    gathered: dict[str, list[np.ndarray]] = {k: [] for k in params}
     new_states: list[OptimizerState] = []
-    for shard, state in zip(shards, states):
-        local_params = {k: params[k] for k in shard}
-        local_grads = {k: grads[k] for k in shard if k in grads}
+    for state in states:
+        local_params = {key: params[key[0]].ravel()[key[1] : key[2]] for key in state.m}
+        local_grads = {key: grads[key[0]].ravel()[key[1] : key[2]] for key in state.m}
         updated, next_state = adamw_step(local_params, local_grads, state, lr=lr)
-        gathered.update(updated)
+        for (name, _, _), part in updated.items():
+            gathered[name].append(part)
         new_states.append(next_state)
-    return {k: gathered[k] for k in params}, new_states
+    return {k: np.concatenate(gathered[k]).reshape(p.shape) for k, p in params.items()}, new_states
 
 
-def merge_zero_states(states: list[OptimizerState]) -> OptimizerState:
-    """Collapse worker states into one unsharded state (for checkpointing)."""
+def merge_zero_states(states: list[OptimizerState], params: dict[str, np.ndarray]) -> OptimizerState:
+    """Collapse worker states into one per-name state for ``params`` (for
+    checkpointing): the workers' parts, in order, are the flattened moments."""
     if any(s.step != states[0].step for s in states):
         raise ValueError("worker states out of sync")
-    return replace(
-        states[0],
-        m={k: a for s in states for k, a in s.m.items()},
-        v={k: a for s in states for k, a in s.v.items()},
-    )
-
-
-def split_zero_state(state: OptimizerState, params: dict[str, np.ndarray], workers: int) -> list[OptimizerState]:
-    """Inverse of merge_zero_states: the per-worker states every run steps,
-    from a fresh or a resumed state."""
-    return [
-        replace(state, m={k: state.m[k] for k in shard}, v={k: state.v[k] for k in shard})
-        for shard in partition_parameters(params, workers)
-    ]
+    _, layout = flatten(params)
+    m, v = (unflatten(np.concatenate([a for s in states for a in getattr(s, k).values()]), layout) for k in "mv")
+    return replace(states[0], m=m, v=v)

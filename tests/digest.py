@@ -4,6 +4,9 @@
 `inflate` and `memory-report` under `root`. `digest_table(root)` gives the
 sha256 of every file under `root`, with two kinds of bytes masked: the values
 of the wall-time fields, and the absolute `root` wherever it starts a path.
+`tensor_table(root)` gives, for every checkpoint directory under `root`, the
+name, dtype, shape and sha256 of each tensor `load_checkpoint` returns, so two
+checkpoint formats holding the same tensors print the same rows.
 `gradient_table(root)` gives the sha256 of `compute_gradients`' loss, of every
 gradient and of the peak activation-scalar count, for the pipeline's first 8
 curated triplets at 32 px under each dtype, precision mode, checkpointing
@@ -13,9 +16,9 @@ config, seed) writes or computes must repeat exactly.
     python tests/digest.py OUT
 
 runs the pipeline into the fresh directory OUT and prints the per-file table,
-the gradient rows, then the root digest. Two trees write the same bytes and
-compute the same gradients when their printouts are equal (`diff` of the two
-is empty).
+the tensor rows, the gradient rows, then the root digest. Two trees write the
+same bytes and compute the same gradients when their printouts are equal
+(`diff` of the two is empty).
 """
 
 from __future__ import annotations
@@ -75,6 +78,27 @@ def digest_table(root) -> dict[str, str]:
     }
 
 
+def tensor_table(root) -> dict[str, str]:
+    """`tensors/<checkpoint dir>/<name> <dtype> <shape>` -> sha256 of the
+    tensor's bytes, for every directory under root whose manifest names a
+    checkpoint format."""
+    import json
+
+    from florence_mini.numerics.container import load_checkpoint
+
+    root = Path(root).resolve()
+    table = {}
+    for manifest in sorted(root.rglob("manifest.json")):
+        if not str(json.loads(manifest.read_text()).get("format", "")).startswith("florence-mini-checkpoint"):
+            continue
+        tensors, _ = load_checkpoint(manifest.parent)
+        rel = manifest.parent.relative_to(root).as_posix()
+        for name in sorted(tensors):
+            arr = tensors[name]
+            table[f"tensors/{rel}/{name} {arr.dtype} {list(arr.shape)}"] = hashlib.sha256(arr.tobytes()).hexdigest()
+    return table
+
+
 def gradient_table(root) -> dict[str, str]:
     """`gradients/<dtype>/<precision>/<plain|checkpointed>/chunk<k>/<name>` ->
     sha256 of the loss, each gradient and the peak activation scalars of one
@@ -125,7 +149,7 @@ if __name__ == "__main__":
         sys.exit(f"{out} exists; give a fresh directory")
     with contextlib.redirect_stdout(sys.stderr):  # keep the commands' messages out of the table
         pipeline(out)
-        table = {**digest_table(out), **gradient_table(out)}
+        table = {**digest_table(out), **tensor_table(out), **gradient_table(out)}
     for name, h in table.items():
         print(f"{h}  {name}")
     print(f"{root_digest(table)}  <root>")

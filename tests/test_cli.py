@@ -143,6 +143,25 @@ class TestPipelineCommands:
         assert "k=10 exceeds the 5 candidates" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["oversized container header", "v1 manifest"])
+    def test_eval_exits_2_on_a_damaged_or_v1_checkpoint(self, pipeline, tmp_path, capsys, damage):
+        ckpt, out = tmp_path / "ckpt", tmp_path / "zs"
+        shutil.copytree(pipeline / "run/ckpt-final", ckpt)
+        if damage == "v1 manifest":
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            (ckpt / "manifest.json").write_text(json.dumps({**manifest, "format": "florence-mini-checkpoint-v1"}))
+            named = "checkpoint format 'florence-mini-checkpoint-v1'"
+        else:
+            header = b"FMT1" + bytes([1]) + (3).to_bytes(4, "little") + (2**32 - 1).to_bytes(4, "little") * 3
+            (ckpt / "float64.bin").write_bytes(header + bytes(16))
+            named = f"{ckpt / 'float64.bin'}: truncated payload"
+        code = main(
+            ["eval", "zero-shot", "--checkpoint", str(ckpt), "--data", str(pipeline / "data"), "--out", str(out)]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_regions_full_image_box(self, pipeline):
         records = [json.loads(l) for l in open(pipeline / "data/records.jsonl")]
         boxes_path = pipeline / "boxes.jsonl"
@@ -220,6 +239,7 @@ class TestPipelineCommands:
         src, _ = load_checkpoint(pipeline / "run/ckpt-final")
         dst, manifest = load_checkpoint(out / "video-tower")
         assert manifest["video"] == {"temporal_kernel": 2, "frames": 4}
+        assert sorted(p.name for p in (out / "video-tower").iterdir()) == ["float64.bin", "manifest.json"]
         transformed = {"image.patch_embed.w"} | {k for k in src if k.startswith("image.merge") and k.endswith(".w")}
         for name, arr in src.items():
             if name.startswith("__opt_") or name in transformed:
@@ -543,6 +563,7 @@ def test_pipeline_writes_the_same_bytes_across_out_roots_and_blas_threads(tmp_pa
     tables = [stdout.splitlines() for stdout, _ in outs]
     assert tables[0][-1].endswith("  <root>")
     assert any(line.endswith("  gcache/ckpt-final/manifest.json") for line in tables[0])
+    assert any(line.endswith("  tensors/inflate/video-tower/tau_param float64 []") for line in tables[0])
     assert sum("  gradients/" in line and line.endswith("/loss") for line in tables[0]) == 16
     assert tables[0] == tables[1]
 

@@ -1,4 +1,8 @@
-"""Byte-exact tensor container and checkpoint directory round trips."""
+"""Byte-exact tensor container, flat layouts and checkpoint directory round trips."""
+
+import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from florence_mini.numerics import (
     save_checkpoint,
     write_tensor_file,
 )
+from florence_mini.numerics.container import flatten, unflatten
 
 
 def _roundtrip(tmp_path, arr):
@@ -86,6 +91,16 @@ def test_rank_overflow_rejected(tmp_path):
         read_tensor_file(p)
 
 
+@pytest.mark.parametrize("shape", [(2**32 - 1,) * 3, (2**31, 2**31, 4)])
+def test_oversized_header_rejected_before_reading(tmp_path, shape):
+    """Extents whose payload the file cannot hold, including ones whose byte
+    count wraps to 0 in int64, are refused as truncated, naming the file."""
+    p = tmp_path / "huge.bin"
+    p.write_bytes(b"FMT1" + struct.pack("<BI", 1, 3) + struct.pack("<3I", *shape) + b"\x00" * 16)
+    with pytest.raises(TensorFormatError, match=re.escape(f"{p}: truncated payload")):
+        read_tensor_file(p)
+
+
 def test_header_read_skips_payload(tmp_path):
     p = tmp_path / "t.bin"
     write_tensor_file(p, Tensor(np.zeros((7, 9), dtype=np.float32)))
@@ -108,3 +123,81 @@ def test_checkpoint_directory_roundtrip(tmp_path):
     for k in tensors:
         assert back[k].tobytes() == tensors[k].tobytes()
         assert back[k].dtype == tensors[k].dtype
+
+
+def test_checkpoint_is_one_container_per_dtype(tmp_path):
+    tensors = {"b": np.ones((2, 3)), "a": np.arange(4.0), "c": np.zeros(2, dtype=np.float32)}
+    save_checkpoint(tmp_path / "ckpt", tensors)
+    assert sorted(p.name for p in (tmp_path / "ckpt").iterdir()) == ["float32.bin", "float64.bin", "manifest.json"]
+    manifest = json.loads((tmp_path / "ckpt/manifest.json").read_text())
+    assert manifest["format"] == "florence-mini-checkpoint-v2"
+    assert manifest["tensors"] == {
+        "a": {"dtype": "float64", "offset": 0, "shape": [4]},
+        "b": {"dtype": "float64", "offset": 4, "shape": [2, 3]},
+        "c": {"dtype": "float32", "offset": 0, "shape": [2]},
+    }
+    assert read_tensor_file(tmp_path / "ckpt/float64.bin").data.tobytes() == np.concatenate(
+        [tensors["a"], tensors["b"].ravel()]
+    ).tobytes()
+
+
+def test_flatten_orders_by_name_and_unflatten_returns_views():
+    tensors = {"z": np.array(2.5), "m": np.arange(6.0).reshape(2, 3), "a": np.ones(2)}
+    flat, layout = flatten(tensors)
+    assert layout == {"a": (0, (2,)), "m": (2, (2, 3)), "z": (8, ())}
+    assert flat.tolist() == [1, 1, 0, 1, 2, 3, 4, 5, 2.5]
+    views = unflatten(flat, layout)
+    assert all(views[k].tobytes() == tensors[k].tobytes() and views[k].base is flat for k in tensors)
+    with pytest.raises(ValueError, match="one dtype"):
+        flatten({"a": np.ones(2), "b": np.ones(2, dtype=np.float32)})
+
+
+class TestManifestValidation:
+    """A v2 manifest must tile each container exactly, with its dtype."""
+
+    def _checkpoint(self, tmp_path, edit):
+        d = tmp_path / "ckpt"
+        save_checkpoint(d, {"a": np.ones(2), "b": np.ones(2), "c": np.ones(2)}, metadata={"step": 1})
+        manifest = json.loads((d / "manifest.json").read_text())
+        edit(manifest)
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        return d
+
+    @pytest.mark.parametrize(
+        "entry, change, message",
+        [
+            pytest.param("c", {"offset": 5}, r"/float64\.bin: c spans \[5, 7\) of 6, after 4", id="past-end"),
+            pytest.param("b", {"shape": [1]}, r"/float64\.bin: c spans \[4, 6\) of 6, after 3", id="gap"),
+            pytest.param("b", {"offset": 1}, r"/float64\.bin: b spans \[1, 3\) of 6, after 2", id="overlap"),
+            pytest.param("c", {"shape": [1]}, r"/float64\.bin: the entries cover 5 of its 6 scalars", id="short"),
+            pytest.param("a", {"offset": -1}, r": a: bad manifest entry", id="negative"),
+        ],
+    )
+    def test_entries_must_tile_the_container(self, tmp_path, entry, change, message):
+        d = self._checkpoint(tmp_path, lambda m: m["tensors"][entry].update(change))
+        with pytest.raises(TensorFormatError, match=re.escape(str(d)) + message):
+            load_checkpoint(d)
+
+    def test_dtype_must_agree_with_its_container(self, tmp_path):
+        def relabel(manifest):
+            for entry in manifest["tensors"].values():
+                entry["dtype"] = "float32"
+
+        d = self._checkpoint(tmp_path, relabel)
+        (d / "float64.bin").rename(d / "float32.bin")
+        with pytest.raises(TensorFormatError, match="holds a rank-1 float64 tensor, not a flat float32 one"):
+            load_checkpoint(d)
+
+    def test_unknown_dtype_opens_no_file(self, tmp_path):
+        d = self._checkpoint(tmp_path, lambda m: m["tensors"]["a"].update(dtype="../float64"))
+        with pytest.raises(TensorFormatError, match=r"a: bad manifest entry .*'\.\./float64'"):
+            load_checkpoint(d)
+
+    def test_v1_directory_refused_by_name(self, tmp_path):
+        d = tmp_path / "v1"
+        d.mkdir()
+        write_tensor_file(d / "a.bin", np.ones(2))
+        manifest = {"format": "florence-mini-checkpoint-v1", "tensors": {"a": {"file": "a.bin", "shape": [2], "dtype": "float64"}}}
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TensorFormatError, match="checkpoint format 'florence-mini-checkpoint-v1' is not 'florence-mini-checkpoint-v2'"):
+            load_checkpoint(d)

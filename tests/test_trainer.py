@@ -1,6 +1,7 @@
 """Training loop, gradient cache, activation checkpointing, ZeRO simulation."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from florence_mini.numerics import (
     no_grad,
     ops,
     precision_policy,
+    save_checkpoint,
 )
 from florence_mini.trainer import (
     TrainConfig,
@@ -25,11 +27,11 @@ from florence_mini.trainer import (
     activation_profile,
     checkpointed,
     gradient_cache_gradients,
+    load_model_checkpoint,
     load_train_checkpoint,
     monolithic_gradients,
     prepare_batch,
     run_two_stage_training,
-    shard_report,
     split_zero_state,
     train_step,
     zero_shard_update,
@@ -299,13 +301,20 @@ class TestZeroSharding:
             assert pu[k].tobytes() == pz[k].tobytes(), k
 
     def test_resident_state_counts_balanced(self):
-        params = self._params()
-        rep = shard_report(params, 4)
-        total = 2 * sum(p.size for p in params.values())
-        assert sum(rep.resident_state_scalars) == total
-        for resident in rep.resident_state_scalars:
-            assert abs(resident - total / 4) <= 2 * rep.largest_tensor_scalars
-        assert not rep.imbalance_flagged
+        """On the default model each worker holds one contiguous slice of the
+        flattened moments: exactly total/W, to within one scalar."""
+        vocab = build_vocabulary(["a cat", "a dog", "a red bird"])
+        params = TwoTowerModel.create(ModelConfig(), vocab, seed=0).param_arrays()
+        total = sum(p.size for p in params.values())
+        assert total == 175_081
+        expected = {1: [175_081], 2: [87_540, 87_541], 4: [43_770, 43_770, 43_770, 43_771]}
+        for workers, sizes in expected.items():
+            states = split_zero_state(init_optimizer_state(params, lr=1e-3), params, workers)
+            for moments in ("m", "v"):
+                resident = [sum(a.size for a in getattr(s, moments).values()) for s in states]
+                assert resident == sizes, (workers, moments)
+                assert sum(resident) == total
+                assert all(abs(r - total / workers) < 1 for r in resident)
 
 
 class TestTrainStep:
@@ -313,8 +322,8 @@ class TestTrainStep:
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8)
-        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
-        _, metrics = train_step(fresh, images, ids, labels, rids, [state], cfg, 1e-3)
+        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
+        _, metrics = train_step(fresh, images, ids, labels, rids, states, cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
     def test_half_emulated_step_with_chunk_equal_to_batch(self, small_setup):
@@ -322,8 +331,8 @@ class TestTrainStep:
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8, precision="half-emulated")
-        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
-        _, metrics = train_step(fresh, images, ids, labels, rids, [state], cfg, 1e-3)
+        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
+        _, metrics = train_step(fresh, images, ids, labels, rids, states, cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
     @pytest.mark.parametrize("chunk, ckpt", [(8, False), (4, False), (4, True)])
@@ -333,19 +342,19 @@ class TestTrainStep:
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         peaks = activation_profile(fresh, images, ids, labels, chunk)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=chunk, activation_checkpointing=ckpt)
-        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
-        _, metrics = train_step(fresh, images, ids, labels, rids, [state], cfg, 1e-3)
+        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
+        _, metrics = train_step(fresh, images, ids, labels, rids, states, cfg, 1e-3)
         assert metrics["peak_activation_scalars"] == peaks[ckpt]
 
     def test_nan_input_aborts_with_batch_ids(self, small_setup):
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8)
-        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
+        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
         bad = images.copy()
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(TrainingAborted, match=rids[0]):
-            train_step(fresh, bad, ids, labels, rids, [state], cfg, 1e-3)
+            train_step(fresh, bad, ids, labels, rids, states, cfg, 1e-3)
 
 
 class TestTrainConfigValidation:
@@ -502,10 +511,9 @@ class TestTwoStageRun:
         mb, ms = (json.loads((d / "manifest.json").read_text()) for d in (final_b, final_s))
         assert (mb["step"], mb["optimizer_step"]) == (ms["step"], ms["optimizer_step"]) == (6, 6)
         assert mb["tensors"] == ms["tensors"]
-        files = [e["file"] for e in mb["tensors"].values()]
-        assert {f.split(".")[0] for f in files} >= {"__opt_m__", "__opt_v__"}
-        for f in files:
-            assert (final_b / f).read_bytes() == (final_s / f).read_bytes(), f
+        assert {k.split(".")[0] for k in mb["tensors"]} >= {"__opt_m__", "__opt_v__"}
+        assert sorted(p.name for p in final_b.iterdir()) == ["float64.bin", "manifest.json"]
+        assert (final_b / "float64.bin").read_bytes() == (final_s / "float64.bin").read_bytes()
 
     def test_checkpoint_roundtrip_restores_step_and_params(self, corpus, tmp_path):
         triplets, _ = corpus
@@ -516,6 +524,26 @@ class TestTwoStageRun:
         assert state.step == 6
         for k, v in out["model"].param_arrays().items():
             assert model.param_arrays()[k].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("damage, error, named", [
+        ("missing", KeyError, "missing parameter 'text.proj.w'"),
+        ("reshaped", ValueError, "shape mismatch for 'text.proj.w'"),
+    ])
+    def test_model_load_refuses_a_missing_or_misshapen_tensor_by_name(self, small_setup, tmp_path, damage, error, named):
+        model = small_setup[0]
+        metadata = {"model_config": model.config.to_dict(), "vocab": model.vocab.to_list()}
+        tensors = dict(model.param_arrays())
+        save_checkpoint(tmp_path / "good", tensors, metadata=metadata)
+        loaded = load_model_checkpoint(tmp_path / "good")
+        assert list(loaded.params) == list(model.params)
+        for k, v in tensors.items():
+            assert loaded.params[k].data.tobytes() == v.tobytes() and loaded.params[k].requires_grad, k
+        w = tensors.pop("text.proj.w")
+        if damage == "reshaped":
+            tensors["text.proj.w"] = w[:-1]
+        save_checkpoint(tmp_path / "bad", tensors, metadata=metadata)
+        with pytest.raises(error, match=re.escape(named)):
+            load_model_checkpoint(tmp_path / "bad")
 
     def test_non_finite_gradient_aborts_before_the_update(self, corpus, tmp_path, monkeypatch):
         """A finite loss with one inf gradient stops the run at step 0 and
