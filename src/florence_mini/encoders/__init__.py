@@ -5,11 +5,8 @@ from .model import (
     TwoTowerModel,
     image_tower,
     init_two_tower,
-    multi_head_attention,
     relative_index,
     text_tower,
-    window_merge,
-    window_partition,
     windowed_attention_block,
 )
 from .video import (
@@ -35,7 +32,6 @@ __all__ = [
     "image_tower",
     "inflate_conv_2d_to_3d",
     "init_two_tower",
-    "multi_head_attention",
     "parameter_count",
     "parameter_shapes",
     "relative_index",
@@ -43,7 +39,5 @@ __all__ = [
     "text_tower",
     "tokenize",
     "tokenize_batch",
-    "window_merge",
-    "window_partition",
     "windowed_attention_block",
 ]

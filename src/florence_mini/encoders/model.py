@@ -62,33 +62,21 @@ def relative_index(window: int) -> np.ndarray:
     return index
 
 
-def multi_head_attention(x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, bias: Tensor) -> Tensor:
-    """Self-attention over (B, N, C) token stacks; ``bias`` broadcasts onto
-    the (B, heads, N, N) scores before the softmax."""
-    weights = (p[f"{prefix}.{name}"] for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"))
-    return ops.attention(x, *weights, bias, heads)
+_ATTENTION_PARAMS = (
+    "ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo"
+)
+_MLP_PARAMS = ("ln2.gamma", "ln2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
-def mlp_block(x: Tensor, p: dict[str, Tensor], prefix: str) -> Tensor:
-    h = ops.gelu(ops.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    return ops.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-
-
-def window_partition(x: Tensor, window: int) -> Tensor:
-    """(..., H, W, C) -> (N*nWin, window*window, C) for non-overlapping
-    windows, N being the product of the leading axes."""
-    h, w, c = x.shape[-3:]
-    t = ops.reshape(x, (-1, h // window, window, w // window, window, c))
-    t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
-    return ops.reshape(t, (-1, window * window, c))
-
-
-def window_merge(x: Tensor, window: int, shape: tuple[int, ...]) -> Tensor:
-    """Inverse of window_partition back to the map ``shape`` (..., H, W, C)."""
-    h, w, c = shape[-3:]
-    t = ops.reshape(x, (-1, h // window, w // window, window, window, c))
-    t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
-    return ops.reshape(t, shape)
+def transformer_block(
+    x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, bias: Tensor, window: int | None = None
+) -> Tensor:
+    """Pre-norm attention and MLP sublayers with residuals, one tape node
+    each. ``bias`` broadcasts onto the attention scores; with ``window``,
+    x is an (..., H, W, C) map attended within non-overlapping windows."""
+    attn = ops.attention(x, *(p[f"{prefix}.{name}"] for name in _ATTENTION_PARAMS), bias, heads, window)
+    x = ops.add(x, attn)
+    return ops.add(x, ops.mlp(x, *(p[f"{prefix}.{name}"] for name in _MLP_PARAMS)))
 
 
 def windowed_attention_block(
@@ -96,17 +84,9 @@ def windowed_attention_block(
 ) -> Tensor:
     """Pre-norm windowed MHSA + MLP with residuals on a (..., H, W, C) map;
     leading axes hold independent maps."""
-    h, w = x.shape[-3:-1]
-    eff = min(window, h)
-    if h % eff or w % eff:
-        raise ValueError(f"spatial extent {h}x{w} not divisible by window {eff}")
-    t = ops.layer_norm(x, p[f"{prefix}.ln1.gamma"], p[f"{prefix}.ln1.beta"])
+    eff = min(window, x.shape[-3])
     table = ops.embedding(p[f"{prefix}.attn.rel_bias"], relative_index(eff))  # (N, N, h)
-    rel_bias = ops.transpose(table, (2, 0, 1))
-    attn = multi_head_attention(window_partition(t, eff), p, f"{prefix}.attn", heads, rel_bias)
-    x = ops.add(x, window_merge(attn, eff, x.shape))
-    t = ops.layer_norm(x, p[f"{prefix}.ln2.gamma"], p[f"{prefix}.ln2.beta"])
-    return ops.add(x, mlp_block(t, p, f"{prefix}.mlp"))
+    return transformer_block(x, p, prefix, heads, ops.transpose(table, (2, 0, 1)), eff)
 
 
 def image_tower(
@@ -173,11 +153,7 @@ def text_tower(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray) 
     )
     mask_bias = Tensor((~valid[:, None, None, :]).astype(dtype) * MASK_NEG)
     for l in range(config.text_layers):
-        prefix = f"text.b{l}"
-        t = ops.layer_norm(x, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"])
-        x = ops.add(x, multi_head_attention(t, params, f"{prefix}.attn", config.text_heads, mask_bias))
-        t = ops.layer_norm(x, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-        x = ops.add(x, mlp_block(t, params, f"{prefix}.mlp"))
+        x = transformer_block(x, params, f"text.b{l}", config.text_heads, mask_bias)
     x = ops.layer_norm(x, params["text.ln_f.gamma"], params["text.ln_f.beta"])
     pooled = ops.tensor_sum(ops.mul(x, Tensor(valid[:, :, None].astype(dtype))), axis=1)
     pooled = ops.mul(pooled, Tensor((1.0 / counts)[:, None].astype(dtype)))

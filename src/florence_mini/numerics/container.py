@@ -19,6 +19,7 @@ import os
 import struct
 from itertools import accumulate
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -100,18 +101,32 @@ def read_tensor_header(path) -> tuple[tuple[int, ...], np.dtype]:
         return _read_header(fh, path)
 
 
-def read_tensor_file(path) -> Tensor:
+def _read_checked_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
+    """The header, once the file is known to hold exactly the payload it declares."""
+    shape, dtype = _read_header(fh, path)
+    # Python ints: a corrupt header can neither wrap the size nor make the reader allocate it
+    declared, held = math.prod(shape) * dtype.itemsize, os.fstat(fh.fileno()).st_size - fh.tell()
+    if held != declared:
+        problem = "truncated payload" if held < declared else "trailing bytes after payload"
+        raise TensorFormatError(f"{path}: {problem}: header declares {declared} bytes, file holds {held}")
+    return shape, dtype
+
+
+def read_tensor_file(path, span: tuple[int, int] | None = None) -> Tensor:
+    """The container's tensor; with ``span=(start, stop)``, only those
+    scalars of its row-major payload, as a rank-1 tensor. The header and
+    the file size are checked in full either way."""
     with open(path, "rb") as fh:
-        shape, dtype = _read_header(fh, path)
-        # Python ints: a corrupt header can neither wrap the size nor make the reader allocate it
+        shape, dtype = _read_checked_header(fh, path)
         count = math.prod(shape)
-        declared, held = count * dtype.itemsize, os.fstat(fh.fileno()).st_size - fh.tell()
-        if held != declared:
-            problem = "truncated payload" if held < declared else "trailing bytes after payload"
-            raise TensorFormatError(f"{path}: {problem}: header declares {declared} bytes, file holds {held}")
-        arr = np.empty(count, dtype=dtype.newbyteorder("<"))
+        start, stop = (0, count) if span is None else span
+        if not 0 <= start <= stop <= count:
+            raise TensorFormatError(f"{path}: span [{start}, {stop}) outside its {count} scalars")
+        fh.seek(start * dtype.itemsize, os.SEEK_CUR)
+        arr = np.empty(stop - start, dtype=dtype.newbyteorder("<"))
         fh.readinto(arr)
-    return Tensor(arr.astype(dtype, copy=False).reshape(shape))
+    arr = arr.astype(dtype, copy=False)
+    return Tensor(arr if span is not None else arr.reshape(shape))
 
 
 def save_checkpoint(dirpath, tensors: dict[str, np.ndarray], metadata: dict | None = None) -> Path:
@@ -129,34 +144,62 @@ def save_checkpoint(dirpath, tensors: dict[str, np.ndarray], metadata: dict | No
     return d
 
 
-def load_checkpoint(dirpath) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of save_checkpoint: name -> view into its dtype's container.
-    Each container is read once, from the file named by its (known) dtype;
-    its entries must tile it exactly: in range, with no gap and no overlap."""
-    d = Path(dirpath)
-    with open(d / "manifest.json") as fh:
-        manifest = json.load(fh)
+def _read_manifest(d: Path) -> dict:
+    """A v2 manifest, refused with a TensorFormatError that names the file
+    when it is torn, not a JSON object, or has no ``tensors`` object."""
+    path = d / "manifest.json"
+    with open(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise TensorFormatError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise TensorFormatError(f"{path}: holds a JSON {type(manifest).__name__}, not an object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise TensorFormatError(f"{d}: checkpoint format {manifest.get('format')!r} is not {CHECKPOINT_FORMAT!r}")
+    if not isinstance(manifest.get("tensors"), dict):
+        raise TensorFormatError(f"{path}: no \"tensors\" object")
+    return manifest
+
+
+def load_checkpoint(dirpath, keep: Callable[[str], bool] | None = None) -> tuple[dict[str, np.ndarray], dict]:
+    """Inverse of save_checkpoint: name -> view into its dtype's container.
+
+    Every entry of every container is checked against the container's
+    header and size: in range, with no gap and no overlap. Then each
+    container is read once, from the file named by its (known) dtype, over
+    the span its entries that ``keep`` selects cover (all of them when
+    ``keep`` is None); a container with no such entry is not read.
+    """
+    d = Path(dirpath)
+    manifest = _read_manifest(d)
     layouts: dict[str, dict] = {}
     for name, entry in manifest["tensors"].items():
-        dtype, offset, shape = entry["dtype"], entry["offset"], entry["shape"]
+        fields = entry if isinstance(entry, dict) else {}
+        dtype, offset, shape = fields.get("dtype"), fields.get("offset"), fields.get("shape")
         valid = isinstance(shape, list) and all(isinstance(v, int) and v >= 0 for v in (offset, *shape))
-        if dtype not in _DTYPE_NAMES or not valid:
+        if not isinstance(dtype, str) or dtype not in _DTYPE_NAMES or not valid:
             raise TensorFormatError(f"{d}: {name}: bad manifest entry {entry}")
         layouts.setdefault(dtype, {})[name] = (offset, tuple(shape))
     tensors: dict[str, np.ndarray] = {}
     for dtype, layout in sorted(layouts.items()):
         path = d / f"{dtype}.bin"
-        flat = read_tensor_file(path).data
-        if flat.ndim != 1 or flat.dtype != _DTYPE_NAMES[dtype]:
-            raise TensorFormatError(f"{path}: holds a rank-{flat.ndim} {flat.dtype} tensor, not a flat {dtype} one")
+        with open(path, "rb") as fh:
+            shape, held = _read_checked_header(fh, path)
+        if len(shape) != 1 or held != _DTYPE_NAMES[dtype]:
+            raise TensorFormatError(f"{path}: holds a rank-{len(shape)} {held} tensor, not a flat {dtype} one")
         end = 0
         for offset, count, name in sorted((o, math.prod(s), n) for n, (o, s) in layout.items()):
-            if offset != end or offset + count > flat.size:
-                raise TensorFormatError(f"{path}: {name} spans [{offset}, {offset + count}) of {flat.size}, after {end}")
+            if offset != end or offset + count > shape[0]:
+                raise TensorFormatError(f"{path}: {name} spans [{offset}, {offset + count}) of {shape[0]}, after {end}")
             end = offset + count
-        if end != flat.size:
-            raise TensorFormatError(f"{path}: the entries cover {end} of its {flat.size} scalars")
-        tensors.update(unflatten(flat, layout))
+        if end != shape[0]:
+            raise TensorFormatError(f"{path}: the entries cover {end} of its {shape[0]} scalars")
+        kept = {n: e for n, e in layout.items() if keep is None or keep(n)}
+        if not kept:
+            continue
+        start = min(o for o, _ in kept.values())
+        stop = max(o + math.prod(s) for o, s in kept.values())
+        flat = read_tensor_file(path, (start, stop)).data
+        tensors.update(unflatten(flat, {n: (o - start, s) for n, (o, s) in kept.items()}))
     return tensors, manifest

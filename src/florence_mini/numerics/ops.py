@@ -4,11 +4,13 @@ Each op computes its forward value and wraps it through one of two
 helpers: ``_result`` snaps the value to the binary16 grid in half-emulated
 mode, ``_record`` never does. Ops that compute values use ``_result``; ops
 that only move values (shape and gather) and the three numerically fragile
-normalizations (layer norm, softmax, L2 normalization) use ``_record``.
-When recording, a TapeNode is attached whose backward rule returns one
-gradient per input. Arrays needed by a backward rule are passed through
-the node's ``saved`` tuple, never captured in closures, so the activation
-meter sees every retained scalar.
+normalizations (layer norm, softmax, L2 normalization) use ``_record``, and
+so do ``linear`` and the fused sublayers ``attention`` and ``mlp``, which
+snap inside, wherever the ops they fuse snapped. When recording, a TapeNode
+is attached whose backward rule returns one gradient per input. Arrays
+needed by a backward rule are passed through the node's ``saved`` tuple,
+never captured in closures, so the activation meter sees every retained
+scalar.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .precision import apply_policy
+from .precision import apply_policy, current_snap
 from .tensor import FLOAT_DTYPES, Tensor
 from .tensor import record as _record
 
@@ -111,43 +113,56 @@ def log(a: Tensor) -> Tensor:
     return _result("log", np.log(a.data), (a,), (a.data,), backward)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximated GELU (smooth, finite-difference friendly).
-
-    Both directions update fresh temporaries in place; every product and
-    sum keeps the operands and order of the plain formula in the comment
-    below, so the bytes equal that formula's.
-    """
-    _check_float(a, "gelu")
-    x = a.data
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """tanh(K0 * (x + K1 * x³)), computed in one fresh array."""
     t = x * x
     t *= x
     t *= _GELU_K1
     np.add(x, t, out=t)
     t *= _GELU_K0
     np.tanh(t, out=t)
+    return t
+
+
+def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(x * 0.5) * (t + 1), before any snap."""
     out = x * 0.5
     out *= t + 1.0
+    return out
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x * x))"""
+    inner = x * (3.0 * _GELU_K1)
+    inner *= x
+    inner += 1.0
+    inner *= _GELU_K0
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    dx = x * 0.5
+    dx *= sech2
+    dx *= inner
+    np.add(t, 1.0, out=inner)
+    inner *= 0.5
+    dx += inner
+    dx *= g
+    return dx
+
+
+def gelu(a: Tensor) -> Tensor:
+    """tanh-approximated GELU (smooth, finite-difference friendly).
+
+    Both directions update fresh temporaries in place; every product and
+    sum keeps the operands and order of the plain formula in
+    ``_gelu_grad``'s docstring, so the bytes equal that formula's.
+    """
+    _check_float(a, "gelu")
+    t = _gelu_tanh(a.data)
 
     def backward(g, saved):
-        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x * x))
-        xv, tv = saved
-        inner = xv * (3.0 * _GELU_K1)
-        inner *= xv
-        inner += 1.0
-        inner *= _GELU_K0
-        sech2 = tv * tv
-        np.subtract(1.0, sech2, out=sech2)
-        dx = xv * 0.5
-        dx *= sech2
-        dx *= inner
-        np.add(tv, 1.0, out=inner)
-        inner *= 0.5
-        dx += inner
-        dx *= g
-        return (dx,)
+        return (_gelu_grad(g, *saved),)
 
-    return _result("gelu", out, (a,), (x, t), backward)
+    return _result("gelu", _gelu_value(a.data, t), (a,), (a.data, t), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -284,73 +299,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _record("linear", out, inputs, (x.data, w.data), backward)
 
 
-def attention(
-    x: Tensor,
-    wq: Tensor,
-    bq: Tensor,
-    wk: Tensor,
-    bk: Tensor,
-    wv: Tensor,
-    bv: Tensor,
-    wo: Tensor,
-    bo: Tensor,
-    bias: Tensor,
-    heads: int,
-) -> Tensor:
-    """Multi-head self-attention over (B, N, C) token stacks, one tape node.
-
-    ``bias`` broadcasts onto the (B, heads, N, N) scores before the
-    softmax. The forward runs the composition this op replaces, in its
-    order: ``linear`` q, k and v, a head split, ``matmul(q, kᵀ)``, a scale
-    by 1/√dh, the bias sum, ``softmax``, ``matmul`` with v, a head merge and
-    ``linear`` o. It snaps where those ops snapped (never the softmax), and
-    its backward replays their backward rules in the order the tape ran
-    them, so values and gradients are byte-equal to the composition. It
-    saves x and the probabilities once each, where the composition saved
-    them three times and twice. A bias off the tape (the text PAD mask)
-    gets no gradient. Nothing it is given or has saved is written.
-    """
-    for t in (wq, bq, wk, bk, wv, bv, wo, bo, bias):
-        _check_same_dtype(x, t, "attention")
-    bsz, n, c = x.shape
-    if c % heads:
-        raise ValueError(f"attention width {c} not divisible by {heads} heads")
-    split = (bsz, n, heads, c // heads)
-    c_scale = x.data.dtype.type(1.0 / np.sqrt(c // heads))
-    q, k, v = (_dense(x.data, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
-    q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
-    scores = apply_policy(np.matmul(q4, k4.transpose(0, 1, 3, 2)))
-    scores *= c_scale
-    scores = apply_policy(scores)
-    scores += bias.data
-    probs = _softmax_rows(apply_policy(scores))
-    ctx = apply_policy(np.matmul(probs, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
-    out = _dense(ctx, wo.data, bo.data)
-    bias_shape, bias_live = bias.shape, bias.requires_grad or bias.node is not None
-
-    def backward(g, saved):
-        xv, wqv, wkv, wvv, wov, qv, kv, vv, p, ctx_v = saved
-        q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (qv, kv, vv))
-        d_ctx, dwo, dbo = _dense_grads(g, ctx_v, wov, True)
-        d_ctx = d_ctx.reshape(split).transpose(0, 2, 1, 3)
-        d_p = np.matmul(d_ctx, v4.swapaxes(-1, -2))
-        dv4 = np.matmul(p.swapaxes(-1, -2), d_ctx)
-        d_scores = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
-        d_bias = _unbroadcast(d_scores, bias_shape) if bias_live else None
-        d_scores = d_scores * c_scale
-        dq4 = np.matmul(d_scores, k4)
-        dk4 = np.matmul(q4.swapaxes(-1, -2), d_scores).transpose(0, 1, 3, 2)
-        dxv, dwv, dbv = _dense_grads(dv4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wvv, True)
-        dxk, dwk, dbk = _dense_grads(dk4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wkv, True)
-        dxq, dwq, dbq = _dense_grads(dq4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wqv, True)
-        # the tape ran v's linear first, then k's, then q's
-        dx = (dxv + dxk) + dxq
-        return dx, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo, d_bias
-
-    saved = (x.data, wq.data, wk.data, wv.data, wo.data, q, k, v, probs, ctx)
-    return _record("attention", out, (x, wq, bq, wk, bk, wv, bv, wo, bo, bias), saved, backward)
-
-
 # ---------------------------------------------------------------------------
 # normalization / softmax: numerically fragile, so they never snap
 # ---------------------------------------------------------------------------
@@ -402,37 +350,54 @@ def softmax(a: Tensor) -> Tensor:
     return _record("softmax", out, (a,), (out,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis; affine parameters broadcast from 1-D.
+def _ln_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """xhat * gamma + beta, into ``out`` when given."""
+    out = np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out
 
-    The centred input is computed once and scaled in place into ``xhat``,
-    and the backward reuses its own temporaries; no input, saved array or
-    incoming gradient is written.
+
+def _ln_forward(xv: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """Layer norm over the last axis: (output, xhat, inv_std).
+
+    The centred input is computed once and scaled in place into ``xhat``;
+    the squares' buffer takes the affine output.
     """
-    _check_same_dtype(x, gamma, "layer_norm")
-    _check_same_dtype(x, beta, "layer_norm")
-    xv = x.data
     xhat = xv - xv.mean(axis=-1, keepdims=True)
     out = xhat * xhat
     inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv_std
-    np.multiply(xhat, gamma.data, out=out)
-    out += beta.data
-    lead = tuple(range(xv.ndim - 1))
+    return _ln_affine(xhat, gamma, beta, out), xhat, inv_std
+
+
+def _ln_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gamma: np.ndarray):
+    """Layer norm's input, gamma and beta gradients.
+
+    dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), dxhat = g * gamma
+    """
+    dx = g * gamma
+    t = dx * xhat
+    m_xh = t.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, m_xh, out=t)
+    dx -= t
+    dx *= inv_std
+    lead = tuple(range(g.ndim - 1))
+    return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis; affine parameters broadcast from 1-D.
+
+    Both directions update only temporaries of their own in place; no
+    input, saved array or incoming gradient is written.
+    """
+    _check_same_dtype(x, gamma, "layer_norm")
+    _check_same_dtype(x, beta, "layer_norm")
+    out, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data, eps)
 
     def backward(g, saved):
-        # dx = istd * (dxhat - mean(dxhat) - xh * mean(dxhat * xh)), dxhat = g * gamma
-        xh, istd, gam = saved
-        dx = g * gam
-        t = dx * xh
-        m_xh = t.mean(axis=-1, keepdims=True)
-        dx -= dx.mean(axis=-1, keepdims=True)
-        np.multiply(xh, m_xh, out=t)
-        dx -= t
-        dx *= istd
-        dgamma = (g * xh).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        return dx, dgamma, dbeta
+        return _ln_grads(g, *saved)
 
     return _record("layer_norm", out, (x, gamma, beta), (xhat, inv_std, gamma.data), backward)
 
@@ -449,6 +414,147 @@ def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
         return ((g - y * (g * y).sum(axis=-1, keepdims=True)) / nv,)
 
     return _record("l2_normalize", out, (a,), (out, n), backward)
+
+
+# ---------------------------------------------------------------------------
+# transformer sublayers: one tape node for each pre-norm residual branch
+# ---------------------------------------------------------------------------
+
+
+def _partition(a: np.ndarray, window: int | None) -> np.ndarray:
+    """(..., H, W, C) -> (N*nWin, window*window, C) for non-overlapping
+    windows, N being the product of the leading axes; ``a`` itself when
+    ``window`` is None."""
+    if window is None:
+        return a
+    h, w, c = a.shape[-3:]
+    t = a.reshape(-1, h // window, window, w // window, window, c).transpose(0, 1, 3, 2, 4, 5)
+    return t.reshape(-1, window * window, c)
+
+
+def _merge(a: np.ndarray, window: int | None, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``_partition`` back to the map ``shape`` (..., H, W, C)."""
+    if window is None:
+        return a
+    h, w, c = shape[-3:]
+    t = a.reshape(-1, h // window, w // window, window, window, c).transpose(0, 1, 3, 2, 4, 5)
+    return t.reshape(shape)
+
+
+def attention(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    wq: Tensor,
+    bq: Tensor,
+    wk: Tensor,
+    bk: Tensor,
+    wv: Tensor,
+    bv: Tensor,
+    wo: Tensor,
+    bo: Tensor,
+    bias: Tensor,
+    heads: int,
+    window: int | None = None,
+) -> Tensor:
+    """Pre-norm multi-head self-attention, one tape node.
+
+    ``x`` is a (B, N, C) token stack when ``window`` is None, or an
+    (..., H, W, C) map whose tokens attend within non-overlapping
+    window x window windows. ``bias`` broadcasts onto the (windows, heads,
+    N, N) scores before the softmax. The forward runs the composition this
+    op replaces, in its order: ``layer_norm`` with ``gamma`` and ``beta``,
+    the window partition (two reshapes and a transpose), ``linear`` q, k
+    and v, a head split, ``matmul(q, kᵀ)``, a scale by 1/√dh, the bias sum,
+    ``softmax``, ``matmul`` with v, a head merge, ``linear`` o and the
+    window merge. It snaps where those ops snapped (never the norm or the
+    softmax), and its backward replays their backward rules in the order
+    the tape ran them, so values and gradients are byte-equal to the
+    composition. It saves the normalized input ``xhat`` and rebuilds the
+    layer norm's output from it in backward; the probabilities are saved
+    once. A bias off the tape (the text PAD mask) gets no gradient.
+    Nothing it is given or has saved is written.
+    """
+    for t in (gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, bias):
+        _check_same_dtype(x, t, "attention")
+    c = x.shape[-1]
+    if c % heads:
+        raise ValueError(f"attention width {c} not divisible by {heads} heads")
+    if window is not None and (x.shape[-3] % window or x.shape[-2] % window):
+        raise ValueError(f"spatial extent {x.shape[-3]}x{x.shape[-2]} not divisible by window {window}")
+    normed, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data)
+    xw = _partition(normed, window)
+    del normed
+    bsz, n, _ = xw.shape
+    split = (bsz, n, heads, c // heads)
+    c_scale = x.data.dtype.type(1.0 / np.sqrt(c // heads))
+    q, k, v = (_dense(xw, w.data, b.data) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    del xw
+    q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
+    scores = apply_policy(np.matmul(q4, k4.transpose(0, 1, 3, 2)))
+    scores *= c_scale
+    scores = apply_policy(scores)
+    scores += bias.data
+    probs = _softmax_rows(apply_policy(scores))
+    ctx = apply_policy(np.matmul(probs, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
+    out = _merge(_dense(ctx, wo.data, bo.data), window, x.shape)
+    bias_shape, bias_live = bias.shape, bias.requires_grad or bias.node is not None
+
+    def backward(g, saved):
+        xh, istd, gam, bet, wqv, wkv, wvv, wov, qv, kv, vv, p, ctx_v = saved
+        q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (qv, kv, vv))
+        d_ctx, dwo, dbo = _dense_grads(_partition(g, window), ctx_v, wov, True)
+        d_ctx = d_ctx.reshape(split).transpose(0, 2, 1, 3)
+        d_p = np.matmul(d_ctx, v4.swapaxes(-1, -2))
+        dv4 = np.matmul(p.swapaxes(-1, -2), d_ctx)
+        d_scores = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
+        d_bias = _unbroadcast(d_scores, bias_shape) if bias_live else None
+        d_scores = d_scores * c_scale
+        dq4 = np.matmul(d_scores, k4)
+        dk4 = np.matmul(q4.swapaxes(-1, -2), d_scores).transpose(0, 1, 3, 2)
+        xv = _partition(_ln_affine(xh, gam, bet), window)
+        dxv, dwv, dbv = _dense_grads(dv4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wvv, True)
+        dxk, dwk, dbk = _dense_grads(dk4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wkv, True)
+        dxq, dwq, dbq = _dense_grads(dq4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wqv, True)
+        # the tape ran v's linear first, then k's, then q's
+        dx, dgamma, dbeta = _ln_grads(_merge((dxv + dxk) + dxq, window, xh.shape), xh, istd, gam)
+        return dx, dgamma, dbeta, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo, d_bias
+
+    saved = (xhat, inv_std, gamma.data, beta.data, wq.data, wk.data, wv.data, wo.data, q, k, v, probs, ctx)
+    inputs = (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, bias)
+    return _record("attention", out, inputs, saved, backward)
+
+
+def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Pre-norm MLP, one tape node: ``layer_norm``, ``linear``, ``gelu``,
+    ``linear``, computed and snapped as those ops are.
+
+    It saves the normalized input ``xhat`` and the pre-gelu ``h`` with its
+    tanh, and its backward rebuilds the layer norm's output and the gelu
+    output from them with the forward's own operations (under the forward's
+    precision mode), so values and gradients are byte-equal to the
+    composition. Nothing it is given or has saved is written.
+    """
+    for t in (gamma, beta, w1, b1, w2, b2):
+        _check_same_dtype(x, t, "mlp")
+    snap = current_snap()
+    normed, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data)
+    h = _dense(normed, w1.data, b1.data)
+    del normed
+    t = _gelu_tanh(h)
+    out = _dense(snap(_gelu_value(h, t)), w2.data, b2.data)
+
+    def backward(g, saved):
+        xh, istd, gam, bet, hv, tv, w1v, w2v = saved
+        da, dw2, db2 = _dense_grads(g, snap(_gelu_value(hv, tv)), w2v, True)
+        dh = _gelu_grad(da, hv, tv)
+        del da
+        dn, dw1, db1 = _dense_grads(dh, _ln_affine(xh, gam, bet), w1v, True)
+        dx, dgamma, dbeta = _ln_grads(dn, xh, istd, gam)
+        return dx, dgamma, dbeta, dw1, db1, dw2, db2
+
+    saved = (xhat, inv_std, gamma.data, beta.data, h, t, w1.data, w2.data)
+    return _record("mlp", out, (x, gamma, beta, w1, b1, w2, b2), saved, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -166,24 +166,27 @@ def test_criterion_03_gradient_correctness():
     xmap = Tensor(rng.normal(size=(1, 4, 4, 4)))
     probe_map = Tensor(rng.normal(size=(1, 4, 4, 4)))
 
-    def through_attention(name):
-        """The block's probed output as a function of x or of one attention tensor."""
+    def through_block(name):
+        """The block's probed output as a function of x or of one of its tensors."""
 
         def f(t):
             params = dict(model.params)
             if name != "x":
-                params[f"image.s0.b0.attn.{name}"] = t
+                params[f"image.s0.b0.{name}"] = t
             out = windowed_attention_block(t if name == "x" else xmap, params, "image.s0.b0", heads=2, window=2)
             return ops.tensor_sum(ops.mul(out, probe_map))
 
         return f
 
+    block_tensors = [f"attn.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "rel_bias")] + [
+        f"{sub}.{n}" for sub, names in (("ln1", "gamma beta"), ("ln2", "gamma beta"), ("mlp", "w1 b1 w2 b2")) for n in names.split()
+    ]
     worst["windowed_attention"] = max(
         finite_difference_check(
-            through_attention(name),
-            (xmap if name == "x" else model.params[f"image.s0.b0.attn.{name}"]).data.copy(),
+            through_block(name),
+            (xmap if name == "x" else model.params[f"image.s0.b0.{name}"]).data.copy(),
         ).max_rel_error
-        for name in ("x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "rel_bias")
+        for name in ["x", *block_tensors]
     )
 
     gam = rng.normal(size=6)

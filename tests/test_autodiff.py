@@ -316,8 +316,8 @@ class TestRowMax:
 
 
 def _composed_attention(x, p, heads, bias):
-    """Multi-head attention from the primitive ops, as the model composed
-    it before ``ops.attention``: the oracle that op must equal."""
+    """Multi-head attention over (B, N, C) token stacks from the primitive
+    ops, as the model composed it before ``ops.attention``."""
     bsz, n, c = x.shape
     dh = c // heads
 
@@ -332,11 +332,53 @@ def _composed_attention(x, p, heads, bias):
     return ops.linear(out, p["wo"], p["bo"])
 
 
+def _window_partition(x, window):
+    """(..., H, W, C) -> (N*nWin, window*window, C), from shape ops."""
+    h, w, c = x.shape[-3:]
+    t = ops.reshape(x, (-1, h // window, window, w // window, window, c))
+    t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
+    return ops.reshape(t, (-1, window * window, c))
+
+
+def _window_merge(x, window, shape):
+    """Inverse of ``_window_partition`` back to the map ``shape``."""
+    h, w, c = shape[-3:]
+    t = ops.reshape(x, (-1, h // window, w // window, window, window, c))
+    t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
+    return ops.reshape(t, shape)
+
+
+def _composed_sublayer(x, p, heads, bias, window):
+    """Layer norm, window partition, attention and window merge from the
+    primitive ops: the oracle ``ops.attention`` must equal."""
+    t = ops.layer_norm(x, p["gamma"], p["beta"])
+    if window is None:
+        return _composed_attention(t, p, heads, bias)
+    return _window_merge(_composed_attention(_window_partition(t, window), p, heads, bias), window, x.shape)
+
+
 _ATTN_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
-def _fused_attention(x, p, heads, bias):
-    return ops.attention(x, *(p[name] for name in _ATTN_WEIGHTS), bias, heads)
+def _fused_attention(x, p, heads, bias, window):
+    return ops.attention(x, p["gamma"], p["beta"], *(p[name] for name in _ATTN_WEIGHTS), bias, heads, window)
+
+
+def _check_backward_leaves_everything_unwritten(y, g):
+    """Run y's backward rule on ``g`` directly (backward_from would copy the
+    seed): it writes neither ``g``, nor a saved array, nor an input, and no
+    gradient it returns shares memory with another or with any of those.
+    Returns the gradients."""
+    kept = [a.copy() for a in (g, *y.node.saved, *(t.data for t in y.node.inputs))]
+    grads = y.node.backward_fn(g, y.node.saved)
+    for a, before in zip((g, *y.node.saved, *(t.data for t in y.node.inputs)), kept):
+        assert a.tobytes() == before.tobytes()
+    assert all(gr is None or gr.shape == t.shape for t, gr in zip(y.node.inputs, grads))
+    live = [gr for gr in grads if gr is not None]
+    for i, a in enumerate(live):
+        assert not any(np.shares_memory(a, b) for b in (g, *y.node.saved)), i
+        assert not any(np.shares_memory(a, b) for b in live[i + 1 :]), i
+    return grads
 
 
 class TestAttention:
@@ -349,43 +391,47 @@ class TestAttention:
 
     def _weights(self, rng, dtype):
         c = self.WIDTH
-        return {
+        weights = {
             name: Tensor((rng.normal(size=(c, c) if name.startswith("w") else c) * 0.4).astype(dtype),
                          requires_grad=True, name=name)
             for name in _ATTN_WEIGHTS
         }
+        weights["gamma"] = Tensor((1.0 + 0.3 * rng.normal(size=c)).astype(dtype), requires_grad=True, name="gamma")
+        weights["beta"] = Tensor((0.3 * rng.normal(size=c)).astype(dtype), requires_grad=True, name="beta")
+        return weights
 
     def _case(self, seed, shape, dtype):
         rng = np.random.default_rng(seed)
-        x = Tensor((rng.normal(size=shape + (self.WIDTH,)) * 2.0).astype(dtype), requires_grad=True, name="x")
+        x = Tensor((rng.normal(size=shape + (self.WIDTH,)) * 2.0 + 0.5).astype(dtype), requires_grad=True, name="x")
         grad_out = rng.normal(size=x.shape).astype(dtype)
         return rng, x, dict(self._weights(rng, dtype), x=x), grad_out
 
     def _window_case(self, dtype):
-        """Two images' 2x2 windows of a 4x4 map, rel-bias table on the tape."""
+        """Clips of two frames of two 4x4 maps, as the video tower runs them:
+        2x2 windows under two leading axes, rel-bias table on the tape."""
         from florence_mini.encoders.model import relative_index
 
-        rng, x, leaves, grad_out = self._case(21, (8, 4), dtype)
+        rng, x, leaves, grad_out = self._case(21, (2, 2, 4, 4), dtype)
         table = leaves["table"] = Tensor(rng.normal(size=(9, self.HEADS)).astype(dtype), requires_grad=True)
-        return x, leaves, lambda: ops.transpose(ops.embedding(table, relative_index(2)), (2, 0, 1)), grad_out
+        return x, leaves, lambda: ops.transpose(ops.embedding(table, relative_index(2)), (2, 0, 1)), grad_out, 2
 
     def _text_case(self, dtype):
         """Three captions of width 5 with trailing PAD, a constant mask."""
         _, x, leaves, grad_out = self._case(22, (3, 5), dtype)
         valid = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=bool)
         mask = Tensor((~valid[:, None, None, :]).astype(dtype) * -1e9)
-        return x, leaves, lambda: mask, grad_out
+        return x, leaves, lambda: mask, grad_out, None
 
     def _full_case(self, dtype):
         """A bias leaf of the scores' own shape, whose gradient is the score
         gradient itself, before the scale."""
         rng, x, leaves, grad_out = self._case(23, (2, 4), dtype)
         bias = leaves["bias"] = Tensor(rng.normal(size=(2, self.HEADS, 4, 4)).astype(dtype), requires_grad=True)
-        return x, leaves, lambda: bias, grad_out
+        return x, leaves, lambda: bias, grad_out, None
 
     def _run(self, attend, case):
-        x, leaves, bias, grad_out = case
-        y = attend(x, leaves, self.HEADS, bias())
+        x, leaves, bias, grad_out, window = case
+        y = attend(x, leaves, self.HEADS, bias(), window)
         g = backward_from([y], [grad_out])
         return y.data, {name: g.get(t) for name, t in leaves.items()}
 
@@ -396,7 +442,7 @@ class TestAttention:
         make = getattr(self, f"_{case}_case")
         with precision_policy(mode):
             fused_y, fused_g = self._run(_fused_attention, make(dtype))
-            ref_y, ref_g = self._run(_composed_attention, make(dtype))
+            ref_y, ref_g = self._run(_composed_sublayer, make(dtype))
         assert fused_y.dtype == dtype
         assert fused_y.tobytes() == ref_y.tobytes()
         assert set(fused_g) == set(ref_g)
@@ -406,37 +452,122 @@ class TestAttention:
             assert fused_g[name].tobytes() == grad.tobytes(), name
 
     def test_node_saves_input_and_probabilities_once(self):
-        x, leaves, bias, grad_out = self._text_case(np.float64)
-        activation_meter.reset()
-        y = _fused_attention(x, leaves, self.HEADS, bias())
-        assert y.node.op == "attention"
-        b, n, c = x.shape
-        # x, q, k, v and the merged heads; four weights; the probabilities
-        assert activation_meter.current == 5 * x.size + 4 * c * c + b * self.HEADS * n * n
-        backward_from([y], [grad_out])
-        assert activation_meter.current == 0
+        for case in (self._text_case, self._window_case):
+            x, leaves, bias, grad_out, window = case(np.float64)
+            activation_meter.reset()
+            bias = bias()
+            base = activation_meter.current  # the rel-bias gather saves its index table
+            y = _fused_attention(x, leaves, self.HEADS, bias, window)
+            assert y.node.op == "attention"
+            c = x.shape[-1]
+            tokens, keys = x.size // c, x.shape[-2] if window is None else window * window
+            # xhat, q, k, v and the merged heads; one inv_std per token;
+            # gamma, beta and the four weights; the probabilities
+            assert activation_meter.current - base == 5 * x.size + tokens + 2 * c + 4 * c * c + tokens * self.HEADS * keys
+            backward_from([y], [grad_out])
+            assert activation_meter.current == 0
 
     def test_mask_off_the_tape_gets_no_gradient(self):
-        x, leaves, bias, grad_out = self._text_case(np.float64)
-        y = _fused_attention(x, leaves, self.HEADS, bias())
+        x, leaves, bias, grad_out, window = self._text_case(np.float64)
+        y = _fused_attention(x, leaves, self.HEADS, bias(), window)
         grads = y.node.backward_fn(grad_out, y.node.saved)
-        assert len(grads) == 10 and grads[-1] is None
+        assert len(grads) == 12 and grads[-1] is None
 
     def test_backward_writes_nothing_it_is_given_and_returns_no_aliases(self):
         """With a full-shape bias, ``add``'s backward handed one array to
         both the scores and the bias."""
-        x, leaves, bias, g = self._full_case(np.float64)
-        y = _fused_attention(x, leaves, self.HEADS, bias())
-        g_before = g.copy()
-        saved_before = [a.copy() for a in y.node.saved]
-        grads = y.node.backward_fn(g, y.node.saved)
-        assert [gr.shape for gr in grads] == [t.shape for t in y.node.inputs]
-        assert g.tobytes() == g_before.tobytes()
-        for a, before in zip(y.node.saved, saved_before):
-            assert a.tobytes() == before.tobytes()
-        for i, a in enumerate(grads):
-            assert not any(np.shares_memory(a, b) for b in (g, *y.node.saved)), i
-            assert not any(np.shares_memory(a, b) for b in grads[i + 1 :]), i
+        for case in (self._full_case, self._window_case, self._text_case):
+            x, leaves, bias, g, window = case(np.float64)
+            _check_backward_leaves_everything_unwritten(_fused_attention(x, leaves, self.HEADS, bias(), window), g)
+
+    def test_map_not_divisible_by_the_window_is_refused(self):
+        x, leaves, bias, _, _ = self._window_case(np.float64)
+        with pytest.raises(ValueError, match="spatial extent 4x4 not divisible by window 3"):
+            _fused_attention(x, leaves, self.HEADS, bias(), 3)
+
+
+_MLP_PARAMS = ("gamma", "beta", "w1", "b1", "w2", "b2")
+
+
+def _composed_mlp(x, p):
+    """Layer norm, linear, gelu, linear from the primitive ops: the oracle
+    ``ops.mlp`` must equal."""
+    t = ops.layer_norm(x, p["gamma"], p["beta"])
+    return ops.linear(ops.gelu(ops.linear(t, p["w1"], p["b1"])), p["w2"], p["b2"])
+
+
+def _fused_mlp(x, p):
+    return ops.mlp(x, *(p[name] for name in _MLP_PARAMS))
+
+
+class TestMlp:
+    """``ops.mlp`` against the composition it replaces, on token stacks and
+    on the clip maps the video tower runs (two leading axes)."""
+
+    WIDTH, HIDDEN = 6, 12
+
+    def _case(self, shape, dtype, seed=31):
+        rng = np.random.default_rng(seed)
+        c, hid = self.WIDTH, self.HIDDEN
+        arrays = {
+            "x": rng.normal(size=shape + (c,)) * 2.0 + 0.5,
+            "gamma": 1.0 + 0.3 * rng.normal(size=c),
+            "beta": 0.3 * rng.normal(size=c),
+            "w1": rng.normal(size=(c, hid)) * 0.5,
+            "b1": rng.normal(size=hid) * 0.3,
+            "w2": rng.normal(size=(hid, c)) * 0.5,
+            "b2": rng.normal(size=c) * 0.3,
+        }
+        leaves = {k: Tensor(a.astype(dtype), requires_grad=True, name=k) for k, a in arrays.items()}
+        return leaves, rng.normal(size=shape + (c,)).astype(dtype)
+
+    @staticmethod
+    def _run(f, leaves, grad_out):
+        y = f(leaves["x"], leaves)
+        g = backward_from([y], [grad_out])
+        return y.data, {name: g[t] for name, t in leaves.items()}
+
+    @pytest.mark.parametrize("mode", PRECISION_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 2, 4, 4), (1,)], ids=["tokens", "clip-map", "one-row"])
+    def test_bytes_equal_the_composed_ops(self, shape, dtype, mode):
+        with precision_policy(mode):
+            fused_y, fused_g = self._run(_fused_mlp, *self._case(shape, dtype))
+            ref_y, ref_g = self._run(_composed_mlp, *self._case(shape, dtype))
+        assert fused_y.dtype == dtype
+        assert fused_y.tobytes() == ref_y.tobytes()
+        for name, grad in ref_g.items():
+            assert fused_g[name].dtype == dtype, name
+            assert fused_g[name].tobytes() == grad.tobytes(), name
+
+    def test_backward_rebuilds_under_the_forward_precision_mode(self):
+        """The gelu output the backward rebuilds snaps as the forward's did,
+        whichever mode is active when the backward runs."""
+        with precision_policy("half-emulated"):
+            ref_y, ref_g = self._run(_fused_mlp, *self._case((3, 5), np.float64))
+            leaves, grad_out = self._case((3, 5), np.float64)
+            y = _fused_mlp(leaves["x"], leaves)
+        g = backward_from([y], [grad_out])
+        assert y.data.tobytes() == ref_y.tobytes()
+        for name, t in leaves.items():
+            assert g[t].tobytes() == ref_g[name].tobytes(), name
+
+    def test_node_saves_normalized_input_and_pre_gelu_values(self):
+        leaves, grad_out = self._case((3, 5), np.float64)
+        activation_meter.reset()
+        y = _fused_mlp(leaves["x"], leaves)
+        assert y.node.op == "mlp"
+        tokens, c, hid = 15, self.WIDTH, self.HIDDEN
+        # xhat; one inv_std per token; gamma and beta; h and its tanh; w1 and w2
+        assert activation_meter.current == tokens * c + tokens + 2 * c + 2 * tokens * hid + 2 * c * hid
+        backward_from([y], [grad_out])
+        assert activation_meter.current == 0
+
+    def test_backward_writes_nothing_it_is_given_and_returns_no_aliases(self):
+        for mode in PRECISION_MODES:
+            with precision_policy(mode):
+                leaves, g = self._case((2, 2, 4, 4), np.float64)
+                _check_backward_leaves_everything_unwritten(_fused_mlp(leaves["x"], leaves), g)
 
 
 def _plain_layer_norm(xv, gam, bet, g, eps=1e-5):

@@ -143,14 +143,28 @@ class TestPipelineCommands:
         assert "k=10 exceeds the 5 candidates" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("damage", ["oversized container header", "v1 manifest"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["oversized container header", "v1 manifest", "torn manifest", "list manifest", "manifest without tensors"],
+    )
     def test_eval_exits_2_on_a_damaged_or_v1_checkpoint(self, pipeline, tmp_path, capsys, damage):
         ckpt, out = tmp_path / "ckpt", tmp_path / "zs"
         shutil.copytree(pipeline / "run/ckpt-final", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
         if damage == "v1 manifest":
-            manifest = json.loads((ckpt / "manifest.json").read_text())
             (ckpt / "manifest.json").write_text(json.dumps({**manifest, "format": "florence-mini-checkpoint-v1"}))
             named = "checkpoint format 'florence-mini-checkpoint-v1'"
+        elif damage == "torn manifest":
+            raw = (ckpt / "manifest.json").read_text()
+            (ckpt / "manifest.json").write_text(raw[: len(raw) // 2])
+            named = f"{ckpt / 'manifest.json'}: not valid JSON"
+        elif damage == "list manifest":
+            (ckpt / "manifest.json").write_text("[1, 2]")
+            named = f"{ckpt / 'manifest.json'}: holds a JSON list, not an object"
+        elif damage == "manifest without tensors":
+            del manifest["tensors"]
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            named = f'{ckpt / "manifest.json"}: no "tensors" object'
         else:
             header = b"FMT1" + bytes([1]) + (3).to_bytes(4, "little") + (2**32 - 1).to_bytes(4, "little") * 3
             (ckpt / "float64.bin").write_bytes(header + bytes(16))
@@ -310,12 +324,12 @@ class TestPipelineCommands:
         assert manifest["wall_clock_s"] > 0
         if command == "memory-report":
             # exact counts for the fixture's first 8 triplets through the
-            # trainer's dispatch, with attention one tape op that saves its
-            # input and its probabilities once each
+            # trainer's dispatch, with each pre-norm sublayer one tape op
+            # that saves the normalized input, not the norm's output
             assert json.loads((out / "memory_report.json").read_text())["peaks"] == [
-                {"chunk": 8, "plain": 1141317, "checkpointed": 424645},
-                {"chunk": 4, "plain": 653736, "checkpointed": 253736},
-                {"chunk": 2, "plain": 410458, "checkpointed": 168794},
+                {"chunk": 8, "plain": 896197, "checkpointed": 375749},
+                {"chunk": 4, "plain": 531496, "checkpointed": 229416},
+                {"chunk": 2, "plain": 349658, "checkpointed": 156762},
             ]
 
     @pytest.mark.parametrize(

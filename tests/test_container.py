@@ -101,6 +101,19 @@ def test_oversized_header_rejected_before_reading(tmp_path, shape):
         read_tensor_file(p)
 
 
+def test_span_read_returns_those_scalars_and_checks_the_whole_file(tmp_path):
+    p = tmp_path / "t.bin"
+    arr = np.arange(12.0).reshape(3, 4)
+    write_tensor_file(p, Tensor(arr))
+    assert read_tensor_file(p, (5, 9)).data.tobytes() == arr.ravel()[5:9].tobytes()
+    assert read_tensor_file(p, (0, 12)).shape == (12,)
+    with pytest.raises(TensorFormatError, match=re.escape(f"{p}: span [5, 13) outside its 12 scalars")):
+        read_tensor_file(p, (5, 13))
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(TensorFormatError, match="trailing bytes after payload"):
+        read_tensor_file(p, (0, 1))
+
+
 def test_header_read_skips_payload(tmp_path):
     p = tmp_path / "t.bin"
     write_tensor_file(p, Tensor(np.zeros((7, 9), dtype=np.float32)))
@@ -192,6 +205,32 @@ class TestManifestValidation:
         d = self._checkpoint(tmp_path, lambda m: m["tensors"]["a"].update(dtype="../float64"))
         with pytest.raises(TensorFormatError, match=r"a: bad manifest entry .*'\.\./float64'"):
             load_checkpoint(d)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(None, r"/manifest\.json: not valid JSON: ", id="torn"),
+            pytest.param("[1, 2]", r"/manifest\.json: holds a JSON list, not an object", id="list"),
+            pytest.param(json.dumps({"format": "florence-mini-checkpoint-v2", "step": 1}),
+                         r'/manifest\.json: no "tensors" object', id="no-tensors"),
+            pytest.param(json.dumps({"format": "florence-mini-checkpoint-v2", "tensors": {"a": [0, 2]}}),
+                         r": a: bad manifest entry \[0, 2\]", id="entry-not-object"),
+        ],
+    )
+    def test_malformed_manifest_is_named(self, tmp_path, text, message):
+        d = self._checkpoint(tmp_path, lambda m: None)
+        raw = (d / "manifest.json").read_text()
+        (d / "manifest.json").write_text(raw[: len(raw) // 2] if text is None else text)
+        with pytest.raises(TensorFormatError, match=re.escape(str(d)) + message):
+            load_checkpoint(d)
+
+    def test_kept_entries_read_their_span_only(self, tmp_path):
+        d = self._checkpoint(tmp_path, lambda m: None)
+        back, _ = load_checkpoint(d, keep=lambda name: name != "a")
+        assert sorted(back) == ["b", "c"] and back["b"].base is back["c"].base
+        assert back["b"].base.size == 4
+        nothing, _ = load_checkpoint(d, keep=lambda name: False)
+        assert nothing == {}
 
     def test_v1_directory_refused_by_name(self, tmp_path):
         d = tmp_path / "v1"

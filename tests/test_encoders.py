@@ -14,7 +14,6 @@ from florence_mini.encoders import (
     build_vocabulary,
     encode_video,
     inflate_conv_2d_to_3d,
-    multi_head_attention,
     parameter_count,
     parameter_shapes,
     relative_index,
@@ -22,6 +21,7 @@ from florence_mini.encoders import (
     tokenize_batch,
     windowed_attention_block,
 )
+from florence_mini.encoders.model import transformer_block
 from florence_mini.numerics import Tensor, backward_from, finite_difference_check, no_grad, ops
 from florence_mini.numerics.tensor import _toposort
 from florence_mini.trainer import checkpointed
@@ -177,17 +177,11 @@ class TestImageTower:
         with no_grad():
             windowed = windowed_attention_block(x, model.params, "image.s0.b0", heads=2, window=2)
 
-            # independent global path: flatten all tokens, run plain MHSA
-            p = model.params
-            t = ops.layer_norm(x, p["image.s0.b0.ln1.gamma"], p["image.s0.b0.ln1.beta"])
-            tokens = ops.reshape(t, (1, 4, 4))
-            table = ops.embedding(p["image.s0.b0.attn.rel_bias"], relative_index(2))
-            attn = multi_head_attention(tokens, p, "image.s0.b0.attn", 2, ops.transpose(table, (2, 0, 1)))
-            res = ops.add(x, ops.reshape(attn, (1, 2, 2, 4)))
-            t2 = ops.layer_norm(res, p["image.s0.b0.ln2.gamma"], p["image.s0.b0.ln2.beta"])
-            from florence_mini.encoders.model import mlp_block
-
-            glob = ops.add(res, mlp_block(t2, p, "image.s0.b0.mlp"))
+            # global path: all four tokens as one stack, attended without windows
+            table = ops.embedding(model.params["image.s0.b0.attn.rel_bias"], relative_index(2))
+            tokens = ops.reshape(x, (1, 4, 4))
+            glob = transformer_block(tokens, model.params, "image.s0.b0", 2, ops.transpose(table, (2, 0, 1)))
+            glob = ops.reshape(glob, (1, 2, 2, 4))
         np.testing.assert_allclose(windowed.data, glob.data, atol=1e-12)
 
     @pytest.fixture(scope="class")

@@ -49,6 +49,7 @@ _IMG = _RNG.normal(size=(1, 4, 4, 2))
 _KERNEL = _RNG.normal(size=(2, 2, 2, 3))
 _TOKENS = _RNG.normal(size=(1, 3, 4))
 _ATTN = [Tensor(_RNG.normal(size=(4, 4) if i % 2 == 0 else 4)) for i in range(8)]
+_ATTN2 = [Tensor(_RNG.normal(size=(2, 2) if i % 2 == 0 else 2)) for i in range(8)]
 
 # Every public op of `ops`, called on inputs off the binary16 grid, with
 # whether its output snaps under "half-emulated". Ops that compute values
@@ -67,7 +68,11 @@ OP_CASES = {
         (True, lambda: ops.linear(Tensor(_X), Tensor(_W))),
         (True, lambda: ops.linear(Tensor(_X), Tensor(_W), Tensor(_B))),
     ],
-    "attention": [(True, lambda: ops.attention(Tensor(_TOKENS), *_ATTN, Tensor(np.zeros((3, 3))), 2))],
+    "attention": [
+        (True, lambda: ops.attention(Tensor(_TOKENS), Tensor(_X[0]), Tensor(_X[1]), *_ATTN, Tensor(np.zeros((3, 3))), 2)),
+        (True, lambda: ops.attention(Tensor(_IMG), Tensor(_B[:2]), Tensor(_B[2:4]), *_ATTN2, Tensor(np.zeros((4, 4))), 2, 2)),
+    ],
+    "mlp": [(True, lambda: ops.mlp(Tensor(_TOKENS), Tensor(_X[0]), Tensor(_X[1]), Tensor(_W), Tensor(_B), Tensor(_W.T), Tensor(_X[2])))],
     "conv": [(True, lambda: ops.conv(Tensor(_IMG), Tensor(_KERNEL), Tensor(_B[:3]), (2, 2)))],
     "reshape": [(False, lambda: ops.reshape(Tensor(_X), (2, 6)))],
     "transpose": [(False, lambda: ops.transpose(Tensor(_X), (1, 0)))],
@@ -135,7 +140,7 @@ class TestPolicy:
     def test_shape_ops_pass_layer_norm_output_through_unquantized(self):
         """reshape and transpose move values without producing any, so in
         half-emulated mode a full-precision layer_norm output leaves them
-        byte-unchanged (the windowed blocks reshape it before attention)."""
+        byte-unchanged (as attention's window partition leaves its norm's)."""
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(4, 8)))
         with precision_policy("half-emulated"):

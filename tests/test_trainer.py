@@ -19,6 +19,7 @@ from florence_mini.numerics import (
     no_grad,
     ops,
     precision_policy,
+    TensorFormatError,
     save_checkpoint,
 )
 from florence_mini.trainer import (
@@ -32,6 +33,7 @@ from florence_mini.trainer import (
     monolithic_gradients,
     prepare_batch,
     run_two_stage_training,
+    save_train_checkpoint,
     split_zero_state,
     train_step,
     zero_shard_update,
@@ -544,6 +546,28 @@ class TestTwoStageRun:
         save_checkpoint(tmp_path / "bad", tensors, metadata=metadata)
         with pytest.raises(error, match=re.escape(named)):
             load_model_checkpoint(tmp_path / "bad")
+
+    def test_model_load_reads_only_the_parameter_span(self, small_setup, tmp_path, monkeypatch):
+        """The moments sort before every parameter name, so the parameters
+        are the container's tail, and that tail is all the model load reads;
+        a damaged moment entry is still refused."""
+        from florence_mini.numerics import container
+
+        model = small_setup[0]
+        state = init_optimizer_state(model.param_arrays(), lr=1e-3)
+        save_train_checkpoint(tmp_path / "ckpt", model, state, TrainConfig(model=SMALL_MODEL), 0)
+        spans, read = [], container.read_tensor_file
+        monkeypatch.setattr(container, "read_tensor_file", lambda path, span=None: spans.append(span) or read(path, span))
+        loaded = load_model_checkpoint(tmp_path / "ckpt")
+        n = sum(a.size for a in model.param_arrays().values())
+        assert spans == [(2 * n, 3 * n)]
+        for k, v in model.param_arrays().items():
+            assert loaded.params[k].data.tobytes() == v.tobytes(), k
+        manifest = json.loads((tmp_path / "ckpt/manifest.json").read_text())
+        manifest["tensors"]["__opt_m__.tau_param"]["offset"] += 1
+        (tmp_path / "ckpt/manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(TensorFormatError, match=r"__opt_m__\.tau_param spans"):
+            load_model_checkpoint(tmp_path / "ckpt")
 
     def test_non_finite_gradient_aborts_before_the_update(self, corpus, tmp_path, monkeypatch):
         """A finite loss with one inf gradient stops the run at step 0 and
