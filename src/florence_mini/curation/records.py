@@ -45,8 +45,7 @@ class Triplet:
 def load_image(path, side: int | None = None) -> np.ndarray:
     """Read an H x W x C float32 image in [0, 1] from a tensor container,
     bilinearly resized to side x side when `side` is given and differs."""
-    t = read_tensor_file(path)
-    arr = t.data
+    arr = read_tensor_file(path)
     if arr.ndim != 3:
         raise ValueError(f"{path}: image tensor must be rank 3, got rank {arr.ndim}")
     if arr.shape[2] not in (1, 3):

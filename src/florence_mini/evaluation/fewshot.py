@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..numerics.ops import _row_max
+from ..numerics.ops import _softmax_rows
 
 
 # Episodes whose heads train together in one stack. One stack of all 600
@@ -54,11 +54,7 @@ def _train_linear_heads(
     onehot = np.eye(n_classes)[y]
     xt = x.transpose(0, 2, 1)
     for _ in range(epochs):
-        logits = x @ w + b
-        logits -= _row_max(logits)
-        p = np.exp(logits)
-        p /= p.sum(axis=2, keepdims=True)
-        g = (p - onehot) / n
+        g = (_softmax_rows(x @ w + b) - onehot) / n
         gw = xt @ g
         gb = g.sum(axis=1, keepdims=True)
         vw = momentum * vw + gw

@@ -21,8 +21,6 @@ class ProbeConfig:
 
 @dataclass
 class ProbeResult:
-    weights: np.ndarray
-    bias: np.ndarray
     accuracy: float
     degenerate: bool = False
 
@@ -43,9 +41,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, config: ProbeConfig =
     n, d = features.shape
     classes = np.unique(labels)
     if classes.size < 2:
-        return ProbeResult(
-            weights=np.zeros((d, 1)), bias=np.zeros(1), accuracy=1.0, degenerate=True
-        )
+        return ProbeResult(accuracy=1.0, degenerate=True)
     n_classes = int(labels.max()) + 1
 
     rng = np.random.default_rng([config.seed, 0x9B0E])
@@ -71,4 +67,4 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, config: ProbeConfig =
 
     logits = features[test_idx] @ w.data + b.data
     accuracy = float((logits.argmax(axis=1) == labels[test_idx]).mean())
-    return ProbeResult(weights=w.data, bias=b.data, accuracy=accuracy)
+    return ProbeResult(accuracy=accuracy)

@@ -19,11 +19,8 @@ import os
 import struct
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
-
-from .tensor import Tensor
 
 MAGIC = b"FMT1"
 MAX_RANK = 5
@@ -38,15 +35,11 @@ class TensorFormatError(ValueError):
     pass
 
 
-def _as_array(t) -> np.ndarray:
-    return t.data if isinstance(t, Tensor) else np.asarray(t)
-
-
 def flatten(tensors) -> tuple[np.ndarray, dict[str, tuple[int, tuple[int, ...]]]]:
     """One rank-1 buffer holding every tensor in sorted-name order, and the
     layout name -> (offset, shape) that ``unflatten`` reads it back with."""
     names = sorted(tensors)
-    arrays = [_as_array(tensors[name]) for name in names]
+    arrays = [tensors[name] for name in names]
     if len({a.dtype for a in arrays}) != 1:
         raise ValueError(f"flatten needs tensors of one dtype, got {sorted({str(a.dtype) for a in arrays})}")
     offsets = accumulate((a.size for a in arrays), initial=0)
@@ -58,8 +51,7 @@ def unflatten(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
     return {name: flat[offset : offset + math.prod(shape)].reshape(shape) for name, (offset, shape) in layout.items()}
 
 
-def write_tensor_file(path, t) -> None:
-    arr = _as_array(t)
+def write_tensor_file(path, arr: np.ndarray) -> None:
     if arr.dtype not in _DTYPE_CODES:
         raise TensorFormatError(f"unsupported dtype {arr.dtype}")
     if arr.ndim > MAX_RANK:
@@ -76,7 +68,8 @@ def write_tensor_file(path, t) -> None:
         fh.write(np.ascontiguousarray(arr).data)  # no payload copy when arr is C-contiguous
 
 
-def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
+def _read_checked_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
+    """The header, once the file is known to hold exactly the payload it declares."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise TensorFormatError(f"{path}: bad magic {magic!r}")
@@ -92,18 +85,7 @@ def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
     if len(raw) != 4 * rank:
         raise TensorFormatError(f"{path}: truncated extent list")
     shape = struct.unpack(f"<{rank}I", raw) if rank else ()
-    return shape, _CODE_DTYPES[code]
-
-
-def read_tensor_header(path) -> tuple[tuple[int, ...], np.dtype]:
-    """Shape and dtype without loading the payload."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
-def _read_checked_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
-    """The header, once the file is known to hold exactly the payload it declares."""
-    shape, dtype = _read_header(fh, path)
+    dtype = _CODE_DTYPES[code]
     # Python ints: a corrupt header can neither wrap the size nor make the reader allocate it
     declared, held = math.prod(shape) * dtype.itemsize, os.fstat(fh.fileno()).st_size - fh.tell()
     if held != declared:
@@ -112,21 +94,20 @@ def _read_checked_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
     return shape, dtype
 
 
-def read_tensor_file(path, span: tuple[int, int] | None = None) -> Tensor:
-    """The container's tensor; with ``span=(start, stop)``, only those
-    scalars of its row-major payload, as a rank-1 tensor. The header and
-    the file size are checked in full either way."""
+def read_tensor_header(path) -> tuple[tuple[int, ...], np.dtype]:
+    """Shape and dtype without loading the payload; the file size is
+    checked against them as a full read checks it."""
+    with open(path, "rb") as fh:
+        return _read_checked_header(fh, path)
+
+
+def read_tensor_file(path) -> np.ndarray:
+    """The container's array, read whole once its header and file size agree."""
     with open(path, "rb") as fh:
         shape, dtype = _read_checked_header(fh, path)
-        count = math.prod(shape)
-        start, stop = (0, count) if span is None else span
-        if not 0 <= start <= stop <= count:
-            raise TensorFormatError(f"{path}: span [{start}, {stop}) outside its {count} scalars")
-        fh.seek(start * dtype.itemsize, os.SEEK_CUR)
-        arr = np.empty(stop - start, dtype=dtype.newbyteorder("<"))
+        arr = np.empty(math.prod(shape), dtype=dtype.newbyteorder("<"))
         fh.readinto(arr)
-    arr = arr.astype(dtype, copy=False)
-    return Tensor(arr if span is not None else arr.reshape(shape))
+    return arr.astype(dtype, copy=False).reshape(shape)
 
 
 def save_checkpoint(dirpath, tensors: dict[str, np.ndarray], metadata: dict | None = None) -> Path:
@@ -134,8 +115,8 @@ def save_checkpoint(dirpath, tensors: dict[str, np.ndarray], metadata: dict | No
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     entries = {}
-    for dtype in sorted({str(_as_array(t).dtype) for t in tensors.values()}):
-        flat, layout = flatten({name: t for name, t in tensors.items() if str(_as_array(t).dtype) == dtype})
+    for dtype in sorted({str(a.dtype) for a in tensors.values()}):
+        flat, layout = flatten({name: a for name, a in tensors.items() if str(a.dtype) == dtype})
         write_tensor_file(d / f"{dtype}.bin", flat)
         entries.update({name: {"dtype": dtype, "offset": o, "shape": list(s)} for name, (o, s) in layout.items()})
     manifest = {"format": CHECKPOINT_FORMAT, "tensors": entries, **(metadata or {})}
@@ -162,14 +143,12 @@ def _read_manifest(d: Path) -> dict:
     return manifest
 
 
-def load_checkpoint(dirpath, keep: Callable[[str], bool] | None = None) -> tuple[dict[str, np.ndarray], dict]:
+def load_checkpoint(dirpath) -> tuple[dict[str, np.ndarray], dict]:
     """Inverse of save_checkpoint: name -> view into its dtype's container.
 
     Every entry of every container is checked against the container's
     header and size: in range, with no gap and no overlap. Then each
-    container is read once, from the file named by its (known) dtype, over
-    the span its entries that ``keep`` selects cover (all of them when
-    ``keep`` is None); a container with no such entry is not read.
+    container is read whole, once, from the file named by its (known) dtype.
     """
     d = Path(dirpath)
     manifest = _read_manifest(d)
@@ -184,8 +163,7 @@ def load_checkpoint(dirpath, keep: Callable[[str], bool] | None = None) -> tuple
     tensors: dict[str, np.ndarray] = {}
     for dtype, layout in sorted(layouts.items()):
         path = d / f"{dtype}.bin"
-        with open(path, "rb") as fh:
-            shape, held = _read_checked_header(fh, path)
+        shape, held = read_tensor_header(path)
         if len(shape) != 1 or held != _DTYPE_NAMES[dtype]:
             raise TensorFormatError(f"{path}: holds a rank-{len(shape)} {held} tensor, not a flat {dtype} one")
         end = 0
@@ -195,11 +173,5 @@ def load_checkpoint(dirpath, keep: Callable[[str], bool] | None = None) -> tuple
             end = offset + count
         if end != shape[0]:
             raise TensorFormatError(f"{path}: the entries cover {end} of its {shape[0]} scalars")
-        kept = {n: e for n, e in layout.items() if keep is None or keep(n)}
-        if not kept:
-            continue
-        start = min(o for o, _ in kept.values())
-        stop = max(o + math.prod(s) for o, s in kept.values())
-        flat = read_tensor_file(path, (start, stop)).data
-        tensors.update(unflatten(flat, {n: (o - start, s) for n, (o, s) in kept.items()}))
+        tensors.update(unflatten(read_tensor_file(path), layout))
     return tensors, manifest

@@ -245,11 +245,10 @@ def load_train_checkpoint(path, config: TrainConfig):
 def load_model_checkpoint(path) -> TwoTowerModel:
     """Parameters + embedded config/vocab, for evaluation and inflation.
 
-    Only the parameters are read: the optimizer moments sort first
-    (``__opt_`` before any parameter name), so a training checkpoint's
-    parameters are the tail of its container.
+    A training checkpoint's optimizer moments are read and checked with the
+    rest of it, then dropped: the model takes only its own parameter names.
     """
-    return _checkpoint_model(*load_checkpoint(path, keep=lambda name: not name.startswith("__opt_")))
+    return _checkpoint_model(*load_checkpoint(path))
 
 
 def _checkpoint_model(tensors: dict[str, np.ndarray], manifest: dict) -> TwoTowerModel:

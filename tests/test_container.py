@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from florence_mini.numerics import (
-    Tensor,
     TensorFormatError,
     load_checkpoint,
     read_tensor_file,
@@ -23,11 +22,12 @@ from florence_mini.numerics.container import flatten, unflatten
 
 def _roundtrip(tmp_path, arr):
     p = tmp_path / "t.bin"
-    write_tensor_file(p, Tensor(arr))
+    write_tensor_file(p, arr)
     back = read_tensor_file(p)
+    assert type(back) is np.ndarray
     assert back.dtype == arr.dtype
     assert back.shape == arr.shape
-    assert back.data.tobytes() == arr.tobytes()
+    assert back.tobytes() == arr.tobytes()
 
 
 def test_float32_matrix_roundtrip(tmp_path):
@@ -75,7 +75,7 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_truncated_payload_rejected(tmp_path):
     p = tmp_path / "t.bin"
-    write_tensor_file(p, Tensor(np.ones((4, 4), dtype=np.float64)))
+    write_tensor_file(p, np.ones((4, 4), dtype=np.float64))
     raw = p.read_bytes()
     p.write_bytes(raw[:-8])
     with pytest.raises(TensorFormatError, match="truncated"):
@@ -85,7 +85,7 @@ def test_truncated_payload_rejected(tmp_path):
 def test_rank_overflow_rejected(tmp_path):
     p = tmp_path / "t.bin"
     with pytest.raises(TensorFormatError, match="rank"):
-        write_tensor_file(p, Tensor(np.ones((1, 1, 1, 1, 1, 1))))
+        write_tensor_file(p, np.ones((1, 1, 1, 1, 1, 1)))
     p.write_bytes(b"FMT1" + bytes([0]) + (200).to_bytes(4, "little"))
     with pytest.raises(TensorFormatError, match="rank"):
         read_tensor_file(p)
@@ -101,25 +101,22 @@ def test_oversized_header_rejected_before_reading(tmp_path, shape):
         read_tensor_file(p)
 
 
-def test_span_read_returns_those_scalars_and_checks_the_whole_file(tmp_path):
-    p = tmp_path / "t.bin"
-    arr = np.arange(12.0).reshape(3, 4)
-    write_tensor_file(p, Tensor(arr))
-    assert read_tensor_file(p, (5, 9)).data.tobytes() == arr.ravel()[5:9].tobytes()
-    assert read_tensor_file(p, (0, 12)).shape == (12,)
-    with pytest.raises(TensorFormatError, match=re.escape(f"{p}: span [5, 13) outside its 12 scalars")):
-        read_tensor_file(p, (5, 13))
-    p.write_bytes(p.read_bytes() + b"\x00")
-    with pytest.raises(TensorFormatError, match="trailing bytes after payload"):
-        read_tensor_file(p, (0, 1))
-
-
 def test_header_read_skips_payload(tmp_path):
     p = tmp_path / "t.bin"
-    write_tensor_file(p, Tensor(np.zeros((7, 9), dtype=np.float32)))
+    write_tensor_file(p, np.zeros((7, 9), dtype=np.float32))
     shape, dtype = read_tensor_header(p)
     assert shape == (7, 9)
     assert dtype == np.float32
+
+
+@pytest.mark.parametrize("read", [read_tensor_file, read_tensor_header], ids=["file", "header"])
+def test_trailing_byte_rejected(tmp_path, read):
+    """A header-only read checks the file size as a full read does."""
+    p = tmp_path / "t.bin"
+    write_tensor_file(p, np.zeros((7, 9), dtype=np.float32))
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(TensorFormatError, match=re.escape(f"{p}: trailing bytes after payload")):
+        read(p)
 
 
 def test_checkpoint_directory_roundtrip(tmp_path):
@@ -149,7 +146,7 @@ def test_checkpoint_is_one_container_per_dtype(tmp_path):
         "b": {"dtype": "float64", "offset": 4, "shape": [2, 3]},
         "c": {"dtype": "float32", "offset": 0, "shape": [2]},
     }
-    assert read_tensor_file(tmp_path / "ckpt/float64.bin").data.tobytes() == np.concatenate(
+    assert read_tensor_file(tmp_path / "ckpt/float64.bin").tobytes() == np.concatenate(
         [tensors["a"], tensors["b"].ravel()]
     ).tobytes()
 
@@ -223,14 +220,6 @@ class TestManifestValidation:
         (d / "manifest.json").write_text(raw[: len(raw) // 2] if text is None else text)
         with pytest.raises(TensorFormatError, match=re.escape(str(d)) + message):
             load_checkpoint(d)
-
-    def test_kept_entries_read_their_span_only(self, tmp_path):
-        d = self._checkpoint(tmp_path, lambda m: None)
-        back, _ = load_checkpoint(d, keep=lambda name: name != "a")
-        assert sorted(back) == ["b", "c"] and back["b"].base is back["c"].base
-        assert back["b"].base.size == 4
-        nothing, _ = load_checkpoint(d, keep=lambda name: False)
-        assert nothing == {}
 
     def test_v1_directory_refused_by_name(self, tmp_path):
         d = tmp_path / "v1"
