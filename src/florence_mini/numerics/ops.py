@@ -470,10 +470,12 @@ def attention(
     window merge. It snaps where those ops snapped (never the norm or the
     softmax), and its backward replays their backward rules in the order
     the tape ran them, so values and gradients are byte-equal to the
-    composition. It saves the normalized input ``xhat`` and rebuilds the
-    layer norm's output from it in backward; the probabilities are saved
-    once. A bias off the tape (the text PAD mask) gets no gradient.
-    Nothing it is given or has saved is written.
+    composition. It saves the normalized input ``xhat``, q, k, v and the
+    probabilities once each. Its backward rebuilds the layer norm's output
+    from ``xhat`` and the merged heads from the probabilities and v, with
+    the forward's own operations under the forward's precision mode; no
+    dense layer's product is repeated. A bias off the tape (the text PAD
+    mask) gets no gradient. Nothing it is given or has saved is written.
     """
     for t in (gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, bias):
         _check_same_dtype(x, t, "attention")
@@ -482,6 +484,7 @@ def attention(
         raise ValueError(f"attention width {c} not divisible by {heads} heads")
     if window is not None and (x.shape[-3] % window or x.shape[-2] % window):
         raise ValueError(f"spatial extent {x.shape[-3]}x{x.shape[-2]} not divisible by window {window}")
+    snap = current_snap()
     normed, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data)
     xw = _partition(normed, window)
     del normed
@@ -496,13 +499,14 @@ def attention(
     scores = apply_policy(scores)
     scores += bias.data
     probs = _softmax_rows(apply_policy(scores))
-    ctx = apply_policy(np.matmul(probs, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
+    ctx = snap(np.matmul(probs, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
     out = _merge(_dense(ctx, wo.data, bo.data), window, x.shape)
     bias_shape, bias_live = bias.shape, bias.requires_grad or bias.node is not None
 
     def backward(g, saved):
-        xh, istd, gam, bet, wqv, wkv, wvv, wov, qv, kv, vv, p, ctx_v = saved
+        xh, istd, gam, bet, wqv, wkv, wvv, wov, qv, kv, vv, p = saved
         q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (qv, kv, vv))
+        ctx_v = snap(np.matmul(p, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
         d_ctx, dwo, dbo = _dense_grads(_partition(g, window), ctx_v, wov, True)
         d_ctx = d_ctx.reshape(split).transpose(0, 2, 1, 3)
         d_p = np.matmul(d_ctx, v4.swapaxes(-1, -2))
@@ -520,7 +524,7 @@ def attention(
         dx, dgamma, dbeta = _ln_grads(_merge((dxv + dxk) + dxq, window, xh.shape), xh, istd, gam)
         return dx, dgamma, dbeta, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo, d_bias
 
-    saved = (xhat, inv_std, gamma.data, beta.data, wq.data, wk.data, wv.data, wo.data, q, k, v, probs, ctx)
+    saved = (xhat, inv_std, gamma.data, beta.data, wq.data, wk.data, wv.data, wo.data, q, k, v, probs)
     inputs = (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, bias)
     return _record("attention", out, inputs, saved, backward)
 
@@ -529,9 +533,9 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
     """Pre-norm MLP, one tape node: ``layer_norm``, ``linear``, ``gelu``,
     ``linear``, computed and snapped as those ops are.
 
-    It saves the normalized input ``xhat`` and the pre-gelu ``h`` with its
-    tanh, and its backward rebuilds the layer norm's output and the gelu
-    output from them with the forward's own operations (under the forward's
+    It saves the normalized input ``xhat`` and the pre-gelu ``h``, and its
+    backward rebuilds the layer norm's output, the tanh and the gelu output
+    from them with the forward's own operations (under the forward's
     precision mode), so values and gradients are byte-equal to the
     composition. Nothing it is given or has saved is written.
     """
@@ -541,11 +545,11 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
     normed, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data)
     h = _dense(normed, w1.data, b1.data)
     del normed
-    t = _gelu_tanh(h)
-    out = _dense(snap(_gelu_value(h, t)), w2.data, b2.data)
+    out = _dense(snap(_gelu_value(h, _gelu_tanh(h))), w2.data, b2.data)
 
     def backward(g, saved):
-        xh, istd, gam, bet, hv, tv, w1v, w2v = saved
+        xh, istd, gam, bet, hv, w1v, w2v = saved
+        tv = _gelu_tanh(hv)
         da, dw2, db2 = _dense_grads(g, snap(_gelu_value(hv, tv)), w2v, True)
         dh = _gelu_grad(da, hv, tv)
         del da
@@ -553,7 +557,7 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
         dx, dgamma, dbeta = _ln_grads(dn, xh, istd, gam)
         return dx, dgamma, dbeta, dw1, db1, dw2, db2
 
-    saved = (xhat, inv_std, gamma.data, beta.data, h, t, w1.data, w2.data)
+    saved = (xhat, inv_std, gamma.data, beta.data, h, w1.data, w2.data)
     return _record("mlp", out, (x, gamma, beta, w1, b1, w2, b2), saved, backward)
 
 

@@ -451,6 +451,20 @@ class TestAttention:
             assert fused_g[name].dtype == dtype, name
             assert fused_g[name].tobytes() == grad.tobytes(), name
 
+    @pytest.mark.parametrize("case", ["window", "text"])
+    def test_backward_rebuilds_under_the_forward_precision_mode(self, case):
+        """The merged heads the backward rebuilds snap as the forward's did,
+        whichever mode is active when the backward runs."""
+        make = getattr(self, f"_{case}_case")
+        with precision_policy("half-emulated"):
+            ref_y, ref_g = self._run(_fused_attention, make(np.float64))
+            x, leaves, bias, grad_out, window = make(np.float64)
+            y = _fused_attention(x, leaves, self.HEADS, bias(), window)
+        g = backward_from([y], [grad_out])
+        assert y.data.tobytes() == ref_y.tobytes()
+        for name, t in leaves.items():
+            assert g[t].tobytes() == ref_g[name].tobytes(), name
+
     def test_node_saves_input_and_probabilities_once(self):
         for case in (self._text_case, self._window_case):
             x, leaves, bias, grad_out, window = case(np.float64)
@@ -461,9 +475,9 @@ class TestAttention:
             assert y.node.op == "attention"
             c = x.shape[-1]
             tokens, keys = x.size // c, x.shape[-2] if window is None else window * window
-            # xhat, q, k, v and the merged heads; one inv_std per token;
-            # gamma, beta and the four weights; the probabilities
-            assert activation_meter.current - base == 5 * x.size + tokens + 2 * c + 4 * c * c + tokens * self.HEADS * keys
+            # xhat, q, k and v; one inv_std per token; gamma, beta and the
+            # four weights; the probabilities
+            assert activation_meter.current - base == 4 * x.size + tokens + 2 * c + 4 * c * c + tokens * self.HEADS * keys
             backward_from([y], [grad_out])
             assert activation_meter.current == 0
 
@@ -558,8 +572,8 @@ class TestMlp:
         y = _fused_mlp(leaves["x"], leaves)
         assert y.node.op == "mlp"
         tokens, c, hid = 15, self.WIDTH, self.HIDDEN
-        # xhat; one inv_std per token; gamma and beta; h and its tanh; w1 and w2
-        assert activation_meter.current == tokens * c + tokens + 2 * c + 2 * tokens * hid + 2 * c * hid
+        # xhat; one inv_std per token; gamma and beta; h; w1 and w2
+        assert activation_meter.current == tokens * c + tokens + 2 * c + tokens * hid + 2 * c * hid
         backward_from([y], [grad_out])
         assert activation_meter.current == 0
 
@@ -568,6 +582,21 @@ class TestMlp:
             with precision_policy(mode):
                 leaves, g = self._case((2, 2, 4, 4), np.float64)
                 _check_backward_leaves_everything_unwritten(_fused_mlp(leaves["x"], leaves), g)
+
+
+def test_fused_ops_keep_every_saved_array_visible_to_the_meter():
+    """An array a backward rule captured in its closure instead of taking it
+    from ``saved`` would be held without being metered."""
+    att = TestAttention()
+    nodes = []
+    for case in (att._window_case, att._text_case, att._full_case):
+        x, leaves, bias, _, window = case(np.float64)
+        nodes.append(_fused_attention(x, leaves, att.HEADS, bias(), window).node)
+    leaves, _ = TestMlp()._case((3, 5), np.float64)
+    nodes.append(_fused_mlp(leaves["x"], leaves).node)
+    for node in nodes:
+        cells = node.backward_fn.__closure__ or ()
+        assert not any(isinstance(cell.cell_contents, np.ndarray) for cell in cells), node.op
 
 
 def _plain_layer_norm(xv, gam, bet, g, eps=1e-5):
