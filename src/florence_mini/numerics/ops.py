@@ -10,7 +10,9 @@ snap inside, wherever the ops they fuse snapped. When recording, a TapeNode
 is attached whose backward rule returns one gradient per input. Arrays
 needed by a backward rule are passed through the node's ``saved`` tuple,
 never captured in closures, so the activation meter sees every retained
-scalar.
+scalar. The meter does not see a backward rule's temporaries, so the rules
+that make large ones (``attention`` and ``mlp``) free each at its last use
+and update fresh ones in place, without changing a byte of their results.
 """
 
 from __future__ import annotations
@@ -124,27 +126,33 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(x * 0.5) * (t + 1), before any snap."""
+def _gelu_value(x: np.ndarray, tp1: np.ndarray) -> np.ndarray:
+    """(x * 0.5) * (t + 1) from ``tp1`` = t + 1, before any snap."""
     out = x * 0.5
-    out *= t + 1.0
+    out *= tp1
     return out
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x * x))"""
+def _gelu_tanh_term(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x * x), the tanh's part of
+    gelu's slope, built in ``t``'s buffer, which it overwrites."""
+    np.multiply(t, t, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(x * 0.5, t, out=t)
     inner = x * (3.0 * _GELU_K1)
     inner *= x
     inner += 1.0
     inner *= _GELU_K0
-    sech2 = t * t
-    np.subtract(1.0, sech2, out=sech2)
-    dx = x * 0.5
-    dx *= sech2
-    dx *= inner
-    np.add(t, 1.0, out=inner)
-    inner *= 0.5
-    dx += inner
+    t *= inner
+    return t
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x * x))"""
+    dx = _gelu_tanh_term(x, t.copy())
+    half = t + 1.0
+    half *= 0.5
+    dx += half
     dx *= g
     return dx
 
@@ -162,7 +170,7 @@ def gelu(a: Tensor) -> Tensor:
     def backward(g, saved):
         return (_gelu_grad(g, *saved),)
 
-    return _result("gelu", _gelu_value(a.data, t), (a,), (a.data, t), backward)
+    return _result("gelu", _gelu_value(a.data, t + 1.0), (a,), (a.data, t), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -508,20 +516,38 @@ def attention(
         q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (qv, kv, vv))
         ctx_v = snap(np.matmul(p, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
         d_ctx, dwo, dbo = _dense_grads(_partition(g, window), ctx_v, wov, True)
+        del ctx_v
         d_ctx = d_ctx.reshape(split).transpose(0, 2, 1, 3)
         d_p = np.matmul(d_ctx, v4.swapaxes(-1, -2))
         dv4 = np.matmul(p.swapaxes(-1, -2), d_ctx)
-        d_scores = p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))
+        del d_ctx
+        # softmax's backward, in d_p's buffer
+        d_p -= (d_p * p).sum(axis=-1, keepdims=True)
+        d_scores = np.multiply(p, d_p, out=d_p)
+        del d_p
         d_bias = _unbroadcast(d_scores, bias_shape) if bias_live else None
-        d_scores = d_scores * c_scale
+        if d_bias is d_scores:  # a bias of the scores' own shape, whose gradient is unscaled
+            d_scores = d_scores * c_scale
+        else:
+            d_scores *= c_scale
         dq4 = np.matmul(d_scores, k4)
         dk4 = np.matmul(q4.swapaxes(-1, -2), d_scores).transpose(0, 1, 3, 2)
+        del d_scores
         xv = _partition(_ln_affine(xh, gam, bet), window)
         dxv, dwv, dbv = _dense_grads(dv4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wvv, True)
+        del dv4
         dxk, dwk, dbk = _dense_grads(dk4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wkv, True)
+        del dk4
+        # the tape ran v's linear first, then k's, then q's: (dxv + dxk) + dxq
+        dxv += dxk
+        del dxk
         dxq, dwq, dbq = _dense_grads(dq4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wqv, True)
-        # the tape ran v's linear first, then k's, then q's
-        dx, dgamma, dbeta = _ln_grads(_merge((dxv + dxk) + dxq, window, xh.shape), xh, istd, gam)
+        del dq4, xv
+        dxv += dxq
+        del dxq
+        dn = _merge(dxv, window, xh.shape)
+        del dxv
+        dx, dgamma, dbeta = _ln_grads(dn, xh, istd, gam)
         return dx, dgamma, dbeta, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo, d_bias
 
     saved = (xhat, inv_std, gamma.data, beta.data, wq.data, wk.data, wv.data, wo.data, q, k, v, probs)
@@ -545,15 +571,28 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
     normed, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data)
     h = _dense(normed, w1.data, b1.data)
     del normed
-    out = _dense(snap(_gelu_value(h, _gelu_tanh(h))), w2.data, b2.data)
+    out = _dense(snap(_gelu_value(h, _gelu_tanh(h) + 1.0)), w2.data, b2.data)
 
     def backward(g, saved):
         xh, istd, gam, bet, hv, w1v, w2v = saved
-        tv = _gelu_tanh(hv)
-        da, dw2, db2 = _dense_grads(g, snap(_gelu_value(hv, tv)), w2v, True)
-        dh = _gelu_grad(da, hv, tv)
+        t = _gelu_tanh(hv)
+        tp1 = t + 1.0
+        # the gelu's slope is built in the tanh's buffer before the second
+        # linear's product, so only it and the gelu value are live there.
+        # t + 1 serves both; x * 0.5 is computed afresh for each, as one
+        # kept for both would be a third buffer live at that product
+        dh = _gelu_tanh_term(hv, t)
+        del t
+        a = snap(_gelu_value(hv, tp1))
+        tp1 *= 0.5
+        dh += tp1
+        del tp1
+        da, dw2, db2 = _dense_grads(g, a, w2v, True)
+        del a
+        dh *= da
         del da
         dn, dw1, db1 = _dense_grads(dh, _ln_affine(xh, gam, bet), w1v, True)
+        del dh
         dx, dgamma, dbeta = _ln_grads(dn, xh, istd, gam)
         return dx, dgamma, dbeta, dw1, db1, dw2, db2
 

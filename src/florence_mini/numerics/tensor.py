@@ -2,10 +2,12 @@
 
 Every differentiable operation appends a TapeNode to the implicit tape (the
 DAG hanging off each Tensor). Backward walks that DAG in reverse topological
-order, accumulating gradients in a fixed, deterministic order. Values saved
-for backward are tracked by a global activation meter so memory-saving
-strategies (activation checkpointing, gradient caching) can be measured in
-exact scalar counts instead of device bytes.
+order, accumulating gradients in a fixed, deterministic order, and frees what
+it has consumed as it goes. Values saved for backward are tracked by a global
+activation meter so memory-saving strategies (activation checkpointing,
+gradient caching) can be measured in exact scalar counts instead of device
+bytes; the meter sees saved values only, not forward outputs or a backward
+rule's temporaries.
 
 Reference mode is single-threaded; all reductions use numpy's fixed
 evaluation order, so identical tapes with identical leaf values produce
@@ -82,8 +84,9 @@ class TapeNode:
     """One recorded operation: inputs, saved values, and a backward rule.
 
     ``backward_fn(grad_out, saved)`` returns one gradient array (or None)
-    per input, in input order. Saved values are released once the node has
-    been consumed by a backward pass.
+    per input, in input order. Once a backward pass has consumed the node,
+    its saved values are released and its inputs dropped (``inputs`` is
+    None), so a consumed node keeps no tensor or saved array alive.
     """
 
     __slots__ = ("op", "inputs", "saved", "backward_fn", "_saved_scalars")
@@ -232,11 +235,34 @@ def _toposort(roots: Iterable[Tensor]) -> list[Tensor]:
             continue
         seen.add(id(t))
         stack.append((t, True))
-        if t.node is not None:
+        # a walked node has dropped its inputs; the walk refuses it by name
+        if t.node is not None and t.node.inputs is not None:
             for inp in reversed(t.node.inputs):
                 if id(inp) not in seen:
                     stack.append((inp, False))
     return order
+
+
+def _visit(node: TapeNode, g: np.ndarray, grad_table: dict[int, np.ndarray]) -> None:
+    """Run ``node``'s backward on ``g`` and add its input gradients into
+    ``grad_table``, then release its saved values and drop its inputs.
+
+    Nothing of the node outlives the visit but the gradients it hands on.
+    """
+    if node.inputs is None:
+        raise RuntimeError(f"backward of {node.op!r}: its tape was already walked; rebuild the forward")
+    input_grads = node.backward_fn(g, node.saved)
+    node.release()
+    inputs, node.inputs = node.inputs, None
+    for inp, ig in zip(inputs, input_grads):
+        if ig is None:
+            continue
+        if ig.shape != inp.data.shape:
+            raise AssertionError(f"backward of {node.op}: gradient shape {ig.shape} != input shape {inp.data.shape}")
+        if id(inp) in grad_table:
+            grad_table[id(inp)] = grad_table[id(inp)] + ig
+        else:
+            grad_table[id(inp)] = ig
 
 
 def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Gradients:
@@ -244,8 +270,13 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Grad
 
     Supports non-scalar outputs; this is the injection point used by the
     gradient cache (embedding-level gradients pushed into a recorded chunk).
-    Saved values are released as nodes are consumed, so a tape can be walked
-    once; rebuild the forward to differentiate again.
+    The walk frees what it has consumed: it pops each tensor off the
+    topological order as it reaches it, and once a node's backward has run
+    the node releases its saved values and drops its inputs. A forward
+    output that the caller does not hold therefore dies once its gradient
+    has been used, not when the walk ends. So a tape can be walked once; a
+    second walk raises ``RuntimeError``. Rebuild the forward to
+    differentiate again.
     """
     if len(outputs) != len(output_grads):
         raise ValueError("outputs and output_grads must align")
@@ -263,7 +294,8 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Grad
     result = Gradients()
     _collector_stack.append(result)
     try:
-        for t in reversed(order):
+        while order:
+            t = order.pop()
             g = grad_table.pop(id(t), None)
             if g is None:
                 continue
@@ -271,20 +303,9 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Grad
                 if t.requires_grad:
                     result.accumulate(t.uid, g)
                 continue
-            node = t.node
-            input_grads = node.backward_fn(g, node.saved)
-            node.release()
-            for inp, ig in zip(node.inputs, input_grads):
-                if ig is None:
-                    continue
-                if ig.shape != inp.data.shape:
-                    raise AssertionError(
-                        f"backward of {node.op}: gradient shape {ig.shape} != input shape {inp.data.shape}"
-                    )
-                if id(inp) in grad_table:
-                    grad_table[id(inp)] = grad_table[id(inp)] + ig
-                else:
-                    grad_table[id(inp)] = ig
+            # no backward rule reads its own output through the tensor
+            node, t = t.node, None
+            _visit(node, g, grad_table)
     finally:
         _collector_stack.pop()
     return result
