@@ -26,6 +26,7 @@ from .curation import (
     generate_synthetic_dataset,
     holdout_ids,
     load_image,
+    load_images,
     read_records_jsonl,
     read_triplets_jsonl,
     write_records_jsonl,
@@ -217,7 +218,7 @@ def _eval_inputs(args, holdout: bool):
         records = [r for r in records if r.id in held]
         if not records:
             raise ValueError(f"held-out split is empty (--holdout-fraction {args.holdout_fraction})")
-    images = np.stack([load_image(r.image_path, model.config.image_size) for r in records])
+    images = load_images([r.image_path for r in records], model.config.image_size)
     labels = np.array([class_of_record(r) for r in records])
     return model, class_names, records, images, labels
 

@@ -54,6 +54,27 @@ def load_image(path, side: int | None = None) -> np.ndarray:
     return img if side is None or img.shape[0] == side else resize_bilinear(img, side, side)
 
 
+def load_images(paths, side: int | None = None) -> np.ndarray:
+    """An (N, H, W, C) float32 stack of `load_image` over `paths`.
+
+    The stack is allocated once, before the loop, and each image is copied
+    in and dropped, so the loader holds one image beside the stack instead
+    of N, and no run of N small buffers fragments the heap under it.
+    """
+    paths = list(paths)
+    if not paths:
+        raise ValueError("no images to load")
+    first = load_image(paths[0], side)
+    out = np.empty((len(paths), *first.shape), dtype=np.float32)
+    out[0] = first
+    for i, path in enumerate(paths[1:], start=1):
+        img = load_image(path, side)
+        if img.shape != first.shape:
+            raise ValueError(f"{path}: image shape {img.shape} differs from {first.shape} of {paths[0]}")
+        out[i] = img
+    return out
+
+
 def image_size(path) -> tuple[int, int]:
     """(H, W) from the container header without loading the payload."""
     shape, _ = read_tensor_header(path)

@@ -172,6 +172,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{tag})"
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` have one shape, one dtype and the same bit
+    pattern in every element, as ``tobytes()`` equality says, but compared
+    in place through equal-width unsigned-integer views: a zero's sign and a
+    NaN's payload count, and neither array is copied."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(a.view(bits), b.view(bits)))
+
+
 def record(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
     """Wrap an op's output, attaching a TapeNode when grad is enabled and
     some input is on the tape (a requires-grad leaf or a recorded result)."""

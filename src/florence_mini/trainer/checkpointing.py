@@ -22,6 +22,7 @@ from ..numerics.tensor import (
     enable_grad,
     grad_enabled,
     no_grad,
+    same_bits,
 )
 
 
@@ -47,7 +48,7 @@ def checkpointed(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
         leaves = [Tensor(arr, requires_grad=flag) for arr, flag in zip(input_arrays, live)]
         with enable_grad():
             recomputed = fn(*leaves)
-        if recomputed.data.tobytes() != out_ref.tobytes():
+        if not same_bits(recomputed.data, out_ref):
             raise RuntimeError(
                 "checkpointed block is non-deterministic: recompute does not match stored output"
             )

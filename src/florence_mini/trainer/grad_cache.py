@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..numerics.tensor import backward_from, evaluate_and_backward, no_grad
+from ..numerics.tensor import backward_from, evaluate_and_backward, no_grad, same_bits
 from ..unicl import unicl_loss_arrays, unicl_loss_op
 
 
@@ -82,7 +82,7 @@ def gradient_cache_gradients(
             u_c = model.encode_image(images[rows], block_wrapper=block_wrapper)
             v_c = model.encode_text(ids[rows])
             if debug_guard:
-                if u_c.data.tobytes() != u_full[rows].tobytes() or v_c.data.tobytes() != v_full[rows].tobytes():
+                if not (same_bits(u_c.data, u_full[rows]) and same_bits(v_c.data, v_full[rows])):
                     raise RuntimeError(
                         f"embedding drift between pass 1 and pass 3 in chunk {c}; "
                         "non-deterministic encoder forward"

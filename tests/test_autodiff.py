@@ -432,6 +432,13 @@ class TestAttention:
         bias = leaves["bias"] = Tensor(rng.normal(size=(2, self.HEADS, 4, 4)).astype(dtype), requires_grad=True)
         return x, leaves, lambda: bias, grad_out, None
 
+    def _one_token_case(self, dtype):
+        """One caption of one token: each dense layer sees one row, so it
+        takes ``_dense``'s duplicated-row path, in the forward and in the
+        backward's rebuilds."""
+        _, x, leaves, grad_out = self._case(24, (1, 1), dtype)
+        return x, leaves, lambda: Tensor(np.zeros((1, 1, 1, 1), dtype)), grad_out, None
+
     def _run(self, attend, case):
         x, leaves, bias, grad_out, window = case
         y = attend(x, leaves, self.HEADS, bias(), window)
@@ -440,7 +447,7 @@ class TestAttention:
 
     @pytest.mark.parametrize("mode", PRECISION_MODES)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("case", ["window", "text", "full"])
+    @pytest.mark.parametrize("case", ["window", "text", "full", "one_token"])
     def test_bytes_equal_the_composed_ops(self, case, dtype, mode):
         make = getattr(self, f"_{case}_case")
         with precision_policy(mode):
@@ -454,10 +461,10 @@ class TestAttention:
             assert fused_g[name].dtype == dtype, name
             assert fused_g[name].tobytes() == grad.tobytes(), name
 
-    @pytest.mark.parametrize("case", ["window", "text"])
+    @pytest.mark.parametrize("case", ["window", "text", "one_token"])
     def test_backward_rebuilds_under_the_forward_precision_mode(self, case):
-        """The merged heads the backward rebuilds snap as the forward's did,
-        whichever mode is active when the backward runs."""
+        """The q, k, v and merged heads the backward rebuilds snap as the
+        forward's did, whichever mode is active when the backward runs."""
         make = getattr(self, f"_{case}_case")
         with precision_policy("half-emulated"):
             ref_y, ref_g = self._run(_fused_attention, make(np.float64))
@@ -478,9 +485,9 @@ class TestAttention:
             assert y.node.op == "attention"
             c = x.shape[-1]
             tokens, keys = x.size // c, x.shape[-2] if window is None else window * window
-            # xhat, q, k and v; one inv_std per token; gamma, beta and the
-            # four weights; the probabilities
-            assert activation_meter.current - base == 4 * x.size + tokens + 2 * c + 4 * c * c + tokens * self.HEADS * keys
+            # xhat; one inv_std per token; gamma, beta, the four weights and
+            # the q, k and v biases; the probabilities
+            assert activation_meter.current - base == x.size + tokens + 5 * c + 4 * c * c + tokens * self.HEADS * keys
             backward_from([y], [grad_out])
             assert activation_meter.current == 0
 

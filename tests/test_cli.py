@@ -326,11 +326,11 @@ class TestPipelineCommands:
             # exact counts for the fixture's first 8 triplets through the
             # trainer's dispatch, with each pre-norm sublayer one tape op
             # that saves the normalized input, not the norm's output, and
-            # rebuilds the tanh and the merged heads in backward
+            # rebuilds the tanh, q, k, v and the merged heads in backward
             assert json.loads((out / "memory_report.json").read_text())["peaks"] == [
-                {"chunk": 8, "plain": 711877, "checkpointed": 338885},
-                {"chunk": 4, "plain": 439336, "checkpointed": 210984},
-                {"chunk": 2, "plain": 303578, "checkpointed": 147546},
+                {"chunk": 8, "plain": 528517, "checkpointed": 302405},
+                {"chunk": 4, "plain": 348136, "checkpointed": 192936},
+                {"chunk": 2, "plain": 258458, "checkpointed": 138714},
             ]
 
     @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from florence_mini.curation import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from florence_mini.curation.records import Triplet, load_image
+from florence_mini.curation.records import Triplet, load_image, load_images
 from florence_mini.numerics import write_tensor_file
 
 
@@ -88,6 +88,24 @@ class TestAverageHashDedup:
         write_tensor_file(p, np.zeros((8, 8), dtype=np.float32))
         with pytest.raises(ValueError, match="rank 3"):
             load_image(p)
+
+    @pytest.mark.parametrize("side", [None, 16, 8])
+    def test_load_images_equals_stacked_load_image(self, tmp_path, side):
+        rng = np.random.default_rng(4)
+        recs = [_record(tmp_path, f"r{i}", rng.uniform(size=(16, 16, 3))) for i in range(5)]
+        paths = [r.image_path for r in recs]
+        got = load_images(paths, side)
+        want = np.stack([load_image(p, side) for p in paths])
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_load_images_rejects_mixed_shapes_and_no_paths(self, tmp_path):
+        a = _record(tmp_path, "rgb", np.zeros((8, 8, 3)))
+        b = _record(tmp_path, "gray", np.zeros((8, 8, 1)))
+        with pytest.raises(ValueError, match="differs"):
+            load_images([a.image_path, b.image_path])
+        with pytest.raises(ValueError, match="no images"):
+            load_images([])
 
 
 class TestSizeFilter:

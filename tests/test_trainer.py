@@ -41,6 +41,9 @@ from florence_mini.trainer import (
 from florence_mini.trainer import loop
 from florence_mini.unicl import unicl_loss_arrays
 
+# two quiet NaNs that differ only in their payload
+_NAN_A, _NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
+
 SMALL_MODEL = ModelConfig(image_size=16, stage_depths=(1, 1), stage_widths=(16, 32), shared_dim=32, text_layers=1, text_width=32)
 
 
@@ -175,6 +178,19 @@ class CountingModel:
         return self.inner.encode_text(x)
 
 
+class ZeroSignModel(CountingModel):
+    """Zeroes one embedding entry of every encode_image output, by a product
+    with -0.0 on the ``drift_on`` call and with 0.0 on the others, so that
+    call differs from the others only in the sign of that zero."""
+
+    def encode_image(self, x, block_wrapper=None):
+        self.image_calls += 1
+        out = self.inner.encode_image(x, block_wrapper=block_wrapper)
+        entries = np.ones(out.shape, out.dtype)
+        entries[0, 0] = -0.0 if self.image_calls == self.drift_on else 0.0
+        return ops.mul(out, Tensor(entries))
+
+
 class TestGradientCacheLastChunkTape:
     """Pass 1 keeps the last chunk's tape, so pass 3 re-forwards n - 1 chunks."""
 
@@ -210,6 +226,12 @@ class TestGradientCacheLastChunkTape:
         model, images, ids, labels, _ = small_setup
         with pytest.raises(RuntimeError, match="drift between pass 1 and pass 3 in chunk 2"):
             gradient_cache_gradients(CountingModel(model, drift_on=7), images, ids, labels, chunk_size=2)
+
+    def test_drift_in_a_zero_sign_trips_guard(self, small_setup):
+        model, images, ids, labels, _ = small_setup
+        with pytest.raises(RuntimeError, match="drift between pass 1 and pass 3 in chunk 2"):
+            gradient_cache_gradients(ZeroSignModel(model, drift_on=7), images, ids, labels, chunk_size=2)
+        gradient_cache_gradients(ZeroSignModel(model), images, ids, labels, chunk_size=2)
 
 
 class TestActivationCheckpointing:
@@ -271,6 +293,28 @@ class TestActivationCheckpointing:
         x = Tensor(np.ones((2, 2)))
         y = checkpointed(flaky, x)
         with pytest.raises(RuntimeError, match="non-deterministic"):
+            evaluate_and_backward(ops.tensor_sum(y))
+
+    @pytest.mark.parametrize(
+        "forward, recompute, raises",
+        [(0.0, -0.0, True), (_NAN_A, _NAN_B, True), (_NAN_A, _NAN_A, False)],
+        ids=["zero-sign", "nan-payload", "same-nan"],
+    )
+    def test_guard_compares_bit_patterns(self, forward, recompute, raises):
+        """A float comparison takes -0.0 for 0.0 and, with ``equal_nan``, one
+        NaN for another; without it, it takes no NaN for itself."""
+        values = iter((forward, recompute))
+
+        def block(t):
+            entries = np.ones((2, 2))
+            entries[0, 0] = next(values)
+            return ops.mul(t, Tensor(entries))
+
+        y = checkpointed(block, Tensor(np.ones((2, 2)), requires_grad=True))
+        if raises:
+            with pytest.raises(RuntimeError, match="non-deterministic"):
+                evaluate_and_backward(ops.tensor_sum(y))
+        else:
             evaluate_and_backward(ops.tensor_sum(y))
 
 
