@@ -117,7 +117,7 @@ def run_command(args) -> int:
 
     `train`, `duplicate-captions` and `memory-report` also return their
     resolved config and seed, which their manifests record in place of the
-    parsed flags.
+    parsed flags. `inflate` has no seed, so its manifest records null.
     """
     t0 = time.perf_counter()
     out = Path(args.out)
@@ -133,7 +133,7 @@ def run_command(args) -> int:
                 break
             d.rmdir()
         raise
-    config, seed = resolved or (vars(args) | {"out": str(out)}, args.seed)
+    config, seed = resolved or (vars(args) | {"out": str(out)}, getattr(args, "seed", None))
     command = f"eval {args.eval_command}" if args.command == "eval" else args.command
     write_run_manifest(out, command, config, seed, inputs, artifacts, time.perf_counter() - t0)
     print(message)
@@ -423,7 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--temporal-kernel", type=int, required=True)
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_inflate)
 

@@ -66,6 +66,7 @@ _ATTENTION_PARAMS = (
     "ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo"
 )
 _MLP_PARAMS = ("ln2.gamma", "ln2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+_WINDOWED_BLOCK_PARAMS = ("attn.rel_bias", *_ATTENTION_PARAMS, *_MLP_PARAMS)
 
 
 def transformer_block(
@@ -100,8 +101,10 @@ def image_tower(
 
     The patch embed strides by its own kernel, so a clip's temporal kernel
     rides in the inflated weight; merges keep temporal stride 1 and pooling
-    averages every middle axis. ``block_wrapper(fn, x) -> Tensor``
-    (activation checkpointing) wraps each attention block when provided.
+    averages every middle axis. ``block_wrapper(fn, x, *params) -> Tensor``
+    (activation checkpointing) wraps each attention block when provided:
+    ``fn(x, *params)`` is the block, and ``params`` are every parameter it
+    reads, so their gradients leave the wrapper's node as input gradients.
     """
     *_, h, w, c = images.shape
     if h % config.patch_kernel or w % config.patch_kernel:
@@ -116,10 +119,12 @@ def image_tower(
     ):
         for blk in range(depth):
             prefix = f"image.s{s}.b{blk}"
-            fn = lambda t, _p=prefix, _h=heads: windowed_attention_block(
-                t, params, _p, _h, config.window
+            names = [f"{prefix}.{name}" for name in _WINDOWED_BLOCK_PARAMS]
+            fn = lambda t, *ps, _n=names, _p=prefix, _h=heads: windowed_attention_block(
+                t, dict(zip(_n, ps)), _p, _h, config.window
             )
-            x = block_wrapper(fn, x) if block_wrapper is not None else fn(x)
+            block_params = [params[name] for name in names]
+            x = block_wrapper(fn, x, *block_params) if block_wrapper is not None else fn(x, *block_params)
         if s + 1 < config.num_stages:
             side = x.shape[-3]
             if side % config.merge_kernel:

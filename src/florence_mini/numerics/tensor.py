@@ -221,17 +221,6 @@ class Gradients:
         self._by_uid[uid] = grad if prev is None else prev + grad
 
 
-# Stack of Gradients collectors for backward passes currently in flight.
-# A recomputing node (activation checkpoint) runs a nested backward and
-# forwards gradients of leaves it did not replace into the enclosing
-# collector, so parameters referenced via closures still get their grads.
-_collector_stack: list[Gradients] = []
-
-
-def current_collector() -> Gradients | None:
-    return _collector_stack[-1] if _collector_stack else None
-
-
 def _toposort(roots: Iterable[Tensor]) -> list[Tensor]:
     """Deterministic post-order over the DAG reachable from ``roots``."""
     order: list[Tensor] = []
@@ -303,22 +292,18 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Grad
 
     order = _toposort(outputs)
     result = Gradients()
-    _collector_stack.append(result)
-    try:
-        while order:
-            t = order.pop()
-            g = grad_table.pop(id(t), None)
-            if g is None:
-                continue
-            if t.node is None:
-                if t.requires_grad:
-                    result.accumulate(t.uid, g)
-                continue
-            # no backward rule reads its own output through the tensor
-            node, t = t.node, None
-            _visit(node, g, grad_table)
-    finally:
-        _collector_stack.pop()
+    while order:
+        t = order.pop()
+        g = grad_table.pop(id(t), None)
+        if g is None:
+            continue
+        if t.node is None:
+            if t.requires_grad:
+                result.accumulate(t.uid, g)
+            continue
+        # no backward rule reads its own output through the tensor
+        node, t = t.node, None
+        _visit(node, g, grad_table)
     return result
 
 

@@ -1,64 +1,58 @@
 """Activation checkpointing: store block inputs, recompute on backward.
 
-A checkpointed block contributes one tape node holding only the block's
-inputs (plus the output for the determinism guard). Its backward re-runs
-the block with recording enabled, pushes the incoming gradient through the
-recomputed subgraph, routes gradients of the replaced inputs out as normal
-node gradients, and forwards gradients of closure-referenced leaves (model
-parameters) into the enclosing backward's collector. Recompute must agree
-with the stored output bit-for-bit, or the block is declared
-non-deterministic.
+``checkpointed(fn, x, *params)`` runs a block once without recording and
+adds one tape node whose inputs are ``x`` and the block's parameters. The
+node saves only ``x`` and the output (the latter for the determinism
+guard); the parameters are not saved, so the meter does not count them.
+Its backward re-runs the block with recording on, pushes the incoming
+gradient through the recomputed subgraph and returns one gradient per
+input, like any other node: every gradient leaves the node through its
+inputs. Recompute must agree with the stored output bit-for-bit, or the
+block is declared non-deterministic; a recompute that reaches a
+requires-grad leaf it was not given raises, naming that leaf.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..numerics.tensor import (
-    TapeNode,
-    Tensor,
-    backward_from,
-    current_collector,
-    enable_grad,
-    grad_enabled,
-    no_grad,
-    same_bits,
-)
+from ..numerics.tensor import TapeNode, Tensor, backward_from, enable_grad, grad_enabled, no_grad, same_bits
 
 
-def checkpointed(fn: Callable[..., Tensor], *inputs: Tensor) -> Tensor:
-    """Run ``fn(*inputs)`` without recording; recompute internals on backward.
+def checkpointed(fn: Callable[..., Tensor], x: Tensor, *params: Tensor) -> Tensor:
+    """Run ``fn(x, *params)`` without recording; recompute it on backward.
 
-    The node is created whenever recording is on, even for constant inputs:
-    blocks usually reach their parameters through closures, and those still
-    need gradients routed out of the recompute.
+    The node is made whenever recording is on, even when no input is on
+    the tape, so a block that reads a requires-grad leaf it was not given
+    raises in backward instead of leaving that leaf without a gradient. The
+    recompute runs over fresh leaves holding the inputs' arrays, so a
+    parameter that is itself a recorded result never has its own tape
+    walked by the nested backward.
     """
-    live = tuple(t.requires_grad or t.node is not None for t in inputs)
     if not grad_enabled():
-        return fn(*inputs)
+        return fn(x, *params)
     with no_grad():
-        out = fn(*inputs)
+        out = fn(x, *params)
     if not isinstance(out, Tensor):
         raise TypeError("checkpointed blocks must return a single Tensor")
-    saved = tuple(t.data for t in inputs) + (out.data,)
+    inputs = (x, *params)
+    live = tuple(t.requires_grad or t.node is not None for t in inputs)
 
-    def backward(grad_out, saved_arrays):
-        *input_arrays, out_ref = saved_arrays
-        outer = current_collector()
-        leaves = [Tensor(arr, requires_grad=flag) for arr, flag in zip(input_arrays, live)]
+    def backward(grad_out, saved):
+        x_arr, out_ref = saved
+        arrays = (x_arr, *(p.data for p in params))
+        leaves = [Tensor(arr, requires_grad=flag) for arr, flag in zip(arrays, live)]
         with enable_grad():
             recomputed = fn(*leaves)
         if not same_bits(recomputed.data, out_ref):
             raise RuntimeError(
                 "checkpointed block is non-deterministic: recompute does not match stored output"
             )
-        sub = backward_from([recomputed], [grad_out])
-        leaf_uids = {leaf.uid for leaf in leaves}
-        if outer is not None:
-            for uid, g in sub.items():
-                if uid not in leaf_uids:
-                    outer.accumulate(uid, g)
-        return tuple(sub.get(leaf) if flag else None for leaf, flag in zip(leaves, live))
+        grads = backward_from([recomputed], [grad_out])
+        given = {leaf.uid for leaf in leaves}
+        stray = [uid for uid, _ in grads.items() if uid not in given]
+        if stray:
+            raise RuntimeError(f"checkpointed block reached leaves it was not given: {stray}; pass them as inputs")
+        return tuple(grads.get(leaf) if flag else None for leaf, flag in zip(leaves, live))
 
-    node = TapeNode("checkpoint", tuple(inputs), saved, backward)
-    return Tensor(out.data, node=node)
+    return Tensor(out.data, node=TapeNode("checkpoint", inputs, (x.data, out.data), backward))

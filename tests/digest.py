@@ -16,9 +16,10 @@ config, seed) writes or computes must repeat exactly.
     python tests/digest.py OUT
 
 runs the pipeline into the fresh directory OUT and prints the per-file table,
-the tensor rows, the gradient rows, then the root digest. Two trees write the
-same bytes and compute the same gradients when their printouts are equal
-(`diff` of the two is empty).
+the tensor rows, the gradient rows, then the root digest to stdout. The
+commands' own messages, which name OUT, go to stderr. So two trees write the
+same bytes and compute the same gradients when their stdout is equal (`diff`
+of the two is empty), whatever OUT each was given.
 """
 
 from __future__ import annotations

@@ -267,14 +267,14 @@ class TestActivationCheckpointing:
         w2 = Tensor(rng.normal(size=(6, 6)), requires_grad=True, name="w2")
         x = Tensor(rng.normal(size=(3, 6)))
 
-        def inner(t):
-            return ops.gelu(ops.matmul(t, w1))
+        def inner(t, w):
+            return ops.gelu(ops.matmul(t, w))
 
-        def outer(t):
-            return ops.matmul(checkpointed(inner, t), w2)
+        def outer(t, wa, wb):
+            return ops.matmul(checkpointed(inner, t, wa), wb)
 
         def run(wrapped):
-            y = checkpointed(outer, x) if wrapped else outer(x)
+            y = checkpointed(outer, x, w1, w2) if wrapped else outer(x, w1, w2)
             return evaluate_and_backward(ops.tensor_sum(y))
 
         g_plain = run(False)
@@ -286,13 +286,27 @@ class TestActivationCheckpointing:
         state = {"n": 0}
         w = Tensor(np.ones((2, 2)), requires_grad=True, name="w")
 
-        def flaky(t):
+        def flaky(t, wt):
             state["n"] += 1
-            return ops.scale(ops.matmul(t, w), 1.0 + state["n"] * 1e-9)
+            return ops.scale(ops.matmul(t, wt), 1.0 + state["n"] * 1e-9)
 
         x = Tensor(np.ones((2, 2)))
-        y = checkpointed(flaky, x)
+        y = checkpointed(flaky, x, w)
         with pytest.raises(RuntimeError, match="non-deterministic"):
+            evaluate_and_backward(ops.tensor_sum(y))
+
+    @pytest.mark.parametrize("x_grad", [True, False], ids=["live-x", "constant-x"])
+    def test_recompute_reaching_an_ungiven_leaf_raises(self, x_grad):
+        """Every gradient leaves the node through its inputs: a weight the
+        block reads but was not given is refused by name, not dropped."""
+        given = Tensor(np.full((2, 2), 0.5), requires_grad=True, name="given")
+        hidden = Tensor(np.ones((2, 2)), requires_grad=True, name="hidden_w")
+
+        def block(t, w):
+            return ops.matmul(ops.matmul(t, w), hidden)
+
+        y = checkpointed(block, Tensor(np.ones((2, 2)), requires_grad=x_grad), given)
+        with pytest.raises(RuntimeError, match="hidden_w"):
             evaluate_and_backward(ops.tensor_sum(y))
 
     @pytest.mark.parametrize(
