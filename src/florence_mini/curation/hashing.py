@@ -45,6 +45,8 @@ def average_hash(image: np.ndarray) -> int:
 
 
 def hamming_distance(a: int, b: int) -> int:
+    """Bits in which two hashes differ: the scalar form of the popcount
+    ``dedup_near_duplicates`` takes over all kept hashes at once."""
     return (a ^ b).bit_count()
 
 
@@ -58,26 +60,27 @@ class RemovalReport:
 def dedup_near_duplicates(
     records: list[RawRecord], hamming_threshold: int = 5
 ) -> tuple[list[RawRecord], list[RemovalReport]]:
-    """Greedy first-keeps-win dedup by average-hash Hamming distance."""
+    """Greedy first-keeps-win dedup by average-hash Hamming distance.
+
+    A record is removed as a duplicate of the first kept record whose hash
+    lies within ``hamming_threshold``; the kept hashes sit in one ``uint64``
+    array, so each record's match is one vectorized popcount over them.
+    """
     if not 0 <= hamming_threshold <= HASH_BITS:
         raise ValueError(f"hamming_threshold must be in [0, {HASH_BITS}]")
     kept: list[RawRecord] = []
-    kept_hashes: list[int] = []
+    kept_hashes = np.empty(len(records), dtype=np.uint64)
     reports: list[RemovalReport] = []
     for rec in records:
-        h = average_hash(load_image(rec.image_path))
-        duplicate_of = None
-        for prev, ph in zip(kept, kept_hashes):
-            d = hamming_distance(h, ph)
-            if d <= hamming_threshold:
-                duplicate_of = (prev, d)
-                break
-        if duplicate_of is None:
-            kept.append(rec)
-            kept_hashes.append(h)
+        h = np.uint64(average_hash(load_image(rec.image_path)))
+        dist = np.bitwise_count(kept_hashes[: len(kept)] ^ h)
+        match = np.flatnonzero(dist <= hamming_threshold)
+        if match.size:
+            i = match[0]
+            reports.append(RemovalReport(removed_id=rec.id, kept_id=kept[i].id, hamming_distance=int(dist[i])))
         else:
-            prev, d = duplicate_of
-            reports.append(RemovalReport(removed_id=rec.id, kept_id=prev.id, hamming_distance=d))
+            kept_hashes[len(kept)] = h
+            kept.append(rec)
     return kept, reports
 
 

@@ -576,6 +576,15 @@ class TestMlp:
         for name, t in leaves.items():
             assert g[t].tobytes() == ref_g[name].tobytes(), name
 
+    @pytest.mark.parametrize("mode", PRECISION_MODES)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_tiles_with_a_short_last_one_keep_the_bytes(self, monkeypatch, dtype, mode):
+        """Tiles of 6 rows split the clip map's 64 rows into ten full tiles
+        and one of 4, and the token stack's 15 rows into two and one of 3."""
+        monkeypatch.setattr(ops, "_GELU_TILE", 6 * self.HIDDEN)
+        self.test_bytes_equal_the_composed_ops((2, 2, 4, 4), dtype, mode)
+        self.test_backward_rebuilds_under_the_forward_precision_mode()
+
     def test_node_saves_normalized_input_and_pre_gelu_values(self):
         leaves, grad_out = self._case((3, 5), np.float64)
         activation_meter.reset()

@@ -79,6 +79,48 @@ class TestAverageHashDedup:
         assert [r.id for r in twice] == [r.id for r in once]
         assert rep2 == []
 
+    @pytest.mark.parametrize("threshold", [0, 1, 3, 5, 63, 64])
+    def test_vectorized_match_equals_a_scalar_loop(self, monkeypatch, threshold):
+        """Hashes flipped from earlier ones in exactly 0, 1, 3, 5, 63 and 64
+        bits put a distance at every threshold tried, and the hashes 0 and
+        2**64 - 1 sit at uint64's ends. At threshold 5, r3 lies within it of
+        r0, r1 and r2, all kept, and the first wins over the nearest."""
+        from florence_mini.curation import hashing
+
+        rng = np.random.default_rng(5)
+        a, b, c = (int.from_bytes(rng.bytes(8), "big") for _ in range(3))
+
+        def flip(h, *bits):
+            return h ^ sum(1 << i for i in bits)
+
+        hashes = [
+            a, flip(a, *range(6)), flip(a, 0, 1, 2, 6, 7, 8), flip(a, 0, 1, 2, 3),
+            flip(a, 9), flip(a, 10, 11, 12), flip(a, *range(13, 18)), flip(a, *range(63)), flip(a, *range(64)),
+            b, flip(b, 10, 20, 30, 40, 50), c, 0, 2**64 - 1, a,
+        ]
+
+        def oracle():
+            kept, reports = [], []
+            for i, h in enumerate(hashes):
+                first = next(((j, d) for j in kept if (d := hamming_distance(h, hashes[j])) <= threshold), None)
+                if first is None:
+                    kept.append(i)
+                else:
+                    reports.append((f"r{i}", f"r{first[0]}", first[1]))
+            return [f"r{i}" for i in kept], reports
+
+        monkeypatch.setattr(hashing, "load_image", int)
+        monkeypatch.setattr(hashing, "average_hash", hashes.__getitem__)
+        recs = [RawRecord(id=f"r{i}", image_path=str(i), text="t") for i in range(len(hashes))]
+        kept, reports = dedup_near_duplicates(recs, hamming_threshold=threshold)
+        got = [(r.removed_id, r.kept_id, r.hamming_distance) for r in reports]
+        want_kept, want_reports = oracle()
+        assert [r.id for r in kept] == want_kept
+        assert got == want_reports
+        assert all(type(r.hamming_distance) is int for r in reports)
+        if threshold == 5:
+            assert {"r0", "r1", "r2"} <= set(want_kept) and ("r3", "r0", 4) in got
+
     def test_bad_threshold_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             dedup_near_duplicates([], hamming_threshold=65)
