@@ -207,19 +207,30 @@ def _class_names(args) -> list[str]:
     return [c for c in (Path(args.data) / "classes.txt").read_text().splitlines() if c]
 
 
-def _eval_inputs(args, holdout: bool):
+def _eval_inputs(args, holdout: bool, labelled: bool = True):
     """Model, class names, eval records (the held-out split when `holdout`),
-    their images at the model's input side, and their class labels."""
+    their images at the model's input side, and their class labels (None
+    unless `labelled`). A labelled eval refuses a record whose source names
+    no class before it reads an image."""
     model = load_model_checkpoint(args.checkpoint)
-    records = read_records_jsonl(Path(args.data) / "records.jsonl")
+    records_path = Path(args.data) / "records.jsonl"
+    records = read_records_jsonl(records_path)
     class_names = _class_names(args)
     if holdout:
         held = holdout_ids([r.id for r in records], args.holdout_fraction, args.seed)
         records = [r for r in records if r.id in held]
         if not records:
             raise ValueError(f"held-out split is empty (--holdout-fraction {args.holdout_fraction})")
+    labels = None
+    if labelled:
+        labels = [class_of_record(r) for r in records]
+        if None in labels:
+            r = records[labels.index(None)]
+            raise ValueError(
+                f"{records_path}: record {r.id!r} has no class label (source {r.source!r}, not class:i:word)"
+            )
+        labels = np.array(labels)
     images = load_images([r.image_path for r in records], model.config.image_size)
-    labels = np.array([class_of_record(r) for r in records])
     return model, class_names, records, images, labels
 
 
@@ -241,7 +252,7 @@ def cmd_eval_zero_shot(args, out):
 
 
 def cmd_eval_retrieval(args, out):
-    model, _, records, images, _ = _eval_inputs(args, holdout=True)
+    model, _, records, images, _ = _eval_inputs(args, holdout=True, labelled=False)
     ks = [int(k) for k in args.ks.split(",")]
     rec = retrieval_recall(embed_images(model, images), embed_texts(model, [r.text for r in records]), ks)
     metrics = {f"r_at_{k}_{d}": rec[d][k] for d in ("i2t", "t2i") for k in ks}

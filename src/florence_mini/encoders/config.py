@@ -78,7 +78,7 @@ def _block_shapes(
     shapes[f"{p}.ln1.beta"] = (width,)
     for m in ("wq", "wk", "wv", "wo"):
         shapes[f"{p}.attn.{m}"] = (width, width)
-    for m in ("bq", "bk", "bv", "bo"):
+    for m in ("bq", "bv", "bo"):
         shapes[f"{p}.attn.{m}"] = (width,)
     if rel_bias is not None:
         shapes[f"{p}.attn.rel_bias"] = rel_bias

@@ -36,9 +36,7 @@ def init_two_tower(config: ModelConfig, vocab_size: int, seed: int) -> dict[str,
             arr = np.asarray(np.log(config.tau_init), dtype=dtype)
         elif name.endswith((".gamma",)):
             arr = np.ones(shape, dtype=dtype)
-        elif name.endswith((".beta", ".b", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
-            arr = np.zeros(shape, dtype=dtype)
-        elif name.endswith(".rel_bias"):
+        elif name.endswith((".beta", ".b", ".b1", ".b2", ".bq", ".bv", ".bo", ".rel_bias")):
             arr = np.zeros(shape, dtype=dtype)
         elif name == "text.pos_embed":
             arr = rng.normal(0.0, 0.01, size=shape).astype(dtype)
@@ -63,7 +61,7 @@ def relative_index(window: int) -> np.ndarray:
 
 
 _ATTENTION_PARAMS = (
-    "ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv", "attn.wo", "attn.bo"
+    "ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.wv", "attn.bv", "attn.wo", "attn.bo"
 )
 _MLP_PARAMS = ("ln2.gamma", "ln2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 _WINDOWED_BLOCK_PARAMS = ("attn.rel_bias", *_ATTENTION_PARAMS, *_MLP_PARAMS)

@@ -461,7 +461,6 @@ def attention(
     wq: Tensor,
     bq: Tensor,
     wk: Tensor,
-    bk: Tensor,
     wv: Tensor,
     bv: Tensor,
     wo: Tensor,
@@ -484,13 +483,14 @@ def attention(
     softmax), and its backward replays their backward rules in the order
     the tape ran them, so values and gradients are byte-equal to the
     composition. It saves the normalized input ``xhat`` and the
-    probabilities once each, with the weights and the q, k and v biases.
-    Its backward builds the layer-norm output's window partition once, and
-    from it rebuilds v, k and q one at a time, each freed at its last use (v
-    for the merged heads and the probabilities' gradient, k for q's
-    gradient, q for k's), with the forward's own operations under the
-    forward's precision mode; the three weight gradients read the same
-    partition. The backward's transient peak comes at its end, where the
+    probabilities once each, with the weights and the q and v biases. k is
+    projected with no bias: a key bias b adds q · b to every score of a
+    query row, a shift the softmax cancels. Its backward builds the
+    layer-norm output's window partition once, and from it rebuilds v, k
+    and q one at a time, each freed at its last use (v for the merged heads
+    and the probabilities' gradient, k for q's gradient, q for k's), with
+    the forward's own operations under the forward's precision mode; the
+    three weight gradients read the same partition. The backward's transient peak comes at its end, where the
     partition is live for those gradients anyway, so building it once costs
     no memory. The rebuilds repeat three dense-layer products per block; on
     the 32 px gradient-cache benchmark they cut the peak of saved scalars
@@ -498,7 +498,7 @@ def attention(
     text PAD mask) gets no gradient. Nothing it is given or has saved is
     written.
     """
-    for t in (gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, bias):
+    for t in (gamma, beta, wq, bq, wk, wv, bv, wo, bo, bias):
         _check_same_dtype(x, t, "attention")
     c = x.shape[-1]
     if c % heads:
@@ -512,7 +512,7 @@ def attention(
     bsz, n, _ = xw.shape
     split = (bsz, n, heads, c // heads)
     c_scale = x.data.dtype.type(1.0 / np.sqrt(c // heads))
-    q, k, v = (_dense(xw, w.data, b.data, snap) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    q, k, v = (_dense(xw, w.data, b, snap) for w, b in ((wq, bq.data), (wk, None), (wv, bv.data)))
     del xw
     q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
     scores = apply_policy(np.matmul(q4, k4.transpose(0, 1, 3, 2)))
@@ -525,7 +525,7 @@ def attention(
     bias_shape, bias_live = bias.shape, bias.requires_grad or bias.node is not None
 
     def backward(g, saved):
-        xh, istd, gam, bet, wqv, bqv, wkv, bkv, wvv, bvv, wov, p = saved
+        xh, istd, gam, bet, wqv, bqv, wkv, wvv, bvv, wov, p = saved
 
         # the normed partition every rebuild and weight gradient reads,
         # built once: the transient peak comes at the end, where it is live
@@ -553,12 +553,12 @@ def attention(
             d_scores = d_scores * c_scale
         else:
             d_scores *= c_scale
-        dq4 = np.matmul(d_scores, heads(wkv, bkv))
+        dq4 = np.matmul(d_scores, heads(wkv, None))
         dk4 = np.matmul(heads(wqv, bqv).swapaxes(-1, -2), d_scores).transpose(0, 1, 3, 2)
         del d_scores
         dxv, dwv, dbv = _dense_grads(dv4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wvv, True)
         del dv4
-        dxk, dwk, dbk = _dense_grads(dk4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wkv, True)
+        dxk, dwk = _dense_grads(dk4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wkv, False)
         del dk4
         # the tape ran v's linear first, then k's, then q's: (dxv + dxk) + dxq
         dxv += dxk
@@ -570,10 +570,10 @@ def attention(
         dn = _merge(dxv, window, xh.shape)
         del dxv
         dx, dgamma, dbeta = _ln_grads(dn, xh, istd, gam)
-        return dx, dgamma, dbeta, dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo, d_bias
+        return dx, dgamma, dbeta, dwq, dbq, dwk, dwv, dbv, dwo, dbo, d_bias
 
-    saved = (xhat, inv_std, gamma.data, beta.data, wq.data, bq.data, wk.data, bk.data, wv.data, bv.data, wo.data, probs)
-    inputs = (x, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo, bias)
+    saved = (xhat, inv_std, gamma.data, beta.data, wq.data, bq.data, wk.data, wv.data, bv.data, wo.data, probs)
+    inputs = (x, gamma, beta, wq, bq, wk, wv, bv, wo, bo, bias)
     return _record("attention", out, inputs, saved, backward)
 
 

@@ -178,7 +178,7 @@ def test_criterion_03_gradient_correctness():
 
         return f
 
-    block_tensors = [f"attn.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "rel_bias")] + [
+    block_tensors = [f"attn.{n}" for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo", "rel_bias")] + [
         f"{sub}.{n}" for sub, names in (("ln1", "gamma beta"), ("ln2", "gamma beta"), ("mlp", "w1 b1 w2 b2")) for n in names.split()
     ]
     worst["windowed_attention"] = max(

@@ -325,10 +325,10 @@ def _composed_attention(x, p, heads, bias):
     dh = c // heads
 
     def project(m, b):
-        h = ops.linear(x, p[m], p[b])
+        h = ops.linear(x, p[m], None if b is None else p[b])
         return ops.transpose(ops.reshape(h, (bsz, n, heads, dh)), (0, 2, 1, 3))
 
-    q, k, v = project("wq", "bq"), project("wk", "bk"), project("wv", "bv")
+    q, k, v = project("wq", "bq"), project("wk", None), project("wv", "bv")
     scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = ops.softmax(ops.add(scores, bias))
     out = ops.reshape(ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (bsz, n, c))
@@ -360,7 +360,7 @@ def _composed_sublayer(x, p, heads, bias, window):
     return _window_merge(_composed_attention(_window_partition(t, window), p, heads, bias), window, x.shape)
 
 
-_ATTN_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+_ATTN_WEIGHTS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
 
 
 def _fused_attention(x, p, heads, bias, window):
@@ -486,8 +486,8 @@ class TestAttention:
             c = x.shape[-1]
             tokens, keys = x.size // c, x.shape[-2] if window is None else window * window
             # xhat; one inv_std per token; gamma, beta, the four weights and
-            # the q, k and v biases; the probabilities
-            assert activation_meter.current - base == x.size + tokens + 5 * c + 4 * c * c + tokens * self.HEADS * keys
+            # the q and v biases; the probabilities
+            assert activation_meter.current - base == x.size + tokens + 4 * c + 4 * c * c + tokens * self.HEADS * keys
             backward_from([y], [grad_out])
             assert activation_meter.current == 0
 
@@ -495,7 +495,7 @@ class TestAttention:
         x, leaves, bias, grad_out, window = self._text_case(np.float64)
         y = _fused_attention(x, leaves, self.HEADS, bias(), window)
         grads = y.node.backward_fn(grad_out, y.node.saved)
-        assert len(grads) == 12 and grads[-1] is None
+        assert len(grads) == 11 and grads[-1] is None
 
     def test_backward_writes_nothing_it_is_given_and_returns_no_aliases(self):
         """With a full-shape bias, ``add``'s backward handed one array to

@@ -328,9 +328,9 @@ class TestPipelineCommands:
             # that saves the normalized input, not the norm's output, and
             # rebuilds the tanh, q, k, v and the merged heads in backward
             assert json.loads((out / "memory_report.json").read_text())["peaks"] == [
-                {"chunk": 8, "plain": 528517, "checkpointed": 302405},
-                {"chunk": 4, "plain": 348136, "checkpointed": 192936},
-                {"chunk": 2, "plain": 258458, "checkpointed": 138714},
+                {"chunk": 8, "plain": 528197, "checkpointed": 302277},
+                {"chunk": 4, "plain": 347816, "checkpointed": 192808},
+                {"chunk": 2, "plain": 258138, "checkpointed": 138586},
             ]
 
     @pytest.mark.parametrize(
@@ -378,6 +378,32 @@ class TestPipelineCommands:
         )
         assert code == 2
         assert "held-out split is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["zero-shot", "linear-probe", "few-shot", "retrieval"])
+    def test_labelled_evals_name_a_record_without_a_class(self, pipeline, tmp_path, capsys, command):
+        """`source` is optional in records.jsonl, and only a synthetic
+        record's names its class. An eval that scores by class refuses the
+        first record it would score without one; retrieval reads no labels."""
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        lines = (data / "records.jsonl").read_text().splitlines()
+        unlabelled = [{k: v for k, v in json.loads(line).items() if k != "source"} for line in lines]
+        (data / "records.jsonl").write_text("".join(json.dumps(d) + "\n" for d in unlabelled))
+        extra = {"few-shot": ["--way", "3", "--shot", "2", "--episodes", "2"], "linear-probe": ["--probe-epochs", "2"]}
+        out = tmp_path / "out"
+        code = main(
+            ["eval", command, "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(data),
+             "--out", str(out), "--seed", "3", *extra.get(command, [])],
+        )
+        if command == "retrieval":
+            assert code == 0 and (out / "reports.jsonl").exists()
+            return
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        named = re.search(rf"{re.escape(str(data / 'records.jsonl'))}: record '(\S+)' has no class label", err)
+        assert named, err
+        ids = [d["id"] for d in unlabelled]
+        assert named[1] == ids[0] if command != "zero-shot" else named[1] in ids
 
     @pytest.mark.parametrize("flag", ["--way", "--shot", "--episodes"])
     def test_few_shot_rejects_argument_below_one_by_name(self, pipeline, tmp_path, capsys, flag):

@@ -25,6 +25,7 @@ from florence_mini.encoders.model import transformer_block
 from florence_mini.numerics import Tensor, backward_from, finite_difference_check, no_grad, ops
 from florence_mini.numerics.tensor import _toposort
 from florence_mini.trainer import checkpointed
+from florence_mini.unicl import unicl_loss_arrays
 
 TINY = ModelConfig(
     image_size=8,
@@ -260,6 +261,32 @@ class TestParameterAccounting:
 
     def test_shapes_are_pure_function_of_config(self, vocab):
         assert parameter_shapes(ModelConfig(), 100) == parameter_shapes(ModelConfig(), 100)
+
+    def test_every_parameter_moves_the_loss(self, vocab):
+        """No parameter is dead: N(0, 0.1²) noise on any one tensor moves
+        the UniCL loss by more than 1e-10 relative. A tensor no output can
+        see (as a softmax attention key bias is) would move it by
+        round-off alone."""
+        model = TwoTowerModel.create(ModelConfig(), vocab, seed=0)
+        rng = np.random.default_rng(0)
+        imgs = rng.uniform(size=(4, 32, 32, 3))
+        ids = tokenize_batch(["a photo of the heron", "maple field study", "cobalt pattern", "the heron"], vocab)
+        labels = np.array([0, 1, 2, 0])
+
+        def loss() -> float:
+            with no_grad():
+                u, v = model.encode_image(imgs).data, model.encode_text(ids).data
+            return unicl_loss_arrays(u, v, labels, float(model.tau_param.data)).loss
+
+        base = loss()
+        moves = {}
+        for name, t in model.params.items():
+            kept = t.data
+            t.data = np.asarray(kept + rng.normal(0.0, 0.1, size=kept.shape))
+            moves[name] = abs(loss() - base) / abs(base)
+            t.data = kept
+        dead = {name: m for name, m in moves.items() if not m > 1e-10}
+        assert not dead, f"parameters that cannot move the loss: {dead}"
 
 
 class TestInflation:

@@ -16,6 +16,7 @@ from florence_mini.numerics import (
     backward_from,
     evaluate_and_backward,
     init_optimizer_state,
+    load_checkpoint,
     no_grad,
     ops,
     precision_policy,
@@ -366,8 +367,8 @@ class TestZeroSharding:
         vocab = build_vocabulary(["a cat", "a dog", "a red bird"])
         params = TwoTowerModel.create(ModelConfig(), vocab, seed=0).param_arrays()
         total = sum(p.size for p in params.values())
-        assert total == 175_081
-        expected = {1: [175_081], 2: [87_540, 87_541], 4: [43_770, 43_770, 43_770, 43_771]}
+        assert total == 174_761
+        expected = {1: [174_761], 2: [87_380, 87_381], 4: [43_690, 43_690, 43_690, 43_691]}
         for workers, sizes in expected.items():
             states = split_zero_state(init_optimizer_state(params, lr=1e-3), params, workers)
             for moments in ("m", "v"):
@@ -619,6 +620,34 @@ class TestTwoStageRun:
         (tmp_path / "ckpt/manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(TensorFormatError, match=r"__opt_m__\.tau_param spans"):
             load_model_checkpoint(tmp_path / "ckpt")
+
+    def test_a_checkpoint_with_attention_key_biases_loads_without_them(self, small_setup, tmp_path):
+        """Checkpoints written while attention projected k with a bias hold
+        a zero-initialized one per block, with its two moments. Both loaders
+        take only the model's own names, so they drop them; the bias only
+        shifted each score row by a constant, so the embeddings equal the
+        ones of the same model saved without it."""
+        model, images, ids = small_setup[:3]
+        config = TrainConfig(model=SMALL_MODEL)
+        save_train_checkpoint(tmp_path / "new", model, init_optimizer_state(model.param_arrays(), lr=1e-3), config, 0)
+        tensors, manifest = load_checkpoint(tmp_path / "new")
+        wqs = [name for name in model.params if name.endswith(".attn.wq")]
+        key_biases = {f"{name.removesuffix('wq')}bk": np.zeros(len(model.params[name].data)) for name in wqs}
+        assert len(key_biases) == 3
+        moments = {f"__opt_{kind}__.{name}": a for kind in "mv" for name, a in key_biases.items()}
+        metadata = {k: v for k, v in manifest.items() if k not in ("format", "tensors")}
+        save_checkpoint(tmp_path / "old", {**tensors, **key_biases, **moments}, metadata=metadata)
+
+        new = load_model_checkpoint(tmp_path / "new")
+        old_model, old_state, step = load_train_checkpoint(tmp_path / "old", config)
+        assert step == 0 and set(old_state.m) == set(old_state.v) == set(model.params)
+        for old in (old_model, load_model_checkpoint(tmp_path / "old")):
+            assert list(old.params) == list(new.params)
+            for k, t in new.params.items():
+                assert old.params[k].data.tobytes() == t.data.tobytes(), k
+            with no_grad():
+                assert old.encode_image(images).data.tobytes() == new.encode_image(images).data.tobytes()
+                assert old.encode_text(ids).data.tobytes() == new.encode_text(ids).data.tobytes()
 
     def test_non_finite_gradient_aborts_before_the_update(self, corpus, tmp_path, monkeypatch):
         """A finite loss with one inf gradient stops the run at step 0 and
