@@ -207,11 +207,39 @@ def _class_names(args) -> list[str]:
     return [c for c in (Path(args.data) / "classes.txt").read_text().splitlines() if c]
 
 
+def _record_labels(records, records_path: Path, class_names: list[str]) -> np.ndarray:
+    """Each record's class index from its source ``class:i:word``, checked
+    against classes.txt: ``i`` must index it and ``word`` be that class's
+    name. The first record that fails is named."""
+    labels = []
+    for r in records:
+        try:
+            label = class_of_record(r)
+        except ValueError:  # an index that is not an integer
+            label = None
+        if label is None:
+            raise ValueError(
+                f"{records_path}: record {r.id!r} has no class label (source {r.source!r}, not class:i:word)"
+            )
+        if not 0 <= label < len(class_names):
+            raise ValueError(
+                f"{records_path}: record {r.id!r} names class {label} (source {r.source!r}), "
+                f"but classes.txt has {len(class_names)} classes"
+            )
+        if r.source.split(":", 2)[2:] != [class_names[label]]:
+            raise ValueError(
+                f"{records_path}: record {r.id!r} names class {label} (source {r.source!r}), "
+                f"which classes.txt names {class_names[label]!r}"
+            )
+        labels.append(label)
+    return np.array(labels)
+
+
 def _eval_inputs(args, holdout: bool, labelled: bool = True):
     """Model, class names, eval records (the held-out split when `holdout`),
     their images at the model's input side, and their class labels (None
     unless `labelled`). A labelled eval refuses a record whose source names
-    no class before it reads an image."""
+    no class of classes.txt (``_record_labels``) before it reads an image."""
     model = load_model_checkpoint(args.checkpoint)
     records_path = Path(args.data) / "records.jsonl"
     records = read_records_jsonl(records_path)
@@ -221,15 +249,7 @@ def _eval_inputs(args, holdout: bool, labelled: bool = True):
         records = [r for r in records if r.id in held]
         if not records:
             raise ValueError(f"held-out split is empty (--holdout-fraction {args.holdout_fraction})")
-    labels = None
-    if labelled:
-        labels = [class_of_record(r) for r in records]
-        if None in labels:
-            r = records[labels.index(None)]
-            raise ValueError(
-                f"{records_path}: record {r.id!r} has no class label (source {r.source!r}, not class:i:word)"
-            )
-        labels = np.array(labels)
+    labels = _record_labels(records, records_path, class_names) if labelled else None
     images = load_images([r.image_path for r in records], model.config.image_size)
     return model, class_names, records, images, labels
 

@@ -454,6 +454,18 @@ def _merge(a: np.ndarray, window: int | None, shape: tuple[int, ...]) -> np.ndar
     return t.reshape(shape)
 
 
+def _merged_heads(a: np.ndarray, b: np.ndarray, split: tuple[int, int, int, int]) -> np.ndarray:
+    """``a @ b`` over (windows, heads) stacks, written straight into a fresh
+    (windows, tokens, C) array with heads merged, as
+    ``transpose(0, 2, 1, 3).reshape`` would merge them, without that copy.
+    Each head's product is the same GEMM with a wider output stride, so its
+    bytes are the copy's."""
+    bsz, n, heads, dh = split
+    out = np.empty((bsz, n, heads * dh), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=out.reshape(split).transpose(0, 2, 1, 3))
+    return out
+
+
 def attention(
     x: Tensor,
     gamma: Tensor,
@@ -494,9 +506,13 @@ def attention(
     partition is live for those gradients anyway, so building it once costs
     no memory. The rebuilds repeat three dense-layer products per block; on
     the 32 px gradient-cache benchmark they cut the peak of saved scalars
-    by 29% for 4% more time per step. A bias off the tape (the
-    text PAD mask) gets no gradient. Nothing it is given or has saved is
-    written.
+    by 29% for 4% more time per step. The four products whose heads merge
+    back to (windows, tokens, C), the forward's probabilities @ v, the
+    backward's rebuild of it, and v's and q's gradients, write straight
+    into that layout (``_merged_heads``), and a snap runs after its write;
+    the snap is elementwise, so no strided merge copy is made and no byte
+    moves. A bias off the tape (the text PAD mask) gets no gradient.
+    Nothing it is given or has saved is written.
     """
     for t in (gamma, beta, wq, bq, wk, wv, bv, wo, bo, bias):
         _check_same_dtype(x, t, "attention")
@@ -520,7 +536,8 @@ def attention(
     scores = apply_policy(scores)
     scores += bias.data
     probs = _softmax_rows(apply_policy(scores))
-    ctx = snap(np.matmul(probs, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
+    del scores, q4, k4, q, k
+    ctx = snap(_merged_heads(probs, v4, split))
     out = _merge(_dense(ctx, wo.data, bo.data, snap), window, x.shape)
     bias_shape, bias_live = bias.shape, bias.requires_grad or bias.node is not None
 
@@ -536,13 +553,13 @@ def attention(
             return _dense(xv, w, b, snap).reshape(split).transpose(0, 2, 1, 3)
 
         v4 = heads(wvv, bvv)
-        ctx_v = snap(np.matmul(p, v4)).transpose(0, 2, 1, 3).reshape(bsz, n, c)
+        ctx_v = snap(_merged_heads(p, v4, split))
         d_ctx, dwo, dbo = _dense_grads(_partition(g, window), ctx_v, wov, True)
         del ctx_v
         d_ctx = d_ctx.reshape(split).transpose(0, 2, 1, 3)
         d_p = np.matmul(d_ctx, v4.swapaxes(-1, -2))
         del v4
-        dv4 = np.matmul(p.swapaxes(-1, -2), d_ctx)
+        dv = _merged_heads(p.swapaxes(-1, -2), d_ctx, split)
         del d_ctx
         # softmax's backward, in d_p's buffer
         d_p -= (d_p * p).sum(axis=-1, keepdims=True)
@@ -553,18 +570,18 @@ def attention(
             d_scores = d_scores * c_scale
         else:
             d_scores *= c_scale
-        dq4 = np.matmul(d_scores, heads(wkv, None))
+        dq = _merged_heads(d_scores, heads(wkv, None), split)
         dk4 = np.matmul(heads(wqv, bqv).swapaxes(-1, -2), d_scores).transpose(0, 1, 3, 2)
         del d_scores
-        dxv, dwv, dbv = _dense_grads(dv4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wvv, True)
-        del dv4
+        dxv, dwv, dbv = _dense_grads(dv, xv, wvv, True)
+        del dv
         dxk, dwk = _dense_grads(dk4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wkv, False)
         del dk4
         # the tape ran v's linear first, then k's, then q's: (dxv + dxk) + dxq
         dxv += dxk
         del dxk
-        dxq, dwq, dbq = _dense_grads(dq4.transpose(0, 2, 1, 3).reshape(xv.shape), xv, wqv, True)
-        del dq4, xv
+        dxq, dwq, dbq = _dense_grads(dq, xv, wqv, True)
+        del dq, xv
         dxv += dxq
         del dxq
         dn = _merge(dxv, window, xh.shape)
@@ -679,7 +696,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def unfold(x: Tensor, kernel, stride) -> Tensor:
     """Extract patches from (B, *S, C) into (B, *So, prod(kernel)*C).
 
-    Patch slots run row-major over kernel offsets, channel innermost.
+    Patch slots run row-major over kernel offsets, channel innermost. When
+    the patches tile the input exactly (``kernel == stride`` and every
+    extent divides), as in the patch embed, the merges and a kt = 1 video
+    tower, both directions are one blocked reshape and transpose. Otherwise
+    (the overlapping temporal merges of kt >= 2 towers) each kernel offset
+    is one strided slice, and the backward scatter-adds them into zeros.
     """
     kernel, stride = tuple(kernel), tuple(stride)
     extents = x.shape[1:-1]
@@ -691,14 +713,30 @@ def unfold(x: Tensor, kernel, stride) -> Tensor:
     if min(out) < 1:
         raise ValueError(f"kernel {kernel} larger than input {extents}")
     c = x.shape[-1]
+    in_shape = x.shape
+    cols = np.empty((x.shape[0], *out, math.prod(kernel) * c), dtype=x.data.dtype)
+    if kernel == stride and all(n % k == 0 for n, k in zip(extents, kernel)):
+        # (B, o1, k1, o2, k2, ..., C) <-> (B, o1, o2, ..., k1, k2, ..., C)
+        d = len(kernel)
+        blocked = (x.shape[0], *(m for pair in zip(out, kernel) for m in pair), c)
+        perm = (0, *range(1, 2 * d, 2), *range(2, 2 * d + 1, 2), 2 * d + 1)
+        patches = (x.shape[0], *out, *kernel, c)
+        cols.reshape(patches)[...] = x.data.reshape(blocked).transpose(perm)
+
+        def backward(g, saved):
+            gx = np.empty(in_shape, dtype=g.dtype)
+            # + 0.0 turns a -0.0 gradient into +0.0, as a sum into zeros does
+            np.add(g.reshape(patches).transpose(np.argsort(perm)), 0.0, out=gx.reshape(blocked))
+            return (gx,)
+
+        return _record("unfold", cols, (x,), (), backward)
+
     views = [
         (slice(None),) + tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out))
         for offset in np.ndindex(*kernel)
     ]
-    cols = np.empty((x.shape[0], *out, len(views) * c), dtype=x.data.dtype)
     for slot, view in enumerate(views):
         cols[..., slot * c : (slot + 1) * c] = x.data[view]
-    in_shape = x.shape
 
     def backward(g, saved):
         gx = np.zeros(in_shape, dtype=g.dtype)

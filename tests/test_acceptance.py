@@ -244,43 +244,51 @@ def test_criterion_04_gradient_cache_theorem(grad_cache_setup):
 
 
 def test_criterion_05_zero_sim_equivalence(grad_cache_setup, tmp_path):
-    model_ref, images, ids, labels, = (*grad_cache_setup,)
+    """Bit-exact in float64 and in float32."""
+    model_ref, images64, ids, labels, = (*grad_cache_setup,)
     vocab = model_ref.vocab
     config = TrainConfig(batch_size=16, chunk_size=16, peak_lr=1e-3, warmup_steps=1)
 
-    def run(workers):
-        model = TwoTowerModel.create(ModelConfig(), vocab, seed=3)
-        params = model.param_arrays()
-        states = split_zero_state(init_optimizer_state(params, lr=1e-3), params, workers)
-        for step in range(10):
-            states, _ = train_step(model, images, ids, labels, ["r"] * 16, states, config, 1e-3)
-        return model.param_arrays()
+    for dtype in ("float64", "float32"):
+        images = images64.astype(dtype)
 
-    def unsharded():
-        # plain AdamW over the trainer's own gradients
-        model = TwoTowerModel.create(ModelConfig(), vocab, seed=3)
-        state = init_optimizer_state(model.param_arrays(), lr=1e-3)
-        for step in range(10):
-            _, grads = loop.compute_gradients(model, images, ids, labels, config)
-            params, state = adamw_step(model.param_arrays(), grads, state, lr=1e-3)
-            model.load_arrays(params)
-        return model.param_arrays()
+        def run(workers):
+            model = TwoTowerModel.create(ModelConfig(dtype=dtype), vocab, seed=3)
+            params = model.param_arrays()
+            states = split_zero_state(init_optimizer_state(params, lr=1e-3), params, workers)
+            for step in range(10):
+                states, _ = train_step(model, images, ids, labels, ["r"] * 16, states, config, 1e-3)
+            return model.param_arrays()
 
-    baseline = unsharded()
-    for workers in (1, 2, 4):
-        sharded = run(workers)
-        for k in baseline:
-            assert baseline[k].tobytes() == sharded[k].tobytes(), (workers, k)
-    _pass(5, "W in {1,2,4}: 10-step parameters bit-equal to unsharded baseline")
+        def unsharded():
+            # plain AdamW over the trainer's own gradients
+            model = TwoTowerModel.create(ModelConfig(dtype=dtype), vocab, seed=3)
+            state = init_optimizer_state(model.param_arrays(), lr=1e-3)
+            for step in range(10):
+                _, grads = loop.compute_gradients(model, images, ids, labels, config)
+                params, state = adamw_step(model.param_arrays(), grads, state, lr=1e-3)
+                model.load_arrays(params)
+            return model.param_arrays()
+
+        baseline = unsharded()
+        assert all(v.dtype == dtype for v in baseline.values())
+        for workers in (1, 2, 4):
+            sharded = run(workers)
+            for k in baseline:
+                assert baseline[k].tobytes() == sharded[k].tobytes(), (dtype, workers, k)
+    _pass(5, "W in {1,2,4}: 10-step parameters bit-equal to unsharded baseline in float64 and float32")
 
 
 def test_criterion_06_activation_checkpointing(grad_cache_setup):
     model, images, ids, labels = grad_cache_setup
-    l1, g1 = monolithic_gradients(model, images, ids, labels)
-    l2, g2 = monolithic_gradients(model, images, ids, labels, block_wrapper=checkpointed)
-    assert l1 == l2
-    assert set(g1) == set(g2)
-    assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
+    model32 = TwoTowerModel.create(ModelConfig(dtype="float32"), model.vocab, seed=3)
+    for m, x in ((model, images), (model32, images.astype(np.float32))):
+        l1, g1 = monolithic_gradients(m, x, ids, labels)
+        l2, g2 = monolithic_gradients(m, x, ids, labels, block_wrapper=checkpointed)
+        assert l1 == l2
+        assert set(g1) == set(g2)
+        assert all(g1[k].dtype == x.dtype for k in g1)
+        assert all(g1[k].tobytes() == g2[k].tobytes() for k in g1)
 
     rng = np.random.default_rng(4)
     seed_grad = rng.normal(size=(8, 64))
@@ -296,7 +304,7 @@ def test_criterion_06_activation_checkpointing(grad_cache_setup):
     ckpt = tower_peak(checkpointed)
     reduction = 1.0 - ckpt / plain
     assert reduction >= 0.30, reduction
-    _pass(6, f"gradients bit-equal; tower peak activations {plain} -> {ckpt} (-{reduction:.0%})")
+    _pass(6, f"gradients bit-equal in float64 and float32; tower peak activations {plain} -> {ckpt} (-{reduction:.0%})")
 
 
 def test_criterion_07_inflation_fidelity():

@@ -58,6 +58,51 @@ def test_dtype_mismatch_between_connected_nodes_rejected():
         ops.add(a, b)
 
 
+def _unfold_by_slices(x, kernel, stride):
+    """Reference ``unfold``: one strided slice per kernel offset, written
+    slot by slot; its backward scatter-adds each slot into zeros."""
+    out = tuple((n - k) // s + 1 for n, k, s in zip(x.shape[1:-1], kernel, stride))
+    views = [
+        (slice(None),) + tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out))
+        for offset in np.ndindex(*kernel)
+    ]
+    c = x.shape[-1]
+
+    def backward(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        for slot, view in enumerate(views):
+            gx[view] += g[..., slot * c : (slot + 1) * c]
+        return gx
+
+    return np.concatenate([x[view] for view in views], axis=-1), backward
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "shape, kernel, stride",
+    [
+        ((3, 32, 32, 3), (4, 4), (4, 4)),  # patch embed, 32 px
+        ((2, 64, 64, 3), (4, 4), (4, 4)),  # patch embed, 64 px
+        ((3, 8, 8, 5), (2, 2), (2, 2)),  # a merge
+        ((2, 2, 8, 8, 4), (1, 2, 2), (1, 2, 2)),  # a kt = 1 tube
+        ((2, 4, 8, 8, 4), (2, 2, 2), (1, 2, 2)),  # a kt = 2 merge: overlapping frames
+    ],
+    ids=["image32", "image64", "map", "tube", "overlapping_tube"],
+)
+def test_unfold_bytes_equal_the_slice_loop(shape, kernel, stride, dtype):
+    """Both directions, with -0.0 entries in the upstream gradient: a sum
+    into zeros returns them as +0.0, and so must ``unfold``'s backward."""
+    rng = np.random.default_rng(sum(shape))
+    x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    ref_cols, ref_backward = _unfold_by_slices(x.data, kernel, stride)
+    cols = ops.unfold(x, kernel, stride)
+    assert cols.data.dtype == dtype and cols.data.tobytes() == ref_cols.tobytes()
+    g = rng.normal(size=cols.shape).astype(dtype)
+    g.reshape(-1)[:: max(1, g.size // 7)] = -0.0
+    gx = backward_from([cols], [g])[x]
+    assert gx.tobytes() == ref_backward(g).tobytes()
+
+
 def test_unfold_kernel_rank_must_match_input():
     x = Tensor(np.zeros((1, 4, 4, 2)))
     with pytest.raises(ValueError, match="middle axes"):
@@ -439,6 +484,23 @@ class TestAttention:
         _, x, leaves, grad_out = self._case(24, (1, 1), dtype)
         return x, leaves, lambda: Tensor(np.zeros((1, 1, 1, 1), dtype)), grad_out, None
 
+    def _text13_case(self, dtype):
+        """Two captions of 13 tokens, one with trailing PAD: each head's
+        products run over 13 keys, an odd count the other cases miss."""
+        _, x, leaves, grad_out = self._case(25, (2, 13), dtype)
+        valid = np.arange(13) < np.array([[13], [9]])
+        mask = Tensor((~valid[:, None, None, :]).astype(dtype) * -1e9)
+        return x, leaves, lambda: mask, grad_out, None
+
+    def _windows1024_case(self, dtype):
+        """Sixty-four 16x16 maps in 4x4 windows: 1,024 windows of 16 tokens,
+        the stack the 64 px tower's first stage runs at batch 64."""
+        from florence_mini.encoders.model import relative_index
+
+        rng, x, leaves, grad_out = self._case(26, (64, 16, 16), dtype)
+        table = leaves["table"] = Tensor(rng.normal(size=(49, self.HEADS)).astype(dtype), requires_grad=True)
+        return x, leaves, lambda: ops.transpose(ops.embedding(table, relative_index(4)), (2, 0, 1)), grad_out, 4
+
     def _run(self, attend, case):
         x, leaves, bias, grad_out, window = case
         y = attend(x, leaves, self.HEADS, bias(), window)
@@ -447,7 +509,7 @@ class TestAttention:
 
     @pytest.mark.parametrize("mode", PRECISION_MODES)
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("case", ["window", "text", "full", "one_token"])
+    @pytest.mark.parametrize("case", ["window", "text", "full", "one_token", "text13", "windows1024"])
     def test_bytes_equal_the_composed_ops(self, case, dtype, mode):
         make = getattr(self, f"_{case}_case")
         with precision_policy(mode):

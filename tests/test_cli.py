@@ -379,16 +379,40 @@ class TestPipelineCommands:
         assert code == 2
         assert "held-out split is empty" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["zero-shot", "linear-probe", "few-shot", "retrieval"])
-    def test_labelled_evals_name_a_record_without_a_class(self, pipeline, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, source",
+        [
+            *(pytest.param(command, None, id=command) for command in ("zero-shot", "linear-probe", "few-shot", "retrieval")),
+            *(
+                pytest.param(command, source, id=f"{command}-{source}")
+                for command in ("zero-shot", "linear-probe", "few-shot")
+                for source in ("index-past-end", "negative-index", "wrong-word", "word-index")
+            ),
+        ],
+    )
+    def test_labelled_evals_name_a_record_without_a_class(self, pipeline, tmp_path, capsys, command, source):
         """`source` is optional in records.jsonl, and only a synthetic
         record's names its class. An eval that scores by class refuses the
-        first record it would score without one; retrieval reads no labels."""
+        first record it would score without one (or with an index that is
+        not an integer), or whose ``class:i:word`` names no class of
+        classes.txt: ``i`` outside it, or ``word`` not class ``i``'s name.
+        Retrieval reads no labels."""
         data = tmp_path / "data"
         shutil.copytree(pipeline / "data", data)
-        lines = (data / "records.jsonl").read_text().splitlines()
-        unlabelled = [{k: v for k, v in json.loads(line).items() if k != "source"} for line in lines]
-        (data / "records.jsonl").write_text("".join(json.dumps(d) + "\n" for d in unlabelled))
+        classes = (data / "classes.txt").read_text().split()
+        sources = {
+            None: None,
+            "index-past-end": f"class:{len(classes)}:{classes[0]}",
+            "negative-index": f"class:-1:{classes[-1]}",  # classes[-1] would be a name
+            "wrong-word": f"class:0:{classes[1]}",
+            "word-index": f"class:one:{classes[1]}",
+        }
+        records = [json.loads(line) for line in (data / "records.jsonl").read_text().splitlines()]
+        for d in records:
+            d.pop("source", None)
+            if sources[source] is not None:
+                d["source"] = sources[source]
+        (data / "records.jsonl").write_text("".join(json.dumps(d) + "\n" for d in records))
         extra = {"few-shot": ["--way", "3", "--shot", "2", "--episodes", "2"], "linear-probe": ["--probe-epochs", "2"]}
         out = tmp_path / "out"
         code = main(
@@ -400,9 +424,13 @@ class TestPipelineCommands:
             return
         err = capsys.readouterr().err
         assert code == 2 and not out.exists()
-        named = re.search(rf"{re.escape(str(data / 'records.jsonl'))}: record '(\S+)' has no class label", err)
+        problem = (
+            "has no class label" if source in (None, "word-index")
+            else f"names class .* \\(source '{re.escape(sources[source])}'\\)"
+        )
+        named = re.search(rf"{re.escape(str(data / 'records.jsonl'))}: record '(\S+)' {problem}", err)
         assert named, err
-        ids = [d["id"] for d in unlabelled]
+        ids = [d["id"] for d in records]
         assert named[1] == ids[0] if command != "zero-shot" else named[1] in ids
 
     @pytest.mark.parametrize("flag", ["--way", "--shot", "--episodes"])

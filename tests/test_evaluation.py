@@ -394,10 +394,12 @@ class TestStackedEpisodeHeads:
             assert w[i].tobytes() == ref_w.tobytes()
             assert b[i, 0].tobytes() == ref_b.tobytes()
 
-    @pytest.mark.parametrize("way", range(1, 8))
+    @pytest.mark.parametrize("way", [*range(1, 8), 8, 9, 16])
     def test_heads_byte_equal_to_the_reduce_max_loop(self, way):
-        """Every head width, with a NaN feature in one episode; that
-        episode's head turns NaN exactly as the reference's does."""
+        """Every head width below 8, where the softmax runs over class
+        columns, and three from 8 on, where numpy's row sum runs in 8 lanes;
+        with a NaN feature in one episode, whose head turns NaN exactly as
+        the reference's does."""
         rng = np.random.default_rng(40 + way)
         x = rng.normal(size=(4, way * 3, 6))
         x[2, 1, 4] = np.nan
