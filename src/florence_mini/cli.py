@@ -209,27 +209,17 @@ def _class_names(args) -> list[str]:
 
 def _record_labels(records, records_path: Path, class_names: list[str]) -> np.ndarray:
     """Each record's class index from its source ``class:i:word``, checked
-    against classes.txt: ``i`` must index it and ``word`` be that class's
-    name. The first record that fails is named."""
+    against classes.txt (``class_of_record``). The first record that fails
+    is named with ``records_path``."""
     labels = []
     for r in records:
         try:
-            label = class_of_record(r)
-        except ValueError:  # an index that is not an integer
-            label = None
+            label = class_of_record(r, class_names)
+        except ValueError as e:
+            raise ValueError(f"{records_path}: {e}") from None
         if label is None:
             raise ValueError(
                 f"{records_path}: record {r.id!r} has no class label (source {r.source!r}, not class:i:word)"
-            )
-        if not 0 <= label < len(class_names):
-            raise ValueError(
-                f"{records_path}: record {r.id!r} names class {label} (source {r.source!r}), "
-                f"but classes.txt has {len(class_names)} classes"
-            )
-        if r.source.split(":", 2)[2:] != [class_names[label]]:
-            raise ValueError(
-                f"{records_path}: record {r.id!r} names class {label} (source {r.source!r}), "
-                f"which classes.txt names {class_names[label]!r}"
             )
         labels.append(label)
     return np.array(labels)

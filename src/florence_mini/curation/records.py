@@ -163,11 +163,30 @@ def read_triplets_jsonl(path) -> list[Triplet]:
     ]
 
 
-def class_of_record(record: RawRecord) -> int | None:
-    """Ground-truth class index for synthetic records (source "class:i:word")."""
-    if record.source.startswith("class:"):
-        return int(record.source.split(":")[1])
-    return None
+def class_of_record(record: RawRecord, class_names: list[str]) -> int | None:
+    """Ground-truth class index of a synthetic record, whose source is
+    "class:i:word"; None when the source has another form or ``i`` is not an
+    integer. Raises ValueError, naming the record, when ``i`` does not index
+    ``class_names`` (the data set's classes.txt) or ``word`` is not
+    ``class_names[i]``."""
+    parts = record.source.split(":", 2)
+    if len(parts) != 3 or parts[0] != "class":
+        return None
+    try:
+        label = int(parts[1])
+    except ValueError:
+        return None
+    if not 0 <= label < len(class_names):
+        raise ValueError(
+            f"record {record.id!r} names class {label} (source {record.source!r}), "
+            f"but classes.txt has {len(class_names)} classes"
+        )
+    if parts[2] != class_names[label]:
+        raise ValueError(
+            f"record {record.id!r} names class {label} (source {record.source!r}), "
+            f"which classes.txt names {class_names[label]!r}"
+        )
+    return label
 
 
 def holdout_ids(ids: list[str], fraction: float, seed: int) -> set[str]:

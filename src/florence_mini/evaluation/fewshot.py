@@ -39,31 +39,6 @@ class EpisodeEvalResult:
     per_episode: np.ndarray
 
 
-def _softmax_classes(logits: np.ndarray) -> np.ndarray:
-    """``_softmax_rows(logits)``, byte for byte; below 8 classes, one class
-    column at a time.
-
-    numpy's reduce pays a per-row cost over rows only a few classes wide.
-    Column-slice maxima are exact in any order, and below 8 terms numpy sums
-    a row in sequence, first to last, as the column adds do, so the bytes
-    are the row form's. From 8 terms on numpy sums in 8 interleaved lanes,
-    so wider heads keep ``_softmax_rows``.
-    """
-    k = logits.shape[-1]
-    if k >= 8:
-        return _softmax_rows(logits)
-    m = logits[..., 0].copy()
-    for j in range(1, k):
-        np.maximum(m, logits[..., j], out=m)
-    e = logits - m[..., None]
-    np.exp(e, out=e)
-    total = e[..., 0].copy()
-    for j in range(1, k):
-        total += e[..., j]
-    e /= total[..., None]
-    return e
-
-
 def _train_linear_heads(
     x: np.ndarray, y: np.ndarray, n_classes: int, epochs: int, lr: float, momentum: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -72,9 +47,8 @@ def _train_linear_heads(
     x is (E, n, d) and y (n,), the labels every episode's rows share; returns
     weights (E, d, n_classes) and biases (E, 1, n_classes). The stacked
     matmul makes each episode's product as the 2-D one would, so every head
-    is byte-equal to training it alone. The softmax runs over class columns
-    (``_softmax_classes``) and the momentum buffers update in place; both
-    keep every byte of the row-softmax, out-of-place form.
+    is byte-equal to training it alone. The momentum buffers update in
+    place, which keeps every byte of the out-of-place form.
     """
     e, n, d = x.shape
     w = np.zeros((e, d, n_classes))
@@ -84,7 +58,7 @@ def _train_linear_heads(
     onehot = np.eye(n_classes)[y]
     xt = x.transpose(0, 2, 1)
     for _ in range(epochs):
-        g = _softmax_classes(x @ w + b)
+        g = _softmax_rows(x @ w + b)
         g -= onehot
         g /= n
         vw *= momentum

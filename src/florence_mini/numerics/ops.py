@@ -319,16 +319,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 def _row_max(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1, keepdims=True)`` from elementwise ``np.maximum``
-    halvings of the last axis (an odd row folds its last entry into the
-    first).
+    calls: halvings of the last axis (an odd row folds its last entry into
+    the first), or one column at a time for rows narrower than 8.
 
     numpy's reduce costs more per element over short rows than the whole
     rest of a softmax. A maximum is exact in any order, so the values are
     the reduce's, with NaN in the same places; only the sign of a zero tied
     with a zero of the other sign can differ, and ``x - m`` followed by
-    ``exp`` cannot see it. Rows of length 1 return ``x`` itself.
+    ``exp`` cannot see it. Rows of length 1 return ``x`` itself. A column
+    slice is one strided pass, where a halving's 2-wide slices pay numpy's
+    per-row cost again (3x the time at 5 columns).
     """
     m, n = x, x.shape[-1]
+    if 1 < n < 8:
+        m = np.maximum(x[..., :1], x[..., 1:2])
+        for j in range(2, n):
+            np.maximum(m, x[..., j : j + 1], out=m)
+        return m
     while n > 1:
         h = n // 2
         half = np.maximum(m[..., :h], m[..., h : 2 * h])
@@ -339,10 +346,24 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    """exp(x - max) / sum over the last axis, in one fresh array."""
+    """exp(x - max) / sum over the last axis, in one fresh array.
+
+    Below 8 terms numpy sums a contiguous row in sequence, first to last, so
+    there the denominator is a running sum over column slices, which skips
+    the reduce's per-row cost (the few-shot heads' rows are 5 classes wide)
+    and keeps its bytes. From 8 terms on numpy sums in 8 interleaved lanes,
+    so wider rows keep the reduce.
+    """
     e = x - _row_max(x)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    if n < 8:
+        total = e[..., :1].copy()
+        for j in range(1, n):
+            total += e[..., j : j + 1]
+    else:
+        total = e.sum(axis=-1, keepdims=True)
+    e /= total
     return e
 
 

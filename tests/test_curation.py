@@ -1,5 +1,7 @@
 """Curation: dedup, size filter, label table, augmentation, streams, synth."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from florence_mini.curation import (
     average_hash,
     augment_prompt,
     build_text_hash_table,
+    class_of_record,
     class_prototype,
     curate,
     dedup_near_duplicates,
@@ -321,6 +324,23 @@ class TestSyntheticCorpus:
         for r in records:
             cls_word = r.source.split(":")[2]
             assert cls_word in r.text
+
+    def test_class_of_record_checks_the_class_names(self, tmp_path):
+        """Every synthetic record reads back its own class. A source of
+        another form, or whose index is not an integer, has none; an index
+        outside the names, or a word that is not that class's name, raises
+        naming the record."""
+        records, names = generate_synthetic_dataset(tmp_path, num_classes=3, per_class=2)
+        assert [class_of_record(r, names) for r in records] == [0, 0, 1, 1, 2, 2]
+        for source in ("", "web", "class:1", f"label:1:{names[1]}", f"class:one:{names[1]}"):
+            assert class_of_record(RawRecord("r", "x", "t", source), names) is None
+        for source, problem in (
+            (f"class:3:{names[0]}", "but classes.txt has 3 classes"),
+            (f"class:-1:{names[2]}", "but classes.txt has 3 classes"),
+            (f"class:0:{names[1]}", f"which classes.txt names {names[0]!r}"),
+        ):
+            with pytest.raises(ValueError, match=f"record 'r' names class .*{re.escape(problem)}"):
+                class_of_record(RawRecord("r", "x", "t", source), names)
 
     def test_determinism(self, tmp_path):
         r1, _ = generate_synthetic_dataset(tmp_path / "a", num_classes=2, per_class=4, seed=9)

@@ -396,8 +396,8 @@ class TestStackedEpisodeHeads:
 
     @pytest.mark.parametrize("way", [*range(1, 8), 8, 9, 16])
     def test_heads_byte_equal_to_the_reduce_max_loop(self, way):
-        """Every head width below 8, where the softmax runs over class
-        columns, and three from 8 on, where numpy's row sum runs in 8 lanes;
+        """Every head width below 8, where the softmax sums its denominator
+        over class columns, and three from 8 on, where numpy's row sum runs in 8 lanes;
         with a NaN feature in one episode, whose head turns NaN exactly as
         the reference's does."""
         rng = np.random.default_rng(40 + way)
