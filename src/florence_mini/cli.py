@@ -296,9 +296,16 @@ def cmd_eval_few_shot(args, out):
 
 
 def cmd_eval_regions(args, out):
+    """Label each box of --boxes on --image. --image must be the image of a
+    record of --data, and every box's image_id that record's id."""
+    records_path = Path(args.data) / "records.jsonl"
+    image = str(Path(args.image).resolve())
+    image_ids = {r.id for r in read_records_jsonl(records_path) if r.image_path == image}
+    if not image_ids:
+        raise ValueError(f"--image {args.image} is the image of no record of {records_path}")
+    boxes = read_boxes_jsonl(args.boxes, image_ids)
     model = load_model_checkpoint(args.checkpoint)
     class_names = _class_names(args)
-    boxes = read_boxes_jsonl(args.boxes)
     rankings = classify_regions(model, load_image(args.image), boxes, build_prompt_sets(model, class_names))
     write_jsonl(
         out / "region_labels.jsonl",
@@ -312,7 +319,8 @@ def cmd_eval_regions(args, out):
             for box, ranked in zip(boxes, rankings)
         ),
     )
-    return [args.boxes, args.image], [out / "region_labels.jsonl"], f"regions: labeled {len(boxes)} boxes"
+    inputs = [records_path, args.boxes, args.image]
+    return inputs, [out / "region_labels.jsonl"], f"regions: labeled {len(boxes)} boxes"
 
 
 def cmd_inflate(args, out):

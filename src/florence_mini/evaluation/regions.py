@@ -3,12 +3,14 @@ classification of every crop (proposal generation stays out of scope)."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass
+from typing import Collection
 
 import numpy as np
 
 from ..imaging import crop_box, resize_bilinear
-from ..jsonl import read_jsonl, write_jsonl
+from ..jsonl import numbered_jsonl, write_jsonl
 from .zero_shot import class_scores, rank_scores
 
 
@@ -21,9 +23,22 @@ class Box:
     y1: int
 
 
-def read_boxes_jsonl(path) -> list[Box]:
+def read_boxes_jsonl(path, image_ids: Collection[str] | None = None) -> list[Box]:
+    """Boxes, one per line. A coordinate that is not a JSON integer, or an
+    ``image_id`` outside ``image_ids`` when it is given, raises ValueError
+    naming ``<path> line <n>``."""
     keys = ("image_id", "x0", "y0", "x1", "y1")
-    return [Box(*(d[k] for k in keys)) for d in read_jsonl(path, keys=keys)]
+    boxes = []
+    for n, d in numbered_jsonl(path, keys=keys):
+        for k in keys[1:]:
+            if type(d[k]) is not int:
+                raise ValueError(f"{path} line {n}: {k} must be a JSON integer, got {json.dumps(d[k])}")
+        if image_ids is not None and d["image_id"] not in image_ids:
+            raise ValueError(
+                f"{path} line {n}: image_id {d['image_id']!r} is not the image's record ({', '.join(sorted(image_ids))})"
+            )
+        boxes.append(Box(*(d[k] for k in keys)))
+    return boxes
 
 
 def write_boxes_jsonl(path, boxes: list[Box]) -> None:

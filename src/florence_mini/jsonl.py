@@ -6,13 +6,12 @@ from __future__ import annotations
 import json
 
 
-def read_jsonl(path, keys=()) -> list[dict]:
-    """Parse each non-blank line as a JSON object holding every name in ``keys``.
+def numbered_jsonl(path, keys=()):
+    """Yield ``(n, row)`` for each non-blank line ``n`` (1-based, blank
+    lines counted), parsed as a JSON object holding every name in ``keys``.
 
-    A malformed line raises ValueError naming ``<path> line <n>``, with
-    blank lines counted in ``n``.
+    A malformed line raises ValueError naming ``<path> line <n>``.
     """
-    rows = []
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
@@ -26,8 +25,12 @@ def read_jsonl(path, keys=()) -> list[dict]:
             missing = [k for k in keys if k not in row]
             if missing:
                 raise ValueError(f"{path} line {n}: missing key {missing[0]!r}")
-            rows.append(row)
-    return rows
+            yield n, row
+
+
+def read_jsonl(path, keys=()) -> list[dict]:
+    """Every row of ``numbered_jsonl(path, keys)``, without line numbers."""
+    return [row for _, row in numbered_jsonl(path, keys)]
 
 
 def write_jsonl(path, rows, mode: str = "w") -> None:

@@ -13,7 +13,6 @@ from .optim import OptimizerState, adamw_step, cosine_lr, init_optimizer_state
 from .precision import half_grid, precision_policy
 from .tensor import (
     ActivationMeter,
-    Gradients,
     TapeNode,
     Tensor,
     activation_meter,
@@ -28,7 +27,6 @@ from . import ops
 __all__ = [
     "ActivationMeter",
     "FiniteDifferenceReport",
-    "Gradients",
     "OptimizerState",
     "TapeNode",
     "Tensor",

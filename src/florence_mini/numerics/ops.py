@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .precision import apply_policy, current_snap
-from .tensor import FLOAT_DTYPES, Tensor
+from .tensor import Tensor
 from .tensor import record as _record
 
 _GELU_K0 = math.sqrt(2.0 / math.pi)
@@ -30,11 +30,6 @@ _GELU_K1 = 0.044715
 # scalars per row tile of ``mlp``'s gelu chain: 256 KiB of float64, so a
 # tile and its few temporaries stay in a core's L2
 _GELU_TILE = 1 << 15
-
-
-def _check_float(t: Tensor, op: str) -> None:
-    if t.data.dtype.type not in FLOAT_DTYPES:
-        raise TypeError(f"{op} requires a floating tensor, got {t.data.dtype}")
 
 
 def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
@@ -88,7 +83,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a Python scalar, preserving dtype in both directions."""
-    _check_float(a, "scale")
     c = a.data.dtype.type(c)
 
     def backward(g, saved):
@@ -98,7 +92,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    _check_float(a, "exp")
     out = np.exp(a.data)
 
     def backward(g, saved):
@@ -109,8 +102,6 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    _check_float(a, "log")
-
     def backward(g, saved):
         (x,) = saved
         return (g / x,)
@@ -167,7 +158,6 @@ def gelu(a: Tensor) -> Tensor:
     sum keeps the operands and order of the plain formula in
     ``_gelu_grad``'s docstring, so the bytes equal that formula's.
     """
-    _check_float(a, "gelu")
     t = _gelu_tanh(a.data)
 
     def backward(g, saved):
@@ -206,7 +196,6 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def tensor_sum(a: Tensor, axis=None) -> Tensor:
-    _check_float(a, "sum")
     shape = a.shape
     norm_axis = axis if axis is None else (tuple(axis) if isinstance(axis, (tuple, list)) else (axis,))
 
@@ -374,7 +363,6 @@ def softmax(a: Tensor) -> Tensor:
     full storage precision, and the output never snaps to the binary16
     grid.
     """
-    _check_float(a, "softmax")
     out = _softmax_rows(a.data)
 
     def backward(g, saved):
@@ -438,7 +426,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
     """Scale rows (last axis) to unit Euclidean norm."""
-    _check_float(a, "l2_normalize")
     x = a.data
     n = np.sqrt((x * x).sum(axis=-1, keepdims=True) + eps)
     out = x / n
@@ -694,7 +681,6 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather: out[..., :] = table[ids[...]]; scatter-add backward."""
-    _check_float(table, "embedding")
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
         raise TypeError("embedding ids must be integers")

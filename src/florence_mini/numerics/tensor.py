@@ -17,15 +17,11 @@ bit-identical outputs and gradients.
 from __future__ import annotations
 
 import contextlib
-import itertools
 from typing import Callable, Iterable
 
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
-SUPPORTED_DTYPES = (np.float32, np.float64, np.uint8)
-
-_serial = itertools.count()
 
 
 class ActivationMeter:
@@ -119,14 +115,16 @@ class TapeNode:
 
 
 class Tensor:
-    """Immutable-by-convention dense array, optionally on the tape.
+    """Immutable-by-convention dense float32 or float64 array, optionally
+    on the tape.
 
     ``data`` is a row-major numpy array; ``requires_grad`` marks leaves that
     should receive gradients; ``node`` links a non-leaf to the operation
-    that produced it.
+    that produced it. A Tensor hashes by identity, so gradients are keyed by
+    the leaf itself; ``name`` is only a label.
     """
 
-    __slots__ = ("data", "requires_grad", "node", "name", "_uid")
+    __slots__ = ("data", "requires_grad", "node", "name")
 
     def __init__(
         self,
@@ -136,20 +134,12 @@ class Tensor:
         name: str | None = None,
     ) -> None:
         arr = np.asarray(data)
-        if arr.dtype.type not in SUPPORTED_DTYPES:
-            if np.issubdtype(arr.dtype, np.floating):
-                arr = arr.astype(np.float64)
-            elif np.issubdtype(arr.dtype, np.integer):
-                raise TypeError(f"unsupported tensor dtype {arr.dtype}; use uint8 or a float type")
-            else:
-                arr = arr.astype(np.float64)
-        if requires_grad and arr.dtype.type not in FLOAT_DTYPES:
-            raise TypeError("gradient-bearing tensors must have a floating dtype")
+        if arr.dtype.type not in FLOAT_DTYPES:
+            raise TypeError(f"a Tensor holds a floating dtype, float32 or float64; got {arr.dtype}")
         self.data = arr
         self.requires_grad = requires_grad
         self.node = node
         self.name = name
-        self._uid = name if name is not None else f"#{next(_serial)}"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -162,10 +152,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def uid(self) -> str:
-        return self._uid
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -189,36 +175,6 @@ def record(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
     if grad_enabled() and any(t.requires_grad or t.node is not None for t in inputs):
         return Tensor(out, node=TapeNode(op, tuple(inputs), tuple(saved), backward_fn))
     return Tensor(out)
-
-
-class Gradients:
-    """Gradient map keyed by leaf tensor (or its uid string)."""
-
-    def __init__(self) -> None:
-        self._by_uid: dict[str, np.ndarray] = {}
-
-    def _key(self, key) -> str:
-        return key.uid if isinstance(key, Tensor) else key
-
-    def __contains__(self, key) -> bool:
-        return self._key(key) in self._by_uid
-
-    def __getitem__(self, key) -> np.ndarray:
-        return self._by_uid[self._key(key)]
-
-    def get(self, key, default=None):
-        return self._by_uid.get(self._key(key), default)
-
-    def items(self):
-        return self._by_uid.items()
-
-    def __len__(self) -> int:
-        return len(self._by_uid)
-
-    def accumulate(self, key, grad: np.ndarray) -> None:
-        uid = self._key(key)
-        prev = self._by_uid.get(uid)
-        self._by_uid[uid] = grad if prev is None else prev + grad
 
 
 def _toposort(roots: Iterable[Tensor]) -> list[Tensor]:
@@ -265,8 +221,9 @@ def _visit(node: TapeNode, g: np.ndarray, grad_table: dict[int, np.ndarray]) -> 
             grad_table[id(inp)] = ig
 
 
-def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Gradients:
-    """Reverse-mode sweep seeded with explicit output gradients.
+def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict[Tensor, np.ndarray]:
+    """Reverse-mode sweep seeded with explicit output gradients; returns
+    the gradient of every requires-grad leaf reached, keyed by the leaf.
 
     Supports non-scalar outputs; this is the injection point used by the
     gradient cache (embedding-level gradients pushed into a recorded chunk).
@@ -291,7 +248,7 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Grad
             grad_table[id(out)] = g.copy()
 
     order = _toposort(outputs)
-    result = Gradients()
+    result: dict[Tensor, np.ndarray] = {}
     while order:
         t = order.pop()
         g = grad_table.pop(id(t), None)
@@ -299,7 +256,7 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Grad
             continue
         if t.node is None:
             if t.requires_grad:
-                result.accumulate(t.uid, g)
+                result[t] = g
             continue
         # no backward rule reads its own output through the tensor
         node, t = t.node, None
@@ -307,7 +264,7 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> Grad
     return result
 
 
-def evaluate_and_backward(root: Tensor) -> Gradients:
+def evaluate_and_backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Gradients of a scalar root with respect to every requires-grad leaf."""
     if root.data.ndim != 0 and root.data.size != 1:
         raise ValueError(f"backward root must be scalar, got shape {root.data.shape}")

@@ -49,8 +49,8 @@ def checkpointed(fn: Callable[..., Tensor], x: Tensor, *params: Tensor) -> Tenso
                 "checkpointed block is non-deterministic: recompute does not match stored output"
             )
         grads = backward_from([recomputed], [grad_out])
-        given = {leaf.uid for leaf in leaves}
-        stray = [uid for uid, _ in grads.items() if uid not in given]
+        given = set(leaves)
+        stray = [t.name or repr(t) for t in grads if t not in given]
         if stray:
             raise RuntimeError(f"checkpointed block reached leaves it was not given: {stray}; pass them as inputs")
         return tuple(grads.get(leaf) if flag else None for leaf, flag in zip(leaves, live))

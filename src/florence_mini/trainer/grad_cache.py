@@ -33,7 +33,7 @@ def monolithic_gradients(
     v = model.encode_text(ids)
     loss = unicl_loss_op(u, v, model.tau_param, labels)
     g = evaluate_and_backward(loss)
-    grads = {name: g[name] for name in model.params if name in g}
+    grads = {name: g[t] for name, t in model.params.items() if t in g}
     return float(loss.data), grads
 
 
@@ -88,8 +88,8 @@ def gradient_cache_gradients(
                         "non-deterministic encoder forward"
                     )
             chunk_grads = backward_from([u_c, v_c], [res.grad_u[rows], res.grad_v[rows]])
-        for name in model.params:
-            g = chunk_grads.get(name)
+        for name, t in model.params.items():
+            g = chunk_grads.get(t)
             if g is None:
                 continue
             if name in grads:

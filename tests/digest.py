@@ -15,11 +15,12 @@ config, seed) writes or computes must repeat exactly.
 
     python tests/digest.py OUT
 
-runs the pipeline into the fresh directory OUT and prints the per-file table,
-the tensor rows, the gradient rows, then the root digest to stdout. The
+runs the pipeline into the fresh directory OUT and prints the file, tensor
+and gradient rows, sorted by name, then the root digest to stdout. The
 commands' own messages, which name OUT, go to stderr. So two trees write the
 same bytes and compute the same gradients when their stdout is equal (`diff`
-of the two is empty), whatever OUT each was given.
+of the two is empty), whatever OUT each was given and in whatever order each
+builds its tables.
 """
 
 from __future__ import annotations
@@ -151,6 +152,6 @@ if __name__ == "__main__":
     with contextlib.redirect_stdout(sys.stderr):  # keep the commands' messages out of the table
         pipeline(out)
         table = {**digest_table(out), **tensor_table(out), **gradient_table(out)}
-    for name, h in table.items():
+    for name, h in sorted(table.items()):
         print(f"{h}  {name}")
     print(f"{root_digest(table)}  <root>")

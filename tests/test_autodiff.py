@@ -845,7 +845,7 @@ class TestTapeSemantics:
             b = Tensor(b0.copy(), requires_grad=True, name="b")
             out = ops.tensor_sum(ops.gelu(ops.matmul(ops.layer_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4))), b)))
             g = evaluate_and_backward(out)
-            return out.data.copy(), g["a"].copy(), g["b"].copy()
+            return out.data.copy(), g[a].copy(), g[b].copy()
 
         o1, ga1, gb1 = run()
         o2, ga2, gb2 = run()
@@ -866,6 +866,16 @@ class TestTapeSemantics:
         g = evaluate_and_backward(ops.add(sq, sq))
         assert g[x] == pytest.approx(8.0, abs=0)
 
+    def test_leaves_sharing_a_name_get_their_own_gradients(self):
+        """Gradients are keyed by the leaf, not its name: for sum(a * b) with
+        a and b both named "w", a gets b and b gets a, not both their sum."""
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="w")
+        b = Tensor(np.array([10.0, 20.0]), requires_grad=True, name="w")
+        g = evaluate_and_backward(ops.tensor_sum(ops.mul(a, b)))
+        np.testing.assert_array_equal(g[a], [10.0, 20.0])
+        np.testing.assert_array_equal(g[b], [1.0, 2.0])
+        assert len(g) == 2
+
     def test_backward_from_injected_gradient(self):
         """Seeding a non-scalar output with J reproduces d(sum(J*y))/dx."""
         rng = np.random.default_rng(12)
@@ -875,11 +885,11 @@ class TestTapeSemantics:
 
         x = Tensor(x0, requires_grad=True, name="x")
         y = ops.matmul(x, Tensor(w0))
-        g_inj = backward_from([y], [seed])["x"]
+        g_inj = backward_from([y], [seed])[x]
 
         x2 = Tensor(x0, requires_grad=True, name="x2")
         y2 = ops.matmul(x2, Tensor(w0))
-        g_ref = evaluate_and_backward(ops.tensor_sum(ops.mul(y2, Tensor(seed))))["x2"]
+        g_ref = evaluate_and_backward(ops.tensor_sum(ops.mul(y2, Tensor(seed))))[x2]
         assert g_inj.tobytes() == g_ref.tobytes()
 
     def test_meter_counts_saved_then_freed(self):

@@ -293,7 +293,7 @@ class TestPipelineCommands:
             "eval retrieval": report,
             "eval linear-probe": report,
             "eval few-shot": report,
-            "eval regions": (out, 3, [boxes, image], [out / "region_labels.jsonl"]),
+            "eval regions": (out, 3, [data / "records.jsonl", boxes, image], [out / "region_labels.jsonl"]),
             "inflate": (out, None, [ckpt / "manifest.json"], [out / "video-tower"]),
             "memory-report": (out, None, [pipeline / "cur/triplets.jsonl"], [out / "memory_report.json"]),
             "duplicate-captions": (out, [3], [], [out / "duplicate_caption_advantage.json"]),

@@ -195,7 +195,7 @@ class TestImageTower:
             model = TwoTowerModel.create(config, vocab, seed=7)
             emb = model.encode_image(imgs, block_wrapper=wrapper)
             seed = np.random.default_rng(8).normal(size=emb.shape).astype(np.float32)
-            grads.append(dict(backward_from([emb], [seed]).items()))
+            grads.append({t.name: g for t, g in backward_from([emb], [seed]).items()})
         return grads
 
     def test_float32_model_gets_float32_gradients(self, float32_grads):

@@ -126,6 +126,65 @@ class TestWriterBytes:
         assert text == _lines(keyed)
 
 
+class TestRegionBoxes:
+    """A box's coordinates are JSON integers, and ``eval regions`` labels only
+    boxes whose image_id is the record of --image."""
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, "0", True], ids=["float", "integral-float", "string", "bool"])
+    def test_reader_refuses_a_coordinate_that_is_not_an_integer(self, tmp_path, value):
+        path = tmp_path / "boxes.jsonl"
+        bad = {"image_id": "img1", "x0": 2, "y0": value, "x1": 8, "y1": 6}
+        path.write_text(_lines([{"image_id": "img0", "x0": 0, "y0": 0, "x1": 4, "y1": 4}]) + "\n" + _lines([bad]))
+        message = f"{path} line 3: y0 must be a JSON integer, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            read_boxes_jsonl(path)
+
+    @pytest.fixture
+    def regions_args(self, tmp_path, corpus):
+        """A data dir, an untrained checkpoint and argv for `eval regions`
+        on the first record's image, less --boxes and --out."""
+        records, names, _ = corpus
+        (tmp_path / "classes.txt").write_text("\n".join(names) + "\n")
+        write_records_jsonl(tmp_path / "records.jsonl", records)
+        config = ModelConfig()
+        model = TwoTowerModel.create(config, build_vocabulary([r.text for r in records]), seed=0)
+        metadata = {"model_config": config.to_dict(), "vocab": model.vocab.to_list()}
+        save_checkpoint(tmp_path / "ckpt", model.param_arrays(), metadata=metadata)
+        argv = ["eval", "regions", "--checkpoint", str(tmp_path / "ckpt"), "--data", str(tmp_path)]
+        return records, argv
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda records: {"x0": 0.5}, "line 2: x0 must be a JSON integer, got 0.5"),
+            (lambda records: {"x1": "32"}, 'line 2: x1 must be a JSON integer, got "32"'),
+            (lambda records: {"image_id": records[1].id}, "line 2: image_id '{1}' is not the image's record ({0})"),
+        ],
+        ids=["float", "string", "another-record"],
+    )
+    def test_eval_regions_exits_2_naming_the_box_line(self, tmp_path, regions_args, capsys, edit, message):
+        records, argv = regions_args
+        rows = [{"image_id": records[0].id, "x0": 0, "y0": 0, "x1": 32, "y1": 32}] * 2
+        rows[1] = rows[1] | edit(records)
+        boxes, out = tmp_path / "boxes.jsonl", tmp_path / "reg"
+        boxes.write_text(_lines(rows))
+        assert main([*argv, "--image", records[0].image_path, "--boxes", str(boxes), "--out", str(out)]) == 2
+        message = message.format(records[0].id, records[1].id)
+        assert f"error: {boxes} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_regions_refuses_an_image_of_no_record(self, tmp_path, regions_args, capsys):
+        records, argv = regions_args
+        image = tmp_path / "elsewhere.bin"
+        image.write_bytes(Path(records[0].image_path).read_bytes())
+        boxes, out = tmp_path / "boxes.jsonl", tmp_path / "reg"
+        write_boxes_jsonl(boxes, [Box(records[0].id, 0, 0, 32, 32)])
+        assert main([*argv, "--image", str(image), "--boxes", str(boxes), "--out", str(out)]) == 2
+        refused = f"error: --image {image} is the image of no record of {tmp_path / 'records.jsonl'}"
+        assert refused in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReadersSkipBlankLines:
     @staticmethod
     def _with_blanks(path):

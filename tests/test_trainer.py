@@ -154,9 +154,9 @@ def three_pass_gradients(model, images, ids, labels, chunk_size, block_wrapper=N
         u_c = model.encode_image(images[r], block_wrapper=block_wrapper)
         v_c = model.encode_text(ids[r])
         chunk_grads = backward_from([u_c, v_c], [res.grad_u[r], res.grad_v[r]])
-        for name in model.params:
-            if name in chunk_grads:
-                grads[name] = grads[name] + chunk_grads[name] if name in grads else chunk_grads[name]
+        for name, t in model.params.items():
+            if t in chunk_grads:
+                grads[name] = grads[name] + chunk_grads[t] if name in grads else chunk_grads[t]
     return float(res.loss), grads
 
 
@@ -280,8 +280,8 @@ class TestActivationCheckpointing:
 
         g_plain = run(False)
         g_ckpt = run(True)
-        for key in ("w1", "w2"):
-            assert g_plain[key].tobytes() == g_ckpt[key].tobytes()
+        for w in (w1, w2):
+            assert g_plain[w].tobytes() == g_ckpt[w].tobytes()
 
     def test_non_deterministic_block_detected(self):
         state = {"n": 0}
