@@ -21,12 +21,12 @@ import numpy as np
 
 from . import __version__
 from .curation import (
+    ImageFiles,
     class_of_record,
     curate,
     generate_synthetic_dataset,
     holdout_ids,
     load_image,
-    load_images,
     read_records_jsonl,
     read_triplets_jsonl,
     write_records_jsonl,
@@ -228,8 +228,10 @@ def _record_labels(records, records_path: Path, class_names: list[str]) -> np.nd
 def _eval_inputs(args, holdout: bool, labelled: bool = True):
     """Model, class names, eval records (the held-out split when `holdout`),
     their images at the model's input side, and their class labels (None
-    unless `labelled`). A labelled eval refuses a record whose source names
-    no class of classes.txt (``_record_labels``) before it reads an image."""
+    unless `labelled`). The images are an `ImageFiles`, which `embed_images`
+    reads a chunk at a time. A labelled eval refuses a record whose source
+    names no class of classes.txt (``_record_labels``) before it reads an
+    image."""
     model = load_model_checkpoint(args.checkpoint)
     records_path = Path(args.data) / "records.jsonl"
     records = read_records_jsonl(records_path)
@@ -240,7 +242,7 @@ def _eval_inputs(args, holdout: bool, labelled: bool = True):
         if not records:
             raise ValueError(f"held-out split is empty (--holdout-fraction {args.holdout_fraction})")
     labels = _record_labels(records, records_path, class_names) if labelled else None
-    images = load_images([r.image_path for r in records], model.config.image_size)
+    images = ImageFiles([r.image_path for r in records], model.config.image_size)
     return model, class_names, records, images, labels
 
 
@@ -297,16 +299,18 @@ def cmd_eval_few_shot(args, out):
 
 def cmd_eval_regions(args, out):
     """Label each box of --boxes on --image. --image must be the image of a
-    record of --data, and every box's image_id that record's id."""
+    record of --data, and every box's image_id that record's id and its
+    coordinates a non-empty box inside the image."""
     records_path = Path(args.data) / "records.jsonl"
-    image = str(Path(args.image).resolve())
-    image_ids = {r.id for r in read_records_jsonl(records_path) if r.image_path == image}
+    resolved = str(Path(args.image).resolve())
+    image_ids = {r.id for r in read_records_jsonl(records_path) if r.image_path == resolved}
     if not image_ids:
         raise ValueError(f"--image {args.image} is the image of no record of {records_path}")
-    boxes = read_boxes_jsonl(args.boxes, image_ids)
+    image = load_image(args.image)
+    boxes = read_boxes_jsonl(args.boxes, image_ids, image.shape[:2])
     model = load_model_checkpoint(args.checkpoint)
     class_names = _class_names(args)
-    rankings = classify_regions(model, load_image(args.image), boxes, build_prompt_sets(model, class_names))
+    rankings = classify_regions(model, image, boxes, build_prompt_sets(model, class_names))
     write_jsonl(
         out / "region_labels.jsonl",
         (

@@ -75,6 +75,37 @@ def load_images(paths, side: int | None = None) -> np.ndarray:
     return out
 
 
+class ImageFiles:
+    """The images at `paths`, read from disk a slice at a time: ``files[a:b]``
+    is ``load_images(paths[a:b], side)``. A caller that walks the sequence in
+    slices holds one slice of pixels, not all of them.
+
+    Every slice must have the shape of the first one read, as one stack of
+    all the images would, so a slice that differs is refused by its first path.
+    """
+
+    def __init__(self, paths, side: int | None = None):
+        self.paths = list(paths)
+        if not self.paths:
+            raise ValueError("no images to load")
+        self.side = side
+        self._first: tuple[str, tuple] | None = None  # (path, image shape) of the first slice read
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        paths = self.paths[index]
+        images = load_images(paths, self.side)
+        if self._first is None:
+            self._first = (paths[0], images.shape[1:])
+        elif images.shape[1:] != self._first[1]:
+            raise ValueError(
+                f"{paths[0]}: image shape {images.shape[1:]} differs from {self._first[1]} of {self._first[0]}"
+            )
+        return images
+
+
 def image_size(path) -> tuple[int, int]:
     """(H, W) from the container header without loading the payload."""
     shape, _ = read_tensor_header(path)

@@ -10,12 +10,14 @@ from ..numerics.tensor import no_grad
 EVAL_CHUNK = 32  # images per no-grad forward
 
 
-def embed_images(model, images: np.ndarray) -> np.ndarray:
-    """Unit embeddings (N, d) of an image stack (N, H, W, C), from no-grad
-    forwards of at most EVAL_CHUNK images each.
+def embed_images(model, images) -> np.ndarray:
+    """Unit embeddings (N, d) of N images, from no-grad forwards of at most
+    EVAL_CHUNK images each.
 
-    Each row depends on its own image only, so the chunking bounds the
-    forward's working memory without changing any value.
+    `images` is an (N, H, W, C) stack or an `ImageFiles`, which reads each
+    chunk from disk as the loop slices it, so one chunk of pixels is
+    resident at a time. Each row depends on its own image only, so the
+    chunking bounds the working memory without changing any value.
     """
     with no_grad():
         return np.concatenate(

@@ -18,11 +18,12 @@ from ..numerics.ops import _softmax_rows
 
 
 # Episodes whose heads train together in one stack. One stack of all 600
-# protocol episodes raised the eval's peak memory by 11% and ran no faster:
-# the 5-way 5-shot protocol over 1,024 64-d features took 27.7, 30.1, 32.3,
-# 32.3 and 33.9 ms per 100 episodes at blocks of 50, 100, 200, 300 and 600
-# (best of 5, one BLAS thread, one Xeon core).
-EPISODE_BLOCK = 100
+# protocol episodes raised the eval's peak memory by 11% and ran no faster.
+# The 600-episode 5-way 5-shot protocol over 1,024 64-d features took 177,
+# 170, 165, 164, 170 and 180 ms at blocks of 30, 40, 50, 60, 75 and 100
+# (best of 5, one BLAS thread, one Xeon core), with every per-episode
+# accuracy byte-equal; 50 and 60 tie, and 50 keeps the smaller stack.
+EPISODE_BLOCK = 50
 
 # Queries scored per class (fewer when a class runs short) and the adapter
 # head's momentum-SGD budget.

@@ -23,10 +23,14 @@ class Box:
     y1: int
 
 
-def read_boxes_jsonl(path, image_ids: Collection[str] | None = None) -> list[Box]:
-    """Boxes, one per line. A coordinate that is not a JSON integer, or an
-    ``image_id`` outside ``image_ids`` when it is given, raises ValueError
-    naming ``<path> line <n>``."""
+def read_boxes_jsonl(
+    path, image_ids: Collection[str] | None = None, image_size: tuple[int, int] | None = None
+) -> list[Box]:
+    """Boxes, one per line. A coordinate that is not a JSON integer, an
+    ``image_id`` outside ``image_ids`` when it is given, or, when the image's
+    (H, W) ``image_size`` is given, a box that is empty or leaves
+    ``0 <= x0 < x1 <= W``, ``0 <= y0 < y1 <= H`` raises ValueError naming
+    ``<path> line <n>``."""
     keys = ("image_id", "x0", "y0", "x1", "y1")
     boxes = []
     for n, d in numbered_jsonl(path, keys=keys):
@@ -37,7 +41,15 @@ def read_boxes_jsonl(path, image_ids: Collection[str] | None = None) -> list[Box
             raise ValueError(
                 f"{path} line {n}: image_id {d['image_id']!r} is not the image's record ({', '.join(sorted(image_ids))})"
             )
-        boxes.append(Box(*(d[k] for k in keys)))
+        box = Box(*(d[k] for k in keys))
+        if image_size is not None:
+            h, w = image_size
+            coords = (box.x0, box.y0, box.x1, box.y1)
+            if box.x1 <= box.x0 or box.y1 <= box.y0:
+                raise ValueError(f"{path} line {n}: zero-area box {coords}")
+            if not (0 <= box.x0 and box.x1 <= w and 0 <= box.y0 and box.y1 <= h):
+                raise ValueError(f"{path} line {n}: box {coords} outside image {w}x{h}")
+        boxes.append(box)
     return boxes
 
 

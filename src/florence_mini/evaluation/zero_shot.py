@@ -57,17 +57,18 @@ def zero_shot_classify(model, image: np.ndarray, class_embeddings: np.ndarray) -
     return [(int(c), float(scores[c])) for c in order]
 
 
-def class_scores(model, images: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
-    """Cosine scores (N, num_classes) of an image stack against each class,
-    row by row the matrix-vector product zero_shot_classify takes (a GEMM
-    over all rows could differ from it in the last bit)."""
+def class_scores(model, images, class_embeddings: np.ndarray) -> np.ndarray:
+    """Cosine scores (N, num_classes) of N images (as `embed_images` takes
+    them) against each class, row by row the matrix-vector product
+    zero_shot_classify takes (a GEMM over all rows could differ from it in
+    the last bit)."""
     if len(class_embeddings) == 0:
         raise ValueError("class list is empty")
     return (class_embeddings @ embed_images(model, images)[:, :, None])[..., 0]
 
 
-def zero_shot_classify_batch(model, images: np.ndarray, class_embeddings: np.ndarray) -> np.ndarray:
-    """Ranked class indices (N, num_classes) for an image stack."""
+def zero_shot_classify_batch(model, images, class_embeddings: np.ndarray) -> np.ndarray:
+    """Ranked class indices (N, num_classes) for N images (as `embed_images` takes them)."""
     return rank_scores(class_scores(model, images, class_embeddings))
 
 

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .curation import curate, generate_synthetic_dataset, holdout_ids, load_images
+from .curation import ImageFiles, curate, generate_synthetic_dataset, holdout_ids
 from .evaluation import embed_images, embed_texts, retrieval_recall
 from .trainer import TrainConfig, run_two_stage_training
 
 
 def _encode_pairs(model, records) -> tuple[np.ndarray, np.ndarray]:
-    images = load_images([r.image_path for r in records])
+    images = ImageFiles([r.image_path for r in records])
     return embed_images(model, images), embed_texts(model, [r.text for r in records])
 
 

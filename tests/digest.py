@@ -1,7 +1,8 @@
 """Byte-identity digest of a short CLI pipeline and of one gradient step.
 
 `pipeline(root)` runs synth, curate, two `train` runs, the four record evals,
-`inflate` and `memory-report` under `root`. `digest_table(root)` gives the
+`eval regions` on a 3-box file for the first record's image, `inflate` and
+`memory-report` under `root`. `digest_table(root)` gives the
 sha256 of every file under `root`, with two kinds of bytes masked: the values
 of the wall-time fields, and the absolute `root` wherever it starts a path.
 `tensor_table(root)` gives, for every checkpoint directory under `root`, the
@@ -35,9 +36,16 @@ MASKED_FIELDS = ("step_time_s", "wall_clock_s")
 _TIMING = re.compile(rb'("(?:' + b"|".join(f.encode() for f in MASKED_FIELDS) + rb')": )[^,}\n]+')
 
 
+REGION_BOXES = ((0, 0, 32, 32), (4, 8, 20, 16), (16, 0, 32, 24))
+
+
 def pipeline(root) -> None:
-    """The ten commands, each through `cli.main`; raises on a non-zero exit."""
+    """The eleven commands, each through `cli.main`; raises on a non-zero
+    exit. `eval regions` runs last, on boxes written for the first record
+    synth wrote."""
     from florence_mini.cli import main
+    from florence_mini.curation import read_records_jsonl
+    from florence_mini.evaluation import Box, write_boxes_jsonl
 
     root = Path(root)
     data, cur, ckpt = root / "data", root / "cur", root / "gcache" / "ckpt-final"
@@ -58,9 +66,17 @@ def pipeline(root) -> None:
         ["memory-report", "--triplets", str(cur / "triplets.jsonl"), "--batch-size", "8", "--chunks", "8,4",
          "--out", str(root / "memory")],
     ]
-    for argv in commands:
+
+    def run(argv):
         if main(argv) != 0:
             raise RuntimeError(f"exit status != 0: {' '.join(argv)}")
+
+    for argv in commands:
+        run(argv)
+    first = read_records_jsonl(data / "records.jsonl")[0]
+    write_boxes_jsonl(root / "boxes.jsonl", [Box(first.id, *box) for box in REGION_BOXES])
+    run(["eval", "regions", *evals, "--image", first.image_path, "--boxes", str(root / "boxes.jsonl"),
+         "--out", str(root / "regions")])
 
 
 def masked_bytes(path: Path, root: Path) -> bytes:

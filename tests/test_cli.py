@@ -15,7 +15,9 @@ import pytest
 
 from florence_mini import cli
 from florence_mini.cli import build_parser, main, parse_config
+from florence_mini.curation import records as record_io
 from florence_mini.encoders import TwoTowerModel
+from florence_mini.evaluation.embed import EVAL_CHUNK
 from florence_mini.numerics import load_checkpoint
 from florence_mini.trainer import TrainConfig
 
@@ -219,17 +221,23 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("command", ["zero-shot", "retrieval", "linear-probe", "few-shot"])
     def test_eval_image_forwards_take_at_most_32_rows(self, pipeline, tmp_path, monkeypatch, command):
-        """Every eval embeds its images 32 per forward, however many it reads."""
+        """Every eval reads its images from disk and embeds them 32 at a
+        time, however many it scores: no load reads the whole split."""
         data = tmp_path / "data"
         assert main(["synth", "--classes", "3", "--per-class", "16", "--out", str(data), "--seed", "3"]) == 0
-        rows = []
-        encode = TwoTowerModel.encode_image
+        rows, loads = [], []
+        encode, load = TwoTowerModel.encode_image, record_io.load_images
 
         def counted(self, images, *args, **kwargs):
             rows.append(len(images))
             return encode(self, images, *args, **kwargs)
 
+        def counted_load(paths, *args, **kwargs):
+            loads.append(len(paths))
+            return load(paths, *args, **kwargs)
+
         monkeypatch.setattr(TwoTowerModel, "encode_image", counted)
+        monkeypatch.setattr(record_io, "load_images", counted_load)
         extra = {
             "zero-shot": ["--holdout-fraction", "0.8"],
             "retrieval": ["--holdout-fraction", "0.8"],
@@ -241,7 +249,27 @@ class TestPipelineCommands:
              "--out", str(tmp_path / "out"), "--seed", "3", *extra],
         )
         assert code == 0
-        assert sum(rows) > 32 and max(rows) <= 32, rows
+        assert sum(rows) > EVAL_CHUNK and max(rows) <= EVAL_CHUNK, rows
+        assert sum(loads) == sum(rows) and max(loads) <= EVAL_CHUNK, loads
+
+    def test_eval_exits_2_naming_a_truncated_image_past_the_first_chunk(self, pipeline, tmp_path, capsys):
+        """The split's last image is read in its second chunk, after the
+        first has been embedded; the command still fails by that file's
+        name and leaves no --out."""
+        data = tmp_path / "data"
+        assert main(["synth", "--classes", "3", "--per-class", "16", "--out", str(data), "--seed", "3"]) == 0
+        last = json.loads((data / "records.jsonl").read_text().splitlines()[-1])
+        image = (data / last["image"]).resolve()
+        raw = image.read_bytes()
+        image.write_bytes(raw[: len(raw) - 7])
+        out = tmp_path / "out"
+        code = main(
+            ["eval", "linear-probe", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(data),
+             "--out", str(out), "--seed", "3", "--probe-epochs", "2"],
+        )
+        assert code == 2
+        assert f"{image}: truncated payload" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inflate_inherited_tensors_hash_match_source(self, pipeline):
         out = pipeline / "video"
@@ -621,7 +649,7 @@ def _python(*argv, threads="1"):
 
 
 def test_pipeline_writes_the_same_bytes_across_out_roots_and_blas_threads(tmp_path):
-    """tests/digest.py's ten-command pipeline and gradient grid, run in two
+    """tests/digest.py's eleven-command pipeline and gradient grid, run in two
     processes with different --out roots and BLAS thread counts, give the
     same sha256 table once wall times and the root prefix are masked."""
     digest = str(Path(__file__).with_name("digest.py"))
@@ -632,6 +660,7 @@ def test_pipeline_writes_the_same_bytes_across_out_roots_and_blas_threads(tmp_pa
     tables = [stdout.splitlines() for stdout, _ in outs]
     assert tables[0][-1].endswith("  <root>")
     assert any(line.endswith("  gcache/ckpt-final/manifest.json") for line in tables[0])
+    assert any(line.endswith("  regions/region_labels.jsonl") for line in tables[0])
     assert any(line.endswith("  tensors/inflate/video-tower/tau_param float64 []") for line in tables[0])
     assert sum("  gradients/" in line and line.endswith("/loss") for line in tables[0]) == 16
     assert tables[0] == tables[1]

@@ -24,7 +24,7 @@ from florence_mini.curation import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from florence_mini.curation.records import Triplet, load_image, load_images
+from florence_mini.curation.records import ImageFiles, Triplet, load_image, load_images
 from florence_mini.numerics import write_tensor_file
 
 
@@ -151,6 +151,20 @@ class TestAverageHashDedup:
             load_images([a.image_path, b.image_path])
         with pytest.raises(ValueError, match="no images"):
             load_images([])
+
+
+    def test_image_files_read_slices_and_refuse_a_later_slice_of_another_shape(self, tmp_path):
+        rng = np.random.default_rng(5)
+        recs = [_record(tmp_path, f"r{i}", rng.uniform(size=(16, 16, 3))) for i in range(4)]
+        gray = _record(tmp_path, "gray", np.zeros((16, 16, 1)))
+        files = ImageFiles([r.image_path for r in recs] + [gray.image_path], 8)
+        assert len(files) == 5
+        assert files[1:3].tobytes() == load_images([r.image_path for r in recs[1:3]], 8).tobytes()
+        shapes = re.escape("image shape (8, 8, 1) differs from (8, 8, 3) of ")
+        with pytest.raises(ValueError, match=re.escape(gray.image_path) + ": " + shapes + re.escape(recs[1].image_path)):
+            files[4:]
+        with pytest.raises(ValueError, match="no images"):
+            ImageFiles([])
 
 
 class TestSizeFilter:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from florence_mini.curation import ImageFiles, load_images
 from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary, tokenize_batch
 from florence_mini.evaluation import (
     Box,
@@ -31,6 +32,7 @@ from florence_mini.evaluation.fewshot import (
 )
 from florence_mini.imaging import crop_box, resize_bilinear
 from florence_mini.numerics import Tensor, no_grad
+from florence_mini.numerics.container import write_tensor_file
 
 TINY = ModelConfig(
     image_size=8,
@@ -412,14 +414,14 @@ class TestStackedEpisodeHeads:
         assert b.tobytes() == ref_b.tobytes()
 
     def test_per_episode_equal_to_lone_runs_across_ragged_blocks(self):
-        """250 episodes train in blocks of 100, 100 and 50. Class 0 holds
-        shot + 6 samples, so its episodes score 6 queries, not 15."""
-        assert EPISODE_BLOCK == 100
+        """230 episodes train in four blocks of 50 and one of 30. Class 0
+        holds shot + 6 samples, so its episodes score 6 queries, not 15."""
+        assert EPISODE_BLOCK == 50
         rng = np.random.default_rng(13)
         labels = np.concatenate([np.zeros(11, dtype=int), np.repeat(np.arange(1, 7), 25)])
         feats = rng.normal(size=(labels.size, 12)) + 0.5 * np.eye(12)[labels]
-        res = few_shot_episode_eval(feats, labels, way=5, shot=5, episodes=250, seed=2)
-        expected = _lone_episode_accuracies(feats, labels, way=5, shot=5, episodes=250, seed=2)
+        res = few_shot_episode_eval(feats, labels, way=5, shot=5, episodes=230, seed=2)
+        expected = _lone_episode_accuracies(feats, labels, way=5, shot=5, episodes=230, seed=2)
         assert res.per_episode.tobytes() == expected.tobytes()
         assert res.mean_accuracy == float(expected.mean())
 
@@ -433,6 +435,20 @@ class TestEmbedImages:
         with no_grad():
             whole = model.encode_image(images).data
         assert embed_images(model, images).tobytes() == whole.tobytes()
+
+
+    @pytest.mark.parametrize("n", [33, 64])
+    def test_image_files_byte_equal_to_the_loaded_stack(self, tmp_path, n):
+        """Chunks read from disk as embed_images slices them embed as the
+        whole split loaded first; the 16 px containers are resized to 8."""
+        model = TwoTowerModel.create(TINY, build_vocabulary(["a heron"]), seed=3)
+        rng = np.random.default_rng(n)
+        paths = []
+        for i in range(n):
+            paths.append(tmp_path / f"{i}.bin")
+            write_tensor_file(paths[-1], rng.uniform(size=(16, 16, 3)).astype(np.float32))
+        lazy = embed_images(model, ImageFiles(paths, 8))
+        assert lazy.tobytes() == embed_images(model, load_images(paths, 8)).tobytes()
 
 
 class TestRegions:

@@ -159,8 +159,10 @@ class TestRegionBoxes:
             (lambda records: {"x0": 0.5}, "line 2: x0 must be a JSON integer, got 0.5"),
             (lambda records: {"x1": "32"}, 'line 2: x1 must be a JSON integer, got "32"'),
             (lambda records: {"image_id": records[1].id}, "line 2: image_id '{1}' is not the image's record ({0})"),
+            (lambda records: {"x1": 99}, "line 2: box (0, 0, 99, 32) outside image 32x32"),
+            (lambda records: {"y0": 32}, "line 2: zero-area box (0, 32, 32, 32)"),
         ],
-        ids=["float", "string", "another-record"],
+        ids=["float", "string", "another-record", "outside", "zero-area"],
     )
     def test_eval_regions_exits_2_naming_the_box_line(self, tmp_path, regions_args, capsys, edit, message):
         records, argv = regions_args
@@ -172,6 +174,27 @@ class TestRegionBoxes:
         message = message.format(records[0].id, records[1].id)
         assert f"error: {boxes} {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eval_regions_checks_boxes_against_the_image_before_the_checkpoint(self, tmp_path, regions_args, capsys):
+        """The image's size bounds the boxes as they are read, so a box
+        outside it is refused before the model loads: here there is none."""
+        records, argv = regions_args
+        argv[argv.index("--checkpoint") + 1] = str(tmp_path / "no-checkpoint")
+        boxes, out = tmp_path / "boxes.jsonl", tmp_path / "reg"
+        write_boxes_jsonl(boxes, [Box(records[0].id, 0, 0, 32, 32), Box(records[0].id, -1, 0, 8, 8)])
+        assert main([*argv, "--image", records[0].image_path, "--boxes", str(boxes), "--out", str(out)]) == 2
+        assert f"error: {boxes} line 2: box (-1, 0, 8, 8) outside image 32x32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reader_checks_boxes_only_against_a_given_image_size(self, tmp_path):
+        path = tmp_path / "boxes.jsonl"
+        write_boxes_jsonl(path, [Box("img0", 0, 0, 8, 4), Box("img0", 0, 0, 9, 4)])
+        assert len(read_boxes_jsonl(path)) == 2
+        assert read_boxes_jsonl(path, image_size=(4, 9))[1] == Box("img0", 0, 0, 9, 4)
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 2: box (0, 0, 9, 4) outside image 8x4") + "$"):
+            read_boxes_jsonl(path, image_size=(4, 8))
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 1: box (0, 0, 8, 4) outside image 8x3") + "$"):
+            read_boxes_jsonl(path, image_size=(3, 8))
 
     def test_eval_regions_refuses_an_image_of_no_record(self, tmp_path, regions_args, capsys):
         records, argv = regions_args

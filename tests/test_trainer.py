@@ -536,6 +536,38 @@ class TestTwoStageRun:
         expected = [stream.epoch_batches(i // 3)[i % 3] for i in range(4)]
         assert drawn[3:] == [([t.id for t in b], 32) for b in expected]
 
+    def test_only_the_high_res_phase_caches_images(self, corpus, tmp_path, monkeypatch):
+        """Stage 1 reads every image of every batch from disk, including
+        the images its second epoch draws again; two epochs of the high-res
+        phase read each image they draw once."""
+        triplets, _ = corpus
+        loads, per_step = [], []
+        load, prepare = loop.load_image, loop.prepare_batch
+
+        def counted_load(path, *args, **kwargs):
+            loads.append(path)
+            return load(path, *args, **kwargs)
+
+        def counted_prepare(batch, *args, **kwargs):
+            before = len(loads)
+            result = prepare(batch, *args, **kwargs)
+            per_step.append((len(loads) - before, [t.image_path for t in batch]))
+            return result
+
+        monkeypatch.setattr(loop, "load_image", counted_load)
+        monkeypatch.setattr(loop, "prepare_batch", counted_prepare)
+        steps = StageStream(stage=1, seed=0, batch_size=8, pool=triplets).batches_per_epoch + 1
+        run_two_stage_training(triplets, self._config(stage1_steps=steps, stage2_steps=0, high_res_steps=0), tmp_path / "s1")
+        assert [n for n, _ in per_step] == [8] * steps
+        assert len(set(loads)) < len(loads)  # the second epoch redraws images the first read
+        stream = StageStream(stage=2, seed=0, batch_size=8, pool=triplets)
+        loads.clear(), per_step.clear()
+        cfg = self._config(stage1_steps=0, stage2_steps=0, high_res_steps=2 * stream.batches_per_epoch)
+        run_two_stage_training(triplets, cfg, tmp_path / "hr")
+        drawn = {p for _, paths in per_step for p in paths}
+        assert len(per_step) == 2 * stream.batches_per_epoch and 0 < len(drawn)
+        assert sorted(loads) == sorted(drawn)
+
     def test_resume_rejects_config_drift_but_allows_step_counts(self, corpus, tmp_path):
         triplets, _ = corpus
         cfg = self._config(checkpoint_every=2)
