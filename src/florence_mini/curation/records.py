@@ -44,14 +44,15 @@ class Triplet:
 
 def load_image(path, side: int | None = None) -> np.ndarray:
     """Read an H x W x C float32 image in [0, 1] from a tensor container,
-    bilinearly resized to side x side when `side` is given and differs."""
+    bilinearly resized to side x side when `side` is given and either
+    extent differs from it."""
     arr = read_tensor_file(path)
     if arr.ndim != 3:
         raise ValueError(f"{path}: image tensor must be rank 3, got rank {arr.ndim}")
     if arr.shape[2] not in (1, 3):
         raise ValueError(f"{path}: channel count must be 1 or 3, got {arr.shape[2]}")
     img = arr.astype(np.float32, copy=False)
-    return img if side is None or img.shape[0] == side else resize_bilinear(img, side, side)
+    return img if side is None or img.shape[:2] == (side, side) else resize_bilinear(img, side, side)
 
 
 def load_images(paths, side: int | None = None) -> np.ndarray:

@@ -6,10 +6,17 @@ import numpy as np
 
 
 def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample of an H x W x C image (pixel-center alignment)."""
-    if image.ndim != 3:
-        raise ValueError("expected an H x W x C image")
-    h, w, _ = image.shape
+    """Bilinear resample of an H x W x C image, or an N x H x W x C stack of
+    them (pixel-center alignment).
+
+    Each input row is blended across once, then the output rows gather the
+    blended rows they fall between, so no output row's column blend is
+    computed twice; every element takes the same operations, in the same
+    order, as a blend of the four neighbours row by row.
+    """
+    if image.ndim not in (3, 4):
+        raise ValueError("expected an H x W x C image or an N x H x W x C stack")
+    h, w = image.shape[-3:-1]
     if out_h < 1 or out_w < 1:
         raise ValueError("output size must be positive")
     ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
@@ -20,8 +27,8 @@ def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = (ys - y0)[:, None, None]
     wx = (xs - x0)[None, :, None]
-    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
-    bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    across = image[..., x0, :] * (1 - wx) + image[..., x1, :] * wx
+    top, bot = across[..., y0, :, :], across[..., y1, :, :]
     return (top * (1 - wy) + bot * wy).astype(image.dtype)
 
 

@@ -35,15 +35,21 @@ class TensorFormatError(ValueError):
     pass
 
 
+def flat_layout(tensors) -> dict[str, tuple[int, tuple[int, ...]]]:
+    """name -> (offset, shape) of each tensor in ``flatten``'s buffer, which
+    holds them in sorted-name order; no buffer is built."""
+    names = sorted(tensors)
+    offsets = accumulate((tensors[name].size for name in names), initial=0)
+    return {name: (o, tensors[name].shape) for name, o in zip(names, offsets)}
+
+
 def flatten(tensors) -> tuple[np.ndarray, dict[str, tuple[int, tuple[int, ...]]]]:
     """One rank-1 buffer holding every tensor in sorted-name order, and the
     layout name -> (offset, shape) that ``unflatten`` reads it back with."""
-    names = sorted(tensors)
-    arrays = [tensors[name] for name in names]
+    arrays = [tensors[name] for name in sorted(tensors)]
     if len({a.dtype for a in arrays}) != 1:
         raise ValueError(f"flatten needs tensors of one dtype, got {sorted({str(a.dtype) for a in arrays})}")
-    offsets = accumulate((a.size for a in arrays), initial=0)
-    return np.concatenate([a.ravel() for a in arrays]), {n: (o, a.shape) for n, a, o in zip(names, arrays, offsets)}
+    return np.concatenate([a.ravel() for a in arrays]), flat_layout(tensors)
 
 
 def unflatten(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:

@@ -266,11 +266,20 @@ def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, snap=apply_policy
     return out
 
 
-def _dense_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, bias: bool) -> tuple[np.ndarray, ...]:
-    """``linear``'s input, weight and (when ``bias``) bias gradients."""
+def _dense_input_grad(g2: np.ndarray, w: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``linear``'s gradient with respect to an input of ``shape``, from
+    the output gradient flattened to (-1, Cout)."""
+    return (g2 @ w.T).reshape(shape)
+
+
+def _dense_grads(
+    g: np.ndarray, x: np.ndarray, w: np.ndarray, bias: bool, input_grad: bool = True
+) -> tuple[np.ndarray | None, ...]:
+    """``linear``'s input (None unless ``input_grad``), weight and (when
+    ``bias``) bias gradients."""
     cin, cout = w.shape
     g2 = g.reshape(-1, cout)
-    grads = ((g2 @ w.T).reshape(x.shape), x.reshape(-1, cin).T @ g2)
+    grads = (_dense_input_grad(g2, w, x.shape) if input_grad else None, x.reshape(-1, cin).T @ g2)
     return grads + (g2.sum(axis=0),) if bias else grads
 
 
@@ -282,7 +291,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     column sum, at any rank of x. The forward keeps numpy's stacked matmul,
     which runs faster than one flattened GEMM for these narrow layers. The
     product and the bias sum each snap, as the matmul and add this op fuses
-    did.
+    did. An input that is off the tape (the patch embed's pixels, a
+    probe's frozen features) gets no input gradient, so its GEMM is skipped.
     """
     _check_same_dtype(x, w, "linear")
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -294,8 +304,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ValueError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
         inputs = (x, w, b)
 
+    x_live = x.requires_grad or x.node is not None
+
     def backward(g, saved):
-        return _dense_grads(g, *saved, b is not None)
+        return _dense_grads(g, *saved, b is not None, input_grad=x_live)
 
     out = _dense(x.data, w.data, None if b is None else b.data)
     return _record("linear", out, inputs, (x.data, w.data), backward)
@@ -655,15 +667,19 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
         xh, istd, gam, bet, hv, w1v, w2v = saved
         rows = hv.reshape(-1, hv.shape[-1])
         # only the gelu's slope and its value are live at the second
-        # linear's product
+        # linear's weight product
         dh, a = np.empty_like(rows), np.empty_like(rows)
         for s in _row_tiles(rows):
             dh[s], a[s] = _gelu_slope_and_value(rows[s], snap)
         dh, a = dh.reshape(hv.shape), a.reshape(hv.shape)
-        da, dw2, db2 = _dense_grads(g, a, w2v, True)
+        # the second linear's weight gradient first, so the gelu value is
+        # freed before its input gradient is formed: two hidden-width
+        # buffers are live at the peak, not three
+        g2 = g.reshape(-1, g.shape[-1])
+        _, dw2, db2 = _dense_grads(g2, a, w2v, True, input_grad=False)
         del a
-        dh *= da
-        del da
+        dh *= _dense_input_grad(g2, w2v, hv.shape)
+        del g2
         dn, dw1, db1 = _dense_grads(dh, _ln_affine(xh, gam, bet), w1v, True)
         del dh
         dx, dgamma, dbeta = _ln_grads(dn, xh, istd, gam)

@@ -221,6 +221,21 @@ def _visit(node: TapeNode, g: np.ndarray, grad_table: dict[int, np.ndarray]) -> 
             grad_table[id(inp)] = ig
 
 
+def _seed_table(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict[int, np.ndarray]:
+    """The walk's first gradients, keyed by root id: each seed in its
+    root's dtype, uncopied; a root given twice sums its seeds. A function
+    of its own, so no loop variable of the walk's frame holds a root."""
+    if len(outputs) != len(output_grads):
+        raise ValueError("outputs and output_grads must align")
+    table: dict[int, np.ndarray] = {}
+    for out, g in zip(outputs, output_grads):
+        g = np.asarray(g, dtype=out.data.dtype)
+        if g.shape != out.data.shape:
+            raise ValueError(f"seed gradient shape {g.shape} != output shape {out.data.shape}")
+        table[id(out)] = table[id(out)] + g if id(out) in table else g
+    return table
+
+
 def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep seeded with explicit output gradients; returns
     the gradient of every requires-grad leaf reached, keyed by the leaf.
@@ -231,23 +246,23 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict
     topological order as it reaches it, and once a node's backward has run
     the node releases its saved values and drops its inputs. A forward
     output that the caller does not hold therefore dies once its gradient
-    has been used, not when the walk ends. So a tape can be walked once; a
-    second walk raises ``RuntimeError``. Rebuild the forward to
-    differentiate again.
-    """
-    if len(outputs) != len(output_grads):
-        raise ValueError("outputs and output_grads must align")
-    grad_table: dict[int, np.ndarray] = {}
-    for out, g in zip(outputs, output_grads):
-        g = np.asarray(g, dtype=out.data.dtype)
-        if g.shape != out.data.shape:
-            raise ValueError(f"seed gradient shape {g.shape} != output shape {out.data.shape}")
-        if id(out) in grad_table:
-            grad_table[id(out)] = grad_table[id(out)] + g
-        else:
-            grad_table[id(out)] = g.copy()
+    has been used, not when the walk ends; that holds for the roots too,
+    once they have seeded the walk, when the caller hands over ``outputs``
+    without keeping a reference. So a tape can be walked once; a second
+    walk raises ``RuntimeError``. Rebuild the forward to differentiate
+    again.
 
+    The seeds are not copied: the first rules read the caller's arrays, as
+    no backward rule writes its incoming gradient. A leaf's gradient that
+    shares memory with a seed (a root that is itself a leaf, or one reached
+    only through views) is returned as a copy, so no returned gradient
+    aliases the caller's arrays.
+    """
+    grad_table = _seed_table(outputs, output_grads)
+    seeds = list(grad_table.values())
     order = _toposort(outputs)
+    # from here only the order holds the roots, and it pops each as it reaches it
+    del outputs
     result: dict[Tensor, np.ndarray] = {}
     while order:
         t = order.pop()
@@ -256,7 +271,7 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict
             continue
         if t.node is None:
             if t.requires_grad:
-                result[t] = g
+                result[t] = g.copy() if any(np.may_share_memory(g, s) for s in seeds) else g
             continue
         # no backward rule reads its own output through the tensor
         node, t = t.node, None

@@ -42,13 +42,9 @@ def checkpointed(fn: Callable[..., Tensor], x: Tensor, *params: Tensor) -> Tenso
         x_arr, out_ref = saved
         arrays = (x_arr, *(p.data for p in params))
         leaves = [Tensor(arr, requires_grad=flag) for arr, flag in zip(arrays, live)]
-        with enable_grad():
-            recomputed = fn(*leaves)
-        if not same_bits(recomputed.data, out_ref):
-            raise RuntimeError(
-                "checkpointed block is non-deterministic: recompute does not match stored output"
-            )
-        grads = backward_from([recomputed], [grad_out])
+        # no reference to the recomputed output is kept here, so the walk
+        # frees it once it has seeded it
+        grads = backward_from(_recompute(fn, leaves, out_ref), [grad_out])
         given = set(leaves)
         stray = [t.name or repr(t) for t in grads if t not in given]
         if stray:
@@ -56,3 +52,13 @@ def checkpointed(fn: Callable[..., Tensor], x: Tensor, *params: Tensor) -> Tenso
         return tuple(grads.get(leaf) if flag else None for leaf, flag in zip(leaves, live))
 
     return Tensor(out.data, node=TapeNode("checkpoint", inputs, (x.data, out.data), backward))
+
+
+def _recompute(fn: Callable[..., Tensor], leaves: list[Tensor], out_ref) -> list[Tensor]:
+    """``[fn(*leaves)]`` recorded, after checking that it reproduces the
+    stored output ``out_ref`` bit for bit."""
+    with enable_grad():
+        out = fn(*leaves)
+    if not same_bits(out.data, out_ref):
+        raise RuntimeError("checkpointed block is non-deterministic: recompute does not match stored output")
+    return [out]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from ..curation.pipeline import StageStream
-from ..curation.records import Triplet, load_image
+from ..curation.records import Triplet, load_images
 from ..encoders.config import ModelConfig, parameter_shapes
 from ..encoders.model import TwoTowerModel
 from ..encoders.vocab import Vocabulary, build_vocabulary, tokenize_batch
@@ -112,21 +112,14 @@ def prepare_batch(
     batch: list[Triplet],
     vocab: Vocabulary,
     dtype: str,
-    image_cache: dict | None = None,
     image_size: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """Load and stack a triplet batch: images, token ids, labels, record ids."""
-    images = []
-    for t in batch:
-        key = (t.image_path, image_size)
-        if image_cache is not None and key in image_cache:
-            img = image_cache[key]
-        else:
-            img = load_image(t.image_path, image_size)
-            if image_cache is not None:
-                image_cache[key] = img
-        images.append(img)
-    x = np.stack(images).astype(dtype)
+    """Load and stack a triplet batch: images, token ids, labels, record ids.
+
+    Every call reads its images from disk, resized to ``image_size`` when
+    given; no pixels are held between batches.
+    """
+    x = load_images([t.image_path for t in batch], image_size).astype(dtype, copy=False)
     ids = tokenize_batch([t.text for t in batch], vocab)
     labels = np.array([t.label for t in batch], dtype=np.int64)
     return x, ids, labels, [t.id for t in batch]
@@ -304,10 +297,6 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
         raise ValueError("; ".join(short))
 
     metrics_path = out / "metrics.jsonl"
-    # Only the high-res phase caches its pixels. Rebuilding a 64-image batch
-    # resized 32 -> 64 px took ~15 ms on one Xeon core, against ~0.7 ms to
-    # re-read a native-side batch, so stages 1 and 2 hold no image between steps.
-    image_cache: dict = {}
     # a resume into the run's own directory replays steps >= start_step, so
     # only the records before it are kept
     kept = []
@@ -323,8 +312,7 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
                 if epoch not in epochs:
                     epochs = {epoch: stream.epoch_batches(epoch)}
                 images, ids, labels, rec_ids = prepare_batch(
-                    epochs[epoch][idx], model.vocab, config.model.dtype,
-                    image_cache if size is not None else None, image_size=size,
+                    epochs[epoch][idx], model.vocab, config.model.dtype, image_size=size
                 )
                 lr = cosine_lr(step, config.schedule_total, config.warmup_steps, config.peak_lr)
                 try:

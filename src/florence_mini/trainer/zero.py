@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..numerics.container import flatten, unflatten
+from ..numerics.container import flat_layout, flatten, unflatten
 from ..numerics.optim import OptimizerState, adamw_step
 
 
@@ -65,6 +65,6 @@ def merge_zero_states(states: list[OptimizerState], params: dict[str, np.ndarray
     checkpointing): the workers' parts, in order, are the flattened moments."""
     if any(s.step != states[0].step for s in states):
         raise ValueError("worker states out of sync")
-    _, layout = flatten(params)
+    layout = flat_layout(params)
     m, v = (unflatten(np.concatenate([a for s in states for a in getattr(s, k).values()]), layout) for k in "mv")
     return replace(states[0], m=m, v=v)

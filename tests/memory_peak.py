@@ -1,0 +1,125 @@
+"""Where one training step's memory goes: metered against traced bytes.
+
+For the benchmark's two training step shapes, the gradient-cache step
+(batch 64 in chunks of 16, 32 px) and the memory-saving step (batch 64 in
+one chunk, 64 px, every block checkpointed), this prints
+
+- the metered peak: the activation meter's peak scalar count, in bytes of
+  the model's dtype;
+- the traced peak: tracemalloc's highest traced size during one
+  `compute_gradients` call, above the level at its start;
+- the three backward rules in whose own run (not counting the rules nested
+  inside them, such as a checkpoint's inner walk) the traced size rose
+  highest, with the level on entry to each.
+
+    python tests/memory_peak.py
+
+Inputs are synthetic (seed 0) and written to a temporary directory that is
+removed on exit; nothing else is written. The step runs once untraced
+first, so one-time allocations do not count.
+"""
+
+from __future__ import annotations
+
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+SHAPES = {
+    "train-32px-gcache": dict(batch_size=64, chunk_size=16, image_size=None),
+    "train-64px-memsave": dict(batch_size=64, chunk_size=64, image_size=64, activation_checkpointing=True),
+}
+TOP_RULES = 3
+
+
+class RuleLocator:
+    """Wraps the tape walk's per-node visit to record, for each backward
+    rule run, the traced peak reached while it was the innermost rule."""
+
+    def __init__(self, tensor_module):
+        self.module = tensor_module
+        self.original = tensor_module._visit
+        self.open: list[list[int]] = []  # per running rule: [entry size, own peak]
+        self.rules: list[tuple[int, int, str]] = []  # (own peak, entry size, label)
+        self.highest = 0  # traced peak over everything run inside the block
+
+    def fold(self) -> None:
+        """Credit the traced peak since the last fold to the innermost open
+        rule and to ``highest``, and restart the peak."""
+        peak = tracemalloc.get_traced_memory()[1]
+        self.highest = max(self.highest, peak)
+        if self.open:
+            self.open[-1][1] = max(self.open[-1][1], peak)
+        tracemalloc.reset_peak()
+
+    def visit(self, node, g, grad_table):
+        self.fold()
+        entry = tracemalloc.get_traced_memory()[0]
+        self.open.append([entry, entry])
+        label = f"{node.op} {tuple(g.shape)}"
+        try:
+            self.original(node, g, grad_table)
+        finally:
+            self.fold()
+            entry, peak = self.open.pop()
+            self.rules.append((peak, entry, label))
+
+    def __enter__(self):
+        self.module._visit = self.visit
+        return self
+
+    def __exit__(self, *exc):
+        self.module._visit = self.original
+
+
+def step_report(name: str, shape: dict, triplets, vocab) -> list[str]:
+    from florence_mini.encoders import ModelConfig, TwoTowerModel
+    from florence_mini.numerics import tensor
+    from florence_mini.trainer import TrainConfig, prepare_batch
+    from florence_mini.trainer.loop import compute_gradients, effective_labels
+
+    shape = dict(shape)
+    image_size = shape.pop("image_size")
+    config = TrainConfig(model=ModelConfig(), **shape)
+    model = TwoTowerModel.create(config.model, vocab, seed=0)
+    images, ids, labels, _ = prepare_batch(triplets[: config.batch_size], vocab, config.model.dtype, image_size=image_size)
+    labels = effective_labels(labels, config.objective)
+    compute_gradients(model, images, ids, labels, config)
+
+    tensor.activation_meter.reset()
+    tracemalloc.start()
+    try:
+        with RuleLocator(tensor) as locator:
+            start = tracemalloc.get_traced_memory()[0]
+            compute_gradients(model, images, ids, labels, config)
+            locator.fold()
+        traced = locator.highest - start
+    finally:
+        tracemalloc.stop()
+    itemsize = images.dtype.itemsize
+    metered = tensor.activation_meter.peak
+    lines = [
+        f"{name}: batch {config.batch_size}, chunk {config.chunk_size}, {images.shape[1]} px, "
+        f"checkpointing {'on' if config.activation_checkpointing else 'off'}, {images.dtype}",
+        f"  metered peak  {metered * itemsize:>12,} bytes ({metered:,} scalars)",
+        f"  traced peak   {traced:>12,} bytes above the step's start",
+    ]
+    for peak, entry, label in sorted(locator.rules, reverse=True)[:TOP_RULES]:
+        lines.append(f"  rule {label:<32} peak {peak - start:>12,}  on entry {entry - start:>12,}")
+    return lines
+
+
+def main() -> None:
+    from florence_mini.curation import curate, generate_synthetic_dataset
+    from florence_mini.encoders import build_vocabulary
+
+    with tempfile.TemporaryDirectory() as tmp:
+        records, _ = generate_synthetic_dataset(Path(tmp), num_classes=8, per_class=16, seed=0)
+        triplets = curate(records, seed=0).triplets
+        vocab = build_vocabulary([t.text for t in triplets])
+        for name, shape in SHAPES.items():
+            print("\n".join(step_report(name, shape, triplets, vocab)))
+
+
+if __name__ == "__main__":
+    main()

@@ -296,6 +296,21 @@ class TestLinear:
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+    def test_input_off_the_tape_gets_no_gradient(self):
+        """A constant input's gradient is not formed; the weight and bias
+        get the bytes they get beside a live input."""
+        rng = np.random.default_rng(15)
+        x0, w0, b0, seed = rng.normal(size=(3, 4, 6)), rng.normal(size=(6, 5)), rng.normal(size=5), rng.normal(size=(3, 4, 5))
+        runs = []
+        for live in (True, False):
+            x = Tensor(x0, requires_grad=live, name="x")
+            w, b = Tensor(w0, requires_grad=True, name="w"), Tensor(b0, requires_grad=True, name="b")
+            y = ops.linear(x, w, b)
+            runs.append(y.node.backward_fn(seed, y.node.saved))
+        (dx, dw, db), (dx_const, dw_const, db_const) = runs
+        assert dx is not None and dx_const is None
+        assert dw_const.tobytes() == dw.tobytes() and db_const.tobytes() == db.tobytes()
+
     def test_node_saves_input_and_weight_only(self):
         activation_meter.reset()
         x = Tensor(np.ones((2, 3, 4)), requires_grad=True, name="x")
@@ -737,6 +752,21 @@ class TestFusedBackwardTransients:
         _, ratio = _transient_over_input(_fused_mlp(p["x"], p), g, p["x"])
         assert ratio <= 6.1
 
+    def test_mlp_holds_two_hidden_width_buffers(self, monkeypatch):
+        """The backward frees the gelu value before it forms the second
+        linear's input gradient, so it rises by at most two of ``h``'s
+        buffers plus the gelu tiles' scratch (tiles of 64 rows here); a
+        rule that held all three rose by 3.0x ``h``."""
+        monkeypatch.setattr(ops, "_GELU_TILE", 64 * self.HIDDEN)
+        c, hid = self.SHAPE[-1], self.HIDDEN
+        shapes = {"gamma": (c,), "beta": (c,), "w1": (c, hid), "b1": (hid,), "w2": (hid, c), "b2": (c,)}
+        p, g = self._leaves(42, {"x": self.SHAPE, **shapes})
+        y = _fused_mlp(p["x"], p)
+        h = y.node.saved[4]
+        _, ratio = _transient_over_input(y, g, p["x"])
+        scratch = 4 * ops._GELU_TILE * h.itemsize
+        assert ratio * p["x"].data.nbytes <= 2 * h.nbytes + scratch
+
 
 def _plain_layer_norm(xv, gam, bet, g, eps=1e-5):
     """layer_norm's forward and backward as plain whole-array formulas."""
@@ -891,6 +921,28 @@ class TestTapeSemantics:
         y2 = ops.matmul(x2, Tensor(w0))
         g_ref = evaluate_and_backward(ops.tensor_sum(ops.mul(y2, Tensor(seed))))[x2]
         assert g_inj.tobytes() == g_ref.tobytes()
+
+    def test_seeds_are_not_copied_and_no_returned_gradient_aliases_them(self):
+        """The first rule reads the caller's seed array itself. A leaf that
+        is a root, or that a seed reaches only through views, gets a copy."""
+        seen = []
+
+        def probe_backward(g, saved):
+            seen.append(g)
+            return (g,)
+
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True, name="x")
+        y = record("probe", x.data * 2.0, (x,), (), probe_backward)
+        seed = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        grads = backward_from([y], [seed])
+        assert len(seen) == 1 and seen[0] is seed
+        leaf = Tensor(np.ones(6), requires_grad=True, name="leaf")
+        for root in (leaf, ops.reshape(leaf, (2, 3))):
+            seed = np.linspace(-1.0, 1.0, 6).reshape(root.shape)
+            got = backward_from([root], [seed])[leaf]
+            assert not np.shares_memory(got, seed)
+            assert got.tobytes() == seed.tobytes()
+        assert not np.shares_memory(grads[x], seen[0])
 
     def test_meter_counts_saved_then_freed(self):
         activation_meter.reset()

@@ -18,7 +18,8 @@ from florence_mini.cli import build_parser, main, parse_config
 from florence_mini.curation import records as record_io
 from florence_mini.encoders import TwoTowerModel
 from florence_mini.evaluation.embed import EVAL_CHUNK
-from florence_mini.numerics import load_checkpoint
+from florence_mini.imaging import resize_bilinear
+from florence_mini.numerics import load_checkpoint, read_tensor_file, write_tensor_file
 from florence_mini.trainer import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -270,6 +271,24 @@ class TestPipelineCommands:
         assert code == 2
         assert f"{image}: truncated payload" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extent", [(32, 48), (48, 32)], ids=["wide", "tall"])
+    def test_eval_resizes_non_square_images_to_the_model_side(self, pipeline, tmp_path, extent):
+        """Images stored 32 x 48 or 48 x 32 are scored as the model's 32 x
+        32 input, as a square image of another side is."""
+        data = tmp_path / "data"
+        shutil.copytree(pipeline / "data", data)
+        for line in (data / "records.jsonl").read_text().splitlines():
+            image = data / json.loads(line)["image"]
+            img = read_tensor_file(image)
+            write_tensor_file(image, resize_bilinear(img, *extent))
+        code = main(
+            ["eval", "zero-shot", "--checkpoint", str(pipeline / "run/ckpt-final"),
+             "--data", str(data), "--out", str(tmp_path / "out"), "--seed", "3"],
+        )
+        assert code == 0
+        rep = json.loads((tmp_path / "out/reports.jsonl").read_text())
+        assert 0.0 <= rep["metrics"]["top1_acc"] <= 1.0
 
     def test_inflate_inherited_tensors_hash_match_source(self, pipeline):
         out = pipeline / "video"

@@ -17,7 +17,7 @@ from florence_mini.numerics import (
     save_checkpoint,
     write_tensor_file,
 )
-from florence_mini.numerics.container import flatten, unflatten
+from florence_mini.numerics.container import flat_layout, flatten, unflatten
 
 
 def _roundtrip(tmp_path, arr):
@@ -154,7 +154,7 @@ def test_checkpoint_is_one_container_per_dtype(tmp_path):
 def test_flatten_orders_by_name_and_unflatten_returns_views():
     tensors = {"z": np.array(2.5), "m": np.arange(6.0).reshape(2, 3), "a": np.ones(2)}
     flat, layout = flatten(tensors)
-    assert layout == {"a": (0, (2,)), "m": (2, (2, 3)), "z": (8, ())}
+    assert layout == flat_layout(tensors) == {"a": (0, (2,)), "m": (2, (2, 3)), "z": (8, ())}
     assert flat.tolist() == [1, 1, 0, 1, 2, 3, 4, 5, 2.5]
     views = unflatten(flat, layout)
     assert all(views[k].tobytes() == tensors[k].tobytes() and views[k].base is flat for k in tensors)

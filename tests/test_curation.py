@@ -25,6 +25,7 @@ from florence_mini.curation import (
     write_records_jsonl,
 )
 from florence_mini.curation.records import ImageFiles, Triplet, load_image, load_images
+from florence_mini.imaging import resize_bilinear
 from florence_mini.numerics import write_tensor_file
 
 
@@ -143,6 +144,15 @@ class TestAverageHashDedup:
         want = np.stack([load_image(p, side) for p in paths])
         assert got.dtype == np.float32 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("extent", [(32, 48), (48, 32)], ids=["wide", "tall"])
+    def test_load_image_resizes_a_non_square_image_whose_other_extent_is_the_side(self, tmp_path, extent):
+        img = np.random.default_rng(6).uniform(size=(*extent, 3)).astype(np.float32)
+        rec = _record(tmp_path, "r", img)
+        got = load_image(rec.image_path, 32)
+        assert got.shape == (32, 32, 3)
+        assert got.tobytes() == resize_bilinear(img, 32, 32).tobytes()
+        assert load_image(rec.image_path).shape == (*extent, 3)
 
     def test_load_images_rejects_mixed_shapes_and_no_paths(self, tmp_path):
         a = _record(tmp_path, "rgb", np.zeros((8, 8, 3)))

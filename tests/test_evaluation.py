@@ -451,6 +451,42 @@ class TestEmbedImages:
         assert lazy.tobytes() == embed_images(model, load_images(paths, 8)).tobytes()
 
 
+def _resize_row_by_row(image, out_h, out_w):
+    """Bilinear resize that blends the four neighbours of each output row
+    in turn: the reference ``resize_bilinear`` must equal byte for byte."""
+    h, w, _ = image.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy, wx = (ys - y0)[:, None, None], (xs - x0)[None, :, None]
+    top = image[y0][:, x0] * (1 - wx) + image[y0][:, x1] * wx
+    bot = image[y1][:, x0] * (1 - wx) + image[y1][:, x1] * wx
+    return (top * (1 - wy) + bot * wy).astype(image.dtype)
+
+
+class TestResizeBilinear:
+    @pytest.mark.parametrize("in_hw", [(32, 32), (32, 48), (48, 32), (7, 5), (1, 1)])
+    @pytest.mark.parametrize("out_hw", [(64, 64), (8, 8), (5, 7), (1, 1)], ids=["up", "down", "odd", "one"])
+    def test_bytes_equal_the_row_by_row_blend_on_images_and_stacks(self, in_hw, out_hw):
+        rng = np.random.default_rng(17)
+        for dtype in (np.float32, np.float64):
+            for channels in (1, 3):
+                stack = rng.uniform(size=(3, *in_hw, channels)).astype(dtype)
+                want = np.stack([_resize_row_by_row(img, *out_hw) for img in stack])
+                got = resize_bilinear(stack, *out_hw)
+                assert got.dtype == dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                for img, one in zip(stack, want):
+                    assert resize_bilinear(img, *out_hw).tobytes() == one.tobytes()
+
+    def test_refuses_other_ranks_and_empty_sizes(self):
+        with pytest.raises(ValueError, match="H x W x C"):
+            resize_bilinear(np.zeros((4, 4)), 2, 2)
+        with pytest.raises(ValueError, match="positive"):
+            resize_bilinear(np.zeros((4, 4, 3)), 0, 2)
+
+
 class TestRegions:
     def _model_and_sets(self):
         vocab = build_vocabulary(["a heron", "a maple"])

@@ -2,6 +2,7 @@
 
 import json
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,8 @@ from florence_mini.trainer import (
     train_step,
     zero_shard_update,
 )
+from florence_mini.curation import records
+from florence_mini.numerics.tensor import record
 from florence_mini.trainer import loop
 from florence_mini.unicl import unicl_loss_arrays
 
@@ -282,6 +285,27 @@ class TestActivationCheckpointing:
         g_ckpt = run(True)
         for w in (w1, w2):
             assert g_plain[w].tobytes() == g_ckpt[w].tobytes()
+
+    def test_recomputed_output_is_dead_when_the_first_inner_rule_runs(self):
+        """The backward keeps no reference to the block's recomputed output,
+        so the inner walk frees it once it has seeded it."""
+        outputs, dead = [], []
+
+        def probe_backward(g, saved):
+            dead.append(outputs[-1]() is None)
+            return (g,)
+
+        def block(t, w):
+            h = ops.matmul(t, w)
+            out = record("probe", h.data * 2.0, (h,), (), probe_backward)
+            outputs.append(weakref.ref(out.data))
+            return out
+
+        w = Tensor(np.full((2, 2), 0.5), requires_grad=True, name="w")
+        y = checkpointed(block, Tensor(np.ones((2, 2))), w)
+        g = evaluate_and_backward(ops.tensor_sum(y))
+        assert len(outputs) == 2 and dead == [True]
+        assert g[w].tobytes() == np.full((2, 2), 2.0).tobytes()
 
     def test_non_deterministic_block_detected(self):
         state = {"n": 0}
@@ -536,37 +560,36 @@ class TestTwoStageRun:
         expected = [stream.epoch_batches(i // 3)[i % 3] for i in range(4)]
         assert drawn[3:] == [([t.id for t in b], 32) for b in expected]
 
-    def test_only_the_high_res_phase_caches_images(self, corpus, tmp_path, monkeypatch):
-        """Stage 1 reads every image of every batch from disk, including
-        the images its second epoch draws again; two epochs of the high-res
-        phase read each image they draw once."""
+    def test_every_step_reads_its_batch_from_disk_once(self, corpus, tmp_path, monkeypatch):
+        """Each step reads each image of its batch from its container once,
+        the high-res phase included, and keeps no pixels for a later step:
+        the second epochs of stage 1 and of the high-res phase read again
+        the images their first epochs drew."""
         triplets, _ = corpus
-        loads, per_step = [], []
-        load, prepare = loop.load_image, loop.prepare_batch
+        reads, per_step = [], []
+        read, prepare = records.read_tensor_file, loop.prepare_batch
 
-        def counted_load(path, *args, **kwargs):
-            loads.append(path)
-            return load(path, *args, **kwargs)
+        def counted_read(path, *args, **kwargs):
+            reads.append(path)
+            return read(path, *args, **kwargs)
 
         def counted_prepare(batch, *args, **kwargs):
-            before = len(loads)
+            before = len(reads)
             result = prepare(batch, *args, **kwargs)
-            per_step.append((len(loads) - before, [t.image_path for t in batch]))
+            per_step.append((reads[before:], [t.image_path for t in batch]))
             return result
 
-        monkeypatch.setattr(loop, "load_image", counted_load)
+        monkeypatch.setattr(records, "read_tensor_file", counted_read)
         monkeypatch.setattr(loop, "prepare_batch", counted_prepare)
-        steps = StageStream(stage=1, seed=0, batch_size=8, pool=triplets).batches_per_epoch + 1
-        run_two_stage_training(triplets, self._config(stage1_steps=steps, stage2_steps=0, high_res_steps=0), tmp_path / "s1")
-        assert [n for n, _ in per_step] == [8] * steps
-        assert len(set(loads)) < len(loads)  # the second epoch redraws images the first read
-        stream = StageStream(stage=2, seed=0, batch_size=8, pool=triplets)
-        loads.clear(), per_step.clear()
-        cfg = self._config(stage1_steps=0, stage2_steps=0, high_res_steps=2 * stream.batches_per_epoch)
-        run_two_stage_training(triplets, cfg, tmp_path / "hr")
-        drawn = {p for _, paths in per_step for p in paths}
-        assert len(per_step) == 2 * stream.batches_per_epoch and 0 < len(drawn)
-        assert sorted(loads) == sorted(drawn)
+        s1 = StageStream(stage=1, seed=0, batch_size=8, pool=triplets).batches_per_epoch
+        s2 = StageStream(stage=2, seed=0, batch_size=8, pool=triplets).batches_per_epoch
+        cfg = self._config(stage1_steps=s1 + 1, stage2_steps=0, high_res_steps=2 * s2)
+        run_two_stage_training(triplets, cfg, tmp_path / "run")
+        assert len(per_step) == s1 + 1 + 2 * s2
+        for got, batch in per_step:
+            assert got == batch
+        high_res = [p for got, _ in per_step[s1 + 1 :] for p in got]
+        assert len(set(high_res)) < len(high_res)  # the second epoch redraws images the first read
 
     def test_resume_rejects_config_drift_but_allows_step_counts(self, corpus, tmp_path):
         triplets, _ = corpus
