@@ -508,7 +508,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run_command(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

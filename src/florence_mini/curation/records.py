@@ -43,10 +43,12 @@ class Triplet:
 
 
 def load_image(path, side: int | None = None) -> np.ndarray:
-    """Read an H x W x C float32 image in [0, 1] from a tensor container,
-    bilinearly resized to side x side when `side` is given and either
-    extent differs from it."""
+    """Read an H x W x C float32 image in [0, 1] from a float32 or float64
+    tensor container (uint8 is refused), bilinearly resized to side x side
+    when `side` is given and either extent differs from it."""
     arr = read_tensor_file(path)
+    if arr.dtype.kind != "f":
+        raise ValueError(f"{path}: image container holds {arr.dtype}, not float32 or float64")
     if arr.ndim != 3:
         raise ValueError(f"{path}: image tensor must be rank 3, got rank {arr.ndim}")
     if arr.shape[2] not in (1, 3):

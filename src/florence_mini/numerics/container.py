@@ -4,9 +4,9 @@ Container layout (little-endian):
     magic "FMT1" | dtype code u8 (0=f32, 1=f64, 2=u8) | rank u32 |
     rank x u32 extents | raw row-major payload
 
-``flatten`` lays named tensors of one dtype out in one buffer, in sorted-name
-order; ZeRO shards and checkpoints both use it. A checkpoint is a directory
-of one rank-1 container per dtype, named by it (``float64.bin``), plus
+``flat_layout`` places named tensors end to end in sorted-name order; ZeRO
+shards and checkpoints both use it. A checkpoint is a directory of one
+rank-1 container per dtype, named by it (``float64.bin``), plus
 ``manifest.json``: name -> {dtype, offset, shape} and, at its top level, any
 JSON-serializable metadata (model config, vocabulary, optimizer scalars).
 """
@@ -36,20 +36,11 @@ class TensorFormatError(ValueError):
 
 
 def flat_layout(tensors) -> dict[str, tuple[int, tuple[int, ...]]]:
-    """name -> (offset, shape) of each tensor in ``flatten``'s buffer, which
-    holds them in sorted-name order; no buffer is built."""
+    """name -> (offset, shape) of each tensor laid end to end in sorted-name
+    order, as a checkpoint container holds them; no buffer is built."""
     names = sorted(tensors)
     offsets = accumulate((tensors[name].size for name in names), initial=0)
     return {name: (o, tensors[name].shape) for name, o in zip(names, offsets)}
-
-
-def flatten(tensors) -> tuple[np.ndarray, dict[str, tuple[int, tuple[int, ...]]]]:
-    """One rank-1 buffer holding every tensor in sorted-name order, and the
-    layout name -> (offset, shape) that ``unflatten`` reads it back with."""
-    arrays = [tensors[name] for name in sorted(tensors)]
-    if len({a.dtype for a in arrays}) != 1:
-        raise ValueError(f"flatten needs tensors of one dtype, got {sorted({str(a.dtype) for a in arrays})}")
-    return np.concatenate([a.ravel() for a in arrays]), flat_layout(tensors)
 
 
 def unflatten(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
@@ -57,21 +48,30 @@ def unflatten(flat: np.ndarray, layout: dict) -> dict[str, np.ndarray]:
     return {name: flat[offset : offset + math.prod(shape)].reshape(shape) for name, (offset, shape) in layout.items()}
 
 
-def write_tensor_file(path, arr: np.ndarray) -> None:
-    if arr.dtype not in _DTYPE_CODES:
-        raise TensorFormatError(f"unsupported dtype {arr.dtype}")
-    if arr.ndim > MAX_RANK:
-        raise TensorFormatError(f"rank {arr.ndim} exceeds container maximum {MAX_RANK}")
-    for ext in arr.shape:
+def write_tensor_file(path, arr: np.ndarray | list[np.ndarray]) -> None:
+    """Write ``arr`` as one container. A list of arrays of one dtype is
+    written as the rank-1 container of all their elements in order, each
+    array from its own buffer, so the joined payload is never built."""
+    parts = arr if isinstance(arr, list) else [arr]
+    shape = (sum(a.size for a in parts),) if isinstance(arr, list) else arr.shape
+    dtype = parts[0].dtype
+    if any(a.dtype != dtype for a in parts):
+        raise TensorFormatError(f"a container holds one dtype, got {sorted({str(a.dtype) for a in parts})}")
+    if dtype not in _DTYPE_CODES:
+        raise TensorFormatError(f"unsupported dtype {dtype}")
+    if len(shape) > MAX_RANK:
+        raise TensorFormatError(f"rank {len(shape)} exceeds container maximum {MAX_RANK}")
+    for ext in shape:
         if ext >= 2**32:
             raise TensorFormatError(f"extent {ext} exceeds u32")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-        fh.write(struct.pack("<I", arr.ndim))
-        for ext in arr.shape:
+        fh.write(struct.pack("<B", _DTYPE_CODES[dtype]))
+        fh.write(struct.pack("<I", len(shape)))
+        for ext in shape:
             fh.write(struct.pack("<I", ext))
-        fh.write(np.ascontiguousarray(arr).data)  # no payload copy when arr is C-contiguous
+        for a in parts:
+            fh.write(np.ascontiguousarray(a).data)  # no payload copy when a is C-contiguous
 
 
 def _read_checked_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
@@ -117,13 +117,14 @@ def read_tensor_file(path) -> np.ndarray:
 
 
 def save_checkpoint(dirpath, tensors: dict[str, np.ndarray], metadata: dict | None = None) -> Path:
-    """Write one flat container per dtype plus a manifest locating each tensor."""
+    """Write one flat container per dtype, tensor by tensor in sorted-name
+    order, plus a manifest locating each tensor."""
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
     entries = {}
     for dtype in sorted({str(a.dtype) for a in tensors.values()}):
-        flat, layout = flatten({name: a for name, a in tensors.items() if str(a.dtype) == dtype})
-        write_tensor_file(d / f"{dtype}.bin", flat)
+        layout = flat_layout({name: a for name, a in tensors.items() if str(a.dtype) == dtype})
+        write_tensor_file(d / f"{dtype}.bin", [tensors[name] for name in layout])
         entries.update({name: {"dtype": dtype, "offset": o, "shape": list(s)} for name, (o, s) in layout.items()})
     manifest = {"format": CHECKPOINT_FORMAT, "tensors": entries, **(metadata or {})}
     with open(d / "manifest.json", "w") as fh:

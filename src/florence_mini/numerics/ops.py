@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .precision import apply_policy, current_snap
+from .precision import current_snap
 from .tensor import Tensor
 from .tensor import record as _record
 
@@ -39,7 +39,7 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 def _result(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
     """Record an output that snaps to the binary16 grid in half-emulated mode."""
-    return _record(op, apply_policy(out), inputs, saved, backward_fn)
+    return _record(op, current_snap()(out), inputs, saved, backward_fn)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -246,10 +246,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result("matmul", np.matmul(a.data, b.data), (a, b), (a.data, b.data), backward)
 
 
-def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, snap=apply_policy) -> np.ndarray:
-    """``linear``'s value: the product snaps, then the bias sum, added in
-    place. A backward rule that rebuilds a dense layer passes the forward's
-    ``snap`` (from ``current_snap``)."""
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, snap) -> np.ndarray:
+    """``linear``'s value: the product snaps under ``snap`` (the forward's
+    ``current_snap()``), then the bias sum, added in place, snaps again."""
     cin, cout = w.shape
     if x.size == cin:
         # numpy hands a one-row product to BLAS gemv, whose sums can differ
@@ -309,7 +308,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     def backward(g, saved):
         return _dense_grads(g, *saved, b is not None, input_grad=x_live)
 
-    out = _dense(x.data, w.data, None if b is None else b.data)
+    out = _dense(x.data, w.data, None if b is None else b.data, current_snap())
     return _record("linear", out, inputs, (x.data, w.data), backward)
 
 
@@ -551,11 +550,11 @@ def attention(
     q, k, v = (_dense(xw, w.data, b, snap) for w, b in ((wq, bq.data), (wk, None), (wv, bv.data)))
     del xw
     q4, k4, v4 = (t.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
-    scores = apply_policy(np.matmul(q4, k4.transpose(0, 1, 3, 2)))
+    scores = snap(np.matmul(q4, k4.transpose(0, 1, 3, 2)))
     scores *= c_scale
-    scores = apply_policy(scores)
+    scores = snap(scores)
     scores += bias.data
-    probs = _softmax_rows(apply_policy(scores))
+    probs = _softmax_rows(snap(scores))
     del scores, q4, k4, q, k
     ctx = snap(_merged_heads(probs, v4, split))
     out = _merge(_dense(ctx, wo.data, bo.data, snap), window, x.shape)
@@ -655,13 +654,13 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
         _check_same_dtype(x, t, "mlp")
     snap = current_snap()
     normed, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data)
-    h = _dense(normed, w1.data, b1.data)
+    h = _dense(normed, w1.data, b1.data, snap)
     del normed
     rows = h.reshape(-1, h.shape[-1])
     act = np.empty_like(rows)
     for s in _row_tiles(rows):
         act[s] = snap(_gelu_value(rows[s], _gelu_tanh(rows[s]) + 1.0))
-    out = _dense(act.reshape(h.shape), w2.data, b2.data)
+    out = _dense(act.reshape(h.shape), w2.data, b2.data, snap)
 
     def backward(g, saved):
         xh, istd, gam, bet, hv, w1v, w2v = saved

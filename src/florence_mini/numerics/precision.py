@@ -3,7 +3,7 @@
 Half precision is emulated by snapping values to the IEEE-754 binary16 grid
 while keeping the original storage dtype, so numerical behavior is testable
 without 16-bit storage. The mode is one module flag; each op in ``ops``
-decides in its own code whether its output goes through ``apply_policy``.
+decides in its own code whether its output goes through ``current_snap()``.
 """
 
 from __future__ import annotations
@@ -43,19 +43,13 @@ def half_grid(values: np.ndarray) -> np.ndarray:
         return values.astype(np.float16).astype(values.dtype)
 
 
-def apply_policy(values: np.ndarray) -> np.ndarray:
-    """Snap a floating op output to the binary16 grid in half-emulated mode."""
-    if _half and np.issubdtype(values.dtype, np.floating):
-        return half_grid(values)
-    return values
-
-
 def _unchanged(values: np.ndarray) -> np.ndarray:
     return values
 
 
 def current_snap() -> Callable[[np.ndarray], np.ndarray]:
-    """The snap ``apply_policy`` applies in the mode active now, fixed: a
-    backward rule that rebuilds a snapped forward value calls it and gets
-    the forward's bytes, whatever mode is active when it runs."""
+    """The snap of the mode active now, fixed: ``half_grid`` in half-emulated
+    mode, else the identity. An op takes it once per forward, and a backward
+    rule that rebuilds a snapped forward value calls it and gets the
+    forward's bytes, whatever mode is active when it runs."""
     return half_grid if _half else _unchanged

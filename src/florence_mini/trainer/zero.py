@@ -1,10 +1,10 @@
 """Single-process simulation of optimizer-state sharding.
 
-As in ZeRO, the flattened optimizer state (``container.flatten``) is cut into
-one contiguous slice per worker, 1/N of it to within one scalar. A worker
-keeps its slice as the parts of each tensor inside it, keyed (name, start,
-stop), and steps AdamW once over the same parts of the parameters and
-gradients: views, so a step makes no flat copies or full-length temporaries.
+As in ZeRO, the optimizer state laid end to end (``container.flat_layout``)
+is cut into one contiguous slice per worker, 1/N of it to within one scalar.
+A worker keeps its slice as the parts of each tensor inside it, keyed (name,
+start, stop), and steps AdamW once over the same parts of the parameters and
+gradients: all views, so neither the split nor a step makes flat copies.
 AdamW is elementwise, so the gathered result must be bit-equal to the
 unsharded update. Every run steps through it; one worker holds everything.
 """
@@ -15,26 +15,25 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..numerics.container import flat_layout, flatten, unflatten
+from ..numerics.container import flat_layout, unflatten
 from ..numerics.optim import OptimizerState, adamw_step
 
 
 def split_zero_state(state: OptimizerState, params: dict[str, np.ndarray], workers: int) -> list[OptimizerState]:
     """Inverse of merge_zero_states: the per-worker states every run steps.
-    Worker w holds scalars [n*w//W, n*(w+1)//W) of the flattened moments."""
+    Worker w holds scalars [n*w//W, n*(w+1)//W) of the moments laid end to
+    end, as parts that are views of ``state``'s moments."""
     shapes = {k: p.shape for k, p in params.items()}
     if any({k: a.shape for k, a in moments.items()} != shapes for moments in (state.m, state.v)):
         raise ValueError("optimizer moments must match the parameters name for name and shape for shape")
-    (m, layout), (v, _) = flatten(state.m), flatten(state.v)
+    layout, n = flat_layout(state.m), sum(a.size for a in state.m.values())
     states = []
     for w in range(workers):
-        lo, hi = m.size * w // workers, m.size * (w + 1) // workers
-        parts = {}
-        for name, (offset, _) in layout.items():
-            start, stop = max(lo, offset), min(hi, offset + state.m[name].size)
-            if start < stop:
-                parts[name, start - offset, stop - offset] = slice(start, stop)
-        states.append(replace(state, m={k: m[s] for k, s in parts.items()}, v={k: v[s] for k, s in parts.items()}))
+        lo, hi = n * w // workers, n * (w + 1) // workers
+        keys = [(k, max(lo, o) - o, min(hi, o + state.m[k].size) - o) for k, (o, _) in layout.items()]
+        keys = [key for key in keys if key[1] < key[2]]
+        m, v = ({key: a[key[0]].ravel()[key[1] : key[2]] for key in keys} for a in (state.m, state.v))
+        states.append(replace(state, m=m, v=v))
     return states
 
 

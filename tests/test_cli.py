@@ -660,6 +660,31 @@ class TestPipelineCommands:
         code = main(["curate", "--records", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["curate", "train", "synth"])
+    def test_io_errors_exit_2_naming_the_path_and_leave_no_out(self, tmp_path, capsys, command):
+        """A directory read as a file, and an --out under a file, exit 2 as
+        a missing file does, not with a traceback."""
+        (tmp_path / "file").write_text("")
+        out = ["--out", str(tmp_path / "o")]
+        argv, named = {
+            "curate": (["--records", str(tmp_path), *out], tmp_path),
+            "train": (["--triplets", str(tmp_path / "t.jsonl"), "--config", str(tmp_path), *out], tmp_path),
+            "synth": (["--out", str(tmp_path / "file/x")], tmp_path / "file/x"),
+        }[command]
+        assert main([command, *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{named}'" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_curate_exits_2_on_a_uint8_image(self, tmp_path, capsys):
+        image = tmp_path / "img.bin"
+        write_tensor_file(image, np.full((32, 32, 3), 254, dtype=np.uint8))
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"id": "r0", "image": "img.bin", "text": "a photo", "source": "x"}) + "\n")
+        assert main(["curate", "--records", str(records), "--out", str(tmp_path / "cur")]) == 2
+        assert f"error: {image}: image container holds uint8, not float32 or float64" in capsys.readouterr().err
+        assert not (tmp_path / "cur").exists()
+
 
 def _python(*argv, threads="1"):
     """Start `python *argv` on this checkout's src with the given BLAS thread count."""

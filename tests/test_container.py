@@ -17,7 +17,7 @@ from florence_mini.numerics import (
     save_checkpoint,
     write_tensor_file,
 )
-from florence_mini.numerics.container import flat_layout, flatten, unflatten
+from florence_mini.numerics.container import flat_layout, unflatten
 
 
 def _roundtrip(tmp_path, arr):
@@ -151,15 +151,41 @@ def test_checkpoint_is_one_container_per_dtype(tmp_path):
     ).tobytes()
 
 
-def test_flatten_orders_by_name_and_unflatten_returns_views():
+def test_checkpoint_containers_equal_a_concatenation_in_name_order(tmp_path):
+    """Each dtype's container holds the header of its total length, then its
+    tensors' elements in sorted-name order: the bytes of one concatenation,
+    here built by the test. A list given to write_tensor_file is written the
+    same way, from each array's own buffer, a transposed one included."""
+    rng = np.random.default_rng(5)
+    tensors = {
+        "w": rng.normal(size=(3, 4)),
+        "t": rng.normal(size=(4, 3)).T,
+        "b": rng.normal(size=5),
+        "s": np.array(1.5),
+        "h": rng.normal(size=(2, 3)).astype(np.float32),
+        "e": rng.normal(size=4).astype(np.float32),
+        "mask": rng.integers(0, 256, size=(2, 2, 2), dtype=np.uint8),
+        "ids": np.arange(3, dtype=np.uint8),
+    }
+    save_checkpoint(tmp_path / "ckpt", tensors)
+    for dtype, code in (("float32", 0), ("float64", 1), ("uint8", 2)):
+        names = sorted(n for n, a in tensors.items() if a.dtype == dtype)
+        payload = np.concatenate([tensors[n].ravel() for n in names])
+        want = b"FMT1" + struct.pack("<BII", code, 1, payload.size) + payload.tobytes()
+        assert (tmp_path / f"ckpt/{dtype}.bin").read_bytes() == want
+        write_tensor_file(tmp_path / f"{dtype}.bin", [tensors[n] for n in names])
+        assert (tmp_path / f"{dtype}.bin").read_bytes() == want
+    with pytest.raises(TensorFormatError, match=r"one dtype, got \[.float32., .float64.\]"):
+        write_tensor_file(tmp_path / "mixed.bin", [tensors["w"], tensors["h"]])
+
+
+def test_flat_layout_orders_by_name_and_unflatten_returns_views():
     tensors = {"z": np.array(2.5), "m": np.arange(6.0).reshape(2, 3), "a": np.ones(2)}
-    flat, layout = flatten(tensors)
-    assert layout == flat_layout(tensors) == {"a": (0, (2,)), "m": (2, (2, 3)), "z": (8, ())}
-    assert flat.tolist() == [1, 1, 0, 1, 2, 3, 4, 5, 2.5]
+    layout = flat_layout(tensors)
+    assert layout == {"a": (0, (2,)), "m": (2, (2, 3)), "z": (8, ())}
+    flat = np.array([1, 1, 0, 1, 2, 3, 4, 5, 2.5])
     views = unflatten(flat, layout)
     assert all(views[k].tobytes() == tensors[k].tobytes() and views[k].base is flat for k in tensors)
-    with pytest.raises(ValueError, match="one dtype"):
-        flatten({"a": np.ones(2), "b": np.ones(2, dtype=np.float32)})
 
 
 class TestManifestValidation:

@@ -135,6 +135,13 @@ class TestAverageHashDedup:
         with pytest.raises(ValueError, match="rank 3"):
             load_image(p)
 
+    def test_uint8_image_refused_naming_path_and_dtype(self, tmp_path):
+        """A uint8 container holds 0-255 values, not an image in [0, 1]."""
+        p = tmp_path / "u8.bin"
+        write_tensor_file(p, np.full((32, 32, 3), 254, dtype=np.uint8))
+        with pytest.raises(ValueError, match=re.escape(f"{p}: image container holds uint8")):
+            load_image(p)
+
     @pytest.mark.parametrize("side", [None, 16, 8])
     def test_load_images_equals_stacked_load_image(self, tmp_path, side):
         rng = np.random.default_rng(4)

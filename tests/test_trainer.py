@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -400,6 +401,38 @@ class TestZeroSharding:
                 assert resident == sizes, (workers, moments)
                 assert sum(resident) == total
                 assert all(abs(r - total / workers) < 1 for r in resident)
+
+
+class TestNoFlatCopies:
+    """The ZeRO split and the checkpoint write use each tensor where it lies."""
+
+    def test_split_parts_are_views_of_the_moments(self):
+        rng = np.random.default_rng(4)
+        params = {f"p{i}": rng.normal(size=(2, 3 + i)) for i in range(5)}
+        moments = {kind: {k: rng.normal(size=p.shape) for k, p in params.items()} for kind in "mv"}
+        state = replace(init_optimizer_state(params, lr=1e-3), **moments)
+        for workers in (1, 3, 4):
+            for worker in split_zero_state(state, params, workers):
+                for kind in "mv":
+                    for (name, start, stop), part in getattr(worker, kind).items():
+                        assert np.shares_memory(part, moments[kind][name]), (workers, kind, name)
+                        assert part.tobytes() == moments[kind][name].ravel()[start:stop].tobytes()
+
+    def test_checkpoint_write_peaks_below_half_its_payload(self, tmp_path):
+        """On the default model a training checkpoint's parameters and moments
+        are 4.2 MB; writing them builds no payload-sized buffer."""
+        vocab = build_vocabulary(["a cat", "a dog", "a red bird"])
+        model = TwoTowerModel.create(ModelConfig(), vocab, seed=0)
+        state = init_optimizer_state(model.param_arrays(), lr=1e-3)
+        payload = 3 * sum(a.nbytes for a in model.param_arrays().values())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_train_checkpoint(tmp_path / "ckpt", model, state, TrainConfig(), 0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 2, (peak, payload)
 
 
 class TestTrainStep:
