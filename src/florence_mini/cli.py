@@ -99,6 +99,8 @@ def parse_config(path: str | None, overrides: dict) -> TrainConfig:
     if path:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} must hold a JSON object, got {type(data).__name__}")
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -273,11 +275,9 @@ def cmd_eval_retrieval(args, out):
 
 
 def cmd_eval_linear_probe(args, out):
+    config = ProbeConfig(epochs=args.probe_epochs, holdout_fraction=args.holdout_fraction, seed=args.seed)
     model, _, records, images, labels = _eval_inputs(args, holdout=False)
-    result = linear_probe(
-        embed_images(model, images), labels,
-        ProbeConfig(epochs=args.probe_epochs, holdout_fraction=args.holdout_fraction, seed=args.seed),
-    )
+    result = linear_probe(embed_images(model, images), labels, config)
     metrics = {"probe_acc": result.accuracy}
     report = EvalReport(task="linear_probe", metrics=metrics, n=len(records), seed=args.seed)
     message = f"linear probe: {metrics}" + (" (degenerate)" if result.degenerate else "")

@@ -30,6 +30,11 @@ class ModelConfig:
     def __post_init__(self):
         if not (len(self.stage_depths) == len(self.stage_widths) == len(self.stage_heads)):
             raise ValueError("stage tuples must have equal length")
+        # each is a divisor below, so a zero is refused here by name
+        sizes = [(k, getattr(self, k)) for k in ("image_size", "patch_kernel", "window", "merge_kernel", "text_heads")]
+        for name, value in sizes + [(f"stage_heads[{i}]", h) for i, h in enumerate(self.stage_heads)]:
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.image_size % self.patch_kernel != 0:
             raise ValueError("image_size must be divisible by patch_kernel")
         for w, h in zip(self.stage_widths, self.stage_heads):

@@ -18,6 +18,10 @@ class ProbeConfig:
     holdout_fraction: float = 0.25
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 < self.holdout_fraction < 1:
+            raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
+
 
 @dataclass
 class ProbeResult:

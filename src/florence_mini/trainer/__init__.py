@@ -14,7 +14,7 @@ from .loop import (
     save_train_checkpoint,
     train_step,
 )
-from .zero import merge_zero_states, split_zero_state, zero_shard_update
+from .zero import zero_shard_update
 
 __all__ = [
     "TrainConfig",
@@ -25,12 +25,10 @@ __all__ = [
     "gradient_cache_gradients",
     "load_model_checkpoint",
     "load_train_checkpoint",
-    "merge_zero_states",
     "monolithic_gradients",
     "prepare_batch",
     "run_two_stage_training",
     "save_train_checkpoint",
-    "split_zero_state",
     "train_step",
     "zero_shard_update",
 ]

@@ -21,7 +21,7 @@ from ..numerics.precision import PRECISION_MODES, precision_policy
 from ..numerics.tensor import Tensor, activation_meter
 from .checkpointing import checkpointed
 from .grad_cache import gradient_cache_gradients, monolithic_gradients
-from .zero import merge_zero_states, split_zero_state, zero_shard_update
+from .zero import zero_shard_update, zero_shards
 
 
 class TrainingAborted(RuntimeError):
@@ -61,8 +61,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 2")
         if self.chunk_size < 1 or self.batch_size % self.chunk_size != 0:
             raise ValueError(f"chunk_size {self.chunk_size} must divide batch_size {self.batch_size}")
-        if self.zero_workers < 1:
-            raise ValueError("zero_workers must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if min(self.stage1_steps, self.stage2_steps, self.high_res_steps) < 0:
@@ -103,7 +101,9 @@ class TrainConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        if "model" in d and isinstance(d["model"], dict):
+        if "model" in d:
+            if not isinstance(d["model"], dict):
+                raise ValueError(f"train config key 'model' must be a JSON object, got {type(d['model']).__name__}")
             d["model"] = ModelConfig.from_dict(d["model"])
         return TrainConfig(**d)
 
@@ -147,12 +147,12 @@ def train_step(
     ids: np.ndarray,
     labels: np.ndarray,
     record_ids: list[str],
-    opt_states: list[OptimizerState],
+    state: OptimizerState,
     config: TrainConfig,
     lr: float,
-) -> tuple[list[OptimizerState], dict]:
-    """One optimizer step over the ZeRO shards, one state per worker;
-    returns (new worker states, metrics record)."""
+) -> tuple[OptimizerState, dict]:
+    """One optimizer step, sharded over ``config.zero_workers`` inside the
+    update (``zero_shard_update``); returns (new state, metrics record)."""
     t0 = time.perf_counter()
     activation_meter.reset()
     labels_eff = effective_labels(labels, config.objective)
@@ -164,7 +164,7 @@ def train_step(
     if bad:
         raise TrainingAborted(f"non-finite gradient for {bad}; batch ids: {record_ids}")
     params = model.param_arrays()
-    new_params, new_states = zero_shard_update(params, grads, opt_states, lr=lr)
+    new_params, new_state = zero_shard_update(params, grads, state, config.zero_workers, lr=lr)
     model.load_arrays(new_params)
     metrics = {
         "loss": loss,
@@ -173,7 +173,7 @@ def train_step(
         "peak_activation_scalars": activation_meter.peak,
         "step_time_s": time.perf_counter() - t0,
     }
-    return new_states, metrics
+    return new_state, metrics
 
 
 def save_train_checkpoint(path, model: TwoTowerModel, state: OptimizerState, config: TrainConfig, step: int) -> None:
@@ -192,8 +192,7 @@ def save_train_checkpoint(path, model: TwoTowerModel, state: OptimizerState, con
 
 
 # TrainConfig fields a resume may change: they extend or reschedule the run,
-# or reshard its merged optimizer state, without changing what any
-# already-taken step computed.
+# or reshard its optimizer state, without changing what any already-taken step computed.
 RESUMABLE_KEYS = ("stage1_steps", "stage2_steps", "high_res_steps", "total_steps", "checkpoint_every", "zero_workers")
 
 
@@ -271,7 +270,7 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
         state = init_optimizer_state(model.param_arrays(), lr=config.peak_lr)
         start_step = 0
 
-    opt_states = split_zero_state(state, model.param_arrays(), config.zero_workers)
+    zero_shards(model.param_arrays(), config.zero_workers)  # refuses a bad worker count before metrics.jsonl opens
 
     # (stage, first step, end step, stream, image side) for each stage that
     # runs; the high-res phase redraws the stage-2 pool from its first batch
@@ -316,9 +315,7 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
                 )
                 lr = cosine_lr(step, config.schedule_total, config.warmup_steps, config.peak_lr)
                 try:
-                    opt_states, metrics = train_step(
-                        model, images, ids, labels, rec_ids, opt_states, config, lr
-                    )
+                    state, metrics = train_step(model, images, ids, labels, rec_ids, state, config, lr)
                 except TrainingAborted as exc:
                     with open(out / "abort_diagnostic.json", "w") as fh:
                         json.dump({"step": step, "stage": stage, "batch_ids": rec_ids, "error": str(exc)}, fh)
@@ -333,11 +330,11 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
                 ):
                     if due:
                         p = out / f"ckpt-{name}"
-                        save_train_checkpoint(p, model, merge_zero_states(opt_states, model.param_arrays()), config, done)
+                        save_train_checkpoint(p, model, state, config, done)
                         checkpoints[name] = str(p)
 
     final = out / "ckpt-final"
-    save_train_checkpoint(final, model, merge_zero_states(opt_states, model.param_arrays()), config, config.planned_steps)
+    save_train_checkpoint(final, model, state, config, config.planned_steps)
     checkpoints["final"] = str(final)
     return {
         "model": model,

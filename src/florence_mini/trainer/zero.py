@@ -1,12 +1,12 @@
 """Single-process simulation of optimizer-state sharding.
 
-As in ZeRO, the optimizer state laid end to end (``container.flat_layout``)
-is cut into one contiguous slice per worker, 1/N of it to within one scalar.
-A worker keeps its slice as the parts of each tensor inside it, keyed (name,
-start, stop), and steps AdamW once over the same parts of the parameters and
-gradients: all views, so neither the split nor a step makes flat copies.
-AdamW is elementwise, so the gathered result must be bit-equal to the
-unsharded update. Every run steps through it; one worker holds everything.
+As in ZeRO, the parameters laid end to end (``container.flat_layout``) are
+cut into one contiguous slice per worker, 1/W of them to within one scalar
+(``zero_shards``). A run keeps one per-name OptimizerState; the split exists
+only inside ``zero_shard_update``, where each worker steps AdamW once over
+views of its parts of the parameters, gradients and moments. AdamW is
+elementwise, so the gathered result must be bit-equal to the unsharded
+update. Every run steps through it; one worker holds everything.
 """
 
 from __future__ import annotations
@@ -15,55 +15,50 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..numerics.container import flat_layout, unflatten
+from ..numerics.container import flat_layout
 from ..numerics.optim import OptimizerState, adamw_step
 
 
-def split_zero_state(state: OptimizerState, params: dict[str, np.ndarray], workers: int) -> list[OptimizerState]:
-    """Inverse of merge_zero_states: the per-worker states every run steps.
-    Worker w holds scalars [n*w//W, n*(w+1)//W) of the moments laid end to
-    end, as parts that are views of ``state``'s moments."""
-    shapes = {k: p.shape for k, p in params.items()}
-    if any({k: a.shape for k, a in moments.items()} != shapes for moments in (state.m, state.v)):
-        raise ValueError("optimizer moments must match the parameters name for name and shape for shape")
-    layout, n = flat_layout(state.m), sum(a.size for a in state.m.values())
-    states = []
+def zero_shards(params: dict[str, np.ndarray], workers: int) -> list[list[tuple[str, int, int]]]:
+    """Each worker's parts of ``params`` as (name, start, stop) ranges of the
+    flattened tensors: worker w holds scalars [n*w//W, n*(w+1)//W) of the
+    parameters laid end to end. Refuses a worker count outside [1, n]."""
+    n = sum(p.size for p in params.values())
+    if not 1 <= workers <= n:
+        raise ValueError(f"zero_workers {workers} must be between 1 and the {n} parameter scalars")
+    layout = flat_layout(params)
+    shards = []
     for w in range(workers):
         lo, hi = n * w // workers, n * (w + 1) // workers
-        keys = [(k, max(lo, o) - o, min(hi, o + state.m[k].size) - o) for k, (o, _) in layout.items()]
-        keys = [key for key in keys if key[1] < key[2]]
-        m, v = ({key: a[key[0]].ravel()[key[1] : key[2]] for key in keys} for a in (state.m, state.v))
-        states.append(replace(state, m=m, v=v))
-    return states
+        parts = [(k, max(lo, o) - o, min(hi, o + params[k].size) - o) for k, (o, _) in layout.items()]
+        shards.append([part for part in parts if part[1] < part[2]])
+    return shards
 
 
 def zero_shard_update(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
-    states: list[OptimizerState],
+    state: OptimizerState,
+    workers: int,
     lr: float | None = None,
-) -> tuple[dict[str, np.ndarray], list[OptimizerState]]:
-    """Each worker updates its slice locally; merged result must equal the
-    unsharded adamw_step output exactly."""
-    if any(grads[k].shape != p.shape for k, p in params.items()):
-        raise ValueError("gradients must match the parameters name for name and shape for shape")
-    gathered: dict[str, list[np.ndarray]] = {k: [] for k in params}
-    new_states: list[OptimizerState] = []
-    for state in states:
-        local_params = {key: params[key[0]].ravel()[key[1] : key[2]] for key in state.m}
-        local_grads = {key: grads[key[0]].ravel()[key[1] : key[2]] for key in state.m}
-        updated, next_state = adamw_step(local_params, local_grads, state, lr=lr)
-        for (name, _, _), part in updated.items():
-            gathered[name].append(part)
-        new_states.append(next_state)
-    return {k: np.concatenate(gathered[k]).reshape(p.shape) for k, p in params.items()}, new_states
-
-
-def merge_zero_states(states: list[OptimizerState], params: dict[str, np.ndarray]) -> OptimizerState:
-    """Collapse worker states into one per-name state for ``params`` (for
-    checkpointing): the workers' parts, in order, are the flattened moments."""
-    if any(s.step != states[0].step for s in states):
-        raise ValueError("worker states out of sync")
-    layout = flat_layout(params)
-    m, v = (unflatten(np.concatenate([a for s in states for a in getattr(s, k).values()]), layout) for k in "mv")
-    return replace(states[0], m=m, v=v)
+) -> tuple[dict[str, np.ndarray], OptimizerState]:
+    """One AdamW step over ``workers`` shards; returns (new params, new
+    state), which must equal the unsharded adamw_step output exactly. A name
+    one worker holds whole keeps that worker's fresh arrays; only the names a
+    shard boundary cuts are concatenated."""
+    shapes = {k: p.shape for k, p in params.items()}
+    if any({k: a.shape for k, a in d.items()} != shapes for d in (grads, state.m, state.v)):
+        raise ValueError("gradients and optimizer moments must match the parameters name for name and shape for shape")
+    pieces: dict[str, list[tuple[np.ndarray, ...]]] = {k: [] for k in params}  # new (param, m, v) parts in order
+    for parts in zero_shards(params, workers):
+        local_p, local_g, local_m, local_v = (
+            {part: d[part[0]].ravel()[part[1] : part[2]] for part in parts} for d in (params, grads, state.m, state.v)
+        )
+        updated, local = adamw_step(local_p, local_g, replace(state, m=local_m, v=local_v), lr=lr)
+        for part in parts:
+            pieces[part[0]].append((updated[part], local.m[part], local.v[part]))
+    new_p, new_m, new_v = (
+        {k: (ps[0][i] if len(ps) == 1 else np.concatenate([p[i] for p in ps])).reshape(shapes[k]) for k, ps in pieces.items()}
+        for i in range(3)
+    )
+    return new_p, replace(state, step=local.step, m=new_m, v=new_v)

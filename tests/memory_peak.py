@@ -13,8 +13,9 @@ one chunk, 64 px, every block checkpointed), this prints
   highest, with the level on entry to each.
 
 It then prints the traced peak of one training checkpoint write of the
-default model, as the loop makes it: `merge_zero_states` of a 4-worker
-state and `save_train_checkpoint`, against the bytes of tensors written.
+default model, as the loop makes it: `save_train_checkpoint` of the state
+one 4-worker `zero_shard_update` returns, against the bytes of tensors
+written.
 
     python tests/memory_peak.py
 
@@ -114,26 +115,29 @@ def step_report(name: str, shape: dict, triplets, vocab) -> list[str]:
 
 
 def checkpoint_report(vocab, workers: int = 4) -> list[str]:
+    import numpy as np
+
     from florence_mini.encoders import ModelConfig, TwoTowerModel
     from florence_mini.numerics import init_optimizer_state
-    from florence_mini.trainer import TrainConfig, merge_zero_states, split_zero_state
+    from florence_mini.trainer import TrainConfig, zero_shard_update
     from florence_mini.trainer.loop import save_train_checkpoint
 
     config = TrainConfig(model=ModelConfig())
     model = TwoTowerModel.create(config.model, vocab, seed=0)
     params = model.param_arrays()
-    states = split_zero_state(init_optimizer_state(params, lr=config.peak_lr), params, workers)
+    grads = {k: np.full_like(p, 0.5) for k, p in params.items()}
+    _, state = zero_shard_update(params, grads, init_optimizer_state(params, lr=config.peak_lr), workers)
     payload = 3 * sum(a.nbytes for a in params.values())
     with tempfile.TemporaryDirectory() as tmp:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            save_train_checkpoint(Path(tmp) / "ckpt", model, merge_zero_states(states, params), config, 1)
+            save_train_checkpoint(Path(tmp) / "ckpt", model, state, config, 1)
             traced = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
     return [
-        f"checkpoint: save_train_checkpoint of the default model, {workers}-worker state merged",
+        f"checkpoint: save_train_checkpoint of the default model, state after one {workers}-worker update",
         f"  traced peak   {traced:>12,} bytes for {payload:,} bytes of parameters and moments",
     ]
 

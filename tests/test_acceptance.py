@@ -8,6 +8,7 @@ at the tolerances stated with each criterion.
 import json
 import math
 import time
+from dataclasses import replace
 import numpy as np
 import pytest
 
@@ -53,7 +54,6 @@ from florence_mini.trainer import (
     load_model_checkpoint,
     monolithic_gradients,
     prepare_batch,
-    split_zero_state,
     train_step,
 )
 from florence_mini.trainer import loop
@@ -254,10 +254,10 @@ def test_criterion_05_zero_sim_equivalence(grad_cache_setup, tmp_path):
 
         def run(workers):
             model = TwoTowerModel.create(ModelConfig(dtype=dtype), vocab, seed=3)
-            params = model.param_arrays()
-            states = split_zero_state(init_optimizer_state(params, lr=1e-3), params, workers)
+            cfg = replace(config, zero_workers=workers)
+            state = init_optimizer_state(model.param_arrays(), lr=1e-3)
             for step in range(10):
-                states, _ = train_step(model, images, ids, labels, ["r"] * 16, states, config, 1e-3)
+                state, _ = train_step(model, images, ids, labels, ["r"] * 16, state, cfg, 1e-3)
             return model.param_arrays()
 
         def unsharded():

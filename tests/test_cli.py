@@ -68,6 +68,24 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="n_heads"):
             parse_config(str(p), {})
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ([1, 2], "config {cfg} must hold a JSON object, got list"),
+            ({"model": [1]}, "train config key 'model' must be a JSON object, got list"),
+            ({"model": {"window": 0}}, "window must be >= 1, got 0"),
+            ({"model": {"patch_kernel": 0}}, "patch_kernel must be >= 1, got 0"),
+            ({"model": {"stage_heads": [0, 2]}}, "stage_heads[0] must be >= 1, got 0"),
+        ],
+    )
+    def test_train_refuses_a_bad_config_file_and_leaves_no_out(self, tmp_path, capsys, content, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(content))
+        out = tmp_path / "run"
+        code = main(["train", "--triplets", str(tmp_path / "triplets.jsonl"), "--config", str(cfg), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert named.format(cfg=cfg) in capsys.readouterr().err
+
     def test_readme_train_config_block_is_the_defaults(self):
         section = README.read_text().split("## Train config", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
@@ -512,6 +530,28 @@ class TestPipelineCommands:
         assert code == 2
         assert f"high_res_size {size}" in capsys.readouterr().err
         assert not (tmp_path / "run/metrics.jsonl").exists()
+
+    @pytest.mark.parametrize("workers", [0, 10**9])
+    def test_train_refuses_a_zero_worker_count_outside_the_parameter_scalars_and_leaves_no_out(
+        self, pipeline, tmp_path, capsys, workers
+    ):
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(out),
+             "--stage1-steps", "1", "--stage2-steps", "0", "--batch-size", "8", "--chunk-size", "4",
+             "--warmup-steps", "0", "--zero-workers", str(workers)],
+        )
+        assert code == 2 and not out.exists()
+        assert re.search(rf"zero_workers {workers} must be between 1 and the \d+ parameter scalars", capsys.readouterr().err)
+
+    def test_eval_linear_probe_refuses_a_holdout_fraction_outside_unit_interval(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "lp"
+        code = main(
+            ["eval", "linear-probe", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
+             "--out", str(out), "--holdout-fraction", "-0.5"],
+        )
+        assert code == 2 and not out.exists()
+        assert "holdout_fraction must be in (0, 1), got -0.5" in capsys.readouterr().err
 
     def test_train_rejects_a_resume_past_its_planned_steps(self, pipeline, tmp_path, capsys):
         """Resuming a 3/2/3-step run from ckpt-step-6 with no high-res phase

@@ -1,5 +1,7 @@
 """Two-tower encoders, tokenization, and 2D->3D inflation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,25 @@ class TestDenseLayers:
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0] = 1
+
+
+class TestModelConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"image_size": 0}, "image_size must be >= 1, got 0"),
+            ({"patch_kernel": 0}, "patch_kernel must be >= 1, got 0"),
+            ({"window": 0}, "window must be >= 1, got 0"),
+            ({"merge_kernel": -1}, "merge_kernel must be >= 1, got -1"),
+            ({"text_heads": 0}, "text_heads must be >= 1, got 0"),
+            ({"stage_heads": (0, 2)}, "stage_heads[0] must be >= 1, got 0"),
+            ({"stage_heads": (2, 0)}, "stage_heads[1] must be >= 1, got 0"),
+        ],
+    )
+    def test_size_below_one_refused_by_name(self, kwargs, message):
+        """Each of these divides a size, so a zero would be a ZeroDivisionError."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelConfig(**kwargs)
 
 
 class TestParameterAccounting:

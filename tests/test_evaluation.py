@@ -1,5 +1,7 @@
 """Zero-shot, retrieval, probing, few-shot, and region evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,11 @@ class TestLinearProbe:
         res = linear_probe(x, y, ProbeConfig(epochs=120, lr=0.1))
         assert res.accuracy == 1.0
         assert not res.degenerate
+
+    @pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+    def test_holdout_fraction_outside_unit_interval_refused_by_value(self, fraction):
+        with pytest.raises(ValueError, match=re.escape(f"holdout_fraction must be in (0, 1), got {fraction}")):
+            ProbeConfig(holdout_fraction=fraction)
 
     def test_single_class_flagged_degenerate(self):
         res = linear_probe(np.random.default_rng(6).normal(size=(10, 4)), np.zeros(10, dtype=int))

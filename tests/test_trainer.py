@@ -37,13 +37,12 @@ from florence_mini.trainer import (
     prepare_batch,
     run_two_stage_training,
     save_train_checkpoint,
-    split_zero_state,
     train_step,
     zero_shard_update,
 )
 from florence_mini.curation import records
 from florence_mini.numerics.tensor import record
-from florence_mini.trainer import loop
+from florence_mini.trainer import loop, zero
 from florence_mini.unicl import unicl_loss_arrays
 
 # two quiet NaNs that differ only in their payload
@@ -367,7 +366,7 @@ class TestZeroSharding:
         params = self._params()
         grads = {k: np.ones_like(v) for k, v in params.items()}
         pu, _ = adamw_step(params, grads, init_optimizer_state(params, lr=0.01))
-        pz, _ = zero_shard_update(params, grads, split_zero_state(init_optimizer_state(params, lr=0.01), params, 1))
+        pz, _ = zero_shard_update(params, grads, init_optimizer_state(params, lr=0.01), 1)
         for k in params:
             assert pu[k].tobytes() == pz[k].tobytes()
 
@@ -377,62 +376,96 @@ class TestZeroSharding:
         pu = {k: v.copy() for k, v in params.items()}
         pz = {k: v.copy() for k, v in params.items()}
         su = init_optimizer_state(params, lr=1e-3)
-        sz = split_zero_state(init_optimizer_state(params, lr=1e-3), params, 4)
+        sz = init_optimizer_state(params, lr=1e-3)
         rng = np.random.default_rng(3)
         for _ in range(10):
             grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
             pu, su = adamw_step(pu, grads, su)
-            pz, sz = zero_shard_update(pz, grads, sz)
+            pz, sz = zero_shard_update(pz, grads, sz, 4)
+        assert sz.step == su.step == 10
         for k in params:
             assert pu[k].tobytes() == pz[k].tobytes(), k
+            assert su.m[k].tobytes() == sz.m[k].tobytes() and su.v[k].tobytes() == sz.v[k].tobytes(), k
 
     def test_resident_state_counts_balanced(self):
         """On the default model each worker holds one contiguous slice of the
-        flattened moments: exactly total/W, to within one scalar."""
+        parameters laid end to end: exactly total/W, to within one scalar."""
         vocab = build_vocabulary(["a cat", "a dog", "a red bird"])
         params = TwoTowerModel.create(ModelConfig(), vocab, seed=0).param_arrays()
         total = sum(p.size for p in params.values())
         assert total == 174_761
         expected = {1: [174_761], 2: [87_380, 87_381], 4: [43_690, 43_690, 43_690, 43_691]}
         for workers, sizes in expected.items():
-            states = split_zero_state(init_optimizer_state(params, lr=1e-3), params, workers)
-            for moments in ("m", "v"):
-                resident = [sum(a.size for a in getattr(s, moments).values()) for s in states]
-                assert resident == sizes, (workers, moments)
-                assert sum(resident) == total
-                assert all(abs(r - total / workers) < 1 for r in resident)
+            resident = [sum(stop - start for _, start, stop in parts) for parts in zero.zero_shards(params, workers)]
+            assert resident == sizes, workers
+            assert sum(resident) == total
+            assert all(abs(r - total / workers) < 1 for r in resident)
+
+    def test_worker_count_outside_one_to_the_scalar_count_refused(self):
+        params = self._params()
+        n = sum(p.size for p in params.values())
+        assert len(zero.zero_shards(params, n)) == n
+        for workers in (0, n + 1, 10**9):
+            with pytest.raises(ValueError, match=f"zero_workers {workers} must be between 1 and the {n} parameter scalars"):
+                zero.zero_shards(params, workers)
 
 
 class TestNoFlatCopies:
-    """The ZeRO split and the checkpoint write use each tensor where it lies."""
+    """The ZeRO update and the checkpoint write use each tensor where it lies."""
 
-    def test_split_parts_are_views_of_the_moments(self):
+    def test_shard_parts_are_views_of_the_whole_tensors(self, monkeypatch):
+        """Every part a worker's AdamW step receives is a view of its
+        parameter, gradient or moment, holding that tensor's scalars
+        [start, stop); a tensor one worker holds whole is returned as that
+        worker's fresh arrays, not a copy."""
         rng = np.random.default_rng(4)
         params = {f"p{i}": rng.normal(size=(2, 3 + i)) for i in range(5)}
-        moments = {kind: {k: rng.normal(size=p.shape) for k, p in params.items()} for kind in "mv"}
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        moments = {kind: {k: rng.uniform(size=p.shape) for k, p in params.items()} for kind in "mv"}
         state = replace(init_optimizer_state(params, lr=1e-3), **moments)
+        received = []
+
+        def recording(local_params, local_grads, local_state, lr=None):
+            result = adamw_step(local_params, local_grads, local_state, lr=lr)
+            received.append(((local_params, local_grads, local_state.m, local_state.v), result))
+            return result
+
+        monkeypatch.setattr(zero, "adamw_step", recording)
         for workers in (1, 3, 4):
-            for worker in split_zero_state(state, params, workers):
-                for kind in "mv":
-                    for (name, start, stop), part in getattr(worker, kind).items():
-                        assert np.shares_memory(part, moments[kind][name]), (workers, kind, name)
-                        assert part.tobytes() == moments[kind][name].ravel()[start:stop].tobytes()
+            received.clear()
+            new_params, new_state = zero_shard_update(params, grads, state, workers)
+            assert len(received) == workers
+            for parts, (updated, local_state) in received:
+                for whole, local in zip((params, grads, moments["m"], moments["v"]), parts):
+                    for (name, start, stop), part in local.items():
+                        assert np.shares_memory(part, whole[name]), (workers, name)
+                        assert part.tobytes() == whole[name].ravel()[start:stop].tobytes()
+                for key in updated:
+                    name, start, stop = key
+                    if stop - start == params[name].size:
+                        for new, fresh in zip((new_params, new_state.m, new_state.v), (updated, local_state.m, local_state.v)):
+                            assert np.shares_memory(new[name], fresh[key]), (workers, name)
 
     def test_checkpoint_write_peaks_below_half_its_payload(self, tmp_path):
         """On the default model a training checkpoint's parameters and moments
-        are 4.2 MB; writing them builds no payload-sized buffer."""
+        are 4.2 MB; writing them builds no payload-sized buffer, whether the
+        state is fresh or the one a 4-worker update returns."""
         vocab = build_vocabulary(["a cat", "a dog", "a red bird"])
         model = TwoTowerModel.create(ModelConfig(), vocab, seed=0)
-        state = init_optimizer_state(model.param_arrays(), lr=1e-3)
-        payload = 3 * sum(a.nbytes for a in model.param_arrays().values())
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            save_train_checkpoint(tmp_path / "ckpt", model, state, TrainConfig(), 0)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak < payload / 2, (peak, payload)
+        params = model.param_arrays()
+        fresh = init_optimizer_state(params, lr=1e-3)
+        grads = {k: np.full_like(p, 0.5) for k, p in params.items()}
+        _, stepped = zero_shard_update(params, grads, fresh, 4)
+        payload = 3 * sum(a.nbytes for a in params.values())
+        for label, state in (("fresh", fresh), ("4-worker update", stepped)):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                save_train_checkpoint(tmp_path / label, model, state, TrainConfig(), 0)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert peak < payload / 2, (label, peak, payload)
 
 
 class TestTrainStep:
@@ -440,8 +473,8 @@ class TestTrainStep:
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8)
-        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
-        _, metrics = train_step(fresh, images, ids, labels, rids, states, cfg, 1e-3)
+        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
     def test_half_emulated_step_with_chunk_equal_to_batch(self, small_setup):
@@ -449,8 +482,8 @@ class TestTrainStep:
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8, precision="half-emulated")
-        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
-        _, metrics = train_step(fresh, images, ids, labels, rids, states, cfg, 1e-3)
+        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
     @pytest.mark.parametrize("chunk, ckpt", [(8, False), (4, False), (4, True)])
@@ -460,19 +493,19 @@ class TestTrainStep:
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         peaks = activation_profile(fresh, images, ids, labels, chunk)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=chunk, activation_checkpointing=ckpt)
-        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
-        _, metrics = train_step(fresh, images, ids, labels, rids, states, cfg, 1e-3)
+        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
+        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
         assert metrics["peak_activation_scalars"] == peaks[ckpt]
 
     def test_nan_input_aborts_with_batch_ids(self, small_setup):
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
         cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=8)
-        states = split_zero_state(init_optimizer_state(fresh.param_arrays(), lr=1e-3), fresh.param_arrays(), 1)
+        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
         bad = images.copy()
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(TrainingAborted, match=rids[0]):
-            train_step(fresh, bad, ids, labels, rids, states, cfg, 1e-3)
+            train_step(fresh, bad, ids, labels, rids, state, cfg, 1e-3)
 
 
 class TestTrainConfigValidation:
@@ -655,7 +688,7 @@ class TestTwoStageRun:
         ps = sharded["model"].param_arrays()
         for k in pb:
             assert pb[k].tobytes() == ps[k].tobytes(), k
-        # the merged worker states reach the checkpoint byte for byte
+        # the 4-worker run's one state reaches the checkpoint byte for byte
         final_b, final_s = tmp_path / "w1/ckpt-final", tmp_path / "w4/ckpt-final"
         mb, ms = (json.loads((d / "manifest.json").read_text()) for d in (final_b, final_s))
         assert (mb["step"], mb["optimizer_step"]) == (ms["step"], ms["optimizer_step"]) == (6, 6)
@@ -693,6 +726,13 @@ class TestTwoStageRun:
         save_checkpoint(tmp_path / "bad", tensors, metadata=metadata)
         with pytest.raises(error, match=re.escape(named)):
             load_model_checkpoint(tmp_path / "bad")
+
+    def test_model_load_refuses_a_manifest_size_below_one_by_name(self, small_setup, tmp_path):
+        model = small_setup[0]
+        metadata = {"model_config": {**model.config.to_dict(), "window": 0}, "vocab": model.vocab.to_list()}
+        save_checkpoint(tmp_path / "ckpt", model.param_arrays(), metadata=metadata)
+        with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+            load_model_checkpoint(tmp_path / "ckpt")
 
     def test_model_load_refuses_a_damaged_moment_entry(self, small_setup, tmp_path):
         """A training checkpoint loads as its model's parameters, and a
