@@ -58,8 +58,17 @@ def generate_synthetic_dataset(
     noise_sigma: float = 0.05,
     word_caption_fraction: float = 0.5,
 ) -> tuple[list[RawRecord], list[str]]:
-    """Write container images under out_dir/images and return the records."""
+    """Write container images under out_dir/images and return the records;
+    arguments that would make unusable data are refused before any write."""
     names = class_names(num_classes)
+    for name, value, ok, bound in (
+        ("per_class", per_class, per_class >= 1, ">= 1"),
+        ("image_side", image_side, image_side >= 1, ">= 1"),
+        ("noise_sigma", noise_sigma, noise_sigma >= 0, ">= 0"),
+        ("word_caption_fraction", word_caption_fraction, 0 <= word_caption_fraction <= 1, "in [0, 1]"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {bound}, got {value}")
     out_dir = Path(out_dir)
     img_dir = out_dir / "images"
     img_dir.mkdir(parents=True, exist_ok=True)

@@ -30,11 +30,18 @@ class ModelConfig:
     def __post_init__(self):
         if not (len(self.stage_depths) == len(self.stage_widths) == len(self.stage_heads)):
             raise ValueError("stage tuples must have equal length")
-        # each is a divisor below, so a zero is refused here by name
-        sizes = [(k, getattr(self, k)) for k in ("image_size", "patch_kernel", "window", "merge_kernel", "text_heads")]
-        for name, value in sizes + [(f"stage_heads[{i}]", h) for i, h in enumerate(self.stage_heads)]:
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        # a size below 1 divides by zero or builds empty tensors far from
+        # here, so it is refused by name; a depth of 0 means no blocks
+        sizes = (
+            "image_size", "channels", "patch_kernel", "window", "merge_kernel", "mlp_ratio", "shared_dim",
+            "text_width", "text_heads",
+        )
+        bounds = [(k, getattr(self, k), 1) for k in sizes] + [("text_layers", self.text_layers, 0)]
+        for key, least in (("stage_widths", 1), ("stage_heads", 1), ("stage_depths", 0)):
+            bounds += [(f"{key}[{i}]", v, least) for i, v in enumerate(getattr(self, key))]
+        for name, value, least in bounds:
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if self.image_size % self.patch_kernel != 0:
             raise ValueError("image_size must be divisible by patch_kernel")
         for w, h in zip(self.stage_widths, self.stage_heads):

@@ -64,28 +64,27 @@ _ATTENTION_PARAMS = (
     "ln1.gamma", "ln1.beta", "attn.wq", "attn.bq", "attn.wk", "attn.wv", "attn.bv", "attn.wo", "attn.bo"
 )
 _MLP_PARAMS = ("ln2.gamma", "ln2.beta", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
-_WINDOWED_BLOCK_PARAMS = ("attn.rel_bias", *_ATTENTION_PARAMS, *_MLP_PARAMS)
 
 
-def transformer_block(
-    x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, bias: Tensor, window: int | None = None
-) -> Tensor:
+def transformer_block(x: Tensor, bias: Tensor, heads: int, window: int | None, *block: Tensor) -> Tensor:
     """Pre-norm attention and MLP sublayers with residuals, one tape node
-    each. ``bias`` broadcasts onto the attention scores; with ``window``,
-    x is an (..., H, W, C) map attended within non-overlapping windows."""
-    attn = ops.attention(x, *(p[f"{prefix}.{name}"] for name in _ATTENTION_PARAMS), bias, heads, window)
-    x = ops.add(x, attn)
-    return ops.add(x, ops.mlp(x, *(p[f"{prefix}.{name}"] for name in _MLP_PARAMS)))
+    each. ``block`` holds the block's tensors in ``_ATTENTION_PARAMS`` then
+    ``_MLP_PARAMS`` order, as ``ops.attention`` and ``ops.mlp`` take them.
+    ``bias`` broadcasts onto the attention scores; with ``window``, x is an
+    (..., H, W, C) map attended within non-overlapping windows."""
+    split = len(_ATTENTION_PARAMS)
+    x = ops.add(x, ops.attention(x, *block[:split], bias, heads, window))
+    return ops.add(x, ops.mlp(x, *block[split:]))
 
 
-def windowed_attention_block(
-    x: Tensor, p: dict[str, Tensor], prefix: str, heads: int, window: int
-) -> Tensor:
+def windowed_attention_block(x: Tensor, rel_bias: Tensor, *block: Tensor, heads: int, window: int) -> Tensor:
     """Pre-norm windowed MHSA + MLP with residuals on a (..., H, W, C) map;
-    leading axes hold independent maps."""
+    leading axes hold independent maps. ``rel_bias`` is the block's
+    relative-position table and ``block`` its other tensors, in
+    ``transformer_block``'s order."""
     eff = min(window, x.shape[-3])
-    table = ops.embedding(p[f"{prefix}.attn.rel_bias"], relative_index(eff))  # (N, N, h)
-    return transformer_block(x, p, prefix, heads, ops.transpose(table, (2, 0, 1)), eff)
+    table = ops.embedding(rel_bias, relative_index(eff))  # (N, N, h)
+    return transformer_block(x, ops.transpose(table, (2, 0, 1)), heads, eff, *block)
 
 
 def image_tower(
@@ -99,10 +98,13 @@ def image_tower(
 
     The patch embed strides by its own kernel, so a clip's temporal kernel
     rides in the inflated weight; merges keep temporal stride 1 and pooling
-    averages every middle axis. ``block_wrapper(fn, x, *params) -> Tensor``
-    (activation checkpointing) wraps each attention block when provided:
-    ``fn(x, *params)`` is the block, and ``params`` are every parameter it
-    reads, so their gradients leave the wrapper's node as input gradients.
+    averages every middle axis. Each stage binds its head count and the
+    window into ``windowed_attention_block`` once, and every block of the
+    stage calls that function as ``fn(x, rel_bias, *block)``.
+    ``block_wrapper(fn, x, *params) -> Tensor`` (activation checkpointing)
+    wraps each such call when provided: ``params`` are every tensor the
+    block reads, so their gradients leave the wrapper's node as input
+    gradients.
     """
     *_, h, w, c = images.shape
     if h % config.patch_kernel or w % config.patch_kernel:
@@ -112,17 +114,11 @@ def image_tower(
     embed_w = params["image.patch_embed.w"]
     x = ops.conv(images, embed_w, params["image.patch_embed.b"], embed_w.shape[:-2])
     merge_stride = (1,) * (images.data.ndim - 4) + (config.merge_kernel,) * 2
-    for s, (depth, _, heads) in enumerate(
-        zip(config.stage_depths, config.stage_widths, config.stage_heads)
-    ):
-        for blk in range(depth):
-            prefix = f"image.s{s}.b{blk}"
-            names = [f"{prefix}.{name}" for name in _WINDOWED_BLOCK_PARAMS]
-            fn = lambda t, *ps, _n=names, _p=prefix, _h=heads: windowed_attention_block(
-                t, dict(zip(_n, ps)), _p, _h, config.window
-            )
-            block_params = [params[name] for name in names]
-            x = block_wrapper(fn, x, *block_params) if block_wrapper is not None else fn(x, *block_params)
+    for s, (depth, heads) in enumerate(zip(config.stage_depths, config.stage_heads)):
+        fn = functools.partial(windowed_attention_block, heads=heads, window=config.window)
+        for b in range(depth):
+            block = [params[f"image.s{s}.b{b}.{name}"] for name in ("attn.rel_bias", *_ATTENTION_PARAMS, *_MLP_PARAMS)]
+            x = block_wrapper(fn, x, *block) if block_wrapper is not None else fn(x, *block)
         if s + 1 < config.num_stages:
             side = x.shape[-3]
             if side % config.merge_kernel:
@@ -156,7 +152,8 @@ def text_tower(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray) 
     )
     mask_bias = Tensor((~valid[:, None, None, :]).astype(dtype) * MASK_NEG)
     for l in range(config.text_layers):
-        x = transformer_block(x, params, f"text.b{l}", config.text_heads, mask_bias)
+        block = [params[f"text.b{l}.{name}"] for name in (*_ATTENTION_PARAMS, *_MLP_PARAMS)]
+        x = transformer_block(x, mask_bias, config.text_heads, None, *block)
     x = ops.layer_norm(x, params["text.ln_f.gamma"], params["text.ln_f.beta"])
     pooled = ops.tensor_sum(ops.mul(x, Tensor(valid[:, :, None].astype(dtype))), axis=1)
     pooled = ops.mul(pooled, Tensor((1.0 / counts)[:, None].astype(dtype)))

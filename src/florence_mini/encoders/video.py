@@ -21,11 +21,9 @@ from .model import image_tower
 
 
 def inflate_conv_2d_to_3d(w2d: np.ndarray, kt: int) -> np.ndarray:
-    """w3d[t] = w2d / kt for each of kt temporal slices; kt=1 is a pure copy."""
+    """w3d[t] = w2d / kt for each of kt temporal slices; kt=1 is a copy."""
     if kt < 1:
         raise ValueError("temporal kernel size must be >= 1")
-    if kt == 1:
-        return w2d[None].copy()
     return np.repeat(w2d[None] / kt, kt, axis=0)
 
 
@@ -38,7 +36,8 @@ class VideoTowerParams:
 
 
 def build_video_tower(params: dict[str, np.ndarray], config: ModelConfig, kt: int, frames: int) -> VideoTowerParams:
-    """Inflate tokenizer/merge kernels; copy the rest."""
+    """Inflate the tokenizer by kt and each merge by kt capped at the
+    temporal extent its stage has left; copy the rest."""
     if kt < 1:
         raise ValueError("temporal kernel size must be >= 1")
     if kt > frames:
@@ -46,22 +45,13 @@ def build_video_tower(params: dict[str, np.ndarray], config: ModelConfig, kt: in
     if frames % kt != 0:
         raise ValueError(f"frame count {frames} not divisible by temporal kernel {kt}")
 
-    out: dict[str, np.ndarray] = {}
+    out = {name: arr.copy() for name, arr in params.items()}
+    out["image.patch_embed.w"] = inflate_conv_2d_to_3d(params["image.patch_embed.w"], kt)
     t = frames // kt
-    stage_extent = {}
-    for s in range(config.num_stages):
-        stage_extent[s] = t
-        if s + 1 < config.num_stages:
-            t = t - min(kt, t) + 1
-
-    for name, arr in params.items():
-        if name == "image.patch_embed.w":
-            out[name] = inflate_conv_2d_to_3d(arr, kt)
-        elif name.startswith("image.merge") and name.endswith(".w"):
-            s = int(name[len("image.merge") : -2])
-            out[name] = inflate_conv_2d_to_3d(arr, min(kt, stage_extent[s]))
-        else:
-            out[name] = arr.copy()
+    for s in range(config.num_stages - 1):
+        k = min(kt, t)
+        out[f"image.merge{s}.w"] = inflate_conv_2d_to_3d(params[f"image.merge{s}.w"], k)
+        t -= k - 1
     return VideoTowerParams(config=config, kt=kt, frames=frames, params=out)
 
 

@@ -83,6 +83,8 @@ def cosine_lr(step: int, total_steps: int, warmup_steps: int, peak_lr: float) ->
 
     Clamped at both ends, so callers may pass steps outside [0, total].
     """
+    if warmup_steps < 0:
+        raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
     if warmup_steps >= total_steps:
         raise ValueError("warmup_steps must be smaller than total_steps")
     step = max(0, min(step, total_steps))

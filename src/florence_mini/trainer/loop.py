@@ -69,6 +69,8 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if self.objective not in ("unicl", "infonce"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.planned_steps > 0 and self.warmup_steps >= self.schedule_total:
             # cosine_lr's own condition, refused here before a run opens anything
             raise ValueError(

@@ -30,6 +30,7 @@ from florence_mini.encoders import (
     inflate_conv_2d_to_3d,
     windowed_attention_block,
 )
+from florence_mini.encoders.model import _ATTENTION_PARAMS, _MLP_PARAMS
 from florence_mini.evaluation import (
     build_prompt_sets,
     classify_regions,
@@ -173,7 +174,8 @@ def test_criterion_03_gradient_correctness():
             params = dict(model.params)
             if name != "x":
                 params[f"image.s0.b0.{name}"] = t
-            out = windowed_attention_block(t if name == "x" else xmap, params, "image.s0.b0", heads=2, window=2)
+            block = [params[f"image.s0.b0.{n}"] for n in ("attn.rel_bias", *_ATTENTION_PARAMS, *_MLP_PARAMS)]
+            out = windowed_attention_block(t if name == "x" else xmap, *block, heads=2, window=2)
             return ops.tensor_sum(ops.mul(out, probe_map))
 
         return f

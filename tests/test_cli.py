@@ -544,6 +544,47 @@ class TestPipelineCommands:
         assert code == 2 and not out.exists()
         assert re.search(rf"zero_workers {workers} must be between 1 and the \d+ parameter scalars", capsys.readouterr().err)
 
+    def test_train_refuses_a_negative_warmup_and_leaves_no_out(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(out),
+             "--stage1-steps", "3", "--stage2-steps", "0", "--batch-size", "4", "--chunk-size", "2",
+             "--warmup-steps", "-2"],
+        )
+        assert code == 2 and not out.exists()
+        assert "warmup_steps must be >= 0, got -2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--image-side", "0", "image_side must be >= 1, got 0"),
+            ("--per-class", "0", "per_class must be >= 1, got 0"),
+            ("--noise-sigma", "-1", "noise_sigma must be >= 0, got -1.0"),
+            ("--word-fraction", "2", "word_caption_fraction must be in [0, 1], got 2.0"),
+        ],
+    )
+    def test_synth_refuses_unusable_data_and_leaves_no_out(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "data"
+        assert main(["synth", "--classes", "2", "--per-class", "2", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, named",
+        [({"shared_dim": 0}, "shared_dim must be >= 1, got 0"), ({"stage_depths": [-1, 2]}, "stage_depths[0] must be >= 0, got -1")],
+    )
+    def test_train_refuses_a_model_size_below_its_bound_and_leaves_no_out(self, pipeline, tmp_path, capsys, model, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--config", str(cfg), "--out", str(out),
+             "--stage1-steps", "1", "--stage2-steps", "0", "--batch-size", "8", "--chunk-size", "4",
+             "--warmup-steps", "0"],
+        )
+        assert code == 2 and not out.exists()
+        assert named in capsys.readouterr().err
+
     def test_eval_linear_probe_refuses_a_holdout_fraction_outside_unit_interval(self, pipeline, tmp_path, capsys):
         out = tmp_path / "lp"
         code = main(

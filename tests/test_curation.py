@@ -373,6 +373,23 @@ class TestSyntheticCorpus:
             with pytest.raises(ValueError, match=f"record 'r' names class .*{re.escape(problem)}"):
                 class_of_record(RawRecord("r", "x", "t", source), names)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"image_side": 0}, "image_side must be >= 1, got 0"),
+            ({"per_class": 0}, "per_class must be >= 1, got 0"),
+            ({"noise_sigma": -1.0}, "noise_sigma must be >= 0, got -1.0"),
+            ({"noise_sigma": float("nan")}, "noise_sigma must be >= 0, got nan"),
+            ({"word_caption_fraction": 2.0}, "word_caption_fraction must be in [0, 1], got 2.0"),
+            ({"word_caption_fraction": -1.0}, "word_caption_fraction must be in [0, 1], got -1.0"),
+        ],
+    )
+    def test_unusable_arguments_refused_before_images_exist(self, tmp_path, kwargs, message):
+        args = {"num_classes": 2, "per_class": 2} | kwargs
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_synthetic_dataset(tmp_path / "out", **args)
+        assert not (tmp_path / "out").exists()
+
     def test_determinism(self, tmp_path):
         r1, _ = generate_synthetic_dataset(tmp_path / "a", num_classes=2, per_class=4, seed=9)
         r2, _ = generate_synthetic_dataset(tmp_path / "b", num_classes=2, per_class=4, seed=9)

@@ -23,7 +23,7 @@ from florence_mini.encoders import (
     tokenize_batch,
     windowed_attention_block,
 )
-from florence_mini.encoders.model import transformer_block
+from florence_mini.encoders.model import _ATTENTION_PARAMS, _MLP_PARAMS, transformer_block
 from florence_mini.numerics import Tensor, backward_from, finite_difference_check, no_grad, ops
 from florence_mini.numerics.tensor import _toposort
 from florence_mini.trainer import checkpointed
@@ -42,6 +42,13 @@ TINY = ModelConfig(
     text_heads=2,
     max_len=8,
 )
+
+
+def block_tensors(params, windowed=False):
+    """Block image.s0.b0's tensors in the order the block functions take
+    them, led by its relative-position table when ``windowed``."""
+    names = ("attn.rel_bias",) * windowed + _ATTENTION_PARAMS + _MLP_PARAMS
+    return [params[f"image.s0.b0.{name}"] for name in names]
 
 
 @pytest.fixture(scope="module")
@@ -166,7 +173,7 @@ class TestImageTower:
         def f(wq):
             params = dict(model.params)
             params["image.s0.b0.attn.wq"] = wq
-            out = windowed_attention_block(x, params, "image.s0.b0", heads=2, window=2)
+            out = windowed_attention_block(x, *block_tensors(params, windowed=True), heads=2, window=2)
             return ops.tensor_sum(ops.mul(out, probe))
 
         rep = finite_difference_check(f, wq0, eps=1e-5)
@@ -178,12 +185,12 @@ class TestImageTower:
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(1, 2, 2, 4)))
         with no_grad():
-            windowed = windowed_attention_block(x, model.params, "image.s0.b0", heads=2, window=2)
+            windowed = windowed_attention_block(x, *block_tensors(model.params, windowed=True), heads=2, window=2)
 
             # global path: all four tokens as one stack, attended without windows
             table = ops.embedding(model.params["image.s0.b0.attn.rel_bias"], relative_index(2))
             tokens = ops.reshape(x, (1, 4, 4))
-            glob = transformer_block(tokens, model.params, "image.s0.b0", 2, ops.transpose(table, (2, 0, 1)))
+            glob = transformer_block(tokens, ops.transpose(table, (2, 0, 1)), 2, None, *block_tensors(model.params))
             glob = ops.reshape(glob, (1, 2, 2, 4))
         np.testing.assert_allclose(windowed.data, glob.data, atol=1e-12)
 
@@ -255,6 +262,34 @@ class TestModelConfigValidation:
         """Each of these divides a size, so a zero would be a ZeroDivisionError."""
         with pytest.raises(ValueError, match=re.escape(message)):
             ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"channels": 0}, "channels must be >= 1, got 0"),
+            ({"shared_dim": 0}, "shared_dim must be >= 1, got 0"),
+            ({"shared_dim": -1}, "shared_dim must be >= 1, got -1"),
+            ({"mlp_ratio": 0}, "mlp_ratio must be >= 1, got 0"),
+            ({"text_width": 0}, "text_width must be >= 1, got 0"),
+            ({"stage_widths": (32, -64)}, "stage_widths[1] must be >= 1, got -64"),
+            ({"stage_depths": (-1, 2)}, "stage_depths[0] must be >= 0, got -1"),
+            ({"text_layers": -1}, "text_layers must be >= 0, got -1"),
+        ],
+    )
+    def test_width_below_one_or_depth_below_zero_refused_by_name(self, kwargs, message):
+        """These would build empty or negative-size tensors."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelConfig(**kwargs)
+
+    def test_zero_depth_means_no_blocks(self, vocab):
+        config = ModelConfig(stage_depths=(0, 2), text_layers=0)
+        assert not [name for name in parameter_shapes(config, len(vocab)) if name.startswith(("image.s0.", "text.b"))]
+        model = TwoTowerModel.create(config, vocab, seed=0)
+        with no_grad():
+            u = model.encode_image(np.random.default_rng(0).uniform(size=(1, 32, 32, 3)))
+            v = model.encode_text(tokenize_batch(["maple"], vocab))
+        np.testing.assert_allclose(np.linalg.norm(u.data), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(v.data), 1.0, atol=1e-12)
 
 
 class TestParameterAccounting:
@@ -385,6 +420,22 @@ class TestVideoTower:
         with pytest.raises(ValueError, match="patch kernel"):
             with no_grad():
                 encode_video(tower, np.zeros((4, 34, 34, 3)))
+
+    @pytest.mark.parametrize("kt, frames, extents", [(1, 2, [1, 1]), (2, 4, [2, 1]), (2, 6, [2, 2]), (3, 3, [1, 1])])
+    def test_merge_kernel_is_kt_capped_at_the_extent_its_stage_has_left(self, vocab, kt, frames, extents):
+        """Three stages: each merge keeps temporal stride 1, so its kernel
+        shrinks the time axis by kernel - 1, and a merge never reaches past
+        the frames its stage still holds."""
+        config = ModelConfig(image_size=64, stage_depths=(1, 1, 1), stage_widths=(8, 16, 32), stage_heads=(1, 1, 1))
+        model = TwoTowerModel.create(config, vocab, seed=12)
+        tower = build_video_tower(model.param_arrays(), config, kt=kt, frames=frames)
+        assert tower.params["image.patch_embed.w"].shape[0] == kt
+        assert [tower.params[f"image.merge{s}.w"].shape[0] for s in range(2)] == extents
+        img = np.random.default_rng(13).uniform(size=(64, 64, 3))
+        with no_grad():
+            e_img = model.encode_image(img)
+            e_vid = encode_video(tower, np.repeat(img[None], frames, axis=0))
+        np.testing.assert_allclose(e_vid.data, e_img.data, rtol=0, atol=1e-12)
 
     def test_kt_exceeding_frames_rejected(self, mini_model):
         with pytest.raises(ValueError, match="exceeds"):

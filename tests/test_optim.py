@@ -102,3 +102,9 @@ class TestCosineSchedule:
     def test_warmup_must_precede_total(self):
         with pytest.raises(ValueError):
             cosine_lr(0, 100, 100, 1.0)
+
+    def test_negative_warmup_refused_by_value(self):
+        """A negative warm-up would start the run part-way down the cosine."""
+        with pytest.raises(ValueError, match="warmup_steps must be >= 0, got -2"):
+            cosine_lr(0, 3, -2, 0.002)
+        assert cosine_lr(0, 3, 0, 0.002) == 0.002

@@ -522,6 +522,11 @@ class TestTrainConfigValidation:
             TrainConfig(stage1_steps=30, stage2_steps=2, warmup_steps=4, total_steps=4)
         assert TrainConfig(stage1_steps=0, stage2_steps=0, warmup_steps=5).planned_steps == 0
 
+    def test_negative_warmup_rejected_by_name(self):
+        with pytest.raises(ValueError, match="warmup_steps must be >= 0, got -2"):
+            TrainConfig(stage1_steps=3, stage2_steps=0, warmup_steps=-2)
+        assert TrainConfig(stage1_steps=3, stage2_steps=0, warmup_steps=0).warmup_steps == 0
+
     def test_negative_checkpoint_every_rejected_by_name(self):
         with pytest.raises(ValueError, match="checkpoint_every must be >= 0, got -2"):
             TrainConfig(checkpoint_every=-2)
