@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 
@@ -30,6 +31,13 @@ class ModelConfig:
     def __post_init__(self):
         if not (len(self.stage_depths) == len(self.stage_widths) == len(self.stage_heads)):
             raise ValueError("stage tuples must have equal length")
+        if not self.stage_depths:
+            raise ValueError("stage_depths, stage_widths and stage_heads must hold at least one stage, got ()")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        # the model stores log(tau_init): 0 gives -inf, a negative or NaN value NaN
+        if not (self.tau_init > 0 and math.isfinite(self.tau_init)):
+            raise ValueError(f"tau_init must be finite and > 0, got {self.tau_init}")
         # a size below 1 divides by zero or builds empty tensors far from
         # here, so it is refused by name; a depth of 0 means no blocks
         sizes = (

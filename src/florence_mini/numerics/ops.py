@@ -5,14 +5,16 @@ helpers: ``_result`` snaps the value to the binary16 grid in half-emulated
 mode, ``_record`` never does. Ops that compute values use ``_result``; ops
 that only move values (shape and gather) and the three numerically fragile
 normalizations (layer norm, softmax, L2 normalization) use ``_record``, and
-so do ``linear`` and the fused sublayers ``attention`` and ``mlp``, which
-snap inside, wherever the ops they fuse snapped. When recording, a TapeNode
-is attached whose backward rule returns one gradient per input. Arrays
-needed by a backward rule are passed through the node's ``saved`` tuple,
-never captured in closures, so the activation meter sees every retained
-scalar. The meter does not see a backward rule's temporaries, so the rules
-that make large ones (``attention`` and ``mlp``) free each at its last use
-and update fresh ones in place, without changing a byte of their results.
+so do ``linear``, ``conv`` and the fused sublayers ``attention`` and
+``mlp``, which snap inside, wherever the ops they fuse snapped. When
+recording, a TapeNode is attached whose backward rule returns one gradient
+per input. Arrays needed by a backward rule are passed through the node's
+``saved`` tuple, never captured in closures, and no closure holds an input
+Tensor, so the activation meter sees every retained scalar and the tape
+keeps no forward value a rule did not save. The meter does not see a
+backward rule's temporaries, so the rules that make large ones
+(``attention`` and ``mlp``) free each at its last use and update fresh ones
+in place, without changing a byte of their results.
 """
 
 from __future__ import annotations
@@ -303,10 +305,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             raise ValueError(f"linear bias must have shape ({w.shape[1]},), got {b.shape}")
         inputs = (x, w, b)
 
-    x_live = x.requires_grad or x.node is not None
+    x_live, has_bias = x.requires_grad or x.node is not None, b is not None
 
     def backward(g, saved):
-        return _dense_grads(g, *saved, b is not None, input_grad=x_live)
+        return _dense_grads(g, *saved, has_bias, input_grad=x_live)
 
     out = _dense(x.data, w.data, None if b is None else b.data, current_snap())
     return _record("linear", out, inputs, (x.data, w.data), backward)
@@ -711,22 +713,26 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution building blocks
+# convolution: unfold only moves values, so it never snaps; conv snaps
+# inside, as the linear it fuses did
 # ---------------------------------------------------------------------------
 
 
-def unfold(x: Tensor, kernel, stride) -> Tensor:
-    """Extract patches from (B, *S, C) into (B, *So, prod(kernel)*C).
+def _unfolding(shape: tuple[int, ...], kernel, stride):
+    """``unfold``'s two directions for an input of ``shape`` (B, *S, C):
+    ``to_cols(x)`` builds the patches (B, *So, prod(kernel)*C) in a fresh
+    array, and ``fold(g)`` sums a patch gradient back to ``shape``.
 
     Patch slots run row-major over kernel offsets, channel innermost. When
     the patches tile the input exactly (``kernel == stride`` and every
     extent divides), as in the patch embed, the merges and a kt = 1 video
     tower, both directions are one blocked reshape and transpose. Otherwise
     (the overlapping temporal merges of kt >= 2 towers) each kernel offset
-    is one strided slice, and the backward scatter-adds them into zeros.
+    is one strided slice, and the fold scatter-adds them into zeros.
+    Neither function keeps an array: each holds only shapes and slices.
     """
     kernel, stride = tuple(kernel), tuple(stride)
-    extents = x.shape[1:-1]
+    extents = shape[1:-1]
     if not len(kernel) == len(stride) == len(extents):
         raise ValueError(
             f"kernel {kernel} and stride {stride} must match the input's {len(extents)} middle axes"
@@ -734,46 +740,93 @@ def unfold(x: Tensor, kernel, stride) -> Tensor:
     out = tuple((n - k) // s + 1 for n, k, s in zip(extents, kernel, stride))
     if min(out) < 1:
         raise ValueError(f"kernel {kernel} larger than input {extents}")
-    c = x.shape[-1]
-    in_shape = x.shape
-    cols = np.empty((x.shape[0], *out, math.prod(kernel) * c), dtype=x.data.dtype)
+    c = shape[-1]
+    cols_shape = (shape[0], *out, math.prod(kernel) * c)
     if kernel == stride and all(n % k == 0 for n, k in zip(extents, kernel)):
         # (B, o1, k1, o2, k2, ..., C) <-> (B, o1, o2, ..., k1, k2, ..., C)
         d = len(kernel)
-        blocked = (x.shape[0], *(m for pair in zip(out, kernel) for m in pair), c)
+        blocked = (shape[0], *(m for pair in zip(out, kernel) for m in pair), c)
         perm = (0, *range(1, 2 * d, 2), *range(2, 2 * d + 1, 2), 2 * d + 1)
-        patches = (x.shape[0], *out, *kernel, c)
-        cols.reshape(patches)[...] = x.data.reshape(blocked).transpose(perm)
+        patches = (shape[0], *out, *kernel, c)
 
-        def backward(g, saved):
-            gx = np.empty(in_shape, dtype=g.dtype)
+        def to_cols(x):
+            cols = np.empty(cols_shape, dtype=x.dtype)
+            cols.reshape(patches)[...] = x.reshape(blocked).transpose(perm)
+            return cols
+
+        def fold(g):
+            gx = np.empty(shape, dtype=g.dtype)
             # + 0.0 turns a -0.0 gradient into +0.0, as a sum into zeros does
             np.add(g.reshape(patches).transpose(np.argsort(perm)), 0.0, out=gx.reshape(blocked))
-            return (gx,)
+            return gx
 
-        return _record("unfold", cols, (x,), (), backward)
+        return to_cols, fold
 
     views = [
         (slice(None),) + tuple(slice(o, o + s * n, s) for o, s, n in zip(offset, stride, out))
         for offset in np.ndindex(*kernel)
     ]
-    for slot, view in enumerate(views):
-        cols[..., slot * c : (slot + 1) * c] = x.data[view]
 
-    def backward(g, saved):
-        gx = np.zeros(in_shape, dtype=g.dtype)
+    def to_cols(x):
+        cols = np.empty(cols_shape, dtype=x.dtype)
+        for slot, view in enumerate(views):
+            cols[..., slot * c : (slot + 1) * c] = x[view]
+        return cols
+
+    def fold(g):
+        gx = np.zeros(shape, dtype=g.dtype)
         for slot, view in enumerate(views):
             gx[view] += g[..., slot * c : (slot + 1) * c]
-        return (gx,)
+        return gx
 
-    return _record("unfold", cols, (x,), (), backward)
+    return to_cols, fold
+
+
+def unfold(x: Tensor, kernel, stride) -> Tensor:
+    """Extract patches from (B, *S, C) into (B, *So, prod(kernel)*C), laid
+    out as ``_unfolding`` describes; the backward folds the gradient back.
+
+    No model code calls it: ``conv`` builds its columns itself. It stays as
+    the primitive the oracles compose, the unfold, reshape and linear that
+    ``conv`` must equal byte for byte.
+    """
+    to_cols, fold = _unfolding(x.shape, kernel, stride)
+
+    def backward(g, saved):
+        return (fold(g),)
+
+    return _record("unfold", to_cols(x.data), (x,), (), backward)
 
 
 def conv(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
     """Strided convolution over the middle axes of x (B, *S, C);
-    w (*kernel, C, Cout), b (Cout,)."""
+    w (*kernel, C, Cout), b (Cout,). One tape node.
+
+    Its value and gradients are byte-equal to ``unfold``, ``reshape`` of w
+    to (prod(kernel)*C, Cout) and ``linear``, which it replaces. It saves
+    ``x`` and ``w`` as they are, not the unfolded columns: where the kernel
+    tiles its input the columns hold the same scalars permuted (at the patch
+    embed, a copy of pixels the caller holds anyway), and where kernels
+    overlap (a kt >= 2 clip's temporal merges) they hold more. The backward
+    rebuilds the columns from ``x`` for the weight gradient and folds the
+    columns' gradient back to ``x``; an input off the tape (the patch
+    embed's pixels) gets no input gradient.
+    """
     *kernel, cin, cout = w.shape
     if x.shape[-1] != cin:
         raise ValueError(f"conv channel mismatch: input {x.shape[-1]}, kernel {cin}")
-    cols = unfold(x, kernel, stride)
-    return linear(cols, reshape(w, (cols.shape[-1], cout)), b)
+    for t in (w, b):
+        _check_same_dtype(x, t, "conv")
+    if b.shape != (cout,):
+        raise ValueError(f"conv bias must have shape ({cout},), got {b.shape}")
+    to_cols, fold = _unfolding(x.shape, kernel, stride)
+    flat = (math.prod(kernel) * cin, cout)
+    x_live = x.requires_grad or x.node is not None
+
+    def backward(g, saved):
+        xv, wv = saved
+        dcols, dw, db = _dense_grads(g, to_cols(xv), wv.reshape(flat), True, input_grad=x_live)
+        return (fold(dcols) if x_live else None), dw.reshape(wv.shape), db
+
+    out = _dense(to_cols(x.data), w.data.reshape(flat), b.data, current_snap())
+    return _record("conv", out, (x, w, b), (x.data, w.data), backward)

@@ -1,7 +1,11 @@
 """Dense tensors with a record-and-replay differentiation tape.
 
-Every differentiable operation appends a TapeNode to the implicit tape (the
-DAG hanging off each Tensor). Backward walks that DAG in reverse topological
+Every differentiable operation records a TapeNode, and the nodes form a DAG
+through their edges: each node links to the node that produced each of its
+inputs, to an input that is a requires-grad leaf, or to nothing for a
+constant. The tape thus holds the graph and the arrays backward rules saved,
+never a forward value for its own sake: an output that no rule saved dies
+when the forward drops it. Backward walks that DAG in reverse topological
 order, accumulating gradients in a fixed, deterministic order, and frees what
 it has consumed as it goes. Values saved for backward are tracked by a global
 activation meter so memory-saving strategies (activation checkpointing,
@@ -77,15 +81,20 @@ def enable_grad():
 
 
 class TapeNode:
-    """One recorded operation: inputs, saved values, and a backward rule.
+    """One recorded operation: an edge and a shape per input, saved values,
+    and a backward rule.
 
+    ``inputs`` holds one edge per input Tensor, in input order: the
+    producing TapeNode for a recorded input, the Tensor itself for a
+    requires-grad leaf, and None for a constant; ``shapes`` holds the
+    inputs' shapes. No input's value is kept, only what ``saved`` holds.
     ``backward_fn(grad_out, saved)`` returns one gradient array (or None)
     per input, in input order. Once a backward pass has consumed the node,
-    its saved values are released and its inputs dropped (``inputs`` is
+    its saved values are released and its edges dropped (``inputs`` is
     None), so a consumed node keeps no tensor or saved array alive.
     """
 
-    __slots__ = ("op", "inputs", "saved", "backward_fn", "_saved_scalars")
+    __slots__ = ("op", "inputs", "shapes", "saved", "backward_fn", "_saved_scalars")
 
     def __init__(
         self,
@@ -95,7 +104,8 @@ class TapeNode:
         backward_fn: Callable,
     ) -> None:
         self.op = op
-        self.inputs = inputs
+        self.inputs = tuple([_edge(t) for t in inputs])
+        self.shapes = tuple([t.data.shape for t in inputs])
         self.saved = saved
         self.backward_fn = backward_fn
         self._saved_scalars = int(sum(a.size for a in saved))
@@ -177,31 +187,42 @@ def record(op: str, out: np.ndarray, inputs, saved, backward_fn) -> Tensor:
     return Tensor(out)
 
 
-def _toposort(roots: Iterable[Tensor]) -> list[Tensor]:
-    """Deterministic post-order over the DAG reachable from ``roots``."""
-    order: list[Tensor] = []
+def _edge(t: Tensor) -> TapeNode | Tensor | None:
+    """Where a gradient for ``t`` goes: its producing node, ``t`` itself
+    when it is a requires-grad leaf, or nowhere (None) for a constant."""
+    if t.node is not None:
+        return t.node
+    return t if t.requires_grad else None
+
+
+def _toposort(roots: Iterable[TapeNode | Tensor | None]) -> list[TapeNode | Tensor]:
+    """Deterministic post-order over the edges reachable from ``roots``:
+    every node after the edges it links to. None edges are skipped."""
+    order: list[TapeNode | Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(r, False) for r in reversed(list(roots))]
+    stack = [(r, False) for r in reversed(list(roots)) if r is not None]
     while stack:
-        t, expanded = stack.pop()
+        e, expanded = stack.pop()
         if expanded:
-            order.append(t)
+            order.append(e)
             continue
-        if id(t) in seen:
+        if id(e) in seen:
             continue
-        seen.add(id(t))
-        stack.append((t, True))
-        # a walked node has dropped its inputs; the walk refuses it by name
-        if t.node is not None and t.node.inputs is not None:
-            for inp in reversed(t.node.inputs):
-                if id(inp) not in seen:
+        seen.add(id(e))
+        stack.append((e, True))
+        # a leaf has no edges; a walked node has dropped its own, and the
+        # walk refuses it by name
+        if isinstance(e, TapeNode) and e.inputs is not None:
+            for inp in reversed(e.inputs):
+                if inp is not None and id(inp) not in seen:
                     stack.append((inp, False))
     return order
 
 
-def _visit(node: TapeNode, g: np.ndarray, grad_table: dict[int, np.ndarray]) -> None:
+def _visit(node: TapeNode, g: np.ndarray, grad_table: dict[TapeNode | Tensor, np.ndarray]) -> None:
     """Run ``node``'s backward on ``g`` and add its input gradients into
-    ``grad_table``, then release its saved values and drop its inputs.
+    ``grad_table``, keyed by edge, then release its saved values and drop
+    its edges. A constant's gradient is checked and dropped.
 
     Nothing of the node outlives the visit but the gradients it hands on.
     """
@@ -210,29 +231,31 @@ def _visit(node: TapeNode, g: np.ndarray, grad_table: dict[int, np.ndarray]) -> 
     input_grads = node.backward_fn(g, node.saved)
     node.release()
     inputs, node.inputs = node.inputs, None
-    for inp, ig in zip(inputs, input_grads):
+    for edge, shape, ig in zip(inputs, node.shapes, input_grads):
         if ig is None:
             continue
-        if ig.shape != inp.data.shape:
-            raise AssertionError(f"backward of {node.op}: gradient shape {ig.shape} != input shape {inp.data.shape}")
-        if id(inp) in grad_table:
-            grad_table[id(inp)] = grad_table[id(inp)] + ig
-        else:
-            grad_table[id(inp)] = ig
+        if ig.shape != shape:
+            raise AssertionError(f"backward of {node.op}: gradient shape {ig.shape} != input shape {shape}")
+        if edge is None:
+            continue
+        grad_table[edge] = grad_table[edge] + ig if edge in grad_table else ig
 
 
-def _seed_table(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict[int, np.ndarray]:
-    """The walk's first gradients, keyed by root id: each seed in its
-    root's dtype, uncopied; a root given twice sums its seeds. A function
-    of its own, so no loop variable of the walk's frame holds a root."""
+def _seed_table(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict[TapeNode | Tensor, np.ndarray]:
+    """The walk's first gradients, keyed by each root's edge: each seed in
+    its root's dtype, uncopied; a root given twice sums its seeds, and a
+    constant root's seed is checked and dropped. A function of its own, so
+    no loop variable of the walk's frame holds a root."""
     if len(outputs) != len(output_grads):
         raise ValueError("outputs and output_grads must align")
-    table: dict[int, np.ndarray] = {}
+    table: dict[TapeNode | Tensor, np.ndarray] = {}
     for out, g in zip(outputs, output_grads):
         g = np.asarray(g, dtype=out.data.dtype)
         if g.shape != out.data.shape:
             raise ValueError(f"seed gradient shape {g.shape} != output shape {out.data.shape}")
-        table[id(out)] = table[id(out)] + g if id(out) in table else g
+        edge = _edge(out)
+        if edge is not None:
+            table[edge] = table[edge] + g if edge in table else g
     return table
 
 
@@ -242,15 +265,13 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict
 
     Supports non-scalar outputs; this is the injection point used by the
     gradient cache (embedding-level gradients pushed into a recorded chunk).
-    The walk frees what it has consumed: it pops each tensor off the
+    The walk runs over edges, not tensors: it holds the roots' nodes, never
+    the roots, so a root the caller does not keep dies once it has seeded
+    the walk. It frees what it has consumed: it pops each edge off the
     topological order as it reaches it, and once a node's backward has run
-    the node releases its saved values and drops its inputs. A forward
-    output that the caller does not hold therefore dies once its gradient
-    has been used, not when the walk ends; that holds for the roots too,
-    once they have seeded the walk, when the caller hands over ``outputs``
-    without keeping a reference. So a tape can be walked once; a second
-    walk raises ``RuntimeError``. Rebuild the forward to differentiate
-    again.
+    the node releases its saved values and drops its edges. So a tape can
+    be walked once; a second walk raises ``RuntimeError``. Rebuild the
+    forward to differentiate again.
 
     The seeds are not copied: the first rules read the caller's arrays, as
     no backward rule writes its incoming gradient. A leaf's gradient that
@@ -260,22 +281,19 @@ def backward_from(outputs: list[Tensor], output_grads: list[np.ndarray]) -> dict
     """
     grad_table = _seed_table(outputs, output_grads)
     seeds = list(grad_table.values())
-    order = _toposort(outputs)
-    # from here only the order holds the roots, and it pops each as it reaches it
+    order = _toposort(_edge(out) for out in outputs)
+    # from here the walk holds no root, only the roots' nodes
     del outputs
     result: dict[Tensor, np.ndarray] = {}
     while order:
-        t = order.pop()
-        g = grad_table.pop(id(t), None)
+        e = order.pop()
+        g = grad_table.pop(e, None)
         if g is None:
             continue
-        if t.node is None:
-            if t.requires_grad:
-                result[t] = g.copy() if any(np.may_share_memory(g, s) for s in seeds) else g
-            continue
-        # no backward rule reads its own output through the tensor
-        node, t = t.node, None
-        _visit(node, g, grad_table)
+        if isinstance(e, Tensor):
+            result[e] = g.copy() if any(np.may_share_memory(g, s) for s in seeds) else g
+        else:
+            _visit(e, g, grad_table)
     return result
 
 

@@ -8,6 +8,12 @@ one chunk, 64 px, every block checkpointed), this prints
   the model's dtype;
 - the traced peak: tracemalloc's highest traced size during one
   `compute_gradients` call, above the level at its start;
+- what one recorded forward holds: the bytes tracemalloc sees left
+  allocated after both towers' forward of one chunk, against the bytes of
+  the saved scalars the meter counts for it. The tape keeps only what
+  backward rules save, and the meter also counts saved weights and the
+  pixels, which were allocated before the forward, so the first should not
+  exceed the second;
 - the three backward rules in whose own run (not counting the rules nested
   inside them, such as a checkpoint's inner walk) the traced size rose
   highest, with the level on entry to each.
@@ -77,6 +83,28 @@ class RuleLocator:
         self.module._visit = self.original
 
 
+def forward_held(model, images, ids, config) -> tuple[int, int]:
+    """(bytes left allocated, scalars metered) after one recorded forward of
+    both towers over the step's first chunk, with the step's checkpointing
+    and precision; the tape is dropped unwalked on return."""
+    from florence_mini.numerics import precision_policy, tensor
+    from florence_mini.trainer import checkpointed
+
+    wrapper = checkpointed if config.activation_checkpointing else None
+    rows = slice(0, config.chunk_size)
+    before = tensor.activation_meter.current
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with precision_policy(config.precision):
+            # kept, so the tape lives until the return reads the meter
+            embeddings = model.encode_image(images[rows], block_wrapper=wrapper), model.encode_text(ids[rows])  # noqa: F841
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    return held, tensor.activation_meter.current - before
+
+
 def step_report(name: str, shape: dict, triplets, vocab) -> list[str]:
     from florence_mini.encoders import ModelConfig, TwoTowerModel
     from florence_mini.numerics import tensor
@@ -90,6 +118,7 @@ def step_report(name: str, shape: dict, triplets, vocab) -> list[str]:
     images, ids, labels, _ = prepare_batch(triplets[: config.batch_size], vocab, config.model.dtype, image_size=image_size)
     labels = effective_labels(labels, config.objective)
     compute_gradients(model, images, ids, labels, config)
+    held, forward_metered = forward_held(model, images, ids, config)
 
     tensor.activation_meter.reset()
     tracemalloc.start()
@@ -108,6 +137,8 @@ def step_report(name: str, shape: dict, triplets, vocab) -> list[str]:
         f"checkpointing {'on' if config.activation_checkpointing else 'off'}, {images.dtype}",
         f"  metered peak  {metered * itemsize:>12,} bytes ({metered:,} scalars)",
         f"  traced peak   {traced:>12,} bytes above the step's start",
+        f"  one forward   {held:>12,} bytes held, {forward_metered * itemsize:>12,} metered "
+        f"({config.chunk_size} rows)",
     ]
     for peak, entry, label in sorted(locator.rules, reverse=True)[:TOP_RULES]:
         lines.append(f"  rule {label:<32} peak {peak - start:>12,}  on entry {entry - start:>12,}")

@@ -111,6 +111,53 @@ def test_unfold_kernel_rank_must_match_input():
         ops.conv(x, Tensor(np.zeros((2, 2, 2, 2, 3))), Tensor(np.zeros(3)), (1, 1, 1))
 
 
+def _composed_conv(x, w, b, stride):
+    """The composition ``conv`` replaces: unfold, the kernel reshaped to a
+    dense weight, linear."""
+    cols = ops.unfold(x, w.shape[:-2], stride)
+    return ops.linear(cols, ops.reshape(w, (cols.shape[-1], w.shape[-1])), b)
+
+
+@pytest.mark.parametrize("mode", PRECISION_MODES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "shape, kernel, stride",
+    [
+        ((3, 8, 8, 3), (4, 4), (4, 4)),  # a patch embed: the kernel tiles its input
+        ((2, 4, 4, 4, 3), (2, 2, 2), (1, 2, 2)),  # a kt = 2 merge: overlapping frames
+    ],
+    ids=["tiling", "overlapping"],
+)
+def test_conv_bytes_equal_unfold_reshape_linear(shape, kernel, stride, dtype, mode):
+    """Value and input, weight and bias gradients, with the input on the
+    tape and off it (the patch embed's pixels). The node saves the input
+    itself, not a copy, and the kernel: as many scalars as the composition
+    saved where the kernel tiles its input, fewer where kernels overlap."""
+    rng = np.random.default_rng(len(shape))
+    x0 = rng.normal(size=shape).astype(dtype)
+    w0 = (rng.normal(size=(*kernel, shape[-1], 5)) * 0.3).astype(dtype)
+    b0 = rng.normal(size=5).astype(dtype)
+    out = (shape[0], *((n - k) // s + 1 for n, k, s in zip(shape[1:-1], kernel, stride)), 5)
+    g = rng.normal(size=out).astype(dtype)
+    cols = math.prod(out[:-1]) * math.prod(kernel) * shape[-1]
+    for x_on_tape in (True, False):
+        results = []
+        for fn in (ops.conv, _composed_conv):
+            x, w, b = Tensor(x0.copy(), requires_grad=x_on_tape), Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+            with precision_policy(mode):
+                y = fn(x, w, b, stride)
+            if fn is ops.conv:
+                assert y.node.op == "conv" and np.shares_memory(y.node.saved[0], x.data)
+                saved = y.node._saved_scalars
+                assert saved == x0.size + w0.size
+                assert saved == cols + w0.size if kernel == stride else saved < cols + w0.size
+            grads = backward_from([y], [g])
+            results.append([y.data] + [grads[t] for t in (x, w, b) if t.requires_grad])
+        assert [len(r) for r in results] == [3 + x_on_tape] * 2
+        for got, want in zip(*results):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_scale_by_numpy_float64_keeps_float32_gradient():
     """1 / sqrt(4) is a numpy float64; the float32 leaf's gradient stays float32."""
     x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True, name="x")
@@ -427,16 +474,18 @@ def _fused_attention(x, p, heads, bias, window):
     return ops.attention(x, p["gamma"], p["beta"], *(p[name] for name in _ATTN_WEIGHTS), bias, heads, window)
 
 
-def _check_backward_leaves_everything_unwritten(y, g):
+def _check_backward_leaves_everything_unwritten(y, g, inputs):
     """Run y's backward rule on ``g`` directly (backward_from would copy the
-    seed): it writes neither ``g``, nor a saved array, nor an input, and no
-    gradient it returns shares memory with another or with any of those.
-    Returns the gradients."""
-    kept = [a.copy() for a in (g, *y.node.saved, *(t.data for t in y.node.inputs))]
+    seed): it writes neither ``g``, nor a saved array, nor any of ``inputs``
+    (the Tensors y was computed from), and no gradient it returns shares
+    memory with another or with any of those. Each gradient has its input's
+    shape as the node records it. Returns the gradients."""
+    assert y.node.shapes == tuple(t.shape for t in inputs)
+    kept = [a.copy() for a in (g, *y.node.saved, *(t.data for t in inputs))]
     grads = y.node.backward_fn(g, y.node.saved)
-    for a, before in zip((g, *y.node.saved, *(t.data for t in y.node.inputs)), kept):
+    for a, before in zip((g, *y.node.saved, *(t.data for t in inputs)), kept):
         assert a.tobytes() == before.tobytes()
-    assert all(gr is None or gr.shape == t.shape for t, gr in zip(y.node.inputs, grads))
+    assert all(gr is None or gr.shape == shape for shape, gr in zip(y.node.shapes, grads))
     live = [gr for gr in grads if gr is not None]
     for i, a in enumerate(live):
         assert not any(np.shares_memory(a, b) for b in (g, *y.node.saved)), i
@@ -579,7 +628,9 @@ class TestAttention:
         both the scores and the bias."""
         for case in (self._full_case, self._window_case, self._text_case):
             x, leaves, bias, g, window = case(np.float64)
-            _check_backward_leaves_everything_unwritten(_fused_attention(x, leaves, self.HEADS, bias(), window), g)
+            b = bias()
+            inputs = (x, leaves["gamma"], leaves["beta"], *(leaves[name] for name in _ATTN_WEIGHTS), b)
+            _check_backward_leaves_everything_unwritten(_fused_attention(x, leaves, self.HEADS, b, window), g, inputs)
 
     def test_map_not_divisible_by_the_window_is_refused(self):
         x, leaves, bias, _, _ = self._window_case(np.float64)
@@ -677,7 +728,8 @@ class TestMlp:
         for mode in PRECISION_MODES:
             with precision_policy(mode):
                 leaves, g = self._case((2, 2, 4, 4), np.float64)
-                _check_backward_leaves_everything_unwritten(_fused_mlp(leaves["x"], leaves), g)
+                inputs = (leaves["x"], *(leaves[name] for name in _MLP_PARAMS))
+                _check_backward_leaves_everything_unwritten(_fused_mlp(leaves["x"], leaves), g, inputs)
 
 
 def test_fused_ops_keep_every_saved_array_visible_to_the_meter():
@@ -990,3 +1042,24 @@ class TestTapeSemantics:
         assert dead_at_probe == [[True] * 4]
         assert [ref() for ref in refs] == [None] * 4
         assert root.data.shape == () and g[x].shape == (4, 3)
+
+    @pytest.mark.parametrize("case", ["_text_case", "_window_case"])
+    def test_an_output_no_rule_saved_dies_with_the_forward(self, case):
+        """The tape links nodes, not tensors: an ``attention`` output fed
+        only to ``add``, which saves nothing, is dead once the forward drops
+        it, and the gradients are those of a run that kept it alive."""
+        att = TestAttention()
+        x, leaves, bias, grad_out, window = getattr(att, case)(np.float64)
+
+        def forward(keep):
+            a = _fused_attention(x, leaves, att.HEADS, bias(), window)
+            return ops.add(a, x), weakref.ref(a.data), a if keep else None
+
+        y, ref, _ = forward(keep=False)
+        assert ref() is None
+        freed = backward_from([y], [grad_out])
+        y, ref, kept = forward(keep=True)
+        assert ref() is kept.data
+        alive = backward_from([y], [grad_out])
+        assert freed.keys() == alive.keys() and x in freed
+        assert [t.name for t in freed if freed[t].tobytes() != alive[t].tobytes()] == []

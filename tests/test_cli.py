@@ -86,6 +86,19 @@ class TestParseConfig:
         assert code == 2 and not out.exists()
         assert named.format(cfg=cfg) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model, named",
+        [
+            ({"tau_init": 0}, "tau_init must be finite and > 0, got 0"),
+            ({"tau_init": float("nan")}, "tau_init must be finite and > 0, got nan"),
+            ({"dtype": "float16"}, "dtype must be 'float32' or 'float64', got 'float16'"),
+            ({"stage_depths": [], "stage_widths": [], "stage_heads": []}, "must hold at least one stage"),
+        ],
+    )
+    def test_train_refuses_a_model_it_cannot_run_and_leaves_no_out(self, tmp_path, capsys, model, named):
+        """These used to start and fail later, with exit 1 and a traceback."""
+        self.test_train_refuses_a_bad_config_file_and_leaves_no_out(tmp_path, capsys, {"model": model}, named)
+
     def test_readme_train_config_block_is_the_defaults(self):
         section = README.read_text().split("## Train config", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)

@@ -1,6 +1,7 @@
 """Two-tower encoders, tokenization, and 2D->3D inflation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from florence_mini.encoders import (
     windowed_attention_block,
 )
 from florence_mini.encoders.model import _ATTENTION_PARAMS, _MLP_PARAMS, transformer_block
-from florence_mini.numerics import Tensor, backward_from, finite_difference_check, no_grad, ops
-from florence_mini.numerics.tensor import _toposort
+from florence_mini.numerics import Tensor, activation_meter, backward_from, finite_difference_check, no_grad, ops
+from florence_mini.numerics.tensor import TapeNode, _toposort
 from florence_mini.trainer import checkpointed
 from florence_mini.unicl import unicl_loss_arrays
 
@@ -218,24 +219,70 @@ class TestImageTower:
         assert [k for k in plain if plain[k].tobytes() != ckpt[k].tobytes()] == []
 
 
+class TestTapeHoldsOnlyWhatRulesSave:
+    """A recorded forward of both towers over 8 images at 32 px and 8
+    captions keeps the graph's edges and the arrays backward rules saved,
+    and no forward output for its own sake."""
+
+    @staticmethod
+    def _inputs(vocab):
+        images = np.random.default_rng(5).uniform(size=(8, 32, 32, 3))
+        ids = tokenize_batch(["a photo of the heron", "maple field study", "cobalt pattern", "maple"] * 2, vocab)
+        return images, ids
+
+    def test_every_edge_is_a_node_a_requires_grad_leaf_or_none(self, mini_model, vocab):
+        images, ids = self._inputs(vocab)
+        u, v = mini_model.encode_image(images), mini_model.encode_text(ids)
+        nodes = [e for e in _toposort([u.node, v.node]) if isinstance(e, TapeNode)]
+        assert {"conv", "attention", "mlp", "linear", "embedding"} <= {n.op for n in nodes}
+        edges = [e for n in nodes for e in n.inputs]
+        assert None in edges  # the pixels
+        for e in edges:
+            assert e is None or isinstance(e, TapeNode) or (isinstance(e, Tensor) and e.requires_grad and e.node is None)
+        assert all(len(n.shapes) == len(n.inputs) for n in nodes)
+
+    def test_a_recorded_forward_holds_no_more_than_the_meter_counts(self, mini_model, vocab):
+        """The bytes left allocated after the forward, as tracemalloc counts
+        them, are at most the saved bytes the meter counts, which include
+        saved weights and pixels that were allocated before it. When each
+        node held its input tensors, every intermediate output stayed too,
+        and the forward held about 1.2x the metered bytes."""
+        images, ids = self._inputs(vocab)
+        before = activation_meter.current
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            u, v = mini_model.encode_image(images), mini_model.encode_text(ids)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        metered = (activation_meter.current - before) * u.data.itemsize
+        assert 0 < held <= metered
+
+
 class TestDenseLayers:
     @staticmethod
-    def _weight_matmuls(root):
-        """Names of 2-D parameters found as the right input of a matmul node."""
+    def _weight_products(root):
+        """(op, weight name) of every node reached from ``root`` whose second
+        input edge is a 2-D requires-grad leaf: the nodes that multiply by
+        a dense weight of their own."""
         return [
-            t.node.inputs[1].name
-            for t in _toposort([root])
-            if t.node is not None
-            and t.node.op == "matmul"
-            and t.node.inputs[1].requires_grad
-            and t.node.inputs[1].data.ndim == 2
+            (e.op, e.inputs[1].name)
+            for e in _toposort([root.node])
+            if isinstance(e, TapeNode)
+            and len(e.inputs) > 1
+            and isinstance(e.inputs[1], Tensor)
+            and e.inputs[1].data.ndim == 2
         ]
 
     def test_every_dense_layer_runs_through_linear(self, mini_model, vocab):
+        """The only such nodes are the towers' ``linear`` projections: no
+        weight product runs through ``matmul``, and the walk cannot pass by
+        finding nothing."""
         emb = mini_model.encode_image(np.random.default_rng(0).uniform(size=(2, 32, 32, 3)))
-        assert self._weight_matmuls(emb) == []
+        assert self._weight_products(emb) == [("linear", "image.proj.w")]
         emb = mini_model.encode_text(tokenize_batch(["a photo of the heron", "maple"], vocab))
-        assert self._weight_matmuls(emb) == []
+        assert self._weight_products(emb) == [("linear", "text.proj.w")]
 
     def test_relative_index_is_shared_and_read_only(self):
         first = relative_index(4)
@@ -278,6 +325,27 @@ class TestModelConfigValidation:
     )
     def test_width_below_one_or_depth_below_zero_refused_by_name(self, kwargs, message):
         """These would build empty or negative-size tensors."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tau_init": 0.0}, "tau_init must be finite and > 0, got 0.0"),
+            ({"tau_init": -1.0}, "tau_init must be finite and > 0, got -1.0"),
+            ({"tau_init": float("nan")}, "tau_init must be finite and > 0, got nan"),
+            ({"tau_init": float("inf")}, "tau_init must be finite and > 0, got inf"),
+            ({"dtype": "float16"}, "dtype must be 'float32' or 'float64', got 'float16'"),
+            ({"dtype": "int64"}, "dtype must be 'float32' or 'float64', got 'int64'"),
+            (
+                {"stage_depths": (), "stage_widths": (), "stage_heads": ()},
+                "stage_depths, stage_widths and stage_heads must hold at least one stage",
+            ),
+        ],
+    )
+    def test_value_the_model_cannot_run_refused_by_name(self, kwargs, message):
+        """log(tau_init) would be -inf or NaN, a Tensor holds float32 or
+        float64 only, and the image tower indexes its first stage."""
         with pytest.raises(ValueError, match=re.escape(message)):
             ModelConfig(**kwargs)
 
