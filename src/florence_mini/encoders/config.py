@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,7 @@ class ModelConfig:
     tau_init: float = 1.0 / 0.07
 
     def __post_init__(self):
+        check_field_types(self)
         if not (len(self.stage_depths) == len(self.stage_widths) == len(self.stage_heads)):
             raise ValueError("stage tuples must have equal length")
         if not self.stage_depths:
@@ -80,13 +85,55 @@ class ModelConfig:
     def from_dict(d: dict) -> "ModelConfig":
         d = dict(d)
         for key in ("stage_depths", "stage_widths", "stage_heads"):
-            if key in d:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         known = set(ModelConfig.__dataclass_fields__)
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown model config keys: {sorted(unknown)}")
         return ModelConfig(**d)
+
+
+def check_field_types(config) -> None:
+    """Refuse, by name, a dataclass field whose value has the wrong type:
+    an integer field takes an integer but no bool, a float field any real
+    number but a bool, a tuple field a tuple of integers, an optional field
+    None as well, and any other field an instance of its annotated class.
+    ``--config`` JSON reaches the configs unconverted, so a ``"4"`` for a
+    size would otherwise fail far from here with a ``TypeError``."""
+    for name, kind in _field_types(type(config)):
+        value = getattr(config, name)
+        if not _fits(value, kind):
+            raise ValueError(f"{name} must be {_describe(kind)}, got {value!r}")
+
+
+@functools.cache
+def _field_types(cls) -> tuple[tuple[str, object], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
+def _fits(value, kind) -> bool:
+    if isinstance(value, bool) and kind is not bool:
+        return False
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, tuple) and all(_fits(v, int) for v in value)
+    if isinstance(kind, types.UnionType):
+        return any(_fits(value, k) for k in typing.get_args(kind))
+    return isinstance(value, kind)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, types.UnionType):
+        return " or ".join(_describe(k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is tuple:
+        return "a list of integers"
+    names = {int: "an integer", float: "a number", str: "a string", bool: "a boolean", type(None): "null"}
+    return names.get(kind, f"a {kind.__name__}")
 
 
 def _block_shapes(

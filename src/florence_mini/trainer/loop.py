@@ -11,7 +11,7 @@ import numpy as np
 
 from ..curation.pipeline import StageStream
 from ..curation.records import Triplet, load_images
-from ..encoders.config import ModelConfig, parameter_shapes
+from ..encoders.config import ModelConfig, check_field_types, parameter_shapes
 from ..encoders.model import TwoTowerModel
 from ..encoders.vocab import Vocabulary, build_vocabulary, tokenize_batch
 from ..jsonl import read_jsonl
@@ -57,6 +57,7 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.chunk_size < 1 or self.batch_size % self.chunk_size != 0:

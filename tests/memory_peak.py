@@ -5,7 +5,10 @@ For the benchmark's two training step shapes, the gradient-cache step
 one chunk, 64 px, every block checkpointed), this prints
 
 - the metered peak: the activation meter's peak scalar count, in bytes of
-  the model's dtype;
+  the model's dtype, and where the meter reaches it: the node being
+  recorded, its first input's shape, and the innermost backward rule
+  running (a checkpoint's recompute runs inside its node's rule), or the
+  forward;
 - the traced peak: tracemalloc's highest traced size during one
   `compute_gradients` call, above the level at its start;
 - what one recorded forward holds: the bytes tracemalloc sees left
@@ -45,14 +48,18 @@ TOP_RULES = 3
 
 class RuleLocator:
     """Wraps the tape walk's per-node visit to record, for each backward
-    rule run, the traced peak reached while it was the innermost rule."""
+    rule run, the traced peak reached while it was the innermost rule; and
+    wraps node recording to note where the activation meter last rose to a
+    new peak."""
 
     def __init__(self, tensor_module):
         self.module = tensor_module
         self.original = tensor_module._visit
-        self.open: list[list[int]] = []  # per running rule: [entry size, own peak]
+        self.original_init = tensor_module.TapeNode.__init__
+        self.open: list[list] = []  # per running rule: [entry size, own peak, label]
         self.rules: list[tuple[int, int, str]] = []  # (own peak, entry size, label)
         self.highest = 0  # traced peak over everything run inside the block
+        self.metered_at = "no node recorded"
 
     def fold(self) -> None:
         """Credit the traced peak since the last fold to the innermost open
@@ -66,21 +73,30 @@ class RuleLocator:
     def visit(self, node, g, grad_table):
         self.fold()
         entry = tracemalloc.get_traced_memory()[0]
-        self.open.append([entry, entry])
-        label = f"{node.op} {tuple(g.shape)}"
+        self.open.append([entry, entry, f"{node.op} {tuple(g.shape)}"])
         try:
             self.original(node, g, grad_table)
         finally:
             self.fold()
-            entry, peak = self.open.pop()
+            entry, peak, label = self.open.pop()
             self.rules.append((peak, entry, label))
+
+    def record(self, node, op, inputs, saved, backward_fn):
+        meter = self.module.activation_meter
+        before = meter.peak
+        self.original_init(node, op, inputs, saved, backward_fn)
+        if meter.peak > before:
+            where = f"rule {self.open[-1][2]}" if self.open else "the forward"
+            self.metered_at = f"{op} {node.shapes[0]} recorded in {where}"
 
     def __enter__(self):
         self.module._visit = self.visit
+        self.module.TapeNode.__init__ = lambda node, *args: self.record(node, *args)
         return self
 
     def __exit__(self, *exc):
         self.module._visit = self.original
+        self.module.TapeNode.__init__ = self.original_init
 
 
 def forward_held(model, images, ids, config) -> tuple[int, int]:
@@ -136,6 +152,7 @@ def step_report(name: str, shape: dict, triplets, vocab) -> list[str]:
         f"{name}: batch {config.batch_size}, chunk {config.chunk_size}, {images.shape[1]} px, "
         f"checkpointing {'on' if config.activation_checkpointing else 'off'}, {images.dtype}",
         f"  metered peak  {metered * itemsize:>12,} bytes ({metered:,} scalars)",
+        f"  metered at    {locator.metered_at}",
         f"  traced peak   {traced:>12,} bytes above the step's start",
         f"  one forward   {held:>12,} bytes held, {forward_metered * itemsize:>12,} metered "
         f"({config.chunk_size} rows)",

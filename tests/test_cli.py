@@ -99,6 +99,23 @@ class TestParseConfig:
         """These used to start and fail later, with exit 1 and a traceback."""
         self.test_train_refuses_a_bad_config_file_and_leaves_no_out(tmp_path, capsys, {"model": model}, named)
 
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ({"model": {"window": "4"}}, "window must be an integer, got '4'"),
+            ({"model": {"tau_init": "x"}}, "tau_init must be a number, got 'x'"),
+            ({"batch_size": "64"}, "batch_size must be an integer, got '64'"),
+            ({"batch_size": True}, "batch_size must be an integer, got True"),
+            ({"model": {"window": 4.0}}, "window must be an integer, got 4.0"),
+            ({"model": {"stage_depths": 2}}, "stage_depths must be a list of integers, got 2"),
+            ({"total_steps": "9"}, "total_steps must be an integer or null, got '9'"),
+            ({"activation_checkpointing": 1}, "activation_checkpointing must be a boolean, got 1"),
+        ],
+    )
+    def test_train_refuses_a_value_of_the_wrong_type_and_leaves_no_out(self, tmp_path, capsys, content, named):
+        """These used to exit 1 with a ``TypeError`` traceback."""
+        self.test_train_refuses_a_bad_config_file_and_leaves_no_out(tmp_path, capsys, content, named)
+
     def test_readme_train_config_block_is_the_defaults(self):
         section = README.read_text().split("## Train config", 1)[1]
         block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
@@ -406,9 +423,9 @@ class TestPipelineCommands:
             # that saves the normalized input, not the norm's output, and
             # rebuilds the tanh, q, k, v and the merged heads in backward
             assert json.loads((out / "memory_report.json").read_text())["peaks"] == [
-                {"chunk": 8, "plain": 528197, "checkpointed": 302277},
-                {"chunk": 4, "plain": 347816, "checkpointed": 192808},
-                {"chunk": 2, "plain": 258138, "checkpointed": 138586},
+                {"chunk": 8, "plain": 528197, "checkpointed": 253125},
+                {"chunk": 4, "plain": 347816, "checkpointed": 168232},
+                {"chunk": 2, "plain": 258138, "checkpointed": 126298},
             ]
 
     @pytest.mark.parametrize(

@@ -356,6 +356,95 @@ class TestActivationCheckpointing:
         else:
             evaluate_and_backward(ops.tensor_sum(y))
 
+    @pytest.mark.parametrize(
+        "recomputed",
+        [lambda a: a.reshape(4, 3), lambda a: a.view(a.dtype.newbyteorder()), lambda a: a.view(np.float32)],
+        ids=["other-shape", "other-byte-order", "float32-view"],
+    )
+    def test_same_bytes_under_another_shape_or_dtype_refused(self, recomputed):
+        """The digest covers shape and dtype, so bytes alone do not pass."""
+        base = np.arange(12.0).reshape(3, 4)
+        results = iter((base, recomputed(base)))
+        assert recomputed(base).tobytes() == base.tobytes()
+
+        def block(t):
+            return Tensor(next(results))
+
+        y = checkpointed(block, Tensor(np.ones((2, 2)), requires_grad=True))
+        with pytest.raises(RuntimeError, match="non-deterministic"):
+            backward_from([y], [np.ones_like(base)])
+
+    def test_transposed_output_guarded_in_both_directions(self):
+        """A block whose output is a transposed view passes when recompute
+        gives the same values, and is refused when recompute gives an array
+        whose memory holds the view's bytes in another element order."""
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True, name="w")
+        x = Tensor(rng.normal(size=(3, 3)))
+        swap = iter((True, False))
+
+        def transposed(t, wt):
+            return ops.transpose(ops.matmul(t, wt), (1, 0))
+
+        def unswapped_on_recompute(t, wt):
+            h = ops.matmul(t, wt)
+            return ops.transpose(h, (1, 0)) if next(swap) else h
+
+        y = checkpointed(transposed, x, w)
+        assert not y.data.flags.c_contiguous
+        weights = Tensor(np.arange(9.0).reshape(3, 3))
+        g = evaluate_and_backward(ops.tensor_sum(ops.mul(y, weights)))
+        g_plain = evaluate_and_backward(ops.tensor_sum(ops.mul(transposed(x, w), weights)))
+        assert g[w].tobytes() == g_plain[w].tobytes()
+
+        y = checkpointed(unswapped_on_recompute, x, w)
+        with pytest.raises(RuntimeError, match="non-deterministic"):
+            evaluate_and_backward(ops.tensor_sum(y))
+
+
+class TestCheckpointNodeHolds:
+    """A checkpoint node saves its input only; its output's digest stands
+    in for the output."""
+
+    @staticmethod
+    def _block(t, w):
+        return ops.gelu(ops.matmul(t, w))
+
+    def test_meters_exactly_x_size(self):
+        x = Tensor(np.ones((4, 6)))
+        w = Tensor(np.ones((6, 5)), requires_grad=True)
+        before = activation_meter.current
+        y = checkpointed(self._block, x, w)
+        assert activation_meter.current - before == x.size
+        assert len(y.node.saved) == 1 and y.node.saved[0] is x.data
+
+    def test_output_dies_before_backward_once_the_caller_drops_it(self):
+        w = Tensor(np.full((6, 6), 0.1), requires_grad=True, name="w")
+        x = Tensor(np.ones((4, 6)))
+        y = checkpointed(self._block, x, w)
+        out = weakref.ref(y.data)
+        # ``scale`` saves nothing, so only the caller held the output
+        z = ops.scale(y, 2.0)
+        del y
+        assert out() is None
+        g = evaluate_and_backward(ops.tensor_sum(z))
+        assert g[w].tobytes() == evaluate_and_backward(ops.tensor_sum(ops.scale(self._block(x, w), 2.0)))[w].tobytes()
+
+    def test_two_block_chain_peak_is_both_inputs_plus_one_recompute(self):
+        rng = np.random.default_rng(4)
+        x0 = Tensor(rng.normal(size=(4, 6)))
+        w1 = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        activation_meter.reset()
+        y1 = checkpointed(self._block, x0, w1)
+        y2 = checkpointed(self._block, y1, w2)
+        evaluate_and_backward(ops.tensor_sum(y2))
+        # recomputing block 2 saves matmul's (y1, w2) and gelu's input and
+        # tanh, while node 1 holds x0 and node 2 holds y1; no output is held
+        recompute = y1.size + w2.size + 2 * y2.size
+        assert activation_meter.peak == x0.size + y1.size + recompute
+        assert activation_meter.current == 0
+
 
 class TestZeroSharding:
     def _params(self):
