@@ -83,6 +83,8 @@ class ModelConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"model config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         for key in ("stage_depths", "stage_widths", "stage_heads"):
             if isinstance(d.get(key), list):

@@ -99,6 +99,8 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"train config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         known = set(TrainConfig.__dataclass_fields__)
         unknown = set(d) - known
@@ -227,7 +229,7 @@ def load_train_checkpoint(path, config: TrainConfig):
         raise ValueError(f"resume config differs from the checkpoint's train_config: {', '.join(drift)}")
     if manifest["step"] > config.planned_steps:
         raise ValueError(f"checkpoint step {manifest['step']} is past the run's planned_steps {config.planned_steps}")
-    model = _checkpoint_model(tensors, manifest)
+    model = _checkpoint_model(path, tensors, manifest)
     state = OptimizerState(
         lr=config.peak_lr,
         step=manifest["optimizer_step"],
@@ -243,13 +245,17 @@ def load_model_checkpoint(path) -> TwoTowerModel:
     A training checkpoint's optimizer moments are read and checked with the
     rest of it, then dropped: the model takes only its own parameter names.
     """
-    return _checkpoint_model(*load_checkpoint(path))
+    return _checkpoint_model(path, *load_checkpoint(path))
 
 
-def _checkpoint_model(tensors: dict[str, np.ndarray], manifest: dict) -> TwoTowerModel:
-    """The model a checkpoint holds: config and vocab from its manifest,
-    weights from its tensors of the config's parameter names and shapes."""
-    config = ModelConfig.from_dict(manifest["model_config"])
+def _checkpoint_model(path, tensors: dict[str, np.ndarray], manifest: dict) -> TwoTowerModel:
+    """The model the checkpoint at ``path`` holds: config and vocab from its
+    manifest, weights from its tensors of the config's parameter names and
+    shapes. A stored model_config that is refused names the checkpoint."""
+    try:
+        config = ModelConfig.from_dict(manifest["model_config"])
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: its stored model_config cannot be loaded: {exc}") from exc
     vocab = Vocabulary.from_list(manifest["vocab"], max_len=config.max_len)
     shapes = parameter_shapes(config, len(vocab))
     placeholders = {k: Tensor(np.empty(s, config.dtype), requires_grad=True, name=k) for k, s in shapes.items()}

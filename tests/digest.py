@@ -11,8 +11,9 @@ checkpoint formats holding the same tensors print the same rows.
 `gradient_table(root)` gives the sha256 of `compute_gradients`' loss, of every
 gradient and of the peak activation-scalar count, for the pipeline's first 8
 curated triplets at 32 px under each dtype, precision mode, checkpointing
-setting and chunk size of a small grid. Everything else a fixed (corpus,
-config, seed) writes or computes must repeat exactly.
+setting and chunk size of a small grid; chunk 2 folds each gradient across
+four chunks. Everything else a fixed (corpus, config, seed) writes or
+computes must repeat exactly.
 
     python tests/digest.py OUT
 
@@ -141,7 +142,7 @@ def gradient_table(root) -> dict[str, str]:
         images, ids, labels, _ = prepare_batch(triplets, vocab, dtype)
         for precision in PRECISION_MODES:
             for checkpointing in (False, True):
-                for chunk in (4, 8):
+                for chunk in (2, 4, 8):
                     config = TrainConfig(
                         model=model_config, batch_size=8, chunk_size=chunk, precision=precision,
                         activation_checkpointing=checkpointing,

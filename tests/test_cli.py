@@ -421,11 +421,12 @@ class TestPipelineCommands:
             # exact counts for the fixture's first 8 triplets through the
             # trainer's dispatch, with each pre-norm sublayer one tape op
             # that saves the normalized input, not the norm's output, and
-            # rebuilds the tanh, q, k, v and the merged heads in backward
+            # rebuilds the tanh, q, k, v and the merged heads in backward;
+            # chunked, the gradient cache holds one tower's chunk tape at a time
             assert json.loads((out / "memory_report.json").read_text())["peaks"] == [
                 {"chunk": 8, "plain": 528197, "checkpointed": 253125},
-                {"chunk": 4, "plain": 347816, "checkpointed": 168232},
-                {"chunk": 2, "plain": 258138, "checkpointed": 126298},
+                {"chunk": 4, "plain": 243204, "checkpointed": 106752},
+                {"chunk": 2, "plain": 170594, "checkpointed": 87544},
             ]
 
     @pytest.mark.parametrize(
@@ -730,6 +731,26 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert f"checkpoint {ckpt}: its stored train_config" in err and "['beta1']" in err
 
+    @pytest.mark.parametrize("field", ["model_config", "train_config"])
+    def test_a_stored_config_that_is_no_json_object_is_refused_naming_the_checkpoint(
+        self, pipeline, tmp_path, capsys, field
+    ):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline / "run/ckpt-final", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest[field] = [1, 2]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        if field == "model_config":
+            argv = ["eval", "zero-shot", "--checkpoint", str(ckpt), "--data", str(pipeline / "data")]
+            named = f"checkpoint {ckpt}: its stored model_config cannot be loaded: model config must be a JSON object"
+        else:
+            argv = ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(ckpt)]
+            named = f"checkpoint {ckpt}: its stored train_config cannot be resumed: train config must be a JSON object"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{named}, got list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):
         """Two classes of 32 leave stage 2 (augmented records excluded) short
         of one batch of 32."""
@@ -817,7 +838,7 @@ def test_pipeline_writes_the_same_bytes_across_out_roots_and_blas_threads(tmp_pa
     assert any(line.endswith("  gcache/ckpt-final/manifest.json") for line in tables[0])
     assert any(line.endswith("  regions/region_labels.jsonl") for line in tables[0])
     assert any(line.endswith("  tensors/inflate/video-tower/tau_param float64 []") for line in tables[0])
-    assert sum("  gradients/" in line and line.endswith("/loss") for line in tables[0]) == 16
+    assert sum("  gradients/" in line and line.endswith("/loss") for line in tables[0]) == 24
     assert tables[0] == tables[1]
 
 

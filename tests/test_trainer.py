@@ -163,12 +163,37 @@ def three_pass_gradients(model, images, ids, labels, chunk_size, block_wrapper=N
     return float(res.loss), grads
 
 
+def tower_three_pass_gradients(model, images, ids, labels, chunk_size, block_wrapper=None):
+    """``three_pass_gradients`` with pass 3 walking one tower at a time:
+    every image chunk re-forwards and backpropagates, then every text chunk,
+    so no tape of one tower is alive beside the other's."""
+    n_chunks = images.shape[0] // chunk_size
+    chunks = [slice(c * chunk_size, (c + 1) * chunk_size) for c in range(n_chunks)]
+    with no_grad():
+        u_full = np.concatenate([model.encode_image(images[r], block_wrapper=block_wrapper).data for r in chunks])
+        v_full = np.concatenate([model.encode_text(ids[r]).data for r in chunks])
+    res = unicl_loss_arrays(u_full, v_full, labels, float(model.tau_param.data))
+    towers = (
+        (lambda x: model.encode_image(x, block_wrapper=block_wrapper), images, res.grad_u),
+        (model.encode_text, ids, res.grad_v),
+    )
+    folded = {}
+    for encode, inputs, seed in towers:
+        for r in chunks:
+            for t, g in backward_from([encode(inputs[r])], [seed[r]]).items():
+                folded[t] = folded[t] + g if t in folded else g
+    grads = {"tau_param": np.asarray(res.grad_tau_param)}
+    grads.update((name, folded[t]) for name, t in model.params.items() if t in folded)
+    return float(res.loss), grads
+
+
 class CountingModel:
     """Forwards to a model, counting encoder calls; ``drift_on`` names the
-    encode_image call (1-based) whose output is nudged by one part in 1e12."""
+    encode_image call and ``text_drift_on`` the encode_text call (1-based)
+    whose output is nudged by one part in 1e12."""
 
-    def __init__(self, inner, drift_on=None):
-        self.inner, self.drift_on = inner, drift_on
+    def __init__(self, inner, drift_on=None, text_drift_on=None):
+        self.inner, self.drift_on, self.text_drift_on = inner, drift_on, text_drift_on
         self.params, self.tau_param = inner.params, inner.tau_param
         self.image_calls = self.text_calls = 0
 
@@ -179,7 +204,8 @@ class CountingModel:
 
     def encode_text(self, x):
         self.text_calls += 1
-        return self.inner.encode_text(x)
+        out = self.inner.encode_text(x)
+        return ops.scale(out, 1.0 + 1e-12) if self.text_calls == self.text_drift_on else out
 
 
 class ZeroSignModel(CountingModel):
@@ -196,33 +222,54 @@ class ZeroSignModel(CountingModel):
 
 
 class TestGradientCacheLastChunkTape:
-    """Pass 1 keeps the last chunk's tape, so pass 3 re-forwards n - 1 chunks."""
+    """Pass 1 keeps the last chunk's image tape, so pass 3 re-forwards n - 1
+    image chunks and every text chunk, one tower's tape at a time."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 4, 8])
-    def test_each_encoder_runs_2n_minus_1_times(self, small_setup, chunk):
+    def test_image_runs_2n_minus_1_and_text_2n_times(self, small_setup, chunk):
         model, images, ids, labels, _ = small_setup
         counting = CountingModel(model)
         gradient_cache_gradients(counting, images, ids, labels, chunk_size=chunk)
         n = images.shape[0] // chunk
-        assert (counting.image_calls, counting.text_calls) == (2 * n - 1, 2 * n - 1)
+        assert (counting.image_calls, counting.text_calls) == (2 * n - 1, 2 * n)
 
     @pytest.mark.parametrize("mode", ["full", "half-emulated"], ids=["full", "half"])
     @pytest.mark.parametrize("wrapper", [None, checkpointed], ids=["plain", "checkpointed"])
     @pytest.mark.parametrize("chunk", [1, 2, 4, 8])
-    def test_bytes_and_peak_equal_three_pass_oracle(self, small_setup, chunk, wrapper, mode):
+    def test_bytes_equal_three_pass_oracles_and_peak_the_tower_walk(self, small_setup, chunk, wrapper, mode):
+        """The joint walk of both towers and the tower-by-tower walk give the
+        cache's loss, gradient bytes and key order; the cache's metered peak
+        is the tower-by-tower walk's."""
         model, images, ids, labels, _ = small_setup
         runs = []
-        for fn in (three_pass_gradients, gradient_cache_gradients):
+        for fn in (three_pass_gradients, tower_three_pass_gradients, gradient_cache_gradients):
             activation_meter.reset()
             with precision_policy(mode):
                 loss, grads = fn(model, images, ids, labels, chunk_size=chunk, block_wrapper=wrapper)
             runs.append((loss, grads, activation_meter.peak))
-        (l_ref, g_ref, peak_ref), (loss, grads, peak) = runs
-        assert loss == l_ref
-        assert peak == peak_ref
-        assert list(grads) == list(g_ref)
+        (l_ref, g_ref, _), (l_tower, g_tower, peak_tower), (loss, grads, peak) = runs
+        assert loss == l_ref == l_tower
+        assert peak == peak_tower
+        assert list(grads) == list(g_ref) == list(g_tower)
         for k in g_ref:
-            assert grads[k].tobytes() == g_ref[k].tobytes(), k
+            assert grads[k].tobytes() == g_ref[k].tobytes() == g_tower[k].tobytes(), k
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4, 8])
+    def test_peak_is_the_largest_one_tower_chunk_tape(self, small_setup, chunk):
+        """Each tower of each chunk is recorded alone; the cache's metered
+        peak is the largest of those tapes, never two of them together."""
+        model, images, ids, labels, _ = small_setup
+        tapes = []
+        for c in range(images.shape[0] // chunk):
+            rows = slice(c * chunk, (c + 1) * chunk)
+            for encode, x in ((model.encode_image, images[rows]), (model.encode_text, ids[rows])):
+                activation_meter.reset()
+                out = encode(x)
+                tapes.append(activation_meter.current)
+                del out
+        activation_meter.reset()
+        gradient_cache_gradients(model, images, ids, labels, chunk_size=chunk)
+        assert activation_meter.peak == max(tapes)
 
     def test_drift_in_chunk_n_minus_2_trips_guard(self, small_setup):
         """Chunks 0..n-2 re-forward in order after pass 1's n calls, so with
@@ -230,6 +277,13 @@ class TestGradientCacheLastChunkTape:
         model, images, ids, labels, _ = small_setup
         with pytest.raises(RuntimeError, match="drift between pass 1 and pass 3 in chunk 2"):
             gradient_cache_gradients(CountingModel(model, drift_on=7), images, ids, labels, chunk_size=2)
+
+    def test_drift_in_last_chunk_text_trips_guard(self, small_setup):
+        """Pass 1 runs n text forwards without a tape, so with n = 4 the
+        eighth encode_text call is the last chunk's pass-3 re-forward."""
+        model, images, ids, labels, _ = small_setup
+        with pytest.raises(RuntimeError, match="drift between pass 1 and pass 3 in chunk 3"):
+            gradient_cache_gradients(CountingModel(model, text_drift_on=8), images, ids, labels, chunk_size=2)
 
     def test_drift_in_a_zero_sign_trips_guard(self, small_setup):
         model, images, ids, labels, _ = small_setup
