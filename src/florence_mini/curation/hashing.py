@@ -44,12 +44,6 @@ def average_hash(image: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits).tobytes(), "big")
 
 
-def hamming_distance(a: int, b: int) -> int:
-    """Bits in which two hashes differ: the scalar form of the popcount
-    ``dedup_near_duplicates`` takes over all kept hashes at once."""
-    return (a ^ b).bit_count()
-
-
 @dataclass(frozen=True)
 class RemovalReport:
     removed_id: str

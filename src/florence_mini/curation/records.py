@@ -160,10 +160,14 @@ def write_records_jsonl(path, records: list[RawRecord]) -> None:
 
 
 def read_records_jsonl(path) -> list[RawRecord]:
+    """Records, one per line: ``id``, ``image`` and ``text`` strings and an
+    optional ``source`` string; a missing key or a value of another JSON type
+    raises ValueError naming ``<path> line <n>``."""
     resolve = _image_resolver(path)
+    types = dict.fromkeys(("id", "image", "text", "source"), str)
     return [
         RawRecord(id=d["id"], image_path=resolve(d["image"]), text=d["text"], source=d.get("source", ""))
-        for d in read_jsonl(path, keys=("id", "image", "text"))
+        for d in read_jsonl(path, keys=("id", "image", "text"), types=types)
     ]
 
 
@@ -184,7 +188,11 @@ def write_triplets_jsonl(path, triplets: list[Triplet]) -> None:
 
 
 def read_triplets_jsonl(path) -> list[Triplet]:
+    """Triplets, one per line: ``id``, ``image`` and ``text`` strings, an
+    integer ``label`` and a boolean ``augmented``; a missing key or a value
+    of another JSON type raises ValueError naming ``<path> line <n>``."""
     resolve = _image_resolver(path)
+    types = {"id": str, "image": str, "text": str, "label": int, "augmented": bool}
     return [
         Triplet(
             id=d["id"],
@@ -193,7 +201,7 @@ def read_triplets_jsonl(path) -> list[Triplet]:
             label=d["label"],
             augmented=d["augmented"],
         )
-        for d in read_jsonl(path, keys=("id", "image", "text", "label", "augmented"))
+        for d in read_jsonl(path, keys=tuple(types), types=types)
     ]
 
 

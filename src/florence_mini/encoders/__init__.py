@@ -1,6 +1,6 @@
 """Miniature two-tower encoders and video inflation."""
 
-from .config import ModelConfig, parameter_count, parameter_shapes
+from .config import ModelConfig, parameter_shapes
 from .model import (
     TwoTowerModel,
     image_tower,
@@ -32,7 +32,6 @@ __all__ = [
     "image_tower",
     "inflate_conv_2d_to_3d",
     "init_two_tower",
-    "parameter_count",
     "parameter_shapes",
     "relative_index",
     "split_words",

@@ -1,4 +1,4 @@
-"""Two-tower model configuration and pure-arithmetic parameter accounting."""
+"""Two-tower model configuration and its parameter shapes, a pure function of the config."""
 
 from __future__ import annotations
 
@@ -192,13 +192,3 @@ def parameter_shapes(config: ModelConfig, vocab_size: int) -> dict[str, tuple[in
 
     shapes["tau_param"] = ()
     return shapes
-
-
-def parameter_count(config: ModelConfig, vocab_size: int) -> int:
-    total = 0
-    for shape in parameter_shapes(config, vocab_size).values():
-        n = 1
-        for ext in shape:
-            n *= ext
-        total += n
-    return total

@@ -19,6 +19,9 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # zero epochs would score the untrained probe as if it were trained
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.holdout_fraction < 1:
             raise ValueError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
 

@@ -3,7 +3,6 @@ classification of every crop (proposal generation stays out of scope)."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Collection
 
@@ -33,10 +32,7 @@ def read_boxes_jsonl(
     ``<path> line <n>``."""
     keys = ("image_id", "x0", "y0", "x1", "y1")
     boxes = []
-    for n, d in numbered_jsonl(path, keys=keys):
-        for k in keys[1:]:
-            if type(d[k]) is not int:
-                raise ValueError(f"{path} line {n}: {k} must be a JSON integer, got {json.dumps(d[k])}")
+    for n, d in numbered_jsonl(path, keys=keys, types=dict.fromkeys(keys[1:], int)):
         if image_ids is not None and d["image_id"] not in image_ids:
             raise ValueError(
                 f"{path} line {n}: image_id {d['image_id']!r} is not the image's record ({', '.join(sorted(image_ids))})"

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import json
 
+_JSON_TYPES = {str: "string", int: "integer", bool: "boolean"}
 
-def numbered_jsonl(path, keys=()):
+
+def numbered_jsonl(path, keys=(), types=None):
     """Yield ``(n, row)`` for each non-blank line ``n`` (1-based, blank
     lines counted), parsed as a JSON object holding every name in ``keys``.
+    ``types`` maps a name to ``str``, ``int`` or ``bool``, the exact type its
+    value must have where the row holds it (so a bool is not an integer).
 
     A malformed line raises ValueError naming ``<path> line <n>``.
     """
@@ -25,12 +29,15 @@ def numbered_jsonl(path, keys=()):
             missing = [k for k in keys if k not in row]
             if missing:
                 raise ValueError(f"{path} line {n}: missing key {missing[0]!r}")
+            for k, t in (types or {}).items():
+                if k in row and type(row[k]) is not t:
+                    raise ValueError(f"{path} line {n}: {k} must be a JSON {_JSON_TYPES[t]}, got {json.dumps(row[k])}")
             yield n, row
 
 
-def read_jsonl(path, keys=()) -> list[dict]:
-    """Every row of ``numbered_jsonl(path, keys)``, without line numbers."""
-    return [row for _, row in numbered_jsonl(path, keys)]
+def read_jsonl(path, keys=(), types=None) -> list[dict]:
+    """Every row of ``numbered_jsonl(path, keys, types)``, without line numbers."""
+    return [row for _, row in numbered_jsonl(path, keys, types)]
 
 
 def write_jsonl(path, rows, mode: str = "w") -> None:

@@ -8,7 +8,6 @@ from .container import (
     save_checkpoint,
     write_tensor_file,
 )
-from .fdcheck import FiniteDifferenceReport, finite_difference_check
 from .optim import OptimizerState, adamw_step, cosine_lr, init_optimizer_state
 from .precision import half_grid, precision_policy
 from .tensor import (
@@ -26,7 +25,6 @@ from . import ops
 
 __all__ = [
     "ActivationMeter",
-    "FiniteDifferenceReport",
     "OptimizerState",
     "TapeNode",
     "Tensor",
@@ -37,7 +35,6 @@ __all__ = [
     "cosine_lr",
     "enable_grad",
     "evaluate_and_backward",
-    "finite_difference_check",
     "grad_enabled",
     "half_grid",
     "init_optimizer_state",

@@ -1,20 +1,28 @@
-"""Differentiable primitives over Tensor.
+"""Differentiable primitives over Tensor: the ops the two towers, the
+probe and the losses run, and no others.
 
 Each op computes its forward value and wraps it through one of two
 helpers: ``_result`` snaps the value to the binary16 grid in half-emulated
-mode, ``_record`` never does. Ops that compute values use ``_result``; ops
-that only move values (shape and gather) and the three numerically fragile
-normalizations (layer norm, softmax, L2 normalization) use ``_record``, and
-so do ``linear``, ``conv`` and the fused sublayers ``attention`` and
-``mlp``, which snap inside, wherever the ops they fuse snapped. When
-recording, a TapeNode is attached whose backward rule returns one gradient
-per input. Arrays needed by a backward rule are passed through the node's
-``saved`` tuple, never captured in closures, and no closure holds an input
-Tensor, so the activation meter sees every retained scalar and the tape
-keeps no forward value a rule did not save. The meter does not see a
-backward rule's temporaries, so the rules that make large ones
-(``attention`` and ``mlp``) free each at its last use and update fresh ones
-in place, without changing a byte of their results.
+mode, ``_record`` never does. Ops that compute values use ``_result``;
+ops that only move values (``transpose``, ``embedding``) and the three
+numerically fragile normalizations (layer norm, softmax, L2
+normalization) use ``_record``, and so do ``linear``, ``conv`` and the
+fused sublayers ``attention`` and ``mlp``, which snap inside, wherever
+the ops they fuse snapped. When recording, a TapeNode is attached whose
+backward rule returns one gradient per input. Arrays needed by a backward
+rule are passed through the node's ``saved`` tuple, never captured in
+closures, and no closure holds an input Tensor, so the activation meter
+sees every retained scalar and the tape keeps no forward value a rule did
+not save. The meter does not see a backward rule's temporaries, so the
+rules that make large ones (``attention`` and ``mlp``) free each at its
+last use and update fresh ones in place, without changing a byte of their
+results.
+
+The fused ops replaced compositions of smaller ops (``matmul``, ``gelu``,
+``unfold``, ``reshape``) that no program path runs any more. Those live
+with the tests as primitives, built on the private kernels defined here
+(``_unfolding``, the gelu helpers), and each fused op must equal its
+composition byte for byte.
 """
 
 from __future__ import annotations
@@ -93,16 +101,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _result("scale", a.data * c, (a,), (), backward)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def backward(g, saved):
-        (y,) = saved
-        return (g * y,)
-
-    return _result("exp", out, (a,), (out,), backward)
-
-
 def log(a: Tensor) -> Tensor:
     def backward(g, saved):
         (x,) = saved
@@ -111,6 +109,7 @@ def log(a: Tensor) -> Tensor:
     return _result("log", np.log(a.data), (a,), (a.data,), backward)
 
 
+# gelu's kernels, which ``mlp`` runs in row tiles
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     """tanh(K0 * (x + K1 * x³)), computed in one fresh array."""
     t = x * x
@@ -143,43 +142,9 @@ def _gelu_tanh_term(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """g * (0.5 * (1 + t) + 0.5 * x * (1 - t * t) * K0 * (1 + 3 * K1 * x * x))"""
-    dx = _gelu_tanh_term(x, t.copy())
-    half = t + 1.0
-    half *= 0.5
-    dx += half
-    dx *= g
-    return dx
-
-
-def gelu(a: Tensor) -> Tensor:
-    """tanh-approximated GELU (smooth, finite-difference friendly).
-
-    Both directions update fresh temporaries in place; every product and
-    sum keeps the operands and order of the plain formula in
-    ``_gelu_grad``'s docstring, so the bytes equal that formula's.
-    """
-    t = _gelu_tanh(a.data)
-
-    def backward(g, saved):
-        return (_gelu_grad(g, *saved),)
-
-    return _result("gelu", _gelu_value(a.data, t + 1.0), (a,), (a.data, t), backward)
-
-
 # ---------------------------------------------------------------------------
-# shape: these move values without producing any, so they never snap
+# shape: transpose moves values without producing any, so it never snaps
 # ---------------------------------------------------------------------------
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.shape
-
-    def backward(g, saved):
-        return (g.reshape(old),)
-
-    return _record("reshape", a.data.reshape(shape), (a,), (), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -224,28 +189,6 @@ def mean(a: Tensor, axis=None) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy's stacked-matmul semantics (ndim >= 2).
-
-    No model code calls it: dense layers use ``linear`` and attention its
-    own op. It stays as the primitive the oracles compose, criterion 03's
-    finite-difference check and the composed attention that ``attention``
-    must equal byte for byte.
-    """
-    _check_same_dtype(a, b, "matmul")
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul requires tensors of rank >= 2")
-    sa, sb = a.shape, b.shape
-
-    def backward(g, saved):
-        av, bv = saved
-        ga = _unbroadcast(np.matmul(g, bv.swapaxes(-1, -2)), sa)
-        gb = _unbroadcast(np.matmul(av.swapaxes(-1, -2), g), sb)
-        return ga, gb
-
-    return _result("matmul", np.matmul(a.data, b.data), (a, b), (a.data, b.data), backward)
 
 
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray | None, snap) -> np.ndarray:
@@ -616,9 +559,9 @@ def attention(
 
 
 def _gelu_slope_and_value(h: np.ndarray, snap) -> tuple[np.ndarray, np.ndarray]:
-    """gelu's slope at ``h`` (``_gelu_grad`` with g = 1, less its final
-    product) and its value under ``snap``. t + 1 serves both; the slope is
-    built in the tanh's buffer."""
+    """gelu's slope at ``h``, 0.5 * (1 + t) plus ``_gelu_tanh_term``, and
+    its value under ``snap``. t + 1 serves both; the slope is built in the
+    tanh's buffer."""
     t = _gelu_tanh(h)
     tp1 = t + 1.0
     slope = _gelu_tanh_term(h, t)
@@ -691,8 +634,7 @@ def mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tens
 
 
 # ---------------------------------------------------------------------------
-# gather: like the shape ops, embedding and unfold only move values, so they
-# never snap
+# gather: like transpose, embedding only moves values, so it never snaps
 # ---------------------------------------------------------------------------
 
 
@@ -713,13 +655,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution: unfold only moves values, so it never snaps; conv snaps
-# inside, as the linear it fuses did
+# convolution: conv snaps inside, as the linear it fuses did, and never
+# where it only unfolds
 # ---------------------------------------------------------------------------
 
 
 def _unfolding(shape: tuple[int, ...], kernel, stride):
-    """``unfold``'s two directions for an input of ``shape`` (B, *S, C):
+    """An unfold's two directions for an input of ``shape`` (B, *S, C):
     ``to_cols(x)`` builds the patches (B, *So, prod(kernel)*C) in a fresh
     array, and ``fold(g)`` sums a patch gradient back to ``shape``.
 
@@ -782,28 +724,13 @@ def _unfolding(shape: tuple[int, ...], kernel, stride):
     return to_cols, fold
 
 
-def unfold(x: Tensor, kernel, stride) -> Tensor:
-    """Extract patches from (B, *S, C) into (B, *So, prod(kernel)*C), laid
-    out as ``_unfolding`` describes; the backward folds the gradient back.
-
-    No model code calls it: ``conv`` builds its columns itself. It stays as
-    the primitive the oracles compose, the unfold, reshape and linear that
-    ``conv`` must equal byte for byte.
-    """
-    to_cols, fold = _unfolding(x.shape, kernel, stride)
-
-    def backward(g, saved):
-        return (fold(g),)
-
-    return _record("unfold", to_cols(x.data), (x,), (), backward)
-
-
 def conv(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
     """Strided convolution over the middle axes of x (B, *S, C);
     w (*kernel, C, Cout), b (Cout,). One tape node.
 
-    Its value and gradients are byte-equal to ``unfold``, ``reshape`` of w
-    to (prod(kernel)*C, Cout) and ``linear``, which it replaces. It saves
+    Its value and gradients are byte-equal to an unfold (``_unfolding``'s
+    patches), a reshape of w to (prod(kernel)*C, Cout) and ``linear``, the
+    composition it replaces. It saves
     ``x`` and ``w`` as they are, not the unfolded columns: where the kernel
     tiles its input the columns hold the same scalars permuted (at the patch
     embed, a copy of pixels the caller holds anyway), and where kernels

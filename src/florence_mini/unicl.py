@@ -92,20 +92,3 @@ def unicl_loss_op(u: Tensor, v: Tensor, tau_param: Tensor, y: np.ndarray) -> Ten
 
     saved = (res.grad_u, res.grad_v, np.array(res.grad_tau_param))
     return record("unicl_loss", np.array(res.loss), (u, v, tau_param), saved, backward)
-
-
-def infonce_reference(u: np.ndarray, v: np.ndarray, tau: float) -> float:
-    """Symmetric InfoNCE oracle: each diagonal pair is the unique positive.
-
-    Kept independent of unicl_loss_arrays so the all-distinct-labels
-    reduction can be cross-checked between two separately written routes.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape[0] < 2:
-        raise ValueError("need at least 2 rows")
-    scores = tau * (u @ v.T)
-    diag = np.arange(u.shape[0])
-    row_ls = _log_softmax(scores, axis=1)
-    col_ls = _log_softmax(scores, axis=0)
-    return float(-(row_ls[diag, diag].sum() + col_ls[diag, diag].sum()))

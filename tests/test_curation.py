@@ -19,7 +19,6 @@ from florence_mini.curation import (
     dedup_near_duplicates,
     filter_small_images,
     generate_synthetic_dataset,
-    hamming_distance,
     holdout_ids,
     read_records_jsonl,
     write_records_jsonl,
@@ -27,6 +26,7 @@ from florence_mini.curation import (
 from florence_mini.curation.records import ImageFiles, Triplet, load_image, load_images
 from florence_mini.imaging import resize_bilinear
 from florence_mini.numerics import write_tensor_file
+from oracles import hamming_distance
 
 
 def _write_image(path, arr):

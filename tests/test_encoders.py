@@ -17,7 +17,6 @@ from florence_mini.encoders import (
     build_vocabulary,
     encode_video,
     inflate_conv_2d_to_3d,
-    parameter_count,
     parameter_shapes,
     relative_index,
     tokenize,
@@ -25,10 +24,11 @@ from florence_mini.encoders import (
     windowed_attention_block,
 )
 from florence_mini.encoders.model import _ATTENTION_PARAMS, _MLP_PARAMS, transformer_block
-from florence_mini.numerics import Tensor, activation_meter, backward_from, finite_difference_check, no_grad, ops
+from florence_mini.numerics import Tensor, activation_meter, backward_from, no_grad, ops
 from florence_mini.numerics.tensor import TapeNode, _toposort
 from florence_mini.trainer import checkpointed
 from florence_mini.unicl import unicl_loss_arrays
+from oracles import finite_difference_check, parameter_count, reshape
 
 TINY = ModelConfig(
     image_size=8,
@@ -190,9 +190,9 @@ class TestImageTower:
 
             # global path: all four tokens as one stack, attended without windows
             table = ops.embedding(model.params["image.s0.b0.attn.rel_bias"], relative_index(2))
-            tokens = ops.reshape(x, (1, 4, 4))
+            tokens = reshape(x, (1, 4, 4))
             glob = transformer_block(tokens, ops.transpose(table, (2, 0, 1)), 2, None, *block_tensors(model.params))
-            glob = ops.reshape(glob, (1, 2, 2, 4))
+            glob = reshape(glob, (1, 2, 2, 4))
         np.testing.assert_allclose(windowed.data, glob.data, atol=1e-12)
 
     @pytest.fixture(scope="class")

@@ -257,6 +257,11 @@ class TestLinearProbe:
         with pytest.raises(ValueError, match=re.escape(f"holdout_fraction must be in (0, 1), got {fraction}")):
             ProbeConfig(holdout_fraction=fraction)
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_refused_by_value(self, epochs):
+        with pytest.raises(ValueError, match=re.escape(f"epochs must be >= 1, got {epochs}")):
+            ProbeConfig(epochs=epochs)
+
     def test_single_class_flagged_degenerate(self):
         res = linear_probe(np.random.default_rng(6).normal(size=(10, 4)), np.zeros(10, dtype=int))
         assert res.accuracy == 1.0

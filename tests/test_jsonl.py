@@ -300,7 +300,10 @@ class TestImagePaths:
 
 class TestMalformedLines:
     """A bad line is a ValueError naming the file and its line (blank lines
-    counted), and a missing key is named too; the CLI exits 2 on each."""
+    counted), and a missing key or a value of the wrong JSON type is named
+    too; the CLI exits 2 on each and leaves no --out. A records or triplets
+    field is a string, except a triplet's integer label (a bool is not one)
+    and its boolean ``augmented``."""
 
     def test_invalid_json_names_path_and_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -342,8 +345,12 @@ class TestMalformedLines:
             (lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "image"}),
              "line 2: missing key 'image'"),
             (lambda line: "[1, 2]", "line 2: expected a JSON object, got list"),
+            (lambda line: json.dumps(json.loads(line) | {"id": 3}), "line 2: id must be a JSON string, got 3"),
+            (lambda line: json.dumps(json.loads(line) | {"image": 7}), "line 2: image must be a JSON string, got 7"),
+            (lambda line: json.dumps(json.loads(line) | {"text": 5}), "line 2: text must be a JSON string, got 5"),
+            (lambda line: json.dumps(json.loads(line) | {"source": None}), "line 2: source must be a JSON string, got null"),
         ],
-        ids=["unclosed", "no-image", "list"],
+        ids=["unclosed", "no-image", "list", "int-id", "int-image", "int-text", "null-source"],
     )
     def test_curate_exits_2_naming_the_line(self, tmp_path, corpus, capsys, bad_line, message):
         records, _, _ = corpus
@@ -354,3 +361,29 @@ class TestMalformedLines:
         path.write_text("\n".join(lines) + "\n")
         assert main(["curate", "--records", str(path), "--out", str(tmp_path / "cur")]) == 2
         assert f"error: {path} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cur").exists()
+
+    @pytest.mark.parametrize(
+        "key,value,kind",
+        [
+            ("id", 3, "string"),
+            ("image", 7, "string"),
+            ("text", None, "string"),
+            ("label", "3", "integer"),
+            ("label", True, "integer"),
+            ("label", 1.0, "integer"),
+            ("augmented", 1, "boolean"),
+        ],
+        ids=["id", "image", "text", "label-string", "label-bool", "label-float", "augmented"],
+    )
+    def test_train_refuses_a_triplets_field_of_the_wrong_type(self, tmp_path, corpus, capsys, key, value, kind):
+        _, _, triplets = corpus
+        path, out = tmp_path / "triplets.jsonl", tmp_path / "run"
+        write_triplets_jsonl(path, triplets)
+        rows = read_jsonl(path)
+        rows[1][key] = value
+        path.write_text(_lines(rows))
+        argv = ["--stage1-steps", "1", "--stage2-steps", "1", "--batch-size", "2", "--chunk-size", "2", "--warmup-steps", "0"]
+        assert main(["train", "--triplets", str(path), "--out", str(out), *argv]) == 2
+        assert f"error: {path} line 2: {key} must be a JSON {kind}, got {json.dumps(value)}" in capsys.readouterr().err
+        assert not out.exists()

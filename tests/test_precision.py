@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from florence_mini.numerics import Tensor, half_grid, ops, precision_policy
+from oracles import exp, gelu, matmul, reshape, unfold
 
 
 def test_exactly_representable_value_unchanged():
@@ -54,19 +56,20 @@ _ATTN = [Tensor(_RNG.normal(size=(4, 4) if i % 2 == 0 else 4)) for i in range(8)
 _ATTN2 = [Tensor(_RNG.normal(size=(2, 2) if i % 2 == 0 else 2)) for i in range(8)]
 del _ATTN[3], _ATTN2[3]
 
-# Every public op of `ops`, called on inputs off the binary16 grid, with
-# whether its output snaps under "half-emulated". Ops that compute values
-# snap; ops that only move values and the three normalizations never do.
+# Every public op of `ops` and every op among the test oracles, called on
+# inputs off the binary16 grid, with whether its output snaps under
+# "half-emulated". Ops that compute values snap; ops that only move values
+# and the three normalizations never do.
 OP_CASES = {
     "add": [(True, lambda: ops.add(Tensor(_X), Tensor(_X * 0.3)))],
     "mul": [(True, lambda: ops.mul(Tensor(_X), Tensor(_X * 0.3)))],
     "scale": [(True, lambda: ops.scale(Tensor(_X), 0.3))],
-    "exp": [(True, lambda: ops.exp(Tensor(_X)))],
+    "exp": [(True, lambda: exp(Tensor(_X)))],
     "log": [(True, lambda: ops.log(Tensor(_POS)))],
-    "gelu": [(True, lambda: ops.gelu(Tensor(_X)))],
+    "gelu": [(True, lambda: gelu(Tensor(_X)))],
     "tensor_sum": [(True, lambda: ops.tensor_sum(Tensor(_X), axis=1))],
     "mean": [(True, lambda: ops.mean(Tensor(_X), axis=0))],
-    "matmul": [(True, lambda: ops.matmul(Tensor(_X), Tensor(_W)))],
+    "matmul": [(True, lambda: matmul(Tensor(_X), Tensor(_W)))],
     "linear": [
         (True, lambda: ops.linear(Tensor(_X), Tensor(_W))),
         (True, lambda: ops.linear(Tensor(_X), Tensor(_W), Tensor(_B))),
@@ -77,30 +80,37 @@ OP_CASES = {
     ],
     "mlp": [(True, lambda: ops.mlp(Tensor(_TOKENS), Tensor(_X[0]), Tensor(_X[1]), Tensor(_W), Tensor(_B), Tensor(_W.T), Tensor(_X[2])))],
     "conv": [(True, lambda: ops.conv(Tensor(_IMG), Tensor(_KERNEL), Tensor(_B[:3]), (2, 2)))],
-    "reshape": [(False, lambda: ops.reshape(Tensor(_X), (2, 6)))],
+    "reshape": [(False, lambda: reshape(Tensor(_X), (2, 6)))],
     "transpose": [(False, lambda: ops.transpose(Tensor(_X), (1, 0)))],
     "embedding": [(False, lambda: ops.embedding(Tensor(_X), np.array([2, 0, 2])))],
-    "unfold": [(False, lambda: ops.unfold(Tensor(_IMG), (2, 2), (1, 1)))],
+    "unfold": [(False, lambda: unfold(Tensor(_IMG), (2, 2), (1, 1)))],
     "layer_norm": [(False, lambda: ops.layer_norm(Tensor(_X), Tensor(_X[0]), Tensor(_X[1])))],
     "softmax": [(False, lambda: ops.softmax(Tensor(_X)))],
     "l2_normalize": [(False, lambda: ops.l2_normalize(Tensor(_X)))],
 }
 
-PUBLIC_OPS = sorted(
-    name
-    for name, fn in vars(ops).items()
-    if callable(fn) and not name.startswith("_") and getattr(fn, "__module__", None) == ops.__name__
-)
+
+def _public_functions(module) -> dict:
+    return {
+        name: fn
+        for name, fn in vars(module).items()
+        if callable(fn) and not name.startswith("_") and getattr(fn, "__module__", None) == module.__name__
+    }
+
+
+# the oracles' ops are their functions that return a Tensor
+ORACLE_OPS = [name for name, fn in _public_functions(oracles).items() if fn.__annotations__.get("return") == "Tensor"]
+SNAP_OPS = sorted([*_public_functions(ops), *ORACLE_OPS])
 
 
 def test_every_public_op_has_a_snap_entry():
-    assert sorted(OP_CASES) == PUBLIC_OPS
+    assert sorted(OP_CASES) == SNAP_OPS
 
 
 @pytest.mark.parametrize(
     "snaps,call",
-    [case for name in PUBLIC_OPS for case in OP_CASES.get(name, [])],
-    ids=[f"{name}-{i}" for name in PUBLIC_OPS for i in range(len(OP_CASES.get(name, [])))],
+    [case for name in SNAP_OPS for case in OP_CASES.get(name, [])],
+    ids=[f"{name}-{i}" for name in SNAP_OPS for i in range(len(OP_CASES.get(name, [])))],
 )
 def test_op_snaps_only_when_it_computes_values(snaps, call):
     with precision_policy("full"):
@@ -134,9 +144,9 @@ class TestPolicy:
         a = rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4))
         with precision_policy("full"):
-            full = ops.matmul(Tensor(a), Tensor(b)).data
+            full = matmul(Tensor(a), Tensor(b)).data
         with precision_policy("half-emulated"):
-            half = ops.matmul(Tensor(a), Tensor(b)).data
+            half = matmul(Tensor(a), Tensor(b)).data
         assert full.tobytes() != half.tobytes()
         np.testing.assert_array_equal(half, half.astype(np.float16).astype(np.float64))
 
@@ -148,7 +158,7 @@ class TestPolicy:
         x = Tensor(rng.normal(size=(4, 8)))
         with precision_policy("half-emulated"):
             y = ops.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
-            flat = ops.reshape(y, (2, 16))
+            flat = reshape(y, (2, 16))
             swapped = ops.transpose(y, (1, 0))
         assert not np.array_equal(y.data, y.data.astype(np.float16).astype(np.float64))
         assert flat.data.tobytes() == y.data.reshape(2, 16).tobytes()
@@ -160,7 +170,7 @@ class TestPolicy:
         values = np.array([[0.1, 1 / 3], [0.7, 0.9]])
         with precision_policy("half-emulated"):
             rows = ops.embedding(Tensor(values), np.array([1, 0, 1]))
-            patches = ops.unfold(Tensor(values.reshape(1, 2, 1, 2)), (1, 1), (1, 1))
+            patches = unfold(Tensor(values.reshape(1, 2, 1, 2)), (1, 1), (1, 1))
         assert not np.array_equal(values, values.astype(np.float16).astype(np.float64))
         assert rows.data.tobytes() == values[[1, 0, 1]].tobytes()
         assert patches.data.tobytes() == values.reshape(1, 2, 1, 2).tobytes()

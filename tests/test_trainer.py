@@ -44,6 +44,7 @@ from florence_mini.curation import records
 from florence_mini.numerics.tensor import record
 from florence_mini.trainer import loop, zero
 from florence_mini.unicl import unicl_loss_arrays
+from oracles import gelu, matmul
 
 # two quiet NaNs that differ only in their payload
 _NAN_A, _NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
@@ -326,10 +327,10 @@ class TestActivationCheckpointing:
         x = Tensor(rng.normal(size=(3, 6)))
 
         def inner(t, w):
-            return ops.gelu(ops.matmul(t, w))
+            return gelu(matmul(t, w))
 
         def outer(t, wa, wb):
-            return ops.matmul(checkpointed(inner, t, wa), wb)
+            return matmul(checkpointed(inner, t, wa), wb)
 
         def run(wrapped):
             y = checkpointed(outer, x, w1, w2) if wrapped else outer(x, w1, w2)
@@ -350,7 +351,7 @@ class TestActivationCheckpointing:
             return (g,)
 
         def block(t, w):
-            h = ops.matmul(t, w)
+            h = matmul(t, w)
             out = record("probe", h.data * 2.0, (h,), (), probe_backward)
             outputs.append(weakref.ref(out.data))
             return out
@@ -367,7 +368,7 @@ class TestActivationCheckpointing:
 
         def flaky(t, wt):
             state["n"] += 1
-            return ops.scale(ops.matmul(t, wt), 1.0 + state["n"] * 1e-9)
+            return ops.scale(matmul(t, wt), 1.0 + state["n"] * 1e-9)
 
         x = Tensor(np.ones((2, 2)))
         y = checkpointed(flaky, x, w)
@@ -382,7 +383,7 @@ class TestActivationCheckpointing:
         hidden = Tensor(np.ones((2, 2)), requires_grad=True, name="hidden_w")
 
         def block(t, w):
-            return ops.matmul(ops.matmul(t, w), hidden)
+            return matmul(matmul(t, w), hidden)
 
         y = checkpointed(block, Tensor(np.ones((2, 2)), requires_grad=x_grad), given)
         with pytest.raises(RuntimeError, match="hidden_w"):
@@ -438,10 +439,10 @@ class TestActivationCheckpointing:
         swap = iter((True, False))
 
         def transposed(t, wt):
-            return ops.transpose(ops.matmul(t, wt), (1, 0))
+            return ops.transpose(matmul(t, wt), (1, 0))
 
         def unswapped_on_recompute(t, wt):
-            h = ops.matmul(t, wt)
+            h = matmul(t, wt)
             return ops.transpose(h, (1, 0)) if next(swap) else h
 
         y = checkpointed(transposed, x, w)
@@ -462,7 +463,7 @@ class TestCheckpointNodeHolds:
 
     @staticmethod
     def _block(t, w):
-        return ops.gelu(ops.matmul(t, w))
+        return gelu(matmul(t, w))
 
     def test_meters_exactly_x_size(self):
         x = Tensor(np.ones((4, 6)))

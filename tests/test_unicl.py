@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from florence_mini.numerics import Tensor, finite_difference_check
-from florence_mini.unicl import infonce_reference, unicl_loss_arrays, unicl_loss_op
+from florence_mini.numerics import Tensor
+from florence_mini.unicl import unicl_loss_arrays, unicl_loss_op
+from oracles import finite_difference_check, infonce_reference
 
 
 def brute_force_unicl(u, v, y, tau):
