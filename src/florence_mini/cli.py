@@ -53,13 +53,14 @@ from .experiments import duplicate_caption_advantage
 from .jsonl import write_jsonl
 from .numerics.container import save_checkpoint
 from .numerics.precision import PRECISION_MODES
+from .numerics.tensor import activation_meter
 from .trainer import (
     TrainConfig,
-    activation_profile,
     load_model_checkpoint,
     prepare_batch,
     run_two_stage_training,
 )
+from .trainer.loop import compute_gradients
 
 
 def _sha256(path) -> str:
@@ -105,6 +106,15 @@ def parse_config(path: str | None, overrides: dict) -> TrainConfig:
         if value is not None:
             data[key] = value
     return TrainConfig.from_dict(data)
+
+
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; an entry that is no
+    integer is refused naming the flag."""
+    try:
+        return [int(entry) for entry in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +276,8 @@ def cmd_eval_zero_shot(args, out):
 
 
 def cmd_eval_retrieval(args, out):
+    ks = _int_list("--ks", args.ks)
     model, _, records, images, _ = _eval_inputs(args, holdout=True, labelled=False)
-    ks = [int(k) for k in args.ks.split(",")]
     rec = retrieval_recall(embed_images(model, images), embed_texts(model, [r.text for r in records]), ks)
     metrics = {f"r_at_{k}_{d}": rec[d][k] for d in ("i2t", "t2i") for k in ks}
     report = EvalReport(task="retrieval", metrics=metrics, n=len(records), seed=args.seed)
@@ -345,7 +355,7 @@ def cmd_inflate(args, out):
 
 
 def cmd_duplicate_captions(args, out):
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = _int_list("--seeds", args.seeds)
     config = {
         "seeds": seeds, "num_classes": args.classes, "per_class": args.per_class,
         "stage1_steps": args.stage1_steps, "stage2_steps": args.stage2_steps,
@@ -362,7 +372,10 @@ def cmd_duplicate_captions(args, out):
 
 def cmd_memory_report(args, out):
     """Peak activation scalars of one gradient step on the first --batch-size
-    triplets, per chunk size, with and without activation checkpointing."""
+    triplets, per chunk size, with and without activation checkpointing. Each
+    step runs the trainer's own gradient dispatch, so a chunk below the batch
+    size takes the gradient cache exactly as `train` would."""
+    chunks = _int_list("--chunks", args.chunks)
     triplets_path = Path(args.triplets)
     triplets = read_triplets_jsonl(triplets_path)
     if not 2 <= args.batch_size <= len(triplets):
@@ -372,14 +385,19 @@ def cmd_memory_report(args, out):
     # the counts depend only on tensor shapes, so the weight-init seed is fixed
     model = TwoTowerModel.create(config, vocab, seed=0)
     images, ids, labels, _ = prepare_batch(triplets[: args.batch_size], vocab, config.dtype)
-    chunks = [int(c) for c in args.chunks.split(",")]
     rows = []
     lines = [
         f"batch {args.batch_size}, mini model, exact activation-scalar counts",
         f"{'chunk':>6} {'plain':>12} {'checkpointed':>12} {'reduction':>10}",
     ]
     for chunk in chunks:
-        plain, ckpt = activation_profile(model, images, ids, labels, chunk)
+        peaks = []
+        for flag in (False, True):
+            train = TrainConfig(config, batch_size=args.batch_size, chunk_size=chunk, activation_checkpointing=flag)
+            activation_meter.reset()
+            compute_gradients(model, images, ids, labels, train)
+            peaks.append(activation_meter.peak)
+        plain, ckpt = peaks
         rows.append({"chunk": chunk, "plain": plain, "checkpointed": ckpt})
         lines.append(f"{chunk:>6} {plain:>12} {ckpt:>12} {1 - ckpt / plain:>9.1%}")
     with open(out / "memory_report.json", "w") as fh:

@@ -1,9 +1,10 @@
-"""Curation pipeline: size filter, label hash table, prompt augmentation,
-stage-aware deterministic batch streams."""
+"""Curation pipeline: size filter, label hash table (each unique description
+mapped to its dense label id), prompt augmentation, stage-aware deterministic
+batch streams."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,18 +33,6 @@ def filter_small_images(records: list[RawRecord], min_side: int) -> list[RawReco
     return out
 
 
-@dataclass
-class HashTable:
-    """Bijection between unique descriptions and dense label ids."""
-
-    label_of: dict[str, int] = field(default_factory=dict)
-    description_of: list[str] = field(default_factory=list)
-
-    @property
-    def num_unique(self) -> int:
-        return len(self.description_of)
-
-
 def normalize_description(text: str, case_fold: bool = False) -> str:
     """Whitespace trim only by default; identical strings share a label."""
     t = text.strip()
@@ -52,32 +41,26 @@ def normalize_description(text: str, case_fold: bool = False) -> str:
 
 def build_text_hash_table(
     records: list[RawRecord], case_fold: bool = False
-) -> tuple[HashTable, list[Triplet]]:
-    """Assign dense label ids to unique descriptions in first-appearance order."""
-    table = HashTable()
+) -> tuple[dict[str, int], list[Triplet]]:
+    """Assign dense label ids to unique descriptions in first-appearance
+    order; the table maps each description to its id, so its keys in order
+    are the descriptions by id."""
+    table: dict[str, int] = {}
     triplets = []
     for rec in records:
         t = normalize_description(rec.text, case_fold=case_fold)
-        if t not in table.label_of:
-            table.label_of[t] = len(table.description_of)
-            table.description_of.append(t)
-        triplets.append(
-            Triplet(id=rec.id, image_path=rec.image_path, text=t, label=table.label_of[t])
-        )
+        label = table.setdefault(t, len(table))
+        triplets.append(Triplet(id=rec.id, image_path=rec.image_path, text=t, label=label))
     return table, triplets
 
 
-def augment_prompt(
-    word: str, rng: np.random.Generator, templates=DEFAULT_PROMPT_TEMPLATES
-) -> str:
-    """Wrap a short description in one uniformly chosen prompt template."""
+def augment_prompt(word: str, rng: np.random.Generator) -> str:
+    """Wrap a short description in one uniformly chosen prompt template of
+    DEFAULT_PROMPT_TEMPLATES."""
     if not word:
         raise ValueError("word must be non-empty")
-    templates = tuple(templates)
-    if not templates:
-        raise ValueError("template list is empty")
-    idx = int(rng.integers(0, len(templates)))
-    return templates[idx].format(word)
+    idx = int(rng.integers(0, len(DEFAULT_PROMPT_TEMPLATES)))
+    return DEFAULT_PROMPT_TEMPLATES[idx].format(word)
 
 
 def apply_prompt_augmentation(triplets: list[Triplet], seed: int) -> list[Triplet]:
@@ -144,7 +127,7 @@ class StageStream:
 @dataclass
 class CurationResult:
     triplets: list[Triplet]
-    hash_table: HashTable
+    hash_table: dict[str, int]
     removal_reports: list[RemovalReport]
     n_input: int
     n_after_dedup: int
@@ -157,7 +140,7 @@ class CurationResult:
             "removed_near_duplicates": len(self.removal_reports),
             "removed_small": self.n_after_dedup - self.n_after_size_filter,
             "records_out": len(self.triplets),
-            "unique_descriptions": self.hash_table.num_unique,
+            "unique_descriptions": len(self.hash_table),
             "augmented_records": sum(t.augmented for t in self.triplets),
             "total_tokens": sum(len(t.text.split()) for t in self.triplets),
         }

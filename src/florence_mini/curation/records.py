@@ -39,7 +39,7 @@ class Triplet:
 
     def __post_init__(self):
         if self.label < 0:
-            raise ValueError("label ids are non-negative")
+            raise ValueError(f"label must be non-negative, got {self.label}")
 
 
 def load_image(path, side: int | None = None) -> np.ndarray:
@@ -161,14 +161,16 @@ def write_records_jsonl(path, records: list[RawRecord]) -> None:
 
 def read_records_jsonl(path) -> list[RawRecord]:
     """Records, one per line: ``id``, ``image`` and ``text`` strings and an
-    optional ``source`` string; a missing key or a value of another JSON type
-    raises ValueError naming ``<path> line <n>``."""
+    optional ``source`` string; a missing key, a value of another JSON type
+    or a blank ``text`` raises ValueError naming ``<path> line <n>``."""
     resolve = _image_resolver(path)
     types = dict.fromkeys(("id", "image", "text", "source"), str)
-    return [
-        RawRecord(id=d["id"], image_path=resolve(d["image"]), text=d["text"], source=d.get("source", ""))
-        for d in read_jsonl(path, keys=("id", "image", "text"), types=types)
-    ]
+    return read_jsonl(
+        path,
+        keys=("id", "image", "text"),
+        types=types,
+        build=lambda d: RawRecord(d["id"], resolve(d["image"]), d["text"], d.get("source", "")),
+    )
 
 
 def write_triplets_jsonl(path, triplets: list[Triplet]) -> None:
@@ -189,20 +191,17 @@ def write_triplets_jsonl(path, triplets: list[Triplet]) -> None:
 
 def read_triplets_jsonl(path) -> list[Triplet]:
     """Triplets, one per line: ``id``, ``image`` and ``text`` strings, an
-    integer ``label`` and a boolean ``augmented``; a missing key or a value
-    of another JSON type raises ValueError naming ``<path> line <n>``."""
+    integer ``label`` and a boolean ``augmented``; a missing key, a value of
+    another JSON type or a negative ``label`` raises ValueError naming
+    ``<path> line <n>``."""
     resolve = _image_resolver(path)
     types = {"id": str, "image": str, "text": str, "label": int, "augmented": bool}
-    return [
-        Triplet(
-            id=d["id"],
-            image_path=resolve(d["image"]),
-            text=d["text"],
-            label=d["label"],
-            augmented=d["augmented"],
-        )
-        for d in read_jsonl(path, keys=tuple(types), types=types)
-    ]
+    return read_jsonl(
+        path,
+        keys=tuple(types),
+        types=types,
+        build=lambda d: Triplet(d["id"], resolve(d["image"]), d["text"], d["label"], d["augmented"]),
+    )
 
 
 def class_of_record(record: RawRecord, class_names: list[str]) -> int | None:

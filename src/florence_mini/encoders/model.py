@@ -134,8 +134,6 @@ def text_tower(params: dict[str, Tensor], config: ModelConfig, ids: np.ndarray) 
     out of both attention and pooling, and trailing columns that are PAD in
     every row are dropped first (attention cost is quadratic in length)."""
     ids = np.asarray(ids)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.shape[1] > config.max_len:
         raise ValueError(f"sequence length {ids.shape[1]} exceeds max_len {config.max_len}")
     valid = ids != PAD

@@ -10,11 +10,13 @@ from ..numerics import ops
 from ..numerics.optim import adamw_step, init_optimizer_state
 from ..numerics.tensor import Tensor, evaluate_and_backward
 
+# The probe head's AdamW learning rate.
+PROBE_LR = 0.05
+
 
 @dataclass
 class ProbeConfig:
     epochs: int = 100
-    lr: float = 0.05
     holdout_fraction: float = 0.25
     seed: int = 0
 
@@ -40,9 +42,9 @@ def _cross_entropy(x: Tensor, w: Tensor, b: Tensor, onehot: np.ndarray) -> Tenso
 
 
 def linear_probe(features: np.ndarray, labels: np.ndarray, config: ProbeConfig = ProbeConfig()) -> ProbeResult:
-    """Train one linear layer (softmax cross-entropy, AdamW) on frozen
-    features; report held-out accuracy. Single-class data scores 1.0 and is
-    flagged degenerate."""
+    """Train one linear layer (softmax cross-entropy, AdamW at PROBE_LR) on
+    frozen features; report held-out accuracy. Single-class data scores 1.0
+    and is flagged degenerate."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     n, d = features.shape
@@ -63,7 +65,7 @@ def linear_probe(features: np.ndarray, labels: np.ndarray, config: ProbeConfig =
     w = Tensor(np.zeros((d, n_classes)), requires_grad=True, name="probe.w")
     b = Tensor(np.zeros(n_classes), requires_grad=True, name="probe.b")
     params = {"probe.w": w.data, "probe.b": b.data}
-    state = init_optimizer_state(params, lr=config.lr, weight_decay=0.0)
+    state = init_optimizer_state(params, lr=PROBE_LR, weight_decay=0.0)
     xt = Tensor(x_train)
     for _ in range(config.epochs):
         loss = _cross_entropy(xt, w, b, onehot)

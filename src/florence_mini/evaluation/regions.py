@@ -9,7 +9,7 @@ from typing import Collection
 import numpy as np
 
 from ..imaging import crop_box, resize_bilinear
-from ..jsonl import numbered_jsonl, write_jsonl
+from ..jsonl import read_jsonl, write_jsonl
 from .zero_shot import class_scores, rank_scores
 
 
@@ -31,22 +31,21 @@ def read_boxes_jsonl(
     ``0 <= x0 < x1 <= W``, ``0 <= y0 < y1 <= H`` raises ValueError naming
     ``<path> line <n>``."""
     keys = ("image_id", "x0", "y0", "x1", "y1")
-    boxes = []
-    for n, d in numbered_jsonl(path, keys=keys, types=dict.fromkeys(keys[1:], int)):
+
+    def build(d) -> Box:
         if image_ids is not None and d["image_id"] not in image_ids:
-            raise ValueError(
-                f"{path} line {n}: image_id {d['image_id']!r} is not the image's record ({', '.join(sorted(image_ids))})"
-            )
+            raise ValueError(f"image_id {d['image_id']!r} is not the image's record ({', '.join(sorted(image_ids))})")
         box = Box(*(d[k] for k in keys))
         if image_size is not None:
             h, w = image_size
             coords = (box.x0, box.y0, box.x1, box.y1)
             if box.x1 <= box.x0 or box.y1 <= box.y0:
-                raise ValueError(f"{path} line {n}: zero-area box {coords}")
+                raise ValueError(f"zero-area box {coords}")
             if not (0 <= box.x0 and box.x1 <= w and 0 <= box.y0 and box.y1 <= h):
-                raise ValueError(f"{path} line {n}: box {coords} outside image {w}x{h}")
-        boxes.append(box)
-    return boxes
+                raise ValueError(f"box {coords} outside image {w}x{h}")
+        return box
+
+    return read_jsonl(path, keys=keys, types=dict.fromkeys(keys[1:], int), build=build)
 
 
 def write_boxes_jsonl(path, boxes: list[Box]) -> None:

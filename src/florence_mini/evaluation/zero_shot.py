@@ -13,8 +13,8 @@ import numpy as np
 from ..numerics.tensor import no_grad
 from .embed import embed_images, embed_texts
 
-# Default ensembling templates; a deliberately small, documented stand-in
-# for the full CLIP prompt list, overridable wherever prompt sets are built.
+# The ensembling templates every prompt set is built from; a deliberately
+# small, documented stand-in for the full CLIP prompt list.
 DEFAULT_EVAL_TEMPLATES = (
     "a photo of a {}.",
     "a photo of the {}.",
@@ -26,18 +26,15 @@ DEFAULT_EVAL_TEMPLATES = (
 )
 
 
-def build_prompt_sets(model, class_names, templates=DEFAULT_EVAL_TEMPLATES) -> np.ndarray:
+def build_prompt_sets(model, class_names) -> np.ndarray:
     """Class-embedding matrix (num_classes, d): row c is the mean of class c's
-    per-template text embeddings, re-normalized to unit length."""
+    DEFAULT_EVAL_TEMPLATES text embeddings, re-normalized to unit length."""
     if not class_names:
         raise ValueError("class list is empty")
-    templates = tuple(templates)
-    if not templates:
-        raise ValueError("template list is empty")
-    v = embed_texts(model, [t.format(name) for name in class_names for t in templates])
+    v = embed_texts(model, [t.format(name) for name in class_names for t in DEFAULT_EVAL_TEMPLATES])
     # the same 2-D (templates, d) reduction a forward per class made, and a
     # per-row norm: norm(axis=1) over the stack can differ in the last bit
-    means = [rows.mean(axis=0) for rows in v.reshape(len(class_names), len(templates), -1)]
+    means = [rows.mean(axis=0) for rows in v.reshape(len(class_names), len(DEFAULT_EVAL_TEMPLATES), -1)]
     return np.stack([m / np.linalg.norm(m) for m in means])
 
 

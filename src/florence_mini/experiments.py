@@ -12,11 +12,6 @@ from .evaluation import embed_images, embed_texts, retrieval_recall
 from .trainer import TrainConfig, run_two_stage_training
 
 
-def _encode_pairs(model, records) -> tuple[np.ndarray, np.ndarray]:
-    images = ImageFiles([r.image_path for r in records])
-    return embed_images(model, images), embed_texts(model, [r.text for r in records])
-
-
 def duplicate_caption_advantage(
     workdir,
     seeds=(0, 1, 2),
@@ -61,7 +56,8 @@ def duplicate_caption_advantage(
             run = run_two_stage_training(
                 train_pool, config, workdir / f"run-{objective}-seed{seed}"
             )
-            u, v = _encode_pairs(run["model"], eval_records)
+            u = embed_images(run["model"], ImageFiles([r.image_path for r in eval_records]))
+            v = embed_texts(run["model"], [r.text for r in eval_records])
             r1 = retrieval_recall(u, v, ks=[1])["t2i"][1]
             results[objective].append(r1)
     results["unicl_mean"] = float(np.mean(results["unicl"]))

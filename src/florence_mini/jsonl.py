@@ -8,14 +8,16 @@ import json
 _JSON_TYPES = {str: "string", int: "integer", bool: "boolean"}
 
 
-def numbered_jsonl(path, keys=(), types=None):
-    """Yield ``(n, row)`` for each non-blank line ``n`` (1-based, blank
-    lines counted), parsed as a JSON object holding every name in ``keys``.
-    ``types`` maps a name to ``str``, ``int`` or ``bool``, the exact type its
-    value must have where the row holds it (so a bool is not an integer).
+def read_jsonl(path, keys=(), types=None, build=None) -> list:
+    """Each non-blank line of ``path`` parsed as a JSON object holding every
+    name in ``keys``, passed through ``build`` when it is given. ``types``
+    maps a name to ``str``, ``int`` or ``bool``, the exact type its value
+    must have where the row holds it (so a bool is not an integer).
 
-    A malformed line raises ValueError naming ``<path> line <n>``.
+    A malformed line, or a row that ``build`` refuses with ValueError, raises
+    ValueError naming ``<path> line <n>`` (1-based, blank lines counted).
     """
+    rows = []
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
@@ -32,12 +34,11 @@ def numbered_jsonl(path, keys=(), types=None):
             for k, t in (types or {}).items():
                 if k in row and type(row[k]) is not t:
                     raise ValueError(f"{path} line {n}: {k} must be a JSON {_JSON_TYPES[t]}, got {json.dumps(row[k])}")
-            yield n, row
-
-
-def read_jsonl(path, keys=(), types=None) -> list[dict]:
-    """Every row of ``numbered_jsonl(path, keys, types)``, without line numbers."""
-    return [row for _, row in numbered_jsonl(path, keys, types)]
+            try:
+                rows.append(row if build is None else build(row))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {n}: {exc}") from None
+    return rows
 
 
 def write_jsonl(path, rows, mode: str = "w") -> None:

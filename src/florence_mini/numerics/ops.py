@@ -335,15 +335,15 @@ def _ln_affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, out: np.nd
     return out
 
 
-def _ln_forward(xv: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
-    """Layer norm over the last axis: (output, xhat, inv_std).
+def _ln_forward(xv: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
+    """Layer norm over the last axis, eps 1e-5: (output, xhat, inv_std).
 
     The centred input is computed once and scaled in place into ``xhat``;
     the squares' buffer takes the affine output.
     """
     xhat = xv - xv.mean(axis=-1, keepdims=True)
     out = xhat * xhat
-    inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv_std
     return _ln_affine(xhat, gamma, beta, out), xhat, inv_std
 
@@ -364,7 +364,7 @@ def _ln_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray, gamma: np.nd
     return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis; affine parameters broadcast from 1-D.
 
     Both directions update only temporaries of their own in place; no
@@ -372,7 +372,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     """
     _check_same_dtype(x, gamma, "layer_norm")
     _check_same_dtype(x, beta, "layer_norm")
-    out, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data, eps)
+    out, xhat, inv_std = _ln_forward(x.data, gamma.data, beta.data)
 
     def backward(g, saved):
         return _ln_grads(g, *saved)
@@ -380,10 +380,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record("layer_norm", out, (x, gamma, beta), (xhat, inv_std, gamma.data), backward)
 
 
-def l2_normalize(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale rows (last axis) to unit Euclidean norm."""
+def l2_normalize(a: Tensor) -> Tensor:
+    """Scale rows (last axis) to unit Euclidean norm; 1e-12 is added to the
+    squared norm."""
     x = a.data
-    n = np.sqrt((x * x).sum(axis=-1, keepdims=True) + eps)
+    n = np.sqrt((x * x).sum(axis=-1, keepdims=True) + 1e-12)
     out = x / n
 
     def backward(g, saved):

@@ -2,7 +2,6 @@
 
 from .checkpointing import checkpointed
 from .grad_cache import gradient_cache_gradients, monolithic_gradients
-from .memory import activation_profile
 from .loop import (
     TrainConfig,
     TrainingAborted,
@@ -19,7 +18,6 @@ from .zero import zero_shard_update
 __all__ = [
     "TrainConfig",
     "TrainingAborted",
-    "activation_profile",
     "checkpointed",
     "effective_labels",
     "gradient_cache_gradients",

@@ -93,9 +93,7 @@ class TrainConfig:
         return self.total_steps if self.total_steps is not None else self.planned_steps
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["model"] = self.model.to_dict()
-        return d
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -207,6 +205,22 @@ def _flat_config(config: TrainConfig) -> dict:
     return d
 
 
+def _manifest_value(path, manifest: dict, key: str):
+    """``manifest[key]``; a missing key is refused naming the checkpoint."""
+    if key not in manifest:
+        raise ValueError(f"checkpoint {path}: its manifest has no {key!r}")
+    return manifest[key]
+
+
+def _manifest_count(path, manifest: dict, key: str) -> int:
+    """``manifest[key]``, refused naming the checkpoint and the key unless
+    it is a non-negative integer (a bool is not one)."""
+    value = _manifest_value(path, manifest, key)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"checkpoint {path}: its manifest's {key} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def load_train_checkpoint(path, config: TrainConfig):
     """Rebuild (model, optimizer state, step) from a checkpoint directory.
 
@@ -215,8 +229,11 @@ def load_train_checkpoint(path, config: TrainConfig):
     planned steps end before the checkpoint's step.
     """
     tensors, manifest = load_checkpoint(path)
+    step = _manifest_count(path, manifest, "step")
+    optimizer_step = _manifest_count(path, manifest, "optimizer_step")
+    stored_config = _manifest_value(path, manifest, "train_config")
     try:
-        stored = _flat_config(TrainConfig.from_dict(manifest["train_config"]))
+        stored = _flat_config(TrainConfig.from_dict(stored_config))
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: its stored train_config cannot be resumed: {exc}") from exc
     given = _flat_config(config)
@@ -227,16 +244,16 @@ def load_train_checkpoint(path, config: TrainConfig):
     ]
     if drift:
         raise ValueError(f"resume config differs from the checkpoint's train_config: {', '.join(drift)}")
-    if manifest["step"] > config.planned_steps:
-        raise ValueError(f"checkpoint step {manifest['step']} is past the run's planned_steps {config.planned_steps}")
+    if step > config.planned_steps:
+        raise ValueError(f"checkpoint step {step} is past the run's planned_steps {config.planned_steps}")
     model = _checkpoint_model(path, tensors, manifest)
     state = OptimizerState(
         lr=config.peak_lr,
-        step=manifest["optimizer_step"],
+        step=optimizer_step,
         m={k: tensors[f"__opt_m__.{k}"] for k in model.params},
         v={k: tensors[f"__opt_v__.{k}"] for k in model.params},
     )
-    return model, state, manifest["step"]
+    return model, state, step
 
 
 def load_model_checkpoint(path) -> TwoTowerModel:
@@ -251,12 +268,21 @@ def load_model_checkpoint(path) -> TwoTowerModel:
 def _checkpoint_model(path, tensors: dict[str, np.ndarray], manifest: dict) -> TwoTowerModel:
     """The model the checkpoint at ``path`` holds: config and vocab from its
     manifest, weights from its tensors of the config's parameter names and
-    shapes. A stored model_config that is refused names the checkpoint."""
+    shapes. A missing key, a stored model_config that is refused and a vocab
+    that is not a list of distinct strings, or that Vocabulary refuses, each
+    name the checkpoint."""
+    stored_config = _manifest_value(path, manifest, "model_config")
+    tokens = _manifest_value(path, manifest, "vocab")
     try:
-        config = ModelConfig.from_dict(manifest["model_config"])
+        config = ModelConfig.from_dict(stored_config)
     except ValueError as exc:
         raise ValueError(f"checkpoint {path}: its stored model_config cannot be loaded: {exc}") from exc
-    vocab = Vocabulary.from_list(manifest["vocab"], max_len=config.max_len)
+    if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens) and len(set(tokens)) == len(tokens)):
+        raise ValueError(f"checkpoint {path}: its manifest's vocab must be a list of distinct strings")
+    try:
+        vocab = Vocabulary.from_list(tokens, max_len=config.max_len)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path}: its manifest's vocab cannot be loaded: {exc}") from exc
     shapes = parameter_shapes(config, len(vocab))
     placeholders = {k: Tensor(np.empty(s, config.dtype), requires_grad=True, name=k) for k, s in shapes.items()}
     model = TwoTowerModel(config, vocab, placeholders)

@@ -15,12 +15,13 @@ import pytest
 
 from florence_mini import cli
 from florence_mini.cli import build_parser, main, parse_config
+from florence_mini.curation import read_triplets_jsonl
 from florence_mini.curation import records as record_io
-from florence_mini.encoders import TwoTowerModel
+from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.evaluation.embed import EVAL_CHUNK
 from florence_mini.imaging import resize_bilinear
-from florence_mini.numerics import load_checkpoint, read_tensor_file, write_tensor_file
-from florence_mini.trainer import TrainConfig
+from florence_mini.numerics import init_optimizer_state, load_checkpoint, read_tensor_file, write_tensor_file
+from florence_mini.trainer import TrainConfig, prepare_batch, train_step
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -438,6 +439,46 @@ class TestPipelineCommands:
         assert main(["memory-report", *argv]) == 2
         assert named in capsys.readouterr().err
 
+    def test_memory_report_peaks_equal_the_train_step_peaks(self, pipeline, tmp_path):
+        """The memory report measures the gradient step that `train` runs:
+        for its model (default config, seed 0) and batch (the first
+        --batch-size triplets), each peak it writes is `train_step`'s
+        peak_activation_scalars, at chunk = batch and chunk < batch, plain
+        and checkpointed."""
+        triplets_path, out = pipeline / "cur/triplets.jsonl", tmp_path / "mem"
+        argv = ["--triplets", str(triplets_path), "--batch-size", "8", "--chunks", "8,4", "--out", str(out)]
+        assert main(["memory-report", *argv]) == 0
+        rows = json.loads((out / "memory_report.json").read_text())["peaks"]
+        assert [row["chunk"] for row in rows] == [8, 4]
+        triplets = read_triplets_jsonl(triplets_path)
+        vocab = build_vocabulary([t.text for t in triplets], max_len=ModelConfig().max_len)
+        images, ids, labels, record_ids = prepare_batch(triplets[:8], vocab, ModelConfig().dtype)
+        for row in rows:
+            for column, checkpointing in (("plain", False), ("checkpointed", True)):
+                model = TwoTowerModel.create(ModelConfig(), vocab, seed=0)
+                config = TrainConfig(batch_size=8, chunk_size=row["chunk"], activation_checkpointing=checkpointing)
+                state = init_optimizer_state(model.param_arrays(), lr=1e-3)
+                _, metrics = train_step(model, images, ids, labels, record_ids, state, config, 1e-3)
+                assert metrics["peak_activation_scalars"] == row[column], (row["chunk"], column)
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval retrieval", "--ks"), ("memory-report", "--chunks"), ("duplicate-captions", "--seeds")],
+    )
+    def test_a_comma_list_entry_that_is_no_integer_is_refused_naming_the_flag(
+        self, pipeline, tmp_path, capsys, command, flag
+    ):
+        out = tmp_path / "out"
+        argv = {
+            "eval retrieval": ["eval", "retrieval", "--checkpoint", str(pipeline / "run/ckpt-final"),
+                               "--data", str(pipeline / "data")],
+            "memory-report": ["memory-report", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--batch-size", "8"],
+            "duplicate-captions": ["duplicate-captions"],
+        }[command]
+        assert main([*argv, flag, "4,a", "--out", str(out)]) == 2
+        assert f"error: {flag} takes comma-separated integers, got '4,a'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_commands_do_not_mutate_inputs(self, pipeline, tmp_path):
         before = _sha(pipeline / "data/records.jsonl")
         main(["curate", "--records", str(pipeline / "data/records.jsonl"),
@@ -758,6 +799,56 @@ class TestPipelineCommands:
             named = f"checkpoint {ckpt}: its stored train_config cannot be resumed: train config must be a JSON object"
         assert main([*argv, "--out", str(out)]) == 2
         assert f"{named}, got list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("step", "1", "its manifest's step must be a non-negative integer, got '1'"),
+            ("step", 1.5, "its manifest's step must be a non-negative integer, got 1.5"),
+            ("step", -3, "its manifest's step must be a non-negative integer, got -3"),
+            ("step", True, "its manifest's step must be a non-negative integer, got True"),
+            ("optimizer_step", "1", "its manifest's optimizer_step must be a non-negative integer, got '1'"),
+            ("vocab", 5, "its manifest's vocab must be a list of distinct strings"),
+            ("vocab", "repeated", "its manifest's vocab must be a list of distinct strings"),
+            ("vocab", "unreserved", "its manifest's vocab cannot be loaded: ids 0..3 are reserved"),
+            ("step", None, "its manifest has no 'step'"),
+            ("optimizer_step", None, "its manifest has no 'optimizer_step'"),
+            ("train_config", None, "its manifest has no 'train_config'"),
+            ("model_config", None, "its manifest has no 'model_config'"),
+            ("vocab", None, "its manifest has no 'vocab'"),
+        ],
+        ids=["step-string", "step-float", "step-negative", "step-bool", "optimizer-step-string", "vocab-int",
+             "vocab-repeated", "vocab-unreserved", "no-step", "no-optimizer-step", "no-train-config", "no-model-config", "no-vocab"],
+    )
+    def test_a_bad_manifest_key_is_refused_naming_the_checkpoint_and_the_key(
+        self, pipeline, tmp_path, capsys, key, value, named
+    ):
+        """`train --resume` reads the step keys and train_config, `eval` the
+        model_config and vocab; None deletes the key. A repeated token would
+        otherwise load and map to its later id; a vocab whose first ids are
+        not the reserved markers is refused by Vocabulary."""
+        ckpt, out = tmp_path / "ckpt", tmp_path / "o"
+        shutil.copytree(pipeline / "run/ckpt-final", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        if value is None:
+            del manifest[key]
+        elif value == "repeated":
+            manifest["vocab"][-1] = manifest["vocab"][4]
+        elif value == "unreserved":
+            manifest["vocab"][0], manifest["vocab"][4] = manifest["vocab"][4], manifest["vocab"][0]
+        else:
+            manifest[key] = value
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        if key in ("model_config", "vocab"):
+            argv = ["eval", "zero-shot", "--checkpoint", str(ckpt), "--data", str(pipeline / "data")]
+        else:
+            # the fixture's own run, so only the manifest can refuse the resume
+            argv = ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(ckpt),
+                    "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
+                    "--warmup-steps", "1", "--seed", "3"]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"error: checkpoint {ckpt}: {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):

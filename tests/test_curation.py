@@ -205,7 +205,7 @@ class TestTextHashTable:
     def test_repeated_text_shares_label(self, tmp_path):
         table, triplets = build_text_hash_table(self._recs(tmp_path, ["a", "b", "a"]))
         assert [t.label for t in triplets] == [0, 1, 0]
-        assert table.num_unique == 2
+        assert len(table) == 2
 
     def test_all_distinct_is_clip_style(self, tmp_path):
         texts = [f"caption {i}" for i in range(6)]
@@ -216,21 +216,21 @@ class TestTextHashTable:
         """8 images over 3 captions -> 3 unique labels (duplicate-caption corpus)."""
         texts = ["dog", "cat", "dog", "dog", "bird", "cat", "dog", "bird"]
         table, triplets = build_text_hash_table(self._recs(tmp_path, texts))
-        assert table.num_unique == 3
+        assert len(table) == 3
         assert sum(t.label == 0 for t in triplets) == 4
 
     def test_inverse_map_reproduces_text(self, tmp_path):
         texts = ["  padded  ", "two words", "padded", "unique one"]
         table, triplets = build_text_hash_table(self._recs(tmp_path, texts))
         for t in triplets:
-            assert table.description_of[t.label] == t.text
+            assert list(table)[t.label] == t.text and table[t.text] == t.label
 
     def test_case_sensitivity_default_and_flag(self, tmp_path):
         recs = self._recs(tmp_path, ["Dog", "dog"])
         table, _ = build_text_hash_table(recs)
-        assert table.num_unique == 2
+        assert len(table) == 2
         folded, _ = build_text_hash_table(recs, case_fold=True)
-        assert folded.num_unique == 1
+        assert len(folded) == 1
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.text(alphabet="abc ", min_size=1, max_size=6), min_size=1, max_size=20))
@@ -238,10 +238,10 @@ class TestTextHashTable:
         texts = [t if t.strip() else "x" for t in texts]
         recs = [RawRecord(id=str(i), image_path="unused.bin", text=t) for i, t in enumerate(texts)]
         table, triplets = build_text_hash_table(recs)
-        assert table.num_unique <= len(recs)
+        assert len(table) <= len(recs)
         normalized = [t.strip() for t in texts]
         if len(set(normalized)) == len(normalized):
-            assert table.num_unique == len(recs)
+            assert len(table) == len(recs)
 
 
 class TestPromptAugmentation:
@@ -251,11 +251,6 @@ class TestPromptAugmentation:
                 return 0
 
         assert augment_prompt("dog", FixedRng()) == "A photo of the dog."
-
-    def test_single_template_ignores_seed(self):
-        for seed in (0, 1, 99):
-            rng = np.random.default_rng(seed)
-            assert augment_prompt("cat", rng, templates=("only {} here",)) == "only cat here"
 
     def test_two_template_frequencies_within_3_sigma(self):
         """Binomial bound: over n draws of 2 templates, each count is within
@@ -270,8 +265,6 @@ class TestPromptAugmentation:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             augment_prompt("", rng)
-        with pytest.raises(ValueError):
-            augment_prompt("dog", rng, templates=())
 
 
 class TestStageStreams:
@@ -413,7 +406,7 @@ class TestPipeline:
         stats = result.stats()
         assert stats["records_in"] == 24
         assert stats["records_out"] == len(result.triplets)
-        assert stats["unique_descriptions"] == result.hash_table.num_unique
+        assert stats["unique_descriptions"] == len(result.hash_table)
         assert stats["augmented_records"] == sum(t.augmented for t in result.triplets)
 
     def test_records_jsonl_roundtrip(self, tmp_path):

@@ -302,8 +302,8 @@ class TestMalformedLines:
     """A bad line is a ValueError naming the file and its line (blank lines
     counted), and a missing key or a value of the wrong JSON type is named
     too; the CLI exits 2 on each and leaves no --out. A records or triplets
-    field is a string, except a triplet's integer label (a bool is not one)
-    and its boolean ``augmented``."""
+    field is a string, except a triplet's non-negative integer label (a bool
+    is not one) and its boolean ``augmented``; a record's text is not blank."""
 
     def test_invalid_json_names_path_and_line(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -349,8 +349,9 @@ class TestMalformedLines:
             (lambda line: json.dumps(json.loads(line) | {"image": 7}), "line 2: image must be a JSON string, got 7"),
             (lambda line: json.dumps(json.loads(line) | {"text": 5}), "line 2: text must be a JSON string, got 5"),
             (lambda line: json.dumps(json.loads(line) | {"source": None}), "line 2: source must be a JSON string, got null"),
+            (lambda line: json.dumps(json.loads(line) | {"id": "r", "text": "  "}), "line 2: record 'r' has empty text"),
         ],
-        ids=["unclosed", "no-image", "list", "int-id", "int-image", "int-text", "null-source"],
+        ids=["unclosed", "no-image", "list", "int-id", "int-image", "int-text", "null-source", "blank-text"],
     )
     def test_curate_exits_2_naming_the_line(self, tmp_path, corpus, capsys, bad_line, message):
         records, _, _ = corpus
@@ -362,6 +363,18 @@ class TestMalformedLines:
         assert main(["curate", "--records", str(path), "--out", str(tmp_path / "cur")]) == 2
         assert f"error: {path} {message}" in capsys.readouterr().err
         assert not (tmp_path / "cur").exists()
+
+    def test_train_refuses_a_negative_label_naming_the_line(self, tmp_path, corpus, capsys):
+        _, _, triplets = corpus
+        path, out = tmp_path / "triplets.jsonl", tmp_path / "run"
+        write_triplets_jsonl(path, triplets)
+        rows = read_jsonl(path)
+        rows[2]["label"] = -1
+        path.write_text(_lines(rows))
+        argv = ["--stage1-steps", "1", "--stage2-steps", "1", "--batch-size", "2", "--chunk-size", "2", "--warmup-steps", "0"]
+        assert main(["train", "--triplets", str(path), "--out", str(out), *argv]) == 2
+        assert f"error: {path} line 3: label must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key,value,kind",

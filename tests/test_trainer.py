@@ -28,7 +28,6 @@ from florence_mini.numerics import (
 from florence_mini.trainer import (
     TrainConfig,
     TrainingAborted,
-    activation_profile,
     checkpointed,
     gradient_cache_gradients,
     load_model_checkpoint,
@@ -630,17 +629,6 @@ class TestTrainStep:
         _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
         assert np.isfinite(metrics["loss"]) and metrics["loss"] > 0
 
-    @pytest.mark.parametrize("chunk, ckpt", [(8, False), (4, False), (4, True)])
-    def test_step_peak_equals_activation_profile(self, small_setup, chunk, ckpt):
-        """The memory report measures the gradient step that `train` runs."""
-        model, images, ids, labels, rids = small_setup
-        fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
-        peaks = activation_profile(fresh, images, ids, labels, chunk)
-        cfg = TrainConfig(model=SMALL_MODEL, batch_size=8, chunk_size=chunk, activation_checkpointing=ckpt)
-        state = init_optimizer_state(fresh.param_arrays(), lr=1e-3)
-        _, metrics = train_step(fresh, images, ids, labels, rids, state, cfg, 1e-3)
-        assert metrics["peak_activation_scalars"] == peaks[ckpt]
-
     def test_nan_input_aborts_with_batch_ids(self, small_setup):
         model, images, ids, labels, rids = small_setup
         fresh = TwoTowerModel.create(SMALL_MODEL, model.vocab, seed=5)
@@ -944,12 +932,6 @@ class TestTwoStageRun:
         assert diagnostic["step"] == 0
         assert "non-finite gradient for ['text.proj.w']" in diagnostic["error"]
         assert (tmp_path / "run/metrics.jsonl").read_text() == ""
-
-    def test_memory_report_exact_integer_counts(self, small_setup):
-        model, images, ids, labels, _ = small_setup
-        plain, ckpt = activation_profile(model, images, ids, labels, images.shape[0])
-        assert isinstance(plain, int) and isinstance(ckpt, int)
-        assert ckpt < plain
 
     def test_precision_policy_toy_run_soft_bound(self, corpus, tmp_path):
         """End-of-run loss gap between full and half-emulated stays < 5e-2."""
