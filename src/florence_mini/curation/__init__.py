@@ -9,7 +9,6 @@ from .hashing import (
 from .pipeline import (
     DEFAULT_PROMPT_TEMPLATES,
     CurationResult,
-    StageStream,
     apply_prompt_augmentation,
     augment_prompt,
     build_text_hash_table,
@@ -40,7 +39,6 @@ __all__ = [
     "ImageFiles",
     "RawRecord",
     "RemovalReport",
-    "StageStream",
     "Triplet",
     "apply_prompt_augmentation",
     "augment_prompt",

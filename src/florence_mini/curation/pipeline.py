@@ -1,6 +1,5 @@
 """Curation pipeline: size filter, label hash table (each unique description
-mapped to its dense label id), prompt augmentation, stage-aware deterministic
-batch streams."""
+mapped to its dense label id), prompt augmentation."""
 
 from __future__ import annotations
 
@@ -85,43 +84,6 @@ def apply_prompt_augmentation(triplets: list[Triplet], seed: int) -> list[Triple
         else:
             out.append(t)
     return out
-
-
-@dataclass
-class StageStream:
-    """Deterministic shuffled batch source for one training stage.
-
-    Stage 1 draws from the full pool; stage 2 excludes every augmented
-    triplet. Epoch order is a pure function of (seed, stage, epoch); the
-    final short batch of each epoch is dropped.
-    """
-
-    stage: int
-    seed: int
-    batch_size: int
-    pool: list[Triplet]
-
-    def __post_init__(self):
-        if self.stage not in (1, 2):
-            raise ValueError("stage must be 1 or 2")
-        if self.batch_size < 2:
-            raise ValueError("contrastive batches need batch_size >= 2")
-        # a stream owns its pool: later edits to the caller's list change nothing
-        self.pool = [t for t in self.pool if self.stage == 1 or not t.augmented]
-        if not self.pool:
-            raise ValueError(f"stage-{self.stage} pool is empty")
-
-    @property
-    def batches_per_epoch(self) -> int:
-        return len(self.pool) // self.batch_size
-
-    def epoch_batches(self, epoch: int) -> list[list[Triplet]]:
-        perm = np.random.default_rng([self.seed, self.stage, epoch]).permutation(len(self.pool))
-        n_full = self.batches_per_epoch
-        return [
-            [self.pool[perm[i]] for i in range(b * self.batch_size, (b + 1) * self.batch_size)]
-            for b in range(n_full)
-        ]
 
 
 @dataclass

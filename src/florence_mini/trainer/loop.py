@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..curation.pipeline import StageStream
 from ..curation.records import Triplet, load_images
 from ..encoders.config import ModelConfig, check_field_types, parameter_shapes
 from ..encoders.model import TwoTowerModel
@@ -58,8 +57,10 @@ class TrainConfig:
 
     def __post_init__(self):
         check_field_types(self)
+        if not 0 < self.peak_lr < float("inf"):
+            raise ValueError(f"peak_lr must be finite and > 0, got {self.peak_lr}")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
+            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.chunk_size < 1 or self.batch_size % self.chunk_size != 0:
             raise ValueError(f"chunk_size {self.chunk_size} must divide batch_size {self.batch_size}")
         if self.checkpoint_every < 0:
@@ -109,6 +110,21 @@ class TrainConfig:
                 raise ValueError(f"train config key 'model' must be a JSON object, got {type(d['model']).__name__}")
             d["model"] = ModelConfig.from_dict(d["model"])
         return TrainConfig(**d)
+
+
+def stage_pool(triplets: list[Triplet], stage: int) -> list[Triplet]:
+    """Stage 1 trains on every triplet; stage 2 and the high-res phase only
+    on those prompt augmentation left unchanged."""
+    return [t for t in triplets if stage == 1 or not t.augmented]
+
+
+def stage_batch(pool: list[Triplet], seed: int, stage: int, batch_size: int, k: int) -> list[Triplet]:
+    """Batch ``k`` of a stage over ``pool``: epochs of ``len(pool) //
+    batch_size`` full batches, each a permutation that is a pure function of
+    (seed, stage, epoch); each epoch's final short batch is dropped."""
+    epoch, idx = divmod(k, len(pool) // batch_size)
+    perm = np.random.default_rng([seed, stage, epoch]).permutation(len(pool))
+    return [pool[i] for i in perm[idx * batch_size : (idx + 1) * batch_size]]
 
 
 def prepare_batch(
@@ -225,8 +241,9 @@ def load_train_checkpoint(path, config: TrainConfig):
     """Rebuild (model, optimizer state, step) from a checkpoint directory.
 
     Rejects a ``config`` that differs from the checkpoint's stored
-    ``train_config`` in any field outside RESUMABLE_KEYS, and one whose
-    planned steps end before the checkpoint's step.
+    ``train_config`` in any field outside RESUMABLE_KEYS, one whose planned
+    steps end before the checkpoint's step, and an optimizer moment that is
+    missing or differs from its parameter in shape or dtype.
     """
     tensors, manifest = load_checkpoint(path)
     step = _manifest_count(path, manifest, "step")
@@ -247,11 +264,19 @@ def load_train_checkpoint(path, config: TrainConfig):
     if step > config.planned_steps:
         raise ValueError(f"checkpoint step {step} is past the run's planned_steps {config.planned_steps}")
     model = _checkpoint_model(path, tensors, manifest)
+    params = model.param_arrays()
+    for kind in "mv":
+        for k, p in params.items():
+            name = f"__opt_{kind}__.{k}"
+            a = tensors.get(name)
+            if a is None or (a.shape, a.dtype) != (p.shape, p.dtype):
+                got = "no tensor" if a is None else f"{a.dtype} {a.shape}"
+                raise ValueError(f"checkpoint {path}: optimizer moment {name} must be {p.dtype} {p.shape}, got {got}")
     state = OptimizerState(
         lr=config.peak_lr,
         step=optimizer_step,
-        m={k: tensors[f"__opt_m__.{k}"] for k in model.params},
-        v={k: tensors[f"__opt_v__.{k}"] for k in model.params},
+        m={k: tensors[f"__opt_m__.{k}"] for k in params},
+        v={k: tensors[f"__opt_v__.{k}"] for k in params},
     )
     return model, state, step
 
@@ -291,7 +316,7 @@ def _checkpoint_model(path, tensors: dict[str, np.ndarray], manifest: dict) -> T
 
 
 def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir, resume_from=None) -> dict:
-    """Stage 1 on the full stream, stage 2 with augmented records excluded,
+    """Stage 1 on the full pool, stage 2 with augmented records excluded,
     optional high-resolution phase; deterministic for a fixed (corpus,
     config, seed)."""
     out = Path(out_dir)
@@ -307,25 +332,25 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
 
     zero_shards(model.param_arrays(), config.zero_workers)  # refuses a bad worker count before metrics.jsonl opens
 
-    # (stage, first step, end step, stream, image side) for each stage that
-    # runs; the high-res phase redraws the stage-2 pool from its first batch
+    # (stage, first step, end step, pool stage, image side) for each stage
+    # that runs; the high-res phase redraws the stage-2 pool from its first batch
+    pools = {s: stage_pool(triplets, s) for s in (1, 2)}
     plan = []
     first = 0
-    for stage, steps, stream_stage, size in (
+    for stage, steps, s, size in (
         ("stage1", config.stage1_steps, 1, None),
         ("stage2", config.stage2_steps, 2, None),
         ("high_res", config.high_res_steps, 2, config.high_res_size),
     ):
         if steps > 0:
-            stream = StageStream(stream_stage, config.seed, config.batch_size, triplets)
-            plan.append((stage, first, first + steps, stream, size))
+            plan.append((stage, first, first + steps, s, size))
         first += steps
-    # StageStream drops each epoch's short batch, so a pool smaller than one
-    # batch would leave a stage nothing to draw
+    # each epoch drops its short batch, so a pool smaller than one batch
+    # would leave a stage nothing to draw
     short = [
-        f"{stage} pool holds {len(stream.pool)} triplets, fewer than batch_size {config.batch_size}"
-        for stage, _, _, stream, _ in plan
-        if stream.batches_per_epoch == 0
+        f"{stage} pool holds {len(pools[s])} triplets, fewer than batch_size {config.batch_size}"
+        for stage, _, _, s, _ in plan
+        if len(pools[s]) < config.batch_size
     ]
     if short:
         raise ValueError("; ".join(short))
@@ -339,15 +364,10 @@ def run_two_stage_training(triplets: list[Triplet], config: TrainConfig, out_dir
     checkpoints: dict[str, str] = {}
     with open(metrics_path, "w") as metrics_fh:
         metrics_fh.writelines(json.dumps(row) + "\n" for row in kept)
-        for stage, first, end, stream, size in plan:
-            epochs: dict = {}
+        for stage, first, end, s, size in plan:
             for step in range(max(first, start_step), end):
-                epoch, idx = divmod(step - first, stream.batches_per_epoch)
-                if epoch not in epochs:
-                    epochs = {epoch: stream.epoch_batches(epoch)}
-                images, ids, labels, rec_ids = prepare_batch(
-                    epochs[epoch][idx], model.vocab, config.model.dtype, image_size=size
-                )
+                batch = stage_batch(pools[s], config.seed, s, config.batch_size, step - first)
+                images, ids, labels, rec_ids = prepare_batch(batch, model.vocab, config.model.dtype, image_size=size)
                 lr = cosine_lr(step, config.schedule_total, config.warmup_steps, config.peak_lr)
                 try:
                     state, metrics = train_step(model, images, ids, labels, rec_ids, state, config, lr)

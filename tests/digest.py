@@ -2,9 +2,14 @@
 
 `pipeline(root)` runs synth, curate, two `train` runs, the four record evals,
 `eval regions` on a 3-box file for the first record's image, `inflate` and
-`memory-report` under `root`. `digest_table(root)` gives the
-sha256 of every file under `root`, with two kinds of bytes masked: the values
-of the wall-time fields, and the absolute `root` wherever it starts a path.
+`memory-report` under `root`. The first `train` run (`gcache`) holds out 13 of
+the 64 curated triplets and trains on 51 at batch 8: stage 1's epoch is 6
+batches of all 51, and stage 2's and the high-res phase's are 3 batches of the
+24 unaugmented ones. It runs 7 stage-1, 4 stage-2 and 4 high-res steps, so
+each phase draws the first batch of its second epoch. `digest_table(root)`
+gives the sha256 of every file under `root`, with two kinds of bytes
+masked: the values of the wall-time fields, and the absolute `root`
+wherever it starts a path.
 `tensor_table(root)` gives, for every checkpoint directory under `root`, the
 name, dtype, shape and sha256 of each tensor `load_checkpoint` returns, so two
 checkpoint formats holding the same tensors print the same rows.
@@ -56,7 +61,7 @@ def pipeline(root) -> None:
         ["synth", "--classes", "4", "--per-class", "16", "--seed", "1", "--out", str(data)],
         ["curate", "--records", str(data / "records.jsonl"), "--seed", "1", "--out", str(cur)],
         [*train, "--batch-size", "8", "--chunk-size", "4", "--zero-workers", "2", "--checkpoint-every", "2",
-         "--stage1-steps", "3", "--stage2-steps", "2", "--high-res-steps", "1", "--out", str(root / "gcache")],
+         "--stage1-steps", "7", "--stage2-steps", "4", "--high-res-steps", "4", "--out", str(root / "gcache")],
         [*train, "--batch-size", "8", "--chunk-size", "8", "--precision", "half-emulated",
          "--stage1-steps", "2", "--stage2-steps", "1", "--out", str(root / "half")],
         ["eval", "zero-shot", *evals, "--out", str(root / "zero-shot")],

@@ -2,9 +2,10 @@
 
 Everything here is one of two things. A reference is an independently
 written route to a value the package computes (the finite-difference
-check, the plain InfoNCE loss, the per-shape parameter count, the scalar
-Hamming distance). A test primitive is an op the package no longer runs
-(``exp``, ``gelu``, ``reshape``, ``matmul``, ``unfold``) but which the
+check and the whole-step directional derivative, the plain InfoNCE loss,
+the per-shape parameter count, the scalar Hamming distance). A test
+primitive is an op the package no longer runs (``exp``, ``gelu``,
+``reshape``, ``matmul``, ``unfold``) but which the
 composition tests build their expected values from: ``attention``,
 ``mlp`` and ``conv`` must equal those compositions byte for byte. The ops
 import ``florence_mini.numerics.ops``' private kernels, so each composition
@@ -15,12 +16,15 @@ this module, and every op the package keeps has a caller in it
 
 from __future__ import annotations
 
+import re
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from florence_mini.encoders.config import ModelConfig, parameter_shapes
+from florence_mini.encoders.model import TwoTowerModel
 from florence_mini.numerics.ops import (
     _check_same_dtype,
     _gelu_tanh,
@@ -32,7 +36,7 @@ from florence_mini.numerics.ops import (
     _unfolding,
 )
 from florence_mini.numerics.tensor import Tensor, evaluate_and_backward, no_grad
-from florence_mini.unicl import _log_softmax
+from florence_mini.unicl import _log_softmax, unicl_loss_arrays
 
 # ---------------------------------------------------------------------------
 # finite differences: the analytic side comes from the tape; the numeric
@@ -107,6 +111,94 @@ def finite_difference_check(
         rel_errors[i] = abs(analytic[i] - central) / (abs(central) + 1e-12)
     max_rel = float(rel_errors.max()) if n else 0.0
     return FiniteDifferenceReport(max_rel_error=max_rel, rel_errors=rel_errors, kinks=kinks)
+
+
+# ---------------------------------------------------------------------------
+# whole-step directional derivatives: the analytic side is one step's
+# gradients; the numeric side runs both towers' forwards with recording
+# disabled, one Richardson-extrapolated central difference per parameter
+# group, so a failure names its group
+# ---------------------------------------------------------------------------
+
+STEP_FD_H = 1e-3
+STEP_FD_M5 = 1e8  # assumed bound on |f^(5)| along a unit direction
+STEP_FD_ROUNDING = 1e-12  # assumed relative error of one float64 loss evaluation
+
+
+def parameter_group(name: str) -> str:
+    """The group a parameter's direction is drawn for: a block's attention
+    (its ln1 and attn tensors) or MLP (ln2 and mlp), the text embeddings, or
+    else the name less its last part (patch embed, a merge, a final norm, a
+    projection, tau)."""
+    block = re.match(r"(.*\.b\d+)\.(ln1|attn|ln2|mlp)\.", name)
+    if block:
+        return f"{block[1]}.{'attention' if block[2] in ('ln1', 'attn') else 'mlp'}"
+    if name in ("text.tok_embed", "text.pos_embed"):
+        return "text.embed"
+    return name.rsplit(".", 1)[0]
+
+
+def group_directions(params: dict[str, np.ndarray], seed: int) -> dict[str, dict[str, np.ndarray]]:
+    """group -> {name: direction}: one Gaussian direction per parameter
+    group, of unit L2 norm over the group's tensors."""
+    groups: dict[str, list[str]] = {}
+    for name in params:
+        groups.setdefault(parameter_group(name), []).append(name)
+    directions = {}
+    for group, names in groups.items():
+        rng = np.random.default_rng([seed, zlib.crc32(group.encode())])
+        d = {k: rng.standard_normal(params[k].shape) for k in names}
+        norm = np.sqrt(sum(float((a * a).sum()) for a in d.values()))
+        directions[group] = {k: a / norm for k, a in d.items()}
+    return directions
+
+
+def richardson_derivative(f: Callable[[float], np.ndarray], h: float) -> np.ndarray:
+    """f'(0) as (4 D(h/2) - D(h)) / 3, D(s) = (f(s) - f(-s)) / 2s: the
+    central difference with its h^2 term cancelled. Its error is at most
+    M5 h^4 / 480 from truncation, with M5 bounding |f^(5)|, plus 3 delta / h
+    from rounding when each f(s) is within delta."""
+
+    def central(s: float) -> np.ndarray:
+        return (f(s) - f(-s)) / (2.0 * s)
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
+
+
+def step_fd_tolerance(loss: float, abs_terms: float, h: float = STEP_FD_H) -> float:
+    """Bound on |analytic - richardson_derivative| for a step loss ``loss``
+    along a unit direction: truncation M5 h^4 / 480, rounding 3 delta / h
+    with delta = STEP_FD_ROUNDING * max(1, |loss|), and STEP_FD_ROUNDING
+    times ``abs_terms`` (sum |g_i d_i|) for the analytic side's own sum."""
+    delta = STEP_FD_ROUNDING * max(1.0, abs(loss))
+    return STEP_FD_M5 * h**4 / 480 + 3 * delta / h + STEP_FD_ROUNDING * abs_terms
+
+
+def step_loss_derivatives(
+    model: TwoTowerModel,
+    images: np.ndarray,
+    ids: np.ndarray,
+    label_sets: list[np.ndarray],
+    directions: dict[str, dict[str, np.ndarray]],
+    h: float = STEP_FD_H,
+) -> dict[str, np.ndarray]:
+    """group -> the Richardson derivative of the step loss under each of
+    ``label_sets`` along the group's direction. Each probe is a fresh model
+    over shifted copies of ``model``'s arrays, run forward with recording
+    disabled and scored by the UniCL closed form."""
+    base = model.param_arrays()
+    out = {}
+    for group, d in directions.items():
+
+        def losses(t: float) -> np.ndarray:
+            arrays = {k: a + t * d[k] if k in d else a for k, a in base.items()}
+            probe = TwoTowerModel(model.config, model.vocab, {k: Tensor(a) for k, a in arrays.items()})
+            with no_grad():
+                u, v = probe.encode_image(images).data, probe.encode_text(ids).data
+            return np.array([unicl_loss_arrays(u, v, y, float(arrays["tau_param"])).loss for y in label_sets])
+
+        out[group] = richardson_derivative(losses, h)
+    return out
 
 
 # ---------------------------------------------------------------------------

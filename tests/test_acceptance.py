@@ -14,7 +14,6 @@ import pytest
 
 from florence_mini.cli import build_parser, main
 from florence_mini.curation import (
-    StageStream,
     class_prototype,
     curate,
     dedup_near_duplicates,
@@ -344,10 +343,9 @@ def test_criterion_08_end_to_end_toy_run(toy_run):
     stages = [m["stage"] for m in metrics]
     assert (stages.count("stage1"), stages.count("stage2"), stages.count("high_res")) == (300, 60, 20)
 
-    # stage-2 stream purity over a full epoch
-    triplets = read_triplets_jsonl(root / "cur/triplets.jsonl")
-    stream = StageStream(stage=2, seed=0, batch_size=64, pool=triplets)
-    assert all(not t.augmented for batch in stream.epoch_batches(0) for t in batch)
+    # stage-2 batch purity over a full epoch
+    pool = loop.stage_pool(read_triplets_jsonl(root / "cur/triplets.jsonl"), 2)
+    assert all(not t.augmented for k in range(len(pool) // 64) for t in loop.stage_batch(pool, 0, 2, 64, k))
 
     out = root / "zs"
     assert (
@@ -363,7 +361,7 @@ def test_criterion_08_end_to_end_toy_run(toy_run):
     _pass(
         8,
         f"380 steps in {toy_run['train_wall']:.0f}s, zero-shot top-1 {top1:.3f} "
-        f"on {report['n']} held-out images (chance 0.125), stage-2 stream clean",
+        f"on {report['n']} held-out images (chance 0.125), stage-2 epoch clean",
     )
 
 

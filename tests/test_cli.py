@@ -20,7 +20,13 @@ from florence_mini.curation import records as record_io
 from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.evaluation.embed import EVAL_CHUNK
 from florence_mini.imaging import resize_bilinear
-from florence_mini.numerics import init_optimizer_state, load_checkpoint, read_tensor_file, write_tensor_file
+from florence_mini.numerics import (
+    init_optimizer_state,
+    load_checkpoint,
+    read_tensor_file,
+    save_checkpoint,
+    write_tensor_file,
+)
 from florence_mini.trainer import TrainConfig, prepare_batch, train_step
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -77,6 +83,8 @@ class TestParseConfig:
             ({"model": {"window": 0}}, "window must be >= 1, got 0"),
             ({"model": {"patch_kernel": 0}}, "patch_kernel must be >= 1, got 0"),
             ({"model": {"stage_heads": [0, 2]}}, "stage_heads[0] must be >= 1, got 0"),
+            ({"batch_size": 1}, "batch_size must be >= 2, got 1"),
+            ({"peak_lr": float("inf")}, "peak_lr must be finite and > 0, got inf"),
         ],
     )
     def test_train_refuses_a_bad_config_file_and_leaves_no_out(self, tmp_path, capsys, content, named):
@@ -616,6 +624,21 @@ class TestPipelineCommands:
         assert code == 2 and not out.exists()
         assert re.search(rf"zero_workers {workers} must be between 1 and the \d+ parameter scalars", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("lr", ["nan", "0", "-1"])
+    def test_train_refuses_a_peak_lr_that_is_not_finite_and_positive_and_leaves_no_out(
+        self, pipeline, tmp_path, capsys, lr
+    ):
+        """A non-finite rate used to train one step and abort with exit 1; a
+        non-positive one was refused as `lr must be positive`, naming no field."""
+        out = tmp_path / "run"
+        code = main(
+            ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--out", str(out),
+             "--stage1-steps", "1", "--stage2-steps", "0", "--batch-size", "8", "--chunk-size", "4",
+             "--warmup-steps", "0", "--peak-lr", lr],
+        )
+        assert code == 2 and not out.exists()
+        assert f"peak_lr must be finite and > 0, got {float(lr)}" in capsys.readouterr().err
+
     def test_train_refuses_a_negative_warmup_and_leaves_no_out(self, pipeline, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(
@@ -849,6 +872,38 @@ class TestPipelineCommands:
                     "--warmup-steps", "1", "--seed", "3"]
         assert main([*argv, "--out", str(out)]) == 2
         assert f"error: checkpoint {ckpt}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            ("renamed", "__opt_m__.image.merge0.w must be float64 (2, 2, 32, 64), got no tensor"),
+            ("reshaped", "__opt_m__.image.merge0.w must be float64 (2, 2, 32, 64), got float64 (4, 32, 64)"),
+            ("float32", "__opt_v__.image.merge0.w must be float64 (2, 2, 32, 64), got float32 (2, 2, 32, 64)"),
+        ],
+    )
+    def test_resume_refuses_an_optimizer_moment_unlike_its_parameter_and_writes_nothing(
+        self, pipeline, tmp_path, capsys, damage, named
+    ):
+        """A renamed moment used to print only its name, a reshaped one to
+        exit 2 from the first update after metrics.jsonl was written, and a
+        float32 one in a float64 run to train on."""
+        ckpt, out = tmp_path / "ckpt", tmp_path / "o"
+        tensors, manifest = load_checkpoint(pipeline / "run/ckpt-stage1")
+        m, v = "__opt_m__.image.merge0.w", "__opt_v__.image.merge0.w"
+        if damage == "renamed":
+            tensors["__opt_m__.image.merge0.x"] = tensors.pop(m)
+        elif damage == "reshaped":
+            tensors[m] = tensors[m].reshape(4, 32, 64)
+        else:
+            tensors[v] = tensors[v].astype(np.float32)
+        save_checkpoint(ckpt, tensors, metadata={k: x for k, x in manifest.items() if k not in ("format", "tensors")})
+        # the fixture's own run, resumed with steps left, so only the moment can refuse it
+        argv = ["train", "--triplets", str(pipeline / "cur/triplets.jsonl"), "--resume", str(ckpt),
+                "--stage1-steps", "3", "--stage2-steps", "2", "--batch-size", "8", "--chunk-size", "4",
+                "--warmup-steps", "1", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert f"error: checkpoint {ckpt}: optimizer moment {named}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_captions_names_a_stage_with_no_full_batch(self, tmp_path, capsys):

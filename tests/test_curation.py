@@ -1,4 +1,4 @@
-"""Curation: dedup, size filter, label table, augmentation, streams, synth."""
+"""Curation: dedup, size filter, label table, augmentation, synth."""
 
 import re
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from florence_mini.curation import (
     RawRecord,
-    StageStream,
     average_hash,
     augment_prompt,
     build_text_hash_table,
@@ -23,7 +22,7 @@ from florence_mini.curation import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from florence_mini.curation.records import ImageFiles, Triplet, load_image, load_images
+from florence_mini.curation.records import ImageFiles, load_image, load_images
 from florence_mini.imaging import resize_bilinear
 from florence_mini.numerics import write_tensor_file
 from oracles import hamming_distance
@@ -265,50 +264,6 @@ class TestPromptAugmentation:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             augment_prompt("", rng)
-
-
-class TestStageStreams:
-    def _pool(self):
-        mk = lambda i, aug: Triplet(id=f"t{i}", image_path="x.bin", text="w", label=i, augmented=aug)
-        return [mk(i, i < 4) for i in range(10)]  # 4 augmented, 6 clean
-
-    def test_stage2_filters_augmented_and_batch_count(self):
-        stream = StageStream(stage=2, seed=0, batch_size=2, pool=self._pool())
-        batches = stream.epoch_batches(0)
-        assert len(batches) == 3
-        assert all(not t.augmented for b in batches for t in b)
-
-    def test_same_seed_same_order(self):
-        s1 = StageStream(stage=1, seed=7, batch_size=2, pool=self._pool())
-        s2 = StageStream(stage=1, seed=7, batch_size=2, pool=self._pool())
-        ids1 = [[t.id for t in b] for b in s1.epoch_batches(3)]
-        ids2 = [[t.id for t in b] for b in s2.epoch_batches(3)]
-        assert ids1 == ids2
-
-    def test_stage1_epoch_covers_pool_once(self):
-        stream = StageStream(stage=1, seed=0, batch_size=2, pool=self._pool())
-        batches = stream.epoch_batches(0)
-        assert len(batches) == 5
-        seen = [t.id for b in batches for t in b]
-        assert sorted(seen) == sorted(t.id for t in self._pool())
-
-    @pytest.mark.parametrize("stage", [1, 2])
-    def test_stream_owns_a_copy_of_its_pool(self, stage):
-        pool = self._pool()
-        stream = StageStream(stage=stage, seed=0, batch_size=2, pool=pool)
-        before = stream.epoch_batches(0)
-        pool.reverse()
-        del pool[:5]
-        assert stream.epoch_batches(0) == before
-
-    def test_all_augmented_pool_fails_stage2(self):
-        pool = [Triplet(id="a", image_path="x", text="w", label=0, augmented=True)] * 4
-        with pytest.raises(ValueError, match="stage-2"):
-            StageStream(stage=2, seed=0, batch_size=2, pool=pool)
-
-    def test_batch_size_one_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            StageStream(stage=1, seed=0, batch_size=1, pool=self._pool())
 
 
 class TestSyntheticCorpus:

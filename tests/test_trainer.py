@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from florence_mini.curation import StageStream, curate, generate_synthetic_dataset
+from florence_mini.curation import curate, generate_synthetic_dataset
 from florence_mini.encoders import ModelConfig, TwoTowerModel, build_vocabulary
 from florence_mini.numerics import (
     Tensor,
@@ -39,11 +39,17 @@ from florence_mini.trainer import (
     train_step,
     zero_shard_update,
 )
-from florence_mini.curation import records
+from florence_mini.curation import Triplet, records
 from florence_mini.numerics.tensor import record
 from florence_mini.trainer import loop, zero
 from florence_mini.unicl import unicl_loss_arrays
-from oracles import gelu, matmul
+from oracles import (
+    gelu,
+    group_directions,
+    matmul,
+    step_fd_tolerance,
+    step_loss_derivatives,
+)
 
 # two quiet NaNs that differ only in their payload
 _NAN_A, _NAN_B = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64).view(np.float64)
@@ -640,6 +646,51 @@ class TestTrainStep:
             train_step(fresh, bad, ids, labels, rids, state, cfg, 1e-3)
 
 
+class TestWholeStepFiniteDifferences:
+    """One float64 step's analytic directional derivative against a
+    Richardson-extrapolated central difference of its loss, along one unit
+    direction per parameter group, within ``step_fd_tolerance``. The loss
+    does not depend on chunking or checkpointing, so the numeric side is
+    taken once per objective and every configuration is held to it."""
+
+    OBJECTIVES = ("unicl", "infonce")
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fd")
+        records, _ = generate_synthetic_dataset(d, num_classes=4, per_class=4, image_side=32, seed=0)
+        triplets = curate(records, seed=0).triplets[:8]
+        vocab = build_vocabulary([t.text for t in triplets])
+        model = TwoTowerModel.create(ModelConfig(), vocab, seed=1)
+        images, ids, labels, _ = prepare_batch(triplets, vocab, "float64")
+        assert images.shape[1:3] == (32, 32) and len(set(labels.tolist())) < 8  # shared captions: UniCL is not InfoNCE
+        directions = group_directions(model.param_arrays(), seed=0)
+        label_sets = [loop.effective_labels(labels, objective) for objective in self.OBJECTIVES]
+        numeric = step_loss_derivatives(model, images, ids, label_sets, directions)
+        return model, images, ids, labels, directions, numeric
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["plain", "checkpointed"])
+    @pytest.mark.parametrize("chunk", [8, 2])
+    def test_step_gradient_matches_richardson_differences_per_group(self, reference, chunk, checkpointing, objective):
+        model, images, ids, labels, directions, numeric = reference
+        config = TrainConfig(
+            model=model.config, batch_size=8, chunk_size=chunk, activation_checkpointing=checkpointing,
+            objective=objective, precision="full",
+        )
+        loss, grads = loop.compute_gradients(model, images, ids, loop.effective_labels(labels, objective), config)
+        assert len(directions) == 20 and set(grads) == set(model.params)
+        failures = []
+        for group, d in directions.items():
+            terms = [grads[k] * a for k, a in d.items()]
+            analytic = sum(float(t.sum()) for t in terms)
+            richardson = float(numeric[group][self.OBJECTIVES.index(objective)])
+            tol = step_fd_tolerance(loss, sum(float(np.abs(t).sum()) for t in terms))
+            if not abs(analytic - richardson) <= tol:
+                failures.append(f"{group}: analytic {analytic:.12e}, richardson {richardson:.12e}, tolerance {tol:.1e}")
+        assert failures == []
+
+
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("size, cause", [(30, "patch_kernel"), (48, "side 6 not divisible by window 4")])
     def test_high_res_size_checked_against_the_model_at_load(self, size, cause):
@@ -662,6 +713,35 @@ class TestTrainConfigValidation:
     def test_negative_checkpoint_every_rejected_by_name(self):
         with pytest.raises(ValueError, match="checkpoint_every must be >= 0, got -2"):
             TrainConfig(checkpoint_every=-2)
+
+
+class TestStageSchedule:
+    """A stage's batch k is a pure function of (pool, seed, stage, k)."""
+
+    def _pool(self):
+        mk = lambda i, aug: Triplet(id=f"t{i}", image_path="x.bin", text="w", label=i, augmented=aug)
+        return [mk(i, i < 4) for i in range(10)]  # 4 augmented, 6 clean
+
+    def test_stage2_filters_augmented_and_batch_count(self):
+        pool = loop.stage_pool(self._pool(), 2)
+        assert [t.id for t in pool] == [f"t{i}" for i in range(4, 10)]
+        batches = [loop.stage_batch(pool, 0, 2, 2, k) for k in range(4)]
+        # three full batches cover the pool, so the fourth opens epoch 1
+        assert sorted(t.id for b in batches[:3] for t in b) == [t.id for t in pool]
+        assert batches[3] == [pool[i] for i in np.random.default_rng([0, 2, 1]).permutation(6)[:2]]
+        assert all(not t.augmented for b in batches for t in b)
+
+    def test_same_seed_same_order(self):
+        def epoch3():  # batches 15..19 of a fresh pool each call
+            return [[t.id for t in loop.stage_batch(loop.stage_pool(self._pool(), 1), 7, 1, 2, k)] for k in range(15, 20)]
+
+        assert epoch3() == epoch3()
+
+    def test_stage1_epoch_covers_pool_once(self):
+        pool = loop.stage_pool(self._pool(), 1)
+        assert len(pool) // 2 == 5
+        seen = [t.id for k in range(5) for t in loop.stage_batch(pool, 0, 1, 2, k)]
+        assert sorted(seen) == sorted(t.id for t in self._pool())
 
 
 class TestTwoStageRun:
@@ -758,9 +838,9 @@ class TestTwoStageRun:
         cfg = self._config(stage2_steps=0, high_res_steps=4)
         out = run_two_stage_training(triplets, cfg, tmp_path / "run")
         assert "stage2" not in out["checkpoints"]
-        stream = StageStream(stage=2, seed=cfg.seed, batch_size=cfg.batch_size, pool=triplets)
-        assert stream.batches_per_epoch == 3  # so the fourth batch opens epoch 1
-        expected = [stream.epoch_batches(i // 3)[i % 3] for i in range(4)]
+        pool = loop.stage_pool(triplets, 2)
+        assert len(pool) // cfg.batch_size == 3  # so the fourth batch opens epoch 1
+        expected = [loop.stage_batch(pool, cfg.seed, 2, cfg.batch_size, k) for k in range(4)]
         assert drawn[3:] == [([t.id for t in b], 32) for b in expected]
 
     def test_every_step_reads_its_batch_from_disk_once(self, corpus, tmp_path, monkeypatch):
@@ -784,8 +864,7 @@ class TestTwoStageRun:
 
         monkeypatch.setattr(records, "read_tensor_file", counted_read)
         monkeypatch.setattr(loop, "prepare_batch", counted_prepare)
-        s1 = StageStream(stage=1, seed=0, batch_size=8, pool=triplets).batches_per_epoch
-        s2 = StageStream(stage=2, seed=0, batch_size=8, pool=triplets).batches_per_epoch
+        s1, s2 = (len(loop.stage_pool(triplets, stage)) // 8 for stage in (1, 2))
         cfg = self._config(stage1_steps=s1 + 1, stage2_steps=0, high_res_steps=2 * s2)
         run_two_stage_training(triplets, cfg, tmp_path / "run")
         assert len(per_step) == s1 + 1 + 2 * s2
@@ -793,6 +872,13 @@ class TestTwoStageRun:
             assert got == batch
         high_res = [p for got, _ in per_step[s1 + 1 :] for p in got]
         assert len(set(high_res)) < len(high_res)  # the second epoch redraws images the first read
+
+    def test_a_stage_pool_short_of_one_batch_is_refused_before_metrics_open(self, corpus, tmp_path):
+        """With every triplet augmented, stage 2 has nothing to draw."""
+        triplets = [replace(t, augmented=True) for t in corpus[0]]
+        with pytest.raises(ValueError, match="^stage2 pool holds 0 triplets, fewer than batch_size 8$"):
+            run_two_stage_training(triplets, self._config(high_res_steps=0), tmp_path / "run")
+        assert not (tmp_path / "run/metrics.jsonl").exists()
 
     def test_resume_rejects_config_drift_but_allows_step_counts(self, corpus, tmp_path):
         triplets, _ = corpus
