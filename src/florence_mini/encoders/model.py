@@ -87,6 +87,14 @@ def windowed_attention_block(x: Tensor, rel_bias: Tensor, *block: Tensor, heads:
     return transformer_block(x, ops.transpose(table, (2, 0, 1)), heads, eff, *block)
 
 
+def conv_then_block(
+    x: Tensor, conv_w: Tensor, conv_b: Tensor, *block: Tensor, stride: tuple[int, ...], block_fn: Callable
+) -> Tensor:
+    """A stage's convolution (the patch embed or a merge) and then its
+    first block: ``block_fn(conv(x), *block)``."""
+    return block_fn(ops.conv(x, conv_w, conv_b, stride), *block)
+
+
 def image_tower(
     params: dict[str, Tensor],
     config: ModelConfig,
@@ -96,34 +104,44 @@ def image_tower(
     """Images (B, H, W, C), or clips (B, T, H, W, C) under inflated weights,
     -> unit-norm embeddings (B, d).
 
-    The patch embed strides by its own kernel, so a clip's temporal kernel
-    rides in the inflated weight; merges keep temporal stride 1 and pooling
-    averages every middle axis. Each stage binds its head count and the
-    window into ``windowed_attention_block`` once, and every block of the
-    stage calls that function as ``fn(x, rel_bias, *block)``.
+    Each stage is its convolution (the patch embed for stage 0,
+    ``merge{s-1}`` for stage s) followed by its blocks. The patch embed
+    strides by its own kernel, so a clip's temporal kernel rides in the
+    inflated weight; merges keep temporal stride 1 and pooling averages
+    every middle axis. Each stage binds its head count and the window into
+    ``windowed_attention_block`` once, and every block of the stage calls
+    that function as ``fn(x, rel_bias, *block)``, except the first, which
+    is ``conv_then_block`` with the convolution in front:
+    ``fn(stage_input, conv_w, conv_b, rel_bias, *block)``. A stage of no
+    blocks runs its convolution bare.
     ``block_wrapper(fn, x, *params) -> Tensor`` (activation checkpointing)
     wraps each such call when provided: ``params`` are every tensor the
-    block reads, so their gradients leave the wrapper's node as input
-    gradients.
+    call reads, so their gradients leave the wrapper's node as input
+    gradients, and the first call of a stage carries its convolution, so
+    that call's node saves the stage input and no convolution output.
     """
     *_, h, w, c = images.shape
     if h % config.patch_kernel or w % config.patch_kernel:
         raise ValueError(f"spatial extent {h}x{w} not divisible by patch kernel")
     if c != config.channels:
         raise ValueError(f"expected {config.channels} channels, got {c}")
-    embed_w = params["image.patch_embed.w"]
-    x = ops.conv(images, embed_w, params["image.patch_embed.b"], embed_w.shape[:-2])
     merge_stride = (1,) * (images.data.ndim - 4) + (config.merge_kernel,) * 2
+    x = images
     for s, (depth, heads) in enumerate(zip(config.stage_depths, config.stage_heads)):
+        if s and x.shape[-3] % config.merge_kernel:
+            raise ValueError(f"stage side {x.shape[-3]} not divisible by merge kernel")
+        conv_name = f"image.merge{s - 1}" if s else "image.patch_embed"
+        conv = [params[f"{conv_name}.w"], params[f"{conv_name}.b"]]
+        stride = merge_stride if s else conv[0].shape[:-2]
+        if depth == 0:
+            x = ops.conv(x, *conv, stride)
         fn = functools.partial(windowed_attention_block, heads=heads, window=config.window)
         for b in range(depth):
             block = [params[f"image.s{s}.b{b}.{name}"] for name in ("attn.rel_bias", *_ATTENTION_PARAMS, *_MLP_PARAMS)]
-            x = block_wrapper(fn, x, *block) if block_wrapper is not None else fn(x, *block)
-        if s + 1 < config.num_stages:
-            side = x.shape[-3]
-            if side % config.merge_kernel:
-                raise ValueError(f"stage side {side} not divisible by merge kernel")
-            x = ops.conv(x, params[f"image.merge{s}.w"], params[f"image.merge{s}.b"], merge_stride)
+            call = fn
+            if b == 0:
+                call, block = functools.partial(conv_then_block, stride=stride, block_fn=fn), conv + block
+            x = block_wrapper(call, x, *block) if block_wrapper is not None else call(x, *block)
     x = ops.layer_norm(x, params["image.ln_f.gamma"], params["image.ln_f.beta"])
     pooled = ops.mean(x, axis=tuple(range(1, x.data.ndim - 1)))
     return ops.l2_normalize(ops.linear(pooled, params["image.proj.w"]))

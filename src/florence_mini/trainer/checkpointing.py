@@ -13,6 +13,13 @@ the node through its inputs. A recompute whose digest differs from the
 stored one, in any bit of any element or in shape or dtype, declares the
 block non-deterministic; a recompute that reaches a requires-grad leaf it
 was not given raises, naming that leaf.
+
+In the image tower a segment starts at its stage's input, as in Chen et
+al.'s segments that each store only their input (arXiv 1604.06174): the
+first call of each stage carries the stage's convolution (the patch
+embed, or the merge before it) ahead of its first block, so that node
+saves the pixels or the previous stage's output and no convolution output
+is stored; every later block's node saves its block input.
 """
 
 from __future__ import annotations

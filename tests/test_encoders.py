@@ -218,6 +218,36 @@ class TestImageTower:
         assert plain.keys() == ckpt.keys()
         assert [k for k in plain if plain[k].tobytes() != ckpt[k].tobytes()] == []
 
+    @pytest.mark.parametrize("wrapper", [None, checkpointed], ids=["plain", "checkpointed"])
+    def test_merge_kernel_refusal_fires_before_the_merge(self, vocab, wrapper):
+        """36 px images give a stage-0 side of 9, which the merge kernel 2
+        does not divide; with no stage-0 blocks no window sees that side
+        first, so the refusal is the tower's own, before stage 1's merge."""
+        model = TwoTowerModel.create(ModelConfig(stage_depths=(0, 2)), vocab, seed=0)
+        with pytest.raises(ValueError, match="stage side 9 not divisible by merge kernel"):
+            model.encode_image(np.zeros((2, 36, 36, 3)), block_wrapper=wrapper)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("depths", [(0, 2), (2, 0)])
+    def test_zero_depth_stage_checkpointed_gradients_byte_equal_plain(self, vocab, depths, dtype):
+        """A stage of no blocks runs its convolution bare, on the tape
+        outside any checkpoint, while the other stage's convolution runs
+        inside its first block's segment; gradients are byte-equal."""
+        config = ModelConfig(stage_depths=depths, dtype=dtype)
+        imgs = np.random.default_rng(9).uniform(size=(4, 32, 32, 3)).astype(dtype)
+        grads, convs = [], []
+        for wrapper in (None, checkpointed):
+            model = TwoTowerModel.create(config, vocab, seed=9)
+            emb = model.encode_image(imgs, block_wrapper=wrapper)
+            convs.append(sum(isinstance(n, TapeNode) and n.op == "conv" for n in _toposort([emb.node])))
+            seed = np.random.default_rng(10).normal(size=emb.shape).astype(dtype)
+            grads.append({t.name: g for t, g in backward_from([emb], [seed]).items()})
+        plain, ckpt = grads
+        assert convs == [2, 1]
+        assert {"image.patch_embed.w", "image.merge0.w"} <= plain.keys()
+        assert plain.keys() == ckpt.keys()
+        assert [k for k in plain if plain[k].tobytes() != ckpt[k].tobytes()] == []
+
 
 class TestTapeHoldsOnlyWhatRulesSave:
     """A recorded forward of both towers over 8 images at 32 px and 8
@@ -247,17 +277,31 @@ class TestTapeHoldsOnlyWhatRulesSave:
         saved weights and pixels that were allocated before it. When each
         node held its input tensors, every intermediate output stayed too,
         and the forward held about 1.2x the metered bytes."""
+        held, metered, _ = self._held_and_metered(mini_model, vocab, None)
+        assert 0 < held <= metered
+
+    def test_a_checkpointed_forward_holds_no_more_than_the_meter_counts(self, mini_model, vocab):
+        """With every block checkpointed, each stage's first segment saves
+        the stage input (the pixels, or the previous stage's output) and its
+        convolution runs inside it, so the image tape has no ``conv`` node
+        and no convolution output is held."""
+        held, metered, u = self._held_and_metered(mini_model, vocab, checkpointed)
+        assert 0 < held <= metered
+        assert "conv" not in {n.op for n in _toposort([u.node]) if isinstance(n, TapeNode)}
+
+    def _held_and_metered(self, model, vocab, wrapper):
+        """(bytes tracemalloc sees left allocated, metered saved bytes, image
+        embeddings) after one recorded forward of both towers."""
         images, ids = self._inputs(vocab)
         before = activation_meter.current
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            u, v = mini_model.encode_image(images), mini_model.encode_text(ids)
+            u, v = model.encode_image(images, block_wrapper=wrapper), model.encode_text(ids)
             held = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
-        metered = (activation_meter.current - before) * u.data.itemsize
-        assert 0 < held <= metered
+        return held, (activation_meter.current - before) * u.data.itemsize, u
 
 
 class TestDenseLayers:
